@@ -33,6 +33,7 @@ from .transport import (
     wasserstein_1d,
     wasserstein_circle,
     wasserstein_exact,
+    wasserstein_grid,
 )
 from .heat import (
     SpectralKernel,

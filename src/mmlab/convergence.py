@@ -30,6 +30,7 @@ from .transport import (
     wasserstein_1d,
     wasserstein_circle,
     wasserstein_exact,
+    wasserstein_grid,
 )
 
 QUAD_TOL = 1e-6
@@ -245,17 +246,19 @@ def fdd_convergence_report(family: SpaceFamily, times: Sequence[float],
             "pass": all(r["pass"] for r in rows)}
 
 
-def _bin_edges(limit: PmmSpace, pooled: np.ndarray, bins: int):
+def _bin_edges(limit: PmmSpace, pooled: Optional[np.ndarray], bins: int):
+    """Bins of one coordinate: (lo, width, count, period); period is the
+    circumference of a periodic coordinate and None otherwise."""
     if isinstance(limit, Circle):
-        return 0.0, limit.circumference / bins, True, limit.circumference
+        return 0.0, limit.circumference / bins, bins, limit.circumference
     if isinstance(limit, Interval):
-        return limit.a, limit.length / bins, False, None
+        return limit.a, limit.length / bins, bins, None
     if isinstance(limit, FiniteMms):
         # states are atom indices: unit bins snap to the indices themselves
-        return -0.5, 1.0, False, None
+        return -0.5, 1.0, limit.n, None
     lo = float(np.min(pooled)) - 1e-9
     hi = float(np.max(pooled)) + 1e-9
-    return lo, (hi - lo) / bins, False, None
+    return lo, (hi - lo) / bins, bins, None
 
 
 def product_distance_matrix(limit: PmmSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -272,10 +275,12 @@ def pathlaw_w1(ensemble_n: PathEnsemble, ensemble_limit: PathEnsemble,
                baseline_se: Optional[tuple] = None) -> dict:
     """W_1 between mapped empirical fdds, with an error budget.
 
-    The joint laws are snapped onto per-coordinate bins before the exact LP
-    (bin diameter reported in the budget); the self-distance baseline and its
-    spread come from random half/half splits of the limit ensemble with the
-    same binning.
+    The joint laws are snapped onto per-coordinate bins (bin diameter
+    reported in the budget) and W_1 is solved exactly on the bins, as a
+    min-cost flow on the bin grid where the limit's metric allows, else as
+    the dense transport LP (see ``_binned_w1``); the self-distance baseline
+    and its spread come from random half/half splits of the limit ensemble
+    with the same binning.
     """
     if len(ensemble_n.times) != len(ensemble_limit.times) or \
             np.max(np.abs(ensemble_n.times - ensemble_limit.times)) > 1e-12:
@@ -286,10 +291,8 @@ def pathlaw_w1(ensemble_n: PathEnsemble, ensemble_limit: PathEnsemble,
     nu = extract_fdd(ensemble_limit, times)
     pooled = np.concatenate([mu.atoms, nu.atoms], axis=0)
     specs = [_bin_edges(limit, pooled[:, j], bins) for j in range(k)]
-    mu_b = _weighted_rebin(mu.atoms, mu.weights, specs)
-    nu_b = _weighted_rebin(nu.atoms, nu.weights, specs)
-    value, _ = wasserstein_exact(
-        1, mu_b, nu_b, dist_matrix=product_distance_matrix(limit, mu_b.atoms, nu_b.atoms))
+    value = _binned_w1(limit, _weighted_rebin(mu.atoms, mu.weights, specs),
+                       _weighted_rebin(nu.atoms, nu.weights, specs), specs)
     if baseline_se is not None:
         baseline, se = float(baseline_se[0]), float(baseline_se[1])
     else:
@@ -318,11 +321,8 @@ def pathlaw_baseline(ensemble_limit: PathEnsemble, times: Sequence[float],
         a_idx, b_idx = perm[:half], perm[half:2 * half]
         fa = extract_fdd(_subset(ensemble_limit, a_idx), times)
         fb = extract_fdd(_subset(ensemble_limit, b_idx), times)
-        ma = _weighted_rebin(fa.atoms, fa.weights, specs)
-        mb = _weighted_rebin(fb.atoms, fb.weights, specs)
-        v, _ = wasserstein_exact(
-            1, ma, mb, dist_matrix=product_distance_matrix(limit, ma.atoms, mb.atoms))
-        split_vals.append(v)
+        split_vals.append(_binned_w1(limit, _weighted_rebin(fa.atoms, fa.weights, specs),
+                                     _weighted_rebin(fb.atoms, fb.weights, specs), specs))
     return float(np.mean(split_vals)), float(np.std(split_vals)) + 1e-12
 
 
@@ -331,21 +331,78 @@ def _subset(ensemble: PathEnsemble, idx: np.ndarray) -> PathEnsemble:
                         ensemble.initial_law, ensemble.space, ensemble.flags[idx])
 
 
-def _weighted_rebin(atoms: np.ndarray, weights: np.ndarray, specs) -> DiscreteMeasure:
-    """Snap atoms to per-coordinate bin centers and merge their weights."""
-    centers = np.empty_like(atoms)
-    for j, (lo, width, periodic, period) in enumerate(specs):
+def _weighted_rebin(atoms: np.ndarray, weights: np.ndarray, specs):
+    """Snap atoms to per-coordinate bins and merge their weights.
+
+    Returns the occupied integer cells (unique rows, lexicographic) and their
+    normalized weights.
+    """
+    cells = np.empty(atoms.shape, dtype=int)
+    for j, (lo, width, count, period) in enumerate(specs):
         x = atoms[:, j]
-        if periodic:
+        if period is not None:
             x = np.mod(x, period)
         idx = np.floor((x - lo) / width).astype(int)
-        if periodic:
-            idx = np.mod(idx, int(round(period / width)))
-        centers[:, j] = lo + (idx + 0.5) * width
-    uniq, inverse = np.unique(centers, axis=0, return_inverse=True)
-    w = np.zeros(len(uniq))
-    np.add.at(w, inverse, weights)
-    return DiscreteMeasure(uniq, w / w.sum())
+        # a closed coordinate's right end (x == b on an Interval) joins the last bin
+        cells[:, j] = np.mod(idx, count) if period is not None else np.minimum(idx, count - 1)
+    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+    w = np.bincount(inverse.ravel(), weights=weights, minlength=len(uniq))
+    return uniq, w / w.sum()
+
+
+def _center_measure(binned, specs) -> DiscreteMeasure:
+    """A binned law ``(cells, weights)`` as atoms at its bin centers."""
+    cells, w = binned
+    centers = np.empty(cells.shape)
+    for j, (lo, width, _, _) in enumerate(specs):
+        centers[:, j] = lo + (cells[:, j] + 0.5) * width
+    return DiscreteMeasure(centers, w)
+
+
+def _axis_graph(limit: PmmSpace, spec, first: int, last: int):
+    """Edge lengths of the path (or cycle) through bins first..last of one
+    coordinate, or None when the limit's distance between those bin centers
+    is not that graph's shortest-path metric."""
+    lo, width, _, period = spec
+    centers = lo + (np.arange(first, last + 1) + 0.5) * width
+    d = np.asarray(limit.distance(centers[:, None], centers[None, :]), dtype=float)
+    # closing a cycle through one or two bins adds no route
+    cyclic = period is not None and len(centers) > 2
+    edges = np.diagonal(d, 1)
+    pos = np.concatenate([[0.0], np.cumsum(edges)])
+    graph = np.abs(pos[:, None] - pos[None, :])
+    if cyclic:
+        # the closing edge may jump over empty bins: their supply is zero
+        edges = np.append(edges, d[-1, 0])
+        graph = np.minimum(graph, pos[-1] + edges[-1] - graph)
+    if not np.allclose(graph, d, rtol=1e-12, atol=0.0):
+        return None
+    return edges, cyclic
+
+
+def _binned_w1(limit: PmmSpace, mu, nu, specs) -> float:
+    """W_1 under the sum metric between binned laws ``(cells, weights)``.
+
+    When on every coordinate the limit's metric between the occupied bins is
+    a path or cycle metric, W_1 is the min-cost flow on the bin grid, unless
+    that grid has more arcs than the dense plan has pairs; otherwise it is
+    the dense transport LP on the bin centers.
+    """
+    (a, wa), (b, wb) = mu, nu
+    first = np.minimum(a.min(axis=0), b.min(axis=0))
+    last = np.maximum(a.max(axis=0), b.max(axis=0))
+    graphs = [_axis_graph(limit, spec, f, l) for spec, f, l in zip(specs, first, last)]
+    if all(g is not None for g in graphs):
+        sizes = last - first + 1
+        n_arcs = sum(2 * len(edges) * np.prod(sizes) // s
+                     for (edges, _), s in zip(graphs, sizes))
+        if n_arcs <= len(wa) * len(wb):
+            return wasserstein_grid(a - first, wa, b - first, wb,
+                                    [g[0] for g in graphs], [g[1] for g in graphs])
+    mu_b, nu_b = _center_measure(mu, specs), _center_measure(nu, specs)
+    value, _ = wasserstein_exact(
+        1, mu_b, nu_b, dist_matrix=product_distance_matrix(limit, mu_b.atoms, nu_b.atoms))
+    return value
 
 
 def entropy_tightness(family: SpaceFamily, eps: float,
@@ -386,9 +443,10 @@ def initial_law_w1(family: SpaceFamily, bins: int = 64) -> dict:
         mapped = _mapped_points(space, cmap, pts)
         mu = DiscreteMeasure(np.asarray(mapped, dtype=float), masses / masses.sum())
         if isinstance(limit, Circle):
-            spec = [(0.0, limit.circumference / bins, True, limit.circumference)]
-            mu_b = _weighted_rebin(mu.atoms, mu.weights, spec)
-            lim_b = _weighted_rebin(lim_measure.atoms, lim_measure.weights, spec)
+            spec = [_bin_edges(limit, None, bins)]
+            mu_b = _center_measure(_weighted_rebin(mu.atoms, mu.weights, spec), spec)
+            lim_b = _center_measure(
+                _weighted_rebin(lim_measure.atoms, lim_measure.weights, spec), spec)
             w1 = wasserstein_circle(1, mu_b, lim_b, limit.circumference)
         else:
             w1 = wasserstein_1d(1, mu, lim_measure)

@@ -2,7 +2,10 @@
 
 Small-scale, exactness-first: Wasserstein distances are computed by linear
 programming (HiGHS), 1-D instances additionally by the quantile formula, and
-dual lower bounds come from finite families of Lipschitz functions.  No
+dual lower bounds come from finite families of Lipschitz functions.  W_1
+between measures on a grid of cells, under a sum of 1-D path or cycle
+metrics, is the min-cost flow on the grid graph (a sparse LP with O(cells)
+arcs); any other ground metric goes to the dense transportation LP.  No
 entropic regularization anywhere.
 """
 
@@ -85,16 +88,25 @@ class DiscreteMeasure:
 
 
 def _merge_close_atoms(atoms: np.ndarray, weights: np.ndarray):
-    """Merge atoms closer than ATOM_MERGE_TOL (sums weights); avoids LP degeneracy."""
-    order = np.lexsort(atoms.T[::-1])
-    a, w = atoms[order], weights[order].copy()
-    keep = [0]
-    for i in range(1, len(a)):
-        j = keep[-1]
-        if np.max(np.abs(a[i] - a[j])) <= ATOM_MERGE_TOL:
-            w[j] += w[i]
-        else:
-            keep.append(i)
+    """Merge atoms closer than ATOM_MERGE_TOL (sums weights); avoids LP degeneracy.
+
+    Scans the lexicographically sorted distinct atoms, merging each into the
+    last kept atom when within the tolerance in sup-norm.  An atom merges
+    only if every atom between it and that anchor merged too, so an atom more
+    than twice the tolerance from its sorted predecessor is always kept: only
+    the atoms with a close predecessor need the scan.
+    """
+    a, inverse = np.unique(atoms, axis=0, return_inverse=True)
+    w = np.bincount(inverse.ravel(), weights=weights, minlength=len(a))
+    close = np.max(np.abs(np.diff(a, axis=0)), axis=1) <= 2 * ATOM_MERGE_TOL
+    keep = np.ones(len(a), dtype=bool)
+    anchor = -1
+    for i in np.flatnonzero(close) + 1:
+        if keep[i - 1]:
+            anchor = i - 1
+        if np.max(np.abs(a[i] - a[anchor])) <= ATOM_MERGE_TOL:
+            w[anchor] += w[i]
+            keep[i] = False
     return a[keep], w[keep]
 
 
@@ -207,11 +219,65 @@ def wasserstein_circle(p: int, mu: DiscreteMeasure, nu: DiscreteMeasure,
             best = min(best, wasserstein_1d(p, mu_cut, nu_cut))
         return best
 
-    def metric(x, y):
-        d = abs(x[0] - y[0]) % c
-        return min(d, c - d)
+    from .spaces import circle_distance  # spaces imports this module
 
-    value, _ = wasserstein_exact(p, mu, nu, metric=metric)
+    d = circle_distance(mu.atoms[:, 0][:, None], nu.atoms[:, 0][None, :], c)
+    value, _ = wasserstein_exact(p, mu, nu, dist_matrix=d)
+    return value
+
+
+def wasserstein_grid(mu_cells, mu_weights, nu_cells, nu_weights,
+                     edge_costs: Sequence, periodic: Sequence[bool]) -> float:
+    """Exact W_1 between two measures on a grid of cells under the sum metric.
+
+    Axis j of the grid is a path graph, or a cycle when ``periodic[j]``;
+    ``edge_costs[j][i]`` is the length of the edge from cell i to cell i+1,
+    and on a cycle the last entry closes it from the last cell back to cell 0.
+    Cells are integer rows of shape (n, k).  W_1 for the graph's shortest-path
+    metric, summed over the axes, is the min-cost flow that moves the supply
+    mu - nu along the grid edges (Beckmann's form), solved as a sparse LP with
+    one balance row per cell and two directed arcs per edge.
+    """
+    costs = [np.asarray(c, dtype=float) for c in edge_costs]
+    sizes = tuple(len(c) + (0 if cyc else 1) for c, cyc in zip(costs, periodic))
+    n_cells = int(np.prod(sizes))
+    mu_flat = np.ravel_multi_index(np.asarray(mu_cells).T, sizes)
+    nu_flat = np.ravel_multi_index(np.asarray(nu_cells).T, sizes)
+    supply = (np.bincount(mu_flat, weights=mu_weights, minlength=n_cells)
+              - np.bincount(nu_flat, weights=nu_weights, minlength=n_cells))
+    grid = np.arange(n_cells).reshape(sizes)
+    tails, heads, arc_costs = [], [], []
+    for j, (c, cyc) in enumerate(zip(costs, periodic)):
+        take = [slice(None)] * len(sizes)
+        take[j] = slice(None) if cyc else slice(0, sizes[j] - 1)
+        take = tuple(take)
+        here = grid[take].ravel()
+        there = np.roll(grid, -1, axis=j)[take].ravel()
+        shape = [1] * len(sizes)
+        shape[j] = len(c)
+        cost = np.broadcast_to(c.reshape(shape), grid[take].shape).ravel()
+        tails += [here, there]
+        heads += [there, here]
+        arc_costs += [cost, cost]
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    n_arcs = len(tails)
+    if n_arcs == 0:  # a single cell: nothing moves
+        flow, value = np.zeros(0), 0.0
+    else:
+        arcs = np.arange(n_arcs)
+        incidence = coo_matrix(
+            (np.concatenate([np.ones(n_arcs), -np.ones(n_arcs)]),
+             (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
+            shape=(n_cells, n_arcs)).tocsr()
+        res = linprog(np.concatenate(arc_costs), A_eq=incidence, b_eq=supply,
+                      bounds=(0, None), method="highs")
+        if not res.success:
+            raise TransportError("grid flow LP failed: %s" % res.message)
+        flow, value = res.x, float(max(res.fun, 0.0))
+    balance = np.bincount(tails, weights=flow, minlength=n_cells) \
+        - np.bincount(heads, weights=flow, minlength=n_cells)
+    if np.max(np.abs(balance - supply)) > MARGINAL_TOL:
+        raise TransportError("grid flow violates node balance")
     return value
 
 

@@ -139,3 +139,18 @@ def random_measure(rng, max_atoms, dim=1, spread=2.0):
     atoms = rng.normal(scale=spread, size=(n, dim))
     w = rng.random(n) + 0.05
     return atoms, w / w.sum()
+
+
+def merge_close_atoms_loop(atoms, weights, tol):
+    """Sequential merge of sorted atoms: each atom within ``tol`` (sup-norm)
+    of the last kept atom adds its weight to it."""
+    order = np.lexsort(atoms.T[::-1])
+    a, w = atoms[order], weights[order].copy()
+    keep = [0]
+    for i in range(1, len(a)):
+        j = keep[-1]
+        if np.max(np.abs(a[i] - a[j])) <= tol:
+            w[j] += w[i]
+        else:
+            keep.append(i)
+    return a[keep], w[keep]

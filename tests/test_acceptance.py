@@ -5,9 +5,11 @@ budgets, records a single PASS/FAIL line (echoed in the terminal summary), and
 enforces its own wall-clock budget.
 """
 
+import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +34,8 @@ from mmlab import (
     wasserstein_exact,
     EuclideanLogConcave,
 )
-from mmlab.cli import ScenarioConfig, circle_functions, main as cli_main
-from mmlab.cli import run_ou, run_reflected, run_torus
+from mmlab.cli import ScenarioConfig, circle_functions, load_config, main as cli_main
+from mmlab.cli import run_cone, run_ou, run_reflected, run_torus
 
 from conftest import record_criterion
 from _oracles import random_measure, wasserstein_vertex
@@ -53,6 +55,37 @@ def torus_results():
     with ThreadPoolExecutor(max_workers=4) as pool:
         checks, tables = run_torus(cfg, pool)
     return checks, tables, time.monotonic() - t0, cfg
+
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_RTOL = 1e-10
+
+
+def assert_matches_golden(rows, scenario, table):
+    """Compare a result table with the committed ``out/<scenario>/<table>.csv``."""
+    with open(REPO / "out" / scenario / ("%s.csv" % table)) as fh:
+        golden = list(csv.DictReader(fh))
+    assert len(rows) == len(golden)
+    for row, ref in zip(rows, golden):
+        assert sorted(row) == sorted(ref)
+        for key, want in ref.items():
+            got = row[key]
+            if isinstance(got, (bool, np.bool_)):
+                assert ("true" if got else "false") == want, key
+            else:
+                assert float(got) == pytest.approx(float(want), rel=GOLDEN_RTOL, abs=0.0), key
+
+
+def test_golden_pathlaw_torus(torus_results):
+    # the fixture's config defaults are the bundled torus_collapse config
+    assert_matches_golden(torus_results[1]["pathlaw"], "torus_collapse", "pathlaw")
+
+
+def test_golden_pathlaw_cone():
+    cfg = load_config(str(REPO / "scripts" / "cone_interval.json"))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        _, tables = run_cone(cfg, pool)
+    assert_matches_golden(tables["pathlaw"], "cone_interval", "pathlaw")
 
 
 def test_criterion_1_kernel_algebra():

@@ -6,6 +6,8 @@ from mmlab import (
     Circle,
     CollapseMap,
     DiscreteMeasure,
+    FiniteMms,
+    Interval,
     LipschitzTestFunction,
     SpaceFamily,
     Torus,
@@ -19,7 +21,16 @@ from mmlab import (
     sample_kernel_chain,
     wasserstein_exact,
 )
-from mmlab.convergence import ConvergenceError, pathlaw_baseline, product_distance_matrix
+import mmlab.convergence as convergence
+from mmlab.convergence import (
+    ConvergenceError,
+    _bin_edges,
+    _binned_w1,
+    _center_measure,
+    _weighted_rebin,
+    pathlaw_baseline,
+    product_distance_matrix,
+)
 
 
 def torus_family(ns, nodes=(256, 64)):
@@ -172,6 +183,112 @@ def test_product_distance_matrix_sum_metric():
     assert d.shape == (2, 1)
     assert d[0, 0] == pytest.approx(0.5 + 0.5)
     assert d[1, 0] == pytest.approx(0.5 + abs(2 * np.pi - 6.0 - 0.5) % (2 * np.pi))
+
+
+def uneven_chain(n=9, seed=0):
+    pos = np.cumsum(np.random.default_rng(seed).uniform(0.05, 1.0, n))
+    return FiniteMms(dist=np.abs(pos[:, None] - pos[None, :]), weights=np.ones(n), base_index=0)
+
+
+def non_chain_finite(n=9, seed=0):
+    pts = np.random.default_rng(seed).normal(size=(n, 2))
+    dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    return FiniteMms(dist=dist, weights=np.ones(n), base_index=0, coords=pts)
+
+
+def random_atoms(rng, limit, count, k):
+    if isinstance(limit, Circle):
+        return rng.uniform(-1.0, 2.0, size=(count, k)) * limit.circumference
+    if isinstance(limit, Interval):
+        # include the right end point, which joins the last bin
+        x = rng.uniform(limit.a, limit.b, size=(count, k))
+        x[: count // 10] = limit.b
+        return x
+    return rng.integers(0, limit.n, size=(count, k)).astype(float)
+
+
+def binned_pair(limit, k, bins, seed):
+    rng = np.random.default_rng(seed)
+    a = random_atoms(rng, limit, 300, k)
+    b = random_atoms(rng, limit, 300, k)
+    specs = [_bin_edges(limit, np.concatenate([a[:, j], b[:, j]]), bins) for j in range(k)]
+    return (_weighted_rebin(a, rng.dirichlet(np.ones(300)), specs),
+            _weighted_rebin(b, rng.dirichlet(np.ones(300)), specs), specs)
+
+
+def dense_binned_w1(limit, mu, nu, specs):
+    mu_b, nu_b = _center_measure(mu, specs), _center_measure(nu, specs)
+    value, _ = wasserstein_exact(
+        1, mu_b, nu_b, dist_matrix=product_distance_matrix(limit, mu_b.atoms, nu_b.atoms))
+    return value
+
+
+def forbid(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise AssertionError("%s must not be called" % name)
+    monkeypatch.setattr(convergence, name, fail)
+
+
+@pytest.mark.parametrize("limit,k,bins", [
+    (Circle(2 * np.pi), 1, 24), (Circle(2 * np.pi), 2, 12), (Circle(3.0), 3, 5),
+    (Interval(-1.0, 2.0), 1, 24), (Interval(0.0, 1.0), 2, 10),
+    (uneven_chain(), 1, 0), (uneven_chain(), 2, 0),
+])
+def test_binned_w1_flow_matches_dense(monkeypatch, limit, k, bins):
+    for seed in range(3):
+        mu, nu, specs = binned_pair(limit, k, bins, seed)
+        dense = dense_binned_w1(limit, mu, nu, specs)
+        with monkeypatch.context() as m:
+            forbid(m, "wasserstein_exact")
+            assert abs(_binned_w1(limit, mu, nu, specs) - dense) <= 1e-9
+            assert abs(_binned_w1(limit, mu, mu, specs)) <= 1e-12
+
+
+def test_binned_w1_disjoint_supports_on_circle_arc(monkeypatch):
+    # supports on two arcs with empty bins between and around them: the
+    # cycle through the occupied range closes over bins 22 and 23
+    circle = Circle(2 * np.pi)
+    specs = [_bin_edges(circle, None, 24)]
+    rng = np.random.default_rng(5)
+    mu = (np.arange(0, 8)[:, None], rng.dirichlet(np.ones(8)))
+    nu = (np.arange(15, 22)[:, None], rng.dirichlet(np.ones(7)))
+    dense = dense_binned_w1(circle, mu, nu, specs)
+    forbid(monkeypatch, "wasserstein_exact")
+    assert dense > 0
+    assert abs(_binned_w1(circle, mu, nu, specs) - dense) <= 1e-12
+
+
+def test_binned_w1_few_atoms_on_large_grid_take_dense_lp(monkeypatch):
+    # 4 x 3 pairs against 24 x 24 cells with 2304 arcs: the dense plan is smaller
+    circle = Circle(2 * np.pi)
+    specs = [_bin_edges(circle, None, 24)] * 2
+    mu = (np.array([[0, 0], [0, 23], [5, 9], [23, 23]]), np.full(4, 0.25))
+    nu = (np.array([[1, 7], [12, 12], [20, 3]]), np.array([0.5, 0.25, 0.25]))
+    forbid(monkeypatch, "wasserstein_grid")
+    assert _binned_w1(circle, mu, nu, specs) == dense_binned_w1(circle, mu, nu, specs)
+
+
+def test_binned_w1_non_chain_finite_takes_dense_lp(monkeypatch):
+    limit = non_chain_finite()
+    forbid(monkeypatch, "wasserstein_grid")
+    for k in (1, 2):
+        mu, nu, specs = binned_pair(limit, k, 0, k)
+        # the atoms are the states, so the dense LP runs on them unchanged
+        a = DiscreteMeasure(mu[0].astype(float), mu[1])
+        b = DiscreteMeasure(nu[0].astype(float), nu[1])
+        d = sum(limit.dist[np.ix_(mu[0][:, j], nu[0][:, j])] for j in range(k))
+        ref, _ = wasserstein_exact(1, a, b, dist_matrix=d)
+        assert _binned_w1(limit, mu, nu, specs) == ref
+
+
+def test_weighted_rebin_interval_endpoint():
+    interval = Interval(0.0, 2.0)
+    specs = [_bin_edges(interval, None, 4)]
+    cells, w = _weighted_rebin(np.array([[0.0], [1.9], [2.0]]), np.full(3, 1 / 3), specs)
+    assert cells.tolist() == [[0], [3]]
+    assert w == pytest.approx([1 / 3, 2 / 3])
+    center = _center_measure((cells, w), specs).atoms[-1, 0]
+    assert interval.a <= center <= interval.b
 
 
 def test_entropy_tightness_finite_sup():

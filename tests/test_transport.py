@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from mmlab import (
     DiscreteMeasure,
@@ -11,10 +13,11 @@ from mmlab import (
     wasserstein_1d,
     wasserstein_circle,
     wasserstein_exact,
+    wasserstein_grid,
 )
-from mmlab.transport import TransportError
+from mmlab.transport import ATOM_MERGE_TOL, TransportError, _merge_close_atoms
 
-from _oracles import random_measure, wasserstein_vertex
+from _oracles import merge_close_atoms_loop, random_measure, wasserstein_vertex
 
 
 def random_pair(rng, max_atoms=4, dim=1):
@@ -119,6 +122,24 @@ def test_circle_matches_lp():
         assert abs(wasserstein_circle(1, mu, nu, c) - lp) <= 1e-9
 
 
+def test_circle_many_atoms_matches_cdf_formula():
+    # above 64 atoms the circle goes to the LP; on a circle
+    # W_1 = int |F - G - median(F - G)| (median weighted by arc length)
+    rng = np.random.default_rng(4)
+    c = 3.0
+    mu = DiscreteMeasure(rng.random(90) * c, rng.dirichlet(np.ones(90)))
+    nu = DiscreteMeasure(rng.random(70) * c, rng.dirichlet(np.ones(70)))
+    cuts = np.concatenate([[0.0], np.sort(np.concatenate([mu.atoms[:, 0], nu.atoms[:, 0]])), [c]])
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    h = np.array([mu.weights[mu.atoms[:, 0] <= x].sum() - nu.weights[nu.atoms[:, 0] <= x].sum()
+                  for x in mids])
+    lengths = np.diff(cuts)
+    order = np.argsort(h)
+    median = h[order][np.searchsorted(np.cumsum(lengths[order]), 0.5 * c)]
+    ref = float(np.sum(lengths * np.abs(h - median)))
+    assert abs(wasserstein_circle(1, mu, nu, c) - ref) <= 1e-9
+
+
 def test_circle_antipodal():
     c = 2 * np.pi
     mu = DiscreteMeasure([0.0])
@@ -173,3 +194,111 @@ def test_rows_roundtrip():
     back = DiscreteMeasure.from_rows(mu.to_rows())
     assert np.allclose(back.atoms, mu.atoms)
     assert np.allclose(back.weights, mu.weights)
+
+
+def grid_metric(edge_costs, periodic):
+    """Sum over the axes of each axis graph's shortest-path metric, between
+    all cells of the grid in C order (Dijkstra on each axis)."""
+    blocks = []
+    for c, cyc in zip(edge_costs, periodic):
+        size = len(c) + (0 if cyc else 1)
+        heads = np.arange(len(c))
+        tails = (heads + 1) % size
+        graph = coo_matrix((c, (heads, tails)), shape=(size, size)).tocsr()
+        blocks.append(shortest_path(graph, directed=False))
+    total = blocks[0]
+    for block in blocks[1:]:
+        total = (total[:, None, :, None] + block[None, :, None, :]).reshape(
+            total.shape[0] * block.shape[0], -1)
+    return total
+
+
+def random_grid(rng, k):
+    periodic = [bool(rng.integers(0, 2)) for _ in range(k)]
+    sizes = [int(rng.integers(3, 7)) if cyc else int(rng.integers(1, 7)) for cyc in periodic]
+    costs = [rng.uniform(0.1, 2.0, size=s if cyc else s - 1) for s, cyc in zip(sizes, periodic)]
+    return sizes, costs, periodic
+
+
+def random_cells(rng, sizes, n):
+    cells = np.unique(np.stack([rng.integers(0, s, n) for s in sizes], axis=1), axis=0)
+    return cells, rng.dirichlet(np.ones(len(cells)))
+
+
+def dense_grid_w1(sizes, costs, periodic, a, wa, b, wb):
+    d = grid_metric(costs, periodic)
+    ia, ib = np.ravel_multi_index(a.T, sizes), np.ravel_multi_index(b.T, sizes)
+    val, _ = wasserstein_exact(1, DiscreteMeasure(ia.astype(float), wa),
+                               DiscreteMeasure(ib.astype(float), wb),
+                               dist_matrix=d[np.ix_(ia, ib)])
+    return val
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_grid_flow_matches_dense_lp(seed, k):
+    rng = np.random.default_rng(seed)
+    sizes, costs, periodic = random_grid(rng, k)
+    a, wa = random_cells(rng, sizes, int(rng.integers(1, 12)))
+    b, wb = random_cells(rng, sizes, int(rng.integers(1, 12)))
+    flow = wasserstein_grid(a, wa, b, wb, costs, periodic)
+    assert abs(flow - dense_grid_w1(sizes, costs, periodic, a, wa, b, wb)) <= 1e-9
+
+
+def test_grid_flow_identical_measures_zero():
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3):
+        sizes, costs, periodic = random_grid(rng, k)
+        a, wa = random_cells(rng, sizes, 10)
+        assert abs(wasserstein_grid(a, wa, a, wa, costs, periodic)) <= 1e-12
+
+
+def test_grid_flow_disjoint_supports():
+    # point masses at the two ends of a path, and of a cycle
+    costs = [np.array([1.0, 0.5, 2.0, 0.25])]
+    ends = np.array([[0]]), np.array([[4]])
+    assert wasserstein_grid(ends[0], [1.0], ends[1], [1.0], costs, [False]) \
+        == pytest.approx(3.75, abs=1e-12)
+    costs = [np.array([1.0, 0.5, 2.0, 0.25, 0.1])]
+    assert wasserstein_grid(ends[0], [1.0], ends[1], [1.0], costs, [True]) \
+        == pytest.approx(0.1, abs=1e-12)
+    # random measures on the two halves of a 2-D grid
+    rng = np.random.default_rng(9)
+    for periodic in ([False, False], [True, False], [True, True]):
+        sizes = [6, 5]
+        costs = [rng.uniform(0.1, 2.0, size=s if cyc else s - 1)
+                 for s, cyc in zip(sizes, periodic)]
+        a, wa = random_cells(rng, [3, 5], 8)
+        b, wb = random_cells(rng, [3, 5], 8)
+        b = b + [3, 0]
+        flow = wasserstein_grid(a, wa, b, wb, costs, periodic)
+        assert flow > 0
+        assert abs(flow - dense_grid_w1(sizes, costs, periodic, a, wa, b, wb)) <= 1e-9
+
+
+def test_merge_close_atoms_matches_loop():
+    rng = np.random.default_rng(12)
+    for dim in (1, 2, 3):
+        base = rng.integers(0, 4, size=(300, dim)) * 0.5
+        # exact duplicates, near-duplicates 5e-13 apart, and chains drifting
+        # beyond the tolerance in steps within it
+        jitter = rng.integers(0, 3, size=(300, dim)) * 5e-13
+        atoms = base + jitter
+        weights = rng.random(300) + 0.1
+        got_a, got_w = _merge_close_atoms(atoms, weights)
+        ref_a, ref_w = merge_close_atoms_loop(atoms, weights, ATOM_MERGE_TOL)
+        assert np.array_equal(got_a, ref_a)
+        assert np.allclose(got_w, ref_w, rtol=1e-14, atol=0.0)
+        assert got_w.sum() == pytest.approx(weights.sum(), rel=1e-14)
+    # the third atom is 1.8e-12 from its sorted predecessor, yet merges into
+    # the first, which the second merged into
+    atoms = np.array([[0.0, 0.0], [0.5e-12, 0.9e-12], [0.9e-12, -0.9e-12], [1.0, 0.0]])
+    got_a, got_w = _merge_close_atoms(atoms, np.full(4, 0.25))
+    assert np.array_equal(got_a, atoms[[0, 3]])
+    assert got_w.tolist() == [0.75, 0.25]
+    # distinct atoms, none within the tolerance: every atom and weight kept exactly
+    atoms = rng.normal(size=(500, 2))
+    weights = rng.random(500)
+    got_a, got_w = _merge_close_atoms(atoms, weights)
+    ref_a, ref_w = merge_close_atoms_loop(atoms, weights, ATOM_MERGE_TOL)
+    assert np.array_equal(got_a, ref_a) and np.array_equal(got_w, ref_w)
