@@ -7,7 +7,6 @@ from .spaces import (
     Circle,
     CollapseMap,
     ConvexDomain,
-    ConvexDomainLogConcave,
     EuclideanLogConcave,
     FiniteMms,
     Interval,
@@ -53,12 +52,10 @@ from .heat import (
 )
 from .paths import (
     PathEnsemble,
-    PathSample,
     euler_maruyama,
     extract_fdd,
     kolmogorov_moment,
     modulus_statistic,
-    reflected_em,
     sample_kernel_chain,
 )
 from .convergence import (

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -39,17 +40,20 @@ from .heat import (
     spectral_gap,
 )
 from .paths import (
+    PathError,
     euler_maruyama,
+    grid_index,
     kolmogorov_moment,
     modulus_statistic,
-    reflected_em,
     sample_kernel_chain,
+    time_grid,
 )
 from .spaces import (
     Circle,
     CollapseMap,
     EuclideanLogConcave,
     FiniteMms,
+    SpaceError,
     Torus,
     box_domain,
     mesh_cone,
@@ -137,6 +141,35 @@ def validate_dict(raw: dict) -> list:
             errors.append("finite_file: required for custom_finite")
         elif not os.path.exists(ff):
             errors.append("finite_file: file not found: %s" % ff)
+        else:
+            try:
+                FiniteMms.load(ff)
+            except SpaceError as exc:
+                errors.append("finite_file: %s" % exc)
+    if not errors:
+        errors = _grid_errors(ScenarioConfig(**raw))
+    return errors
+
+
+def _grid_errors(cfg: ScenarioConfig) -> list:
+    """The times a runner reads from its stored paths that are off their grid."""
+    if cfg.scenario == "torus_collapse":
+        grid = _torus_grid(cfg)
+        rule = "multiples of min(modulus_eta)/4 up to path_T"
+        reads = [("times", t) for t in cfg.times]
+        reads += [("kolmogorov_h", t + h) for t in KOLMOGOROV_T for h in cfg.kolmogorov_h]
+    elif cfg.scenario == "reflected_family":
+        grid = time_grid(_reflected_dt(cfg), REFLECTED_T)
+        rule = "multiples of dt up to %g" % REFLECTED_T
+        reads = [("dt", t) for t in REFLECTED_READS]
+    else:
+        return []
+    errors = []
+    for name, t in reads:
+        try:
+            grid_index(grid, t)
+        except PathError as exc:
+            errors.append("%s: %s, which holds the %s" % (name, exc, rule))
     return errors
 
 
@@ -215,6 +248,40 @@ def _select(registry: dict, names) -> list:
 
 # --- scenario runners -------------------------------------------------------
 
+KOLMOGOROV_T = (0.25, 0.5)           # the torus runner's Kolmogorov moment times
+REFLECTED_T = 1.5                    # the reflected runner's horizon
+REFLECTED_READS = (1.0, REFLECTED_T)  # the times its tables read
+
+
+def _torus_grid(cfg: ScenarioConfig) -> np.ndarray:
+    """The torus runner's path grid: step min(modulus_eta)/4 up to path_T."""
+    return time_grid(min(cfg.modulus_eta) / 4, cfg.path_T)
+
+
+def _reflected_dt(cfg: ScenarioConfig) -> float:
+    return cfg.dt if cfg.dt is not None else 5e-4
+
+
+def _sample_pathlaw(cfg: ScenarioConfig, pool: ThreadPoolExecutor, members, limit,
+                    grid, count: int):
+    """Kernel-chain ensembles of every member and of the limit started at the
+    base point, and the table of member-to-limit path-law W1 rows."""
+    futures = {n: pool.submit(sample_kernel_chain, space, "base", grid, count,
+                              _seed_for(cfg, 1, i))
+               for i, (n, space, _) in enumerate(members)}
+    limit_future = pool.submit(sample_kernel_chain, limit, "base", grid, count,
+                               _seed_for(cfg, 2))
+    ensembles = {n: fut.result() for n, fut in futures.items()}
+    limit_ens = limit_future.result()
+    base_se = pathlaw_baseline(limit_ens, cfg.times, bins=cfg.bins, seed=_seed_for(cfg, 3))
+    rows = []
+    for n, _, cmap in members:
+        res = pathlaw_w1(ensembles[n], limit_ens, cfg.times, cmap,
+                         bins=cfg.bins, baseline_se=base_se)
+        rows.append({"label": n, **{k: v for k, v in res.items() if k != "check"}})
+    return ensembles, limit_ens, rows
+
+
 def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     limit = Circle(2 * np.pi, n_nodes=256, normalized=True)
     members = []
@@ -248,24 +315,8 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     tables["entropy"] = et["rows"]
     checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
 
-    step = min(cfg.modulus_eta) / 4
-    n_steps = int(round(cfg.path_T / step))
-    grid = np.arange(n_steps + 1) * step
-    futures = {n: pool.submit(sample_kernel_chain, space, "base", grid,
-                              cfg.mc_count, _seed_for(cfg, 1, i))
-               for i, (n, space, _) in enumerate(members)}
-    limit_future = pool.submit(sample_kernel_chain, limit, "base", grid,
-                               cfg.mc_count, _seed_for(cfg, 2))
-    ensembles = {n: fut.result() for n, fut in futures.items()}
-    limit_ens = limit_future.result()
-
-    base_se = pathlaw_baseline(limit_ens, cfg.times, bins=cfg.bins,
-                               seed=_seed_for(cfg, 3))
-    rows = []
-    for n, _, cmap in members:
-        res = pathlaw_w1(ensembles[n], limit_ens, cfg.times, cmap,
-                         bins=cfg.bins, baseline_se=base_se)
-        rows.append({"label": n, **{k: v for k, v in res.items() if k != "check"}})
+    ensembles, limit_ens, rows = _sample_pathlaw(cfg, pool, members, limit,
+                                                 _torus_grid(cfg), cfg.mc_count)
     tables["pathlaw"] = rows
     checks.append(_status("pathlaw_w1", all(r["pass"] for r in rows)))
 
@@ -281,7 +332,7 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     tables["modulus"] = mod_rows
     checks.append(_status("modulus_monotone", bool(mod_ok)))
 
-    kol = kolmogorov_moment(limit_ens, cfg.kolmogorov_beta, [0.25, 0.5], cfg.kolmogorov_h)
+    kol = kolmogorov_moment(limit_ens, cfg.kolmogorov_beta, KOLMOGOROV_T, cfg.kolmogorov_h)
     tables["kolmogorov"] = kol["rows"]
     checks.append(_status("kolmogorov_theta", 1.7 <= kol["theta_hat"] <= 2.3,
                           theta_hat=kol["theta_hat"], C=kol["C"]))
@@ -347,20 +398,7 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
 
     grid = np.concatenate([[0.0], np.asarray(cfg.times, dtype=float)])
-    count = min(cfg.mc_count, 4000)
-    futures = {n: pool.submit(sample_kernel_chain, space, "base", grid, count,
-                              _seed_for(cfg, 1, i))
-               for i, (n, space, _) in enumerate(members)}
-    limit_future = pool.submit(sample_kernel_chain, limit, "base", grid, count,
-                               _seed_for(cfg, 2))
-    ensembles = {n: fut.result() for n, fut in futures.items()}
-    limit_ens = limit_future.result()
-    base_se = pathlaw_baseline(limit_ens, cfg.times, bins=cfg.bins, seed=_seed_for(cfg, 3))
-    rows = []
-    for n, _, cmap in members:
-        r = pathlaw_w1(ensembles[n], limit_ens, cfg.times, cmap,
-                       bins=cfg.bins, baseline_se=base_se)
-        rows.append({"label": n, **{k: v for k, v in r.items() if k != "check"}})
+    _, _, rows = _sample_pathlaw(cfg, pool, members, limit, grid, min(cfg.mc_count, 4000))
     tables["pathlaw"] = rows
     checks.append(_status("pathlaw_w1", all(r["pass"] for r in rows)))
     return checks, tables
@@ -424,17 +462,16 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
 
 
 def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
-    dt = cfg.dt if cfg.dt is not None else 5e-4
-    T = 1.5
+    dt = _reflected_dt(cfg)
+    t_mid, T = REFLECTED_READS
     v0 = quadratic_potential(0.0)
     x0 = 0.25
     checks, tables = [], {}
-    limit_domain = box_domain(0.0, 1.0)
-    limit_future = pool.submit(reflected_em, limit_domain, v0, x0, dt, T,
-                               cfg.mc_count, _seed_for(cfg, 2))
+    limit_future = pool.submit(euler_maruyama, v0, x0, dt, T, cfg.mc_count,
+                               _seed_for(cfg, 2), domain=box_domain(0.0, 1.0))
     usable = [n for n in cfg.n_grid if n >= 2]
-    futures = {n: pool.submit(reflected_em, box_domain(0.0, 1.0 - 1.0 / n), v0,
-                              x0, dt, T, cfg.mc_count, _seed_for(cfg, 1, i))
+    futures = {n: pool.submit(euler_maruyama, v0, x0, dt, T, cfg.mc_count,
+                              _seed_for(cfg, 1, i), domain=box_domain(0.0, 1.0 - 1.0 / n))
                for i, n in enumerate(usable)}
     limit_ens = limit_future.result()
 
@@ -442,7 +479,7 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     # times, so the pooled KS sample stays independent
     half = cfg.mc_count // 2
     occupation = np.concatenate([
-        limit_ens.state_at(1.0)[:half, 0],
+        limit_ens.state_at(t_mid)[:half, 0],
         limit_ens.state_at(T)[half:, 0]])
     ks = scipy.stats.kstest(occupation, "uniform")
     tables["occupation_ks"] = [{"statistic": float(ks.statistic),
@@ -451,11 +488,11 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     checks.append(_status("occupation_ks", bool(ks.pvalue >= cfg.ks_level),
                           pvalue=float(ks.pvalue)))
 
-    limit_marginal = DiscreteMeasure(limit_ens.state_at(1.0)[:, 0])
+    limit_marginal = DiscreteMeasure(limit_ens.state_at(t_mid)[:, 0])
     rows = []
     for n in usable:
         ens = futures[n].result()
-        emp = DiscreteMeasure(ens.state_at(1.0)[:, 0])
+        emp = DiscreteMeasure(ens.state_at(t_mid)[:, 0])
         w1 = wasserstein_1d(1, emp, limit_marginal)
         rows.append({"label": n, "w1": w1, "closed_form": 0.5 / n})
     tables["marginal_w1"] = rows
@@ -572,9 +609,11 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1, out_dir: str = None) -> 
         try:
             checks, tables = RUNNERS[cfg.scenario](cfg, pool)
             incomplete = False
-        except FloatingPointError as exc:  # runtime divergence
+        except Exception as exc:
+            # a crashed runner still leaves a report naming the error
+            traceback.print_exc()
             checks, tables = [{"name": "runtime", "status": "fail",
-                               "reason": str(exc)}], {}
+                               "reason": "%s: %s" % (type(exc).__name__, exc)}], {}
             incomplete = True
     report = {
         "scenario": cfg.scenario,

@@ -22,7 +22,7 @@ from .spaces import (
     FiniteMms,
     Interval,
     PmmSpace,
-    QuadratureDensity,
+    _evaluate,
     weighted_measure,
 )
 from .transport import (
@@ -89,14 +89,6 @@ class SpaceFamily:
         object.__setattr__(self, "limit", limit)
 
 
-def _tilde(space: PmmSpace):
-    ref = weighted_measure(space)
-    if isinstance(ref, DiscreteMeasure):
-        return space.quadrature()[0], ref.weights
-    pts = ref.points
-    return pts, ref.masses()
-
-
 def _mapped_points(space: PmmSpace, cmap: Optional[CollapseMap], pts: np.ndarray) -> np.ndarray:
     if cmap is None:
         return pts
@@ -105,31 +97,23 @@ def _mapped_points(space: PmmSpace, cmap: Optional[CollapseMap], pts: np.ndarray
     return np.asarray(cmap.map(pts), dtype=float)
 
 
-def _eval_on(f, pts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape == (len(pts),):
-            return vals
-    except Exception:
-        pass
-    return np.asarray([float(np.asarray(f(p))) for p in pts], dtype=float)
-
-
 def pmg_test(family: SpaceFamily, test_functions: Sequence[LipschitzTestFunction],
              tolerances: Optional[Sequence[float]] = None) -> dict:
     """Convergence of pushed-forward reference measures against the test
     family, plus base-point convergence, member by member."""
-    limit_pts, limit_masses = _tilde(family.limit)
-    limit_vals = {fi: _eval_on(f, limit_pts) for fi, f in enumerate(test_functions)}
+    limit_ref = weighted_measure(family.limit)
+    limit_masses = limit_ref.masses()
+    limit_vals = {fi: _evaluate(f, limit_ref.points) for fi, f in enumerate(test_functions)}
     rows = []
     for mi, (label, space, cmap) in enumerate(family.members):
-        pts, masses = _tilde(space)
-        mapped = _mapped_points(space, cmap, pts)
+        ref = weighted_measure(space)
+        masses = ref.masses()
+        mapped = _mapped_points(space, cmap, ref.points)
         base = _mapped_points(space, cmap, np.asarray([space.base_point]))[0]
         base_gap = float(np.asarray(family.limit.distance(base, family.limit.base_point)))
         tol = None if tolerances is None else tolerances[mi]
         for fi, f in enumerate(test_functions):
-            val_n = float(np.sum(masses * _eval_on(f, mapped)))
+            val_n = float(np.sum(masses * _evaluate(f, mapped)))
             val_inf = float(np.sum(limit_masses * limit_vals[fi]))
             gap = abs(val_n - val_inf)
             row = {"label": label, "f": getattr(f, "name", str(fi)), "gap": gap,
@@ -151,26 +135,36 @@ def fdd_operator(space: PmmSpace, times: Sequence[float], functions, x) -> float
 
     Bounded by the product of the sup norms of the f_i.
     """
+    return _nested_functional(space, None, times, functions, x)
+
+
+def _nested_functional(space: PmmSpace, cmap: Optional[CollapseMap], times, functions,
+                       start) -> float:
+    """The nested functional of ``fdd_operator`` with each f_i pulled back
+    through ``cmap``, evaluated at the point ``start``, or integrated against
+    the probability reference when ``start`` is None."""
     times = [float(t) for t in times]
     if len(times) != len(functions):
         raise ConvergenceError("times and functions must align")
     if any(b <= a for a, b in zip(times, times[1:])) or times[0] < 0:
         raise ConvergenceError("times must be strictly increasing and nonnegative")
     sk = get_kernel(space)
-    pts, w = sk.points, sk.weights
-    fvals = [_eval_on(_unwrap(f), pts) for f in functions]
+    pts = _mapped_points(space, cmap, sk.points)
+    fvals = [_evaluate(_unwrap(f), pts) for f in functions]
     vals = fvals[-1]
     for i in range(len(times) - 1, 0, -1):
         vals = fvals[i - 1] * sk.apply_values(times[i] - times[i - 1], vals)
     t1 = times[0]
+    if start is None:
+        return float(np.sum(weighted_measure(space).masses() * sk.apply_values(t1, vals)))
     if t1 == 0:
-        # evaluate at the grid point nearest x
+        # evaluate at the grid point nearest the start
         if isinstance(space, FiniteMms):
-            return float(vals[int(x)])
-        d = np.asarray(space.distance(pts, x))
+            return float(vals[int(start)])
+        d = np.asarray(space.distance(sk.points, start))
         return float(vals[int(np.argmin(d))])
-    row = sk.kernel_row(t1, x)
-    return float(np.sum(w * row * vals))
+    row = sk.kernel_row(t1, start)
+    return float(np.sum(sk.weights * row * vals))
 
 
 def mcshane_extend(domain_points, values, H: float, metric) -> Callable:
@@ -210,20 +204,8 @@ def fdd_convergence_report(family: SpaceFamily, times: Sequence[float],
     k = len(times)
 
     def value_on(space, cmap, fs):
-        sk = get_kernel(space)
-        pts = sk.points
-        mapped = _mapped_points(space, cmap, pts)
-        fvals = [_eval_on(_unwrap(f), mapped) for f in fs]
-        vals = fvals[-1]
-        ts = [float(t) for t in times]
-        for i in range(k - 1, 0, -1):
-            vals = fvals[i - 1] * sk.apply_values(ts[i] - ts[i - 1], vals)
-        if mode == "point-start":
-            row = sk.kernel_row(ts[0], space.base_point)
-            return float(np.sum(sk.weights * row * vals))
-        _, masses = _tilde(space)
-        vals = sk.apply_values(ts[0], vals)
-        return float(np.sum(masses * vals))
+        start = space.base_point if mode == "point-start" else None
+        return _nested_functional(space, cmap, times, fs, start)
 
     rows = []
     for f in functions:
@@ -415,7 +397,7 @@ def entropy_tightness(family: SpaceFamily, eps: float,
     def one(label, space):
         sk = get_kernel(space)
         row = sk.kernel_row(eps, space.base_point)
-        _, masses = _tilde(space)
+        masses = weighted_measure(space).masses()
         mu = row * sk.weights
         mu = mu / mu.sum()
         ent = relative_entropy(mu, masses / masses.sum())
@@ -434,13 +416,15 @@ def initial_law_w1(family: SpaceFamily, bins: int = 64) -> dict:
     """W_1 between each mapped probability reference and the limit's, on a
     common 1-D discretization of the limit space."""
     limit = family.limit
-    limit_pts, limit_masses = _tilde(limit)
-    lim_measure = DiscreteMeasure(np.asarray(limit_pts, dtype=float),
+    limit_ref = weighted_measure(limit)
+    limit_masses = limit_ref.masses()
+    lim_measure = DiscreteMeasure(np.asarray(limit_ref.points, dtype=float),
                                   limit_masses / limit_masses.sum())
     rows = []
     for label, space, cmap in family.members:
-        pts, masses = _tilde(space)
-        mapped = _mapped_points(space, cmap, pts)
+        ref = weighted_measure(space)
+        masses = ref.masses()
+        mapped = _mapped_points(space, cmap, ref.points)
         mu = DiscreteMeasure(np.asarray(mapped, dtype=float), masses / masses.sum())
         if isinstance(limit, Circle):
             spec = [_bin_edges(limit, None, bins)]

@@ -7,8 +7,10 @@ eigenvalues are k^2 and the spectral gap is 1.
 
 Closed forms are used wherever they exist (wrapped Gaussians / eigen-sums on
 circle, torus, interval; Mehler formula for quadratic potentials); finite
-spaces get a graph generator with exact detailed balance and a cached
-symmetric eigendecomposition.
+spaces get a graph generator with exact detailed balance and a symmetric
+eigendecomposition.  ``get_kernel`` builds a space's kernel once and keeps it
+on the space itself, so the kernel and its per-t caches live exactly as long
+as the space does.
 """
 
 from __future__ import annotations
@@ -21,16 +23,15 @@ import numpy as np
 
 from .spaces import (
     Circle,
-    ConvexDomainLogConcave,
     EuclideanLogConcave,
     FiniteMms,
     Interval,
     PmmSpace,
     QuadratureDensity,
     Torus,
+    _evaluate,
     weighted_measure,
 )
-from .transport import DiscreteMeasure
 
 STOCHASTIC_TOL = 1e-10
 DETAILED_BALANCE_TOL = 1e-9
@@ -117,22 +118,28 @@ class SpectralKernel:
     def gap(self) -> float:
         raise NotImplementedError
 
-    def evaluate(self, f, pts=None) -> np.ndarray:
-        pts = self._points if pts is None else pts
+    def evaluate(self, f) -> np.ndarray:
+        """Values on the grid of a callable on native points, or of a vector
+        of grid values."""
         if callable(f):
-            if pts.ndim == 1:
-                try:
-                    vals = np.asarray(f(pts), dtype=float)
-                    if vals.shape == pts.shape:
-                        return vals
-                except Exception:
-                    pass
-                return np.asarray([f(p) for p in pts], dtype=float)
-            return np.asarray([f(p) for p in pts], dtype=float)
+            # points with several coordinates go one at a time: a function
+            # written per point can misread a whole batch
+            return _evaluate(f, self._points, batch=self._points.ndim == 1)
         vals = np.asarray(f, dtype=float)
-        if vals.shape[0] != len(pts):
+        if vals.shape[0] != len(self._points):
             raise HeatError("function vector length mismatch")
         return vals
+
+    def _per_t(self, t: float, build: Callable) -> np.ndarray:
+        """build(t), memoized per t; safe to share across threads."""
+        key = float(t)
+        with self._lock:
+            hit = self._cache.get(key)
+        if hit is None:
+            hit = build(t)
+            with self._lock:
+                self._cache[key] = hit
+        return hit
 
 
 class CircleKernel(SpectralKernel):
@@ -152,15 +159,8 @@ class CircleKernel(SpectralKernel):
         return float(arc) / self.space.measure_scale
 
     def _multiplier(self, t: float) -> np.ndarray:
-        key = float(t)
-        with self._lock:
-            mult = self._cache.get(key)
-        if mult is None:
-            row = circle_kernel_arc(t, self._points, self.space.circumference)
-            mult = np.fft.rfft(row) * self._h
-            with self._lock:
-                self._cache[key] = mult
-        return mult
+        return self._per_t(t, lambda t: np.fft.rfft(
+            circle_kernel_arc(t, self._points, self.space.circumference)) * self._h)
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         if t == 0:
@@ -225,21 +225,15 @@ class IntervalKernel(SpectralKernel):
                                   self.space.a, self.space.length)
         return float(leb) / self.space.measure_scale
 
-    def _matrix(self, t: float) -> np.ndarray:
-        key = float(t)
-        with self._lock:
-            mat = self._cache.get(key)
-        if mat is None:
-            mat = interval_kernel_leb(t, self._points[:, None], self._points[None, :],
-                                      self.space.a, self.space.length) * self._h
-            with self._lock:
-                self._cache[key] = mat
-        return mat
+    def transition_matrix(self, t: float) -> np.ndarray:
+        return self._per_t(t, lambda t: interval_kernel_leb(
+            t, self._points[:, None], self._points[None, :],
+            self.space.a, self.space.length) * self._h)
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         if t == 0:
             return np.asarray(values, dtype=float)
-        return self._matrix(t) @ np.asarray(values, dtype=float)
+        return self.transition_matrix(t) @ np.asarray(values, dtype=float)
 
     def gap(self) -> float:
         return (np.pi / self.space.length) ** 2
@@ -328,14 +322,8 @@ class FiniteKernel(SpectralKernel):
         self._lock = threading.Lock()
 
     def transition_matrix(self, t: float) -> np.ndarray:
-        key = float(t)
-        with self._lock:
-            mat = self._cache.get(key)
-        if mat is None:
-            mat = (self._modes_left * np.exp(t * self._lam)) @ self._modes_right
-            with self._lock:
-                self._cache[key] = mat
-        return mat
+        return self._per_t(t, lambda t: (self._modes_left * np.exp(t * self._lam))
+                           @ self._modes_right)
 
     def kernel_row(self, t: float, x) -> np.ndarray:
         if t <= 0:
@@ -381,39 +369,26 @@ def graph_generator(space: FiniteMms, eps: Optional[float] = None) -> np.ndarray
     return L
 
 
-_KERNEL_CACHE: dict = {}
-_GENERATOR_OVERRIDES: dict = {}
-
-
 def set_generator(space: FiniteMms, generator: np.ndarray) -> None:
-    """Pin a custom generator matrix to a finite space (before first use)."""
-    _GENERATOR_OVERRIDES[id(space)] = (space, np.asarray(generator, dtype=float))
-    _KERNEL_CACHE.pop(id(space), None)
+    """Pin a custom generator matrix to a finite space; its kernel replaces
+    any kernel built before."""
+    object.__setattr__(space, "_kernel", FiniteKernel(space, generator))
 
 
-def get_kernel(space: PmmSpace, generator: Optional[np.ndarray] = None) -> SpectralKernel:
-    """Semigroup object for a space, cached so eigen-data is built once."""
-    if generator is not None:
-        return FiniteKernel(space, generator)
-    key = id(space)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None and hit[0] is space:
-        return hit[1]
-    if isinstance(space, Circle):
-        sk = CircleKernel(space)
-    elif isinstance(space, Torus):
-        sk = TorusKernel(space)
-    elif isinstance(space, Interval):
-        sk = IntervalKernel(space)
-    elif isinstance(space, EuclideanLogConcave):
-        sk = GaussianKernel(space)
-    elif isinstance(space, FiniteMms):
-        override = _GENERATOR_OVERRIDES.get(key)
-        gen = override[1] if override is not None and override[0] is space else None
-        sk = FiniteKernel(space, gen)
-    else:
-        raise HeatError("no computable heat kernel for %s" % type(space).__name__)
-    _KERNEL_CACHE[key] = (space, sk)
+def get_kernel(space: PmmSpace) -> SpectralKernel:
+    """Semigroup object for a space, built on first use and kept on the
+    space, so eigen-data is built once per space."""
+    sk = vars(space).get("_kernel")
+    if sk is None:
+        for cls, build in ((Circle, CircleKernel), (Torus, TorusKernel),
+                           (Interval, IntervalKernel), (EuclideanLogConcave, GaussianKernel),
+                           (FiniteMms, FiniteKernel)):
+            if isinstance(space, cls):
+                break
+        else:
+            raise HeatError("no computable heat kernel for %s" % type(space).__name__)
+        sk = build(space)
+        object.__setattr__(space, "_kernel", sk)
     return sk
 
 
@@ -463,13 +438,6 @@ def spectral_gap(space: PmmSpace) -> float:
     return get_kernel(space).gap()
 
 
-def _tilde_weights(space: PmmSpace, C: float = 1.0) -> np.ndarray:
-    ref = weighted_measure(space, C)
-    if isinstance(ref, DiscreteMeasure):
-        return ref.weights
-    return ref.masses()
-
-
 def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions,
                        M: Optional[float] = None, eps: Optional[float] = None,
                        tol: float = 1e-9) -> dict:
@@ -483,7 +451,7 @@ def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions
     """
     sk = get_kernel(space)
     lam = sk.gap()
-    tw = _tilde_weights(space)
+    tw = weighted_measure(space).masses()
     rows = []
     for fi, f in enumerate(trial_functions):
         vals = sk.evaluate(f)
@@ -520,10 +488,6 @@ def relative_entropy(mu, ref) -> float:
         p = mu.masses()
         q = ref.masses()
     else:
-        if isinstance(mu, DiscreteMeasure):
-            mu = mu.weights
-        if isinstance(ref, DiscreteMeasure):
-            ref = ref.weights
         p = np.asarray(mu, dtype=float)
         q = np.asarray(ref, dtype=float)
         if p.shape != q.shape:

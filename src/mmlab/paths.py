@@ -1,9 +1,10 @@
 """Path samplers and path-law statistics.
 
-Three samplers: exact kernel-chain sampling on spaces with computable heat
-kernels, Euler-Maruyama for dX = -grad V dt + sqrt(2) dW, and a
-mirror-reflected variant for convex domains.  Ensembles are seeded with
-counter-based (Philox) streams, so identical seeds give bit-identical output.
+Two samplers: exact kernel-chain sampling on spaces with computable heat
+kernels, and Euler-Maruyama for dX = -grad V dt + sqrt(2) dW, optionally
+mirror-reflected into a convex domain (``euler_maruyama(..., domain=...)``).
+Ensembles are seeded with counter-based (Philox) streams, so identical seeds
+give bit-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .heat import HeatError, get_kernel
+from .heat import circle_kernel_arc, get_kernel
 from .spaces import (
     Circle,
     ConvexDomain,
@@ -24,6 +25,8 @@ from .spaces import (
     PmmSpace,
     Potential,
     Torus,
+    _evaluate,
+    weighted_measure,
 )
 from .transport import DiscreteMeasure
 
@@ -37,16 +40,6 @@ class PathError(ValueError):
 
 def make_rng(seed: int, *key: int) -> Generator:
     return Generator(Philox(SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))))
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One trajectory on a shared time grid."""
-
-    times: np.ndarray
-    states: np.ndarray
-    lineage: str
-    flagged: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,18 +77,8 @@ class PathEnsemble:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    def sample(self, i: int) -> PathSample:
-        return PathSample(self.times, self.states[i],
-                          lineage="%d/%d" % (self.seed, i), flagged=bool(self.flags[i]))
-
-    def time_index(self, t: float) -> int:
-        hits = np.nonzero(np.abs(self.times - t) <= 1e-12)[0]
-        if len(hits) == 0:
-            raise PathError("time %g not on the grid" % t)
-        return int(hits[0])
-
     def state_at(self, t: float) -> np.ndarray:
-        return self.states[:, self.time_index(t), :]
+        return self.states[:, grid_index(self.times, t), :]
 
     def to_csv(self) -> str:
         cols = ",".join("coord_%d" % j for j in range(self.dim))
@@ -119,6 +102,19 @@ class PathEnsemble:
         return PathEnsemble(times, states, seed, initial_law, space)
 
 
+def time_grid(dt: float, T: float) -> np.ndarray:
+    """The stored time grid of a sampler: the multiples of dt up to T."""
+    return np.arange(int(round(T / dt)) + 1) * dt
+
+
+def grid_index(times: np.ndarray, t: float) -> int:
+    """Index of time t on a stored grid (to within 1e-12)."""
+    hits = np.nonzero(np.abs(times - t) <= 1e-12)[0]
+    if len(hits) == 0:
+        raise PathError("time %g not on the grid" % t)
+    return int(hits[0])
+
+
 def _initial_states(space: Optional[PmmSpace], initial, count: int,
                     rng: Generator, dim: int):
     """Starting points: base point, the probability reference, or a supplied
@@ -132,14 +128,10 @@ def _initial_states(space: Optional[PmmSpace], initial, count: int,
         base = np.atleast_1d(np.asarray(space.base_point, dtype=float))
         return np.tile(base[:dim], (count, 1)), "base"
     if initial == "weighted":
-        from .spaces import weighted_measure
         ref = weighted_measure(space)
-        if isinstance(ref, DiscreteMeasure):
-            idx = rng.choice(len(ref), size=count, p=ref.weights)
-            return ref.atoms[idx].astype(float), "weighted"
         masses = ref.masses()
         idx = rng.choice(len(masses), size=count, p=masses / masses.sum())
-        pts = ref.points
+        pts = np.asarray(ref.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         return pts[idx], "weighted"
@@ -187,49 +179,33 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
     rng = make_rng(seed)
     dts = np.diff(times)
 
-    if isinstance(space, Circle):
-        from .heat import circle_kernel_arc
-        x, law = _initial_states(space, initial, count, rng, 1)
-        x = x[:, 0].copy()
-        grid = space.grid()
-        h = space.circumference / space.n_nodes
-        samplers = {float(dt): _increment_sampler(circle_kernel_arc(dt, grid, space.circumference), grid, h)
-                    for dt in np.unique(dts)}
-        out = np.empty((count, len(times), 1))
-        out[:, 0, 0] = x
-        for k, dt in enumerate(dts):
-            x = np.mod(x + samplers[float(dt)](rng, count), space.circumference)
-            out[:, k + 1, 0] = x
-        return PathEnsemble(times, out, seed, law, space)
-
-    if isinstance(space, Torus):
-        from .heat import circle_kernel_arc
-        x, law = _initial_states(space, initial, count, rng, 2)
+    if isinstance(space, (Circle, Torus)):
+        # independent increments on each circle factor
+        circles = [space] if isinstance(space, Circle) else space.factors()
+        x, law = _initial_states(space, initial, count, rng, len(circles))
         x = x.copy()
-        c1, c2 = space.factors()
-        samplers = {}
-        for dt in np.unique(dts):
-            samplers[float(dt)] = (
-                _increment_sampler(circle_kernel_arc(dt, c1.grid(), c1.circumference),
-                                   c1.grid(), c1.circumference / c1.n_nodes),
-                _increment_sampler(circle_kernel_arc(dt, c2.grid(), c2.circumference),
-                                   c2.grid(), c2.circumference / c2.n_nodes),
-            )
-        out = np.empty((count, len(times), 2))
+        samplers = {float(dt): [
+            _increment_sampler(circle_kernel_arc(dt, c.grid(), c.circumference),
+                               c.grid(), c.circumference / c.n_nodes) for c in circles]
+            for dt in np.unique(dts)}
+        out = np.empty((count, len(times), len(circles)))
         out[:, 0] = x
         for k, dt in enumerate(dts):
-            s1, s2 = samplers[float(dt)]
-            x[:, 0] = np.mod(x[:, 0] + s1(rng, count), space.len1)
-            x[:, 1] = np.mod(x[:, 1] + s2(rng, count), space.len2)
+            for j, (draw, c) in enumerate(zip(samplers[float(dt)], circles)):
+                x[:, j] = np.mod(x[:, j] + draw(rng, count), c.circumference)
             out[:, k + 1] = x
         return PathEnsemble(times, out, seed, law, space)
 
-    if isinstance(space, Interval):
+    if isinstance(space, (Interval, FiniteMms)):
+        # a Markov chain on the grid (atoms), one row CDF per step length
         sk = get_kernel(space)
-        grid = space.grid()
+        grid = sk.points
         x, law = _initial_states(space, initial, count, rng, 1)
-        state = np.argmin(np.abs(grid[None, :] - x[:, :1]), axis=1)
-        cdfs = {float(dt): _row_cdf_matrix(sk._matrix(dt)) for dt in np.unique(dts)}
+        if isinstance(space, FiniteMms):
+            state = x[:, 0].astype(int)
+        else:
+            state = np.argmin(np.abs(grid[None, :] - x[:, :1]), axis=1)
+        cdfs = {float(dt): _row_cdf_matrix(sk.transition_matrix(dt)) for dt in np.unique(dts)}
         out = np.empty((count, len(times), 1))
         out[:, 0, 0] = grid[state]
         for k, dt in enumerate(dts):
@@ -237,20 +213,6 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
             u = rng.random(count)
             state = np.argmax(rows > u[:, None], axis=1)
             out[:, k + 1, 0] = grid[state]
-        return PathEnsemble(times, out, seed, law, space)
-
-    if isinstance(space, FiniteMms):
-        sk = get_kernel(space)
-        x, law = _initial_states(space, initial, count, rng, 1)
-        state = x[:, 0].astype(int)
-        cdfs = {float(dt): _row_cdf_matrix(sk.transition_matrix(dt)) for dt in np.unique(dts)}
-        out = np.empty((count, len(times), 1))
-        out[:, 0, 0] = state
-        for k, dt in enumerate(dts):
-            rows = cdfs[float(dt)][state]
-            u = rng.random(count)
-            state = np.argmax(rows > u[:, None], axis=1)
-            out[:, k + 1, 0] = state
         return PathEnsemble(times, out, seed, law, space)
 
     if isinstance(space, EuclideanLogConcave):
@@ -271,16 +233,6 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
         return PathEnsemble(times, out, seed, law, space)
 
     raise PathError("no kernel sampler for %s" % type(space).__name__)
-
-
-def _batch_grad(potential: Potential, x: np.ndarray) -> np.ndarray:
-    try:
-        g = np.asarray(potential.grad(x), dtype=float)
-        if g.shape == x.shape:
-            return g
-    except Exception:
-        pass
-    return np.asarray([np.atleast_1d(potential.grad(row)) for row in x], dtype=float)
 
 
 def _confine(domain: ConvexDomain, x: np.ndarray, scheme: str) -> np.ndarray:
@@ -311,8 +263,8 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
     """
     if dt <= 0 or T < dt:
         raise PathError("need dt > 0 and T >= dt")
-    steps = int(round(T / dt))
-    times = np.arange(steps + 1) * dt
+    times = time_grid(dt, T)
+    steps = len(times) - 1
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
     rng = make_rng(seed)
@@ -327,7 +279,7 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
     alive = ~flags
     scale = np.sqrt(2.0 * dt)
     for k in range(steps):
-        step = -_batch_grad(potential, x) * dt
+        step = -_evaluate(potential.grad, x, (d,)) * dt
         if noise:
             step = step + scale * rng.standard_normal((count, d))
         xn = x + step
@@ -341,16 +293,6 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
         out[:, k + 1] = x
     law = "point(%s)" % ",".join("%g" % v for v in x0)
     return PathEnsemble(times, out, seed, law, space, flags)
-
-
-def reflected_em(domain: ConvexDomain, potential: Potential, x0, dt: float,
-                 T: float, count: int, seed: int, noise: bool = True,
-                 space: Optional[PmmSpace] = None,
-                 scheme: str = "mirror") -> PathEnsemble:
-    """Euler-Maruyama confined to a convex domain, mirroring each escaping
-    state through its Euclidean projection onto the domain."""
-    return euler_maruyama(potential, x0, dt, T, count, seed, noise=noise,
-                          domain=domain, space=space, scheme=scheme)
 
 
 def extract_fdd(ensemble: PathEnsemble, times: Sequence[float],

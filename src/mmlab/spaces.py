@@ -8,16 +8,12 @@ compare a family of spaces against a declared limit.
 
 from __future__ import annotations
 
-import io
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
-
-from .transport import DiscreteMeasure
 
 TRIANGLE_TOL = 1e-9
 LIPSCHITZ_TOL = 1e-9
@@ -28,6 +24,24 @@ NORMALIZED = "normalized-probability"
 
 class SpaceError(ValueError):
     pass
+
+
+def _evaluate(f: Callable, pts: np.ndarray, item_shape: tuple = (),
+              batch: bool = True) -> np.ndarray:
+    """Values of ``f`` at the rows of ``pts``, each of shape ``item_shape``.
+
+    With ``batch`` set, one vectorized call ``f(pts)`` is tried first and
+    kept when it returns one item per row; otherwise ``f`` is called row by
+    row.
+    """
+    if batch:
+        try:
+            vals = np.asarray(f(pts), dtype=float)
+            if vals.shape == (len(pts),) + item_shape:
+                return vals
+        except Exception:
+            pass
+    return np.asarray([np.reshape(f(p), item_shape) for p in pts], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -303,39 +317,6 @@ class EuclideanLogConcave(PmmSpace):
         return pts, dens * h
 
 
-@dataclass(frozen=True)
-class ConvexDomainLogConcave(PmmSpace):
-    """e^{-V} dx restricted to a closed convex domain; sampling-only space."""
-
-    dim: int
-    potential: Potential
-    domain: ConvexDomain
-    base: object = 0.0
-
-    mass_mode = SIGMA_FINITE
-
-    def __post_init__(self):
-        if not self.domain.contains(self.base_point):
-            raise SpaceError("base point outside the domain")
-
-    @property
-    def base_point(self):
-        return np.atleast_1d(np.asarray(self.base, dtype=float))
-
-    def distance(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.dim == 1 and x.ndim <= 1 and y.ndim <= 1:
-            return np.abs(x - y)
-        return np.linalg.norm(np.atleast_2d(x) - np.atleast_2d(y), axis=-1)
-
-    def total_mass(self) -> float:
-        raise SpaceError("no quadrature on general convex-domain spaces")
-
-    def quadrature(self):
-        raise SpaceError("no quadrature on general convex-domain spaces")
-
-
 def _check_triangle(dist: np.ndarray, tol: float, rng_seed: int = 0) -> None:
     n = len(dist)
     if n <= 60:
@@ -411,11 +392,16 @@ class FiniteMms(PmmSpace):
     def load(path) -> "FiniteMms":
         with open(path) as fh:
             tokens = fh.read().split()
-        it = iter(tokens)
-        n = int(next(it))
-        base = int(next(it))
-        w = np.array([float(next(it)) for _ in range(n)])
-        d = np.array([float(next(it)) for _ in range(n * n)]).reshape(n, n)
+        try:
+            n, base = int(tokens[0]), int(tokens[1])
+            values = [float(v) for v in tokens[2:]]
+        except (IndexError, ValueError) as exc:
+            raise SpaceError("malformed finite space file %s: %s" % (path, exc)) from None
+        if n < 1 or len(values) != n + n * n:
+            raise SpaceError("finite space file %s: n = %d needs %d weights and distances, "
+                             "found %d" % (path, n, n + n * n, len(values)))
+        w = np.array(values[:n])
+        d = np.array(values[n:]).reshape(n, n)
         return FiniteMms(dist=d, weights=w, base_index=base)
 
 
@@ -466,14 +452,12 @@ class QuadratureDensity:
         return float(np.sum(self.masses() * np.asarray(values, dtype=float)))
 
 
-def weighted_measure(space: PmmSpace, C: float = 1.0):
-    """The probability reference: m/m(X) in finite-mass mode, else the
-    Gaussian-weighted normalization (1/z) e^{-C d^2(., base)} m."""
+def weighted_measure(space: PmmSpace, C: float = 1.0) -> QuadratureDensity:
+    """The probability reference on the space's quadrature grid (the atoms of
+    a finite space): m/m(X) in finite-mass mode, else the Gaussian-weighted
+    normalization (1/z) e^{-C d^2(., base)} m."""
     if C <= 0:
         raise SpaceError("C must be positive")
-    if isinstance(space, FiniteMms):
-        w = space.weights / space.total_mass()
-        return DiscreteMeasure(np.arange(space.n), w)
     pts, w = space.quadrature()
     if space.mass_mode == NORMALIZED or not isinstance(space, EuclideanLogConcave):
         # finite-mass branch: C is ignored

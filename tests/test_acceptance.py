@@ -34,8 +34,9 @@ from mmlab import (
     wasserstein_exact,
     EuclideanLogConcave,
 )
-from mmlab.cli import ScenarioConfig, circle_functions, load_config, main as cli_main
-from mmlab.cli import run_cone, run_ou, run_reflected, run_torus
+from mmlab.cli import ScenarioConfig, _jsonable, circle_functions, main as cli_main
+from mmlab.cli import run_cone, run_custom_finite, run_ou, run_reflected, run_torus
+from mmlab.cli import validate_dict, write_csv
 
 from conftest import record_criterion
 from _oracles import random_measure, wasserstein_vertex
@@ -48,44 +49,88 @@ def random_finite(rng, n):
     return FiniteMms(dist=dist, weights=w, base_index=0, coords=pts)
 
 
-@pytest.fixture(scope="module")
-def torus_results():
-    cfg = ScenarioConfig(scenario="torus_collapse")
-    t0 = time.monotonic()
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        checks, tables = run_torus(cfg, pool)
-    return checks, tables, time.monotonic() - t0, cfg
-
-
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_RTOL = 1e-10
 
 
-def assert_matches_golden(rows, scenario, table):
-    """Compare a result table with the committed ``out/<scenario>/<table>.csv``."""
-    with open(REPO / "out" / scenario / ("%s.csv" % table)) as fh:
-        golden = list(csv.DictReader(fh))
-    assert len(rows) == len(golden)
-    for row, ref in zip(rows, golden):
-        assert sorted(row) == sorted(ref)
-        for key, want in ref.items():
-            got = row[key]
-            if isinstance(got, (bool, np.bool_)):
-                assert ("true" if got else "false") == want, key
-            else:
-                assert float(got) == pytest.approx(float(want), rel=GOLDEN_RTOL, abs=0.0), key
+def run_bundled(scenario, runner):
+    """Run the bundled ``scripts/<scenario>.json`` config in-process; returns
+    (checks, tables, elapsed seconds, config)."""
+    raw = json.loads((REPO / "scripts" / ("%s.json" % scenario)).read_text())
+    if "finite_file" in raw:
+        raw["finite_file"] = str(REPO / raw["finite_file"])
+    assert validate_dict(raw) == []
+    cfg = ScenarioConfig(**raw)
+    t0 = time.monotonic()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        checks, tables = runner(cfg, pool)
+    return checks, tables, time.monotonic() - t0, cfg
 
 
-def test_golden_pathlaw_torus(torus_results):
-    # the fixture's config defaults are the bundled torus_collapse config
-    assert_matches_golden(torus_results[1]["pathlaw"], "torus_collapse", "pathlaw")
+@pytest.fixture(scope="module")
+def torus_results():
+    return run_bundled("torus_collapse", run_torus)
 
 
-def test_golden_pathlaw_cone():
-    cfg = load_config(str(REPO / "scripts" / "cone_interval.json"))
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        _, tables = run_cone(cfg, pool)
-    assert_matches_golden(tables["pathlaw"], "cone_interval", "pathlaw")
+@pytest.fixture(scope="module")
+def cone_results():
+    return run_bundled("cone_interval", run_cone)
+
+
+@pytest.fixture(scope="module")
+def ou_results():
+    return run_bundled("ou_family", run_ou)
+
+
+@pytest.fixture(scope="module")
+def reflected_results():
+    return run_bundled("reflected_family", run_reflected)
+
+
+@pytest.fixture(scope="module")
+def finite_results():
+    return run_bundled("custom_finite", run_custom_finite)
+
+
+GOLDEN = {"torus_collapse": "torus_results", "cone_interval": "cone_results",
+          "ou_family": "ou_results", "reflected_family": "reflected_results",
+          "custom_finite": "finite_results"}
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_golden_tables(scenario, request, tmp_path):
+    """Every table of a bundled scenario, written as ``lab run`` writes it,
+    matches the committed ``out/<scenario>/`` table: numeric cells to a
+    relative 1e-10, every other cell exactly."""
+    tables = request.getfixturevalue(GOLDEN[scenario])[1]
+    golden_dir = REPO / "out" / scenario
+    assert sorted(tables) == sorted(p.stem for p in golden_dir.glob("*.csv"))
+    for name, rows in tables.items():
+        write_csv(str(tmp_path / name), _jsonable(rows))
+        got = read_csv(tmp_path / name)
+        want = read_csv(golden_dir / ("%s.csv" % name))
+        assert len(got) == len(want), name
+        for line, (row, ref) in enumerate(zip(got, want)):
+            assert len(row) == len(ref), (name, line)
+            for cell, expected in zip(row, ref):
+                if is_number(expected) and is_number(cell):
+                    assert float(cell) == pytest.approx(
+                        float(expected), rel=GOLDEN_RTOL, abs=0.0), (name, line)
+                else:
+                    assert cell == expected, (name, line)
 
 
 def test_criterion_1_kernel_algebra():
@@ -214,32 +259,26 @@ def test_criterion_5_torus_scenario(torus_results):
     assert record_criterion(5, "torus-to-circle fdd gaps and path-law distance", ok)
 
 
-def test_criterion_6_ou_family():
-    t0 = time.monotonic()
-    cfg = ScenarioConfig(scenario="ou_family", n_grid=[1, 2, 4, 8], dt=1e-3)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        checks, tables = run_ou(cfg, pool)
+def test_criterion_6_ou_family(ou_results):
+    # the bundled ou_family config: n_grid [1, 2, 4, 8], dt 1e-3
+    checks, tables, elapsed, cfg = ou_results
     rows = tables["marginal_w2"]
     ok = all(r["gap"] <= r["budget"] for r in rows)
     w2 = [r["w2"] for r in rows]
     ok &= all(b < a for a, b in zip(w2, w2[1:]))
     closed = [r["closed_form"] for r in rows]
     ok &= all(1.4 <= a / b <= 2.6 for a, b in zip(closed, closed[1:]))
-    elapsed = time.monotonic() - t0
     ok &= elapsed < 120.0
     assert record_criterion(6, "OU marginal W2 matches the closed Gaussian form", ok)
 
 
-def test_criterion_7_reflected_family():
-    t0 = time.monotonic()
-    cfg = ScenarioConfig(scenario="reflected_family", n_grid=[1, 2, 4, 8])
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        checks, tables = run_reflected(cfg, pool)
+def test_criterion_7_reflected_family(reflected_results):
+    # the bundled reflected_family config: n_grid [1, 2, 4, 8], dt 5e-4
+    checks, tables, elapsed, cfg = reflected_results
     ks = tables["occupation_ks"][0]
     ok = ks["pvalue"] >= 0.01
     w1 = [r["w1"] for r in tables["marginal_w1"]]
     ok &= all(b < a for a, b in zip(w1, w1[1:]))
-    elapsed = time.monotonic() - t0
     ok &= elapsed < 120.0
     assert record_criterion(7, "reflected occupation uniform; growing-domain W1 decay", ok)
 

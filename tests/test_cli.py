@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+import mmlab.cli as cli
 from mmlab import FiniteMms
 from mmlab.cli import ScenarioConfig, main, validate_dict
+from mmlab.spaces import SpaceError
 
 
 def write_finite(path, n=12):
@@ -47,6 +49,61 @@ def test_validate_command(tmp_path, capsys):
     bad.write_text('{"scenario": "unknown"}')
     assert main(["validate", str(bad)]) == 1
     capsys.readouterr()
+
+
+def test_validate_rejects_torus_times_off_the_path_grid(tmp_path, capsys):
+    # the torus paths are stored every min(modulus_eta)/4 = 0.0125
+    cfg = tmp_path / "torus.json"
+    cfg.write_text(json.dumps({"scenario": "torus_collapse", "times": [0.25, 0.7501]}))
+    assert main(["validate", str(cfg)]) == 1
+    assert "times: time 0.7501 not on the grid" in capsys.readouterr().out
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    errors = validate_dict({"scenario": "torus_collapse", "kolmogorov_h": [0.013]})
+    assert [e.split(":")[0] for e in errors] == ["kolmogorov_h", "kolmogorov_h"]
+    assert validate_dict({"scenario": "torus_collapse"}) == []
+
+
+def test_validate_rejects_reflected_dt_off_the_read_times():
+    # t = 1.0 and T = 1.5 are not multiples of dt = 7e-4
+    errors = validate_dict({"scenario": "reflected_family", "dt": 7e-4})
+    assert len(errors) == 2 and all(e.startswith("dt: ") for e in errors)
+    assert validate_dict({"scenario": "reflected_family", "dt": 2.5e-4}) == []
+
+
+def test_validate_rejects_truncated_finite_file(tmp_path, capsys):
+    space_file = tmp_path / "space.txt"
+    write_finite(space_file)
+    lines = space_file.read_text().splitlines()
+    space_file.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(SpaceError):
+        FiniteMms.load(space_file)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, finite_file=str(space_file))
+    assert main(["validate", str(cfg)]) == 1
+    assert "finite_file: " in capsys.readouterr().out
+    space_file.write_text("12 0\n1.0 x\n")
+    with pytest.raises(SpaceError):
+        FiniteMms.load(space_file)
+
+
+def test_runner_crash_writes_an_incomplete_report(tmp_path, capsys, monkeypatch):
+    def crash(cfg, pool):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.RUNNERS, "custom_finite", crash)
+    space_file = tmp_path / "space.txt"
+    write_finite(space_file)
+    cfg = tmp_path / "cfg.json"
+    out_dir = tmp_path / "out"
+    write_config(cfg, finite_file=str(space_file), out_dir=str(out_dir))
+    assert main(["run", str(cfg)]) == 1
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["incomplete"] and not report["pass"]
+    assert report["checks"] == [{"name": "runtime", "status": "fail",
+                                 "reason": "RuntimeError: boom"}]
+    assert (out_dir / "manifest.json").exists()
+    assert "Traceback" in capsys.readouterr().err
 
 
 def test_run_missing_config(capsys):

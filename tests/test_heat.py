@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -171,6 +173,16 @@ def test_two_state_generator_override():
     p = sk.transition_matrix(0.37)
     from scipy.linalg import expm
     assert np.max(np.abs(p - expm(0.37 * L))) <= 1e-10
+
+
+def test_kernel_is_kept_on_its_space_and_dies_with_it():
+    space = Interval(0.0, 1.0, n_nodes=64)
+    sk = get_kernel(space)
+    assert get_kernel(space) is sk
+    ref = weakref.ref(sk)
+    del space, sk
+    gc.collect()
+    assert ref() is None
 
 
 def test_disconnected_space_zero_gap():

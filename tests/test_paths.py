@@ -15,7 +15,6 @@ from mmlab import (
     kolmogorov_moment,
     modulus_statistic,
     quadratic_potential,
-    reflected_em,
     sample_kernel_chain,
 )
 from mmlab.paths import PathError
@@ -103,14 +102,15 @@ def test_em_divergence_guard_flags():
 
 def test_reflected_paths_stay_inside():
     dom = box_domain(0.0, 1.0)
-    ens = reflected_em(dom, quadratic_potential(0.0), 0.5, 1e-3, 1.0, 200, seed=4)
+    ens = euler_maruyama(quadratic_potential(0.0), 0.5, 1e-3, 1.0, 200, seed=4, domain=dom)
     assert np.all(ens.states >= -1e-12)
     assert np.all(ens.states <= 1.0 + 1e-12)
 
 
 def test_reflected_folded_normal_ks():
     dom = box_domain(0.0, np.inf)
-    ens = reflected_em(dom, quadratic_potential(0.0), 0.0, 1e-3, 0.5, 10000, seed=6)
+    ens = euler_maruyama(quadratic_potential(0.0), 0.0, 1e-3, 0.5, 10000, seed=6,
+                         domain=dom)
     final = ens.states[:, -1, 0]
     ks = scipy.stats.kstest(final, lambda x: folded_normal_cdf(x, np.sqrt(2 * 0.5)))
     assert ks.pvalue >= 0.01
@@ -127,7 +127,8 @@ def test_reflected_interior_matches_free():
 
 def test_reflected_occupation_chi2():
     dom = box_domain(0.0, 1.0)
-    ens = reflected_em(dom, quadratic_potential(0.0), 0.25, 5e-4, 1.5, 4000, seed=11)
+    ens = euler_maruyama(quadratic_potential(0.0), 0.25, 5e-4, 1.5, 4000, seed=11,
+                         domain=dom)
     final = ens.states[:, -1, 0]
     hist, _ = np.histogram(final, bins=10, range=(0.0, 1.0))
     chi2 = scipy.stats.chisquare(hist)
