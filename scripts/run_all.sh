@@ -6,5 +6,5 @@ for cfg in scripts/torus_collapse.json scripts/cone_interval.json \
            scripts/ou_family.json scripts/reflected_family.json \
            scripts/custom_finite.json; do
     echo "== $cfg"
-    lab run "$cfg" --threads 4
+    lab run "$cfg" --threads 2
 done

@@ -133,8 +133,15 @@ def validate_dict(raw: dict) -> list:
         elif name in ("n_grid", "times") and any(b <= a for a, b in zip(v, v[1:])):
             errors.append("%s: must be strictly increasing" % name)
     tf = raw.get("test_functions")
-    if tf is not None and (not isinstance(tf, list) or not all(isinstance(x, str) for x in tf)):
-        errors.append("test_functions: must be a list of names")
+    if tf is not None and (not isinstance(tf, list) or not tf
+                           or not all(isinstance(x, str) for x in tf)):
+        errors.append("test_functions: must be a nonempty list of names")
+    elif tf is not None and kind in TEST_FUNCTIONS:
+        valid = TEST_FUNCTIONS[kind]()
+        missing = [name for name in tf if name not in valid]
+        if missing:
+            errors.append("test_functions: unknown %s (valid: %s)"
+                          % (", ".join(missing), ", ".join(sorted(valid))))
     if kind == "custom_finite":
         ff = raw.get("finite_file")
         if not isinstance(ff, str):
@@ -152,19 +159,28 @@ def validate_dict(raw: dict) -> list:
 
 
 def _grid_errors(cfg: ScenarioConfig) -> list:
-    """The times a runner reads from its stored paths that are off their grid."""
+    """The times a runner reads from its paths that are off their grid, and a
+    modulus horizon that holds less than one grid step."""
+    errors = []
     if cfg.scenario == "torus_collapse":
         grid = _torus_grid(cfg)
         rule = "multiples of min(modulus_eta)/4 up to path_T"
         reads = [("times", t) for t in cfg.times]
         reads += [("kolmogorov_h", t + h) for t in KOLMOGOROV_T for h in cfg.kolmogorov_h]
+        modulus_T = min(cfg.modulus_T, cfg.path_T)
+        if np.sum(grid <= modulus_T + 1e-12) < 2:
+            errors.append("modulus_T: min(modulus_T, path_T) = %g is below the path-grid "
+                          "step min(modulus_eta)/4 = %g" % (modulus_T, min(cfg.modulus_eta) / 4))
+    elif cfg.scenario == "ou_family":
+        grid = time_grid(_ou_dt(cfg), OU_T)
+        rule = "multiples of dt up to %g" % OU_T
+        reads = [("dt", OU_T)]
     elif cfg.scenario == "reflected_family":
         grid = time_grid(_reflected_dt(cfg), REFLECTED_T)
         rule = "multiples of dt up to %g" % REFLECTED_T
         reads = [("dt", t) for t in REFLECTED_READS]
     else:
         return []
-    errors = []
     for name, t in reads:
         try:
             grid_index(grid, t)
@@ -236,6 +252,15 @@ def chain_functions(positions: np.ndarray) -> dict:
     }
 
 
+# the registry each scenario selects ``test_functions`` from; validation reads
+# only its names, which do not depend on the chain positions
+TEST_FUNCTIONS = {
+    "torus_collapse": circle_functions,
+    "cone_interval": lambda: chain_functions(np.zeros(1)),
+    "ou_family": line_functions,
+}
+
+
 def _select(registry: dict, names) -> list:
     if names is None:
         return list(registry.values())
@@ -249,6 +274,7 @@ def _select(registry: dict, names) -> list:
 # --- scenario runners -------------------------------------------------------
 
 KOLMOGOROV_T = (0.25, 0.5)           # the torus runner's Kolmogorov moment times
+OU_T = 1.0                           # the OU runner's horizon, the one time it reads
 REFLECTED_T = 1.5                    # the reflected runner's horizon
 REFLECTED_READS = (1.0, REFLECTED_T)  # the times its tables read
 
@@ -258,8 +284,19 @@ def _torus_grid(cfg: ScenarioConfig) -> np.ndarray:
     return time_grid(min(cfg.modulus_eta) / 4, cfg.path_T)
 
 
+def _ou_dt(cfg: ScenarioConfig) -> float:
+    return cfg.dt if cfg.dt is not None else 1e-3
+
+
 def _reflected_dt(cfg: ScenarioConfig) -> float:
     return cfg.dt if cfg.dt is not None else 5e-4
+
+
+def _divergence_check(ensembles: dict) -> dict:
+    """Fails when the Euler-Maruyama divergence guard froze any path; carries
+    the flagged-path count of each ensemble label."""
+    flagged = {str(label): int(np.count_nonzero(ens.flags)) for label, ens in ensembles.items()}
+    return _status("em_divergence", not any(flagged.values()), flagged=flagged)
 
 
 def _sample_pathlaw(cfg: ScenarioConfig, pool: ThreadPoolExecutor, members, limit,
@@ -323,9 +360,8 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     mod_rows = []
     mod_ok = True
     for label, ens in [("limit", limit_ens)] + [(n, ensembles[n]) for n in cfg.n_grid]:
-        stats = [modulus_statistic(ens, min(cfg.modulus_T, cfg.path_T), eta,
-                                   cfg.modulus_delta)
-                 for eta in cfg.modulus_eta]
+        stats = modulus_statistic(ens, min(cfg.modulus_T, cfg.path_T), cfg.modulus_eta,
+                                  cfg.modulus_delta)
         for eta, s in zip(cfg.modulus_eta, stats):
             mod_rows.append({"label": label, "eta": eta, "statistic": s})
         mod_ok &= all(b <= a + 1e-12 for a, b in zip(stats, stats[1:]))
@@ -405,7 +441,7 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
 
 
 def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
-    dt = cfg.dt if cfg.dt is not None else 1e-3
+    dt = _ou_dt(cfg)
     limit = EuclideanLogConcave(1, quadratic_potential(1.0))
     members = []
     for n in cfg.n_grid:
@@ -436,13 +472,13 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     sigma_inf = np.sqrt(1.0 - np.exp(-2.0))
     qs = (np.arange(4096) + 0.5) / 4096
     limit_ref = DiscreteMeasure(scipy.stats.norm.ppf(qs) * sigma_inf)
-    futures = {n: pool.submit(euler_maruyama, space.potential, 0.0, dt, 1.0,
-                              cfg.mc_count, _seed_for(cfg, 1, i))
+    futures = {n: pool.submit(euler_maruyama, space.potential, 0.0, dt, OU_T,
+                              cfg.mc_count, _seed_for(cfg, 1, i), record=(OU_T,))
                for i, (n, space, _) in enumerate(members)}
+    ensembles = {n: fut.result() for n, fut in futures.items()}
     rows = []
     for n, space, _ in members:
-        ens = futures[n].result()
-        final = ens.states[:, -1, 0]
+        final = ensembles[n].states[:, -1, 0]
         emp = DiscreteMeasure(final)
         w2 = wasserstein_1d(2, emp, limit_ref)
         a_n = 1.0 + 1.0 / n
@@ -458,6 +494,7 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     checks.append(_status("marginal_w2", all(r["pass"] for r in rows)))
     checks.append(_trend_check("marginal_w2_trend", cfg.n_grid,
                                [r["w2"] for r in rows]))
+    checks.append(_divergence_check(ensembles))
     return checks, tables
 
 
@@ -468,10 +505,12 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     x0 = 0.25
     checks, tables = [], {}
     limit_future = pool.submit(euler_maruyama, v0, x0, dt, T, cfg.mc_count,
-                               _seed_for(cfg, 2), domain=box_domain(0.0, 1.0))
+                               _seed_for(cfg, 2), domain=box_domain(0.0, 1.0),
+                               record=REFLECTED_READS)
     usable = [n for n in cfg.n_grid if n >= 2]
     futures = {n: pool.submit(euler_maruyama, v0, x0, dt, T, cfg.mc_count,
-                              _seed_for(cfg, 1, i), domain=box_domain(0.0, 1.0 - 1.0 / n))
+                              _seed_for(cfg, 1, i), domain=box_domain(0.0, 1.0 - 1.0 / n),
+                              record=REFLECTED_READS)
                for i, n in enumerate(usable)}
     limit_ens = limit_future.result()
 
@@ -489,10 +528,10 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
                           pvalue=float(ks.pvalue)))
 
     limit_marginal = DiscreteMeasure(limit_ens.state_at(t_mid)[:, 0])
+    ensembles = {n: fut.result() for n, fut in futures.items()}
     rows = []
     for n in usable:
-        ens = futures[n].result()
-        emp = DiscreteMeasure(ens.state_at(t_mid)[:, 0])
+        emp = DiscreteMeasure(ensembles[n].state_at(t_mid)[:, 0])
         w1 = wasserstein_1d(1, emp, limit_marginal)
         rows.append({"label": n, "w1": w1, "closed_form": 0.5 / n})
     tables["marginal_w1"] = rows
@@ -500,6 +539,7 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         checks.append({"name": "degenerate_members", "status": "skipped",
                        "reason": "n=1 gives an empty domain"})
     checks.append(_trend_check("marginal_w1_trend", usable, [r["w1"] for r in rows]))
+    checks.append(_divergence_check({"limit": limit_ens, **ensembles}))
     return checks, tables
 
 

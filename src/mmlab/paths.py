@@ -254,17 +254,29 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
                    seed: int, noise: bool = True,
                    domain: Optional[ConvexDomain] = None,
                    space: Optional[PmmSpace] = None,
-                   scheme: str = "mirror") -> PathEnsemble:
+                   scheme: str = "mirror",
+                   record: Optional[Sequence[float]] = None) -> PathEnsemble:
     """X_{k+1} = X_k - grad V(X_k) dt + sqrt(2 dt) xi_k, optionally confined
     to a convex domain after every step.
 
     Paths whose norm exceeds the divergence guard are frozen and flagged.
-    ``noise=False`` is the deterministic gradient-flow test hook.
+    ``noise=False`` is the deterministic gradient-flow test hook.  The
+    ensemble keeps the states at the ``record`` times, each a multiple of dt
+    up to T (the whole grid when None); every step is simulated either way.
     """
     if dt <= 0 or T < dt:
         raise PathError("need dt > 0 and T >= dt")
-    times = time_grid(dt, T)
-    steps = len(times) - 1
+    grid = time_grid(dt, T)
+    steps = len(grid) - 1
+    if record is None:
+        times, keep = grid, np.arange(steps + 1)
+    else:
+        times = np.asarray(record, dtype=float)
+        keep = np.asarray([grid_index(grid, t) for t in times], dtype=int)
+        if len(keep) < 1 or np.any(np.diff(keep) <= 0):
+            raise PathError("record times must be nonempty and strictly increasing")
+    slot = np.full(steps + 1, -1)
+    slot[keep] = np.arange(len(keep))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
     rng = make_rng(seed)
@@ -273,8 +285,9 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
         if not domain.contains(x0):
             raise PathError("x0 outside the domain")
         x = np.atleast_2d(np.asarray(domain.project(x), dtype=float))
-    out = np.empty((count, steps + 1, d))
-    out[:, 0] = x
+    out = np.empty((count, len(keep), d))
+    if slot[0] >= 0:
+        out[:, slot[0]] = x
     flags = np.zeros(count, dtype=bool)
     alive = ~flags
     scale = np.sqrt(2.0 * dt)
@@ -290,7 +303,8 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
         flags |= newly
         alive = ~flags
         x = np.where(alive[:, None], xn, x)
-        out[:, k + 1] = x
+        if slot[k + 1] >= 0:
+            out[:, slot[k + 1]] = x
     law = "point(%s)" % ",".join("%g" % v for v in x0)
     return PathEnsemble(times, out, seed, law, space, flags)
 
@@ -324,24 +338,38 @@ def _pair_distance(ensemble: PathEnsemble, a: np.ndarray, b: np.ndarray) -> np.n
     return np.asarray(space.distance(a, b))
 
 
-def modulus_statistic(ensemble: PathEnsemble, T: float, eta: float, delta: float) -> float:
-    """Fraction of paths with sup_{|t-s|<=eta, t,s<=T} d(B_t, B_s) > delta,
-    the supremum taken over the stored grid (a lower-bound proxy)."""
+def modulus_statistic(ensemble: PathEnsemble, T: float, etas: Sequence[float],
+                      delta: float) -> list:
+    """For each eta, the fraction of paths with
+    sup_{|t-s|<=eta, t,s<=T} d(B_t, B_s) > delta, the supremum taken over the
+    stored grid (a lower-bound proxy).
+
+    Each lag up to the largest eta is scanned once; an eta's statistic is the
+    OR of the per-lag exceedances within it.  The grid step must not exceed
+    min(etas)/4.
+    """
+    etas = [float(eta) for eta in etas]
     sel = ensemble.times <= T + 1e-12
     times = ensemble.times[sel]
     if len(times) < 2:
         raise PathError("grid does not cover [0, T]")
-    if np.max(np.diff(times)) > eta / 4 + 1e-12:
+    if np.max(np.diff(times)) > min(etas) / 4 + 1e-12:
         raise PathError("grid step exceeds eta/4")
     states = ensemble.states[:, sel]
-    exceeded = np.zeros(ensemble.count, dtype=bool)
     n_t = len(times)
+    # exceeded[l] marks the paths exceeding delta at some lag <= l + 1
+    exceeded = []
     for lag in range(1, n_t):
-        if times[lag] - times[0] > eta + 1e-12:
+        if times[lag] - times[0] > max(etas) + 1e-12:
             break
         d = _pair_distance(ensemble, states[:, :n_t - lag], states[:, lag:])
-        exceeded |= np.any(d > delta, axis=1)
-    return float(np.mean(exceeded))
+        hit = np.any(d > delta, axis=1)
+        exceeded.append(hit | exceeded[-1] if exceeded else hit)
+    stats = []
+    for eta in etas:
+        lags = int(np.sum(times[1:len(exceeded) + 1] - times[0] <= eta + 1e-12))
+        stats.append(float(np.mean(exceeded[lags - 1])))
+    return stats
 
 
 def kolmogorov_moment(ensemble: PathEnsemble, beta: float,

@@ -31,13 +31,20 @@ def _evaluate(f: Callable, pts: np.ndarray, item_shape: tuple = (),
     """Values of ``f`` at the rows of ``pts``, each of shape ``item_shape``.
 
     With ``batch`` set, one vectorized call ``f(pts)`` is tried first and
-    kept when it returns one item per row; otherwise ``f`` is called row by
-    row.
+    kept when it returns one item per row and its first and last items equal
+    ``f`` at those rows; otherwise ``f`` is called row by row.
+    The shape alone cannot tell a batch from a per-point result that happens
+    to match it, such as ``A @ x`` applied to ``d`` rows of length ``d``; the
+    last row catches this where all rows are equal and the first row agrees.
     """
     if batch:
         try:
             vals = np.asarray(f(pts), dtype=float)
-            if vals.shape == (len(pts),) + item_shape:
+            # tolist: an exact comparison at a fraction of np.array_equal's
+            # cost, which Euler-Maruyama pays on every step
+            if vals.shape == (len(pts),) + item_shape and all(
+                    vals[i].tolist() == np.reshape(f(pts[i]), item_shape).tolist()
+                    for i in (0, -1)):
                 return vals
         except Exception:
             pass

@@ -154,3 +154,20 @@ def merge_close_atoms_loop(atoms, weights, tol):
         else:
             keep.append(i)
     return a[keep], w[keep]
+
+
+def modulus_statistic_loop(times, states, T, eta, delta, distance):
+    """Fraction of paths whose states at two stored times t, s <= T with
+    |t - s| <= eta lie more than delta apart, scanning every lag within eta
+    for this one eta.  ``distance(a, b)`` maps two state blocks of shape
+    (..., d) to their distances."""
+    sel = times <= T + 1e-12
+    times, states = times[sel], states[:, sel]
+    n_t = len(times)
+    exceeded = np.zeros(len(states), dtype=bool)
+    for lag in range(1, n_t):
+        if times[lag] - times[0] > eta + 1e-12:
+            break
+        d = distance(states[:, :n_t - lag], states[:, lag:])
+        exceeded |= np.any(d > delta, axis=1)
+    return float(np.mean(exceeded))

@@ -1,11 +1,12 @@
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import mmlab.cli as cli
-from mmlab import FiniteMms
+from mmlab import FiniteMms, quadratic_potential
 from mmlab.cli import ScenarioConfig, main, validate_dict
 from mmlab.spaces import SpaceError
 
@@ -69,6 +70,83 @@ def test_validate_rejects_reflected_dt_off_the_read_times():
     errors = validate_dict({"scenario": "reflected_family", "dt": 7e-4})
     assert len(errors) == 2 and all(e.startswith("dt: ") for e in errors)
     assert validate_dict({"scenario": "reflected_family", "dt": 2.5e-4}) == []
+
+
+def test_validate_rejects_ou_dt_off_the_read_time():
+    # time_grid(0.3, 1.0) ends at 0.9; dt = 2 gives a grid of t = 0 alone
+    for dt in (0.3, 2.0):
+        errors = validate_dict({"scenario": "ou_family", "dt": dt})
+        assert len(errors) == 1 and errors[0].startswith("dt: time 1 not on the grid")
+    assert validate_dict({"scenario": "ou_family", "dt": 0.25}) == []
+
+
+def test_validate_rejects_modulus_T_below_the_path_grid_step():
+    # the torus paths are stored every min(modulus_eta)/4 = 0.0125
+    errors = validate_dict({"scenario": "torus_collapse", "modulus_T": 0.01})
+    assert len(errors) == 1 and errors[0].startswith("modulus_T: ")
+    assert validate_dict({"scenario": "torus_collapse", "modulus_T": 0.0125}) == []
+
+
+def test_validate_rejects_unknown_test_functions():
+    for kind, good, bad in [("torus_collapse", ["cos", "sin"], ["cos", "tanh"]),
+                            ("cone_interval", ["tent"], ["cos"]),
+                            ("ou_family", ["bump", "clamp"], ["linear"])]:
+        assert validate_dict({"scenario": kind, "test_functions": good}) == []
+        errors = validate_dict({"scenario": kind, "test_functions": bad})
+        assert len(errors) == 1 and errors[0].startswith("test_functions: unknown ")
+        assert bad[-1] in errors[0]
+        errors = validate_dict({"scenario": kind, "test_functions": []})
+        assert len(errors) == 1 and errors[0].startswith("test_functions: ")
+
+
+def _spy_on_em(monkeypatch, potential=None):
+    """Record every ensemble the runners get from euler_maruyama, optionally
+    run with another potential."""
+    made = []
+    real = cli.euler_maruyama
+
+    def spy(pot, *args, **kwargs):
+        ens = real(potential or pot, *args, **kwargs)
+        made.append(ens)
+        return ens
+
+    monkeypatch.setattr(cli, "euler_maruyama", spy)
+    return made
+
+
+@pytest.mark.parametrize("scenario, reads, ensembles",
+                         [("reflected_family", cli.REFLECTED_READS, 3),
+                          ("ou_family", (cli.OU_T,), 2)])
+def test_em_runners_keep_only_their_read_times(monkeypatch, scenario, reads, ensembles):
+    made = _spy_on_em(monkeypatch)
+    cfg = ScenarioConfig(scenario=scenario, n_grid=[2, 4], mc_count=300, dt=5e-3)
+    with ThreadPoolExecutor(2) as pool:
+        checks, _ = cli.RUNNERS[scenario](cfg, pool)
+    assert len(made) == ensembles
+    for ens in made:
+        assert ens.times.tolist() == list(reads)
+        assert ens.states.shape == (300, len(reads), 1)
+    labels = (["limit"] if scenario == "reflected_family" else []) + ["2", "4"]
+    assert [c for c in checks if c["name"] == "em_divergence"] == [
+        {"name": "em_divergence", "status": "pass", "flagged": dict.fromkeys(labels, 0)}]
+
+
+def test_em_divergence_fails_the_report(tmp_path, monkeypatch, capsys):
+    # V = -50|x|^2/2 multiplies the state by 3.5 per step of 0.05, so every
+    # OU path passes the divergence guard before t = 1
+    _spy_on_em(monkeypatch, potential=quadratic_potential(-50.0))
+    cfg = tmp_path / "ou.json"
+    out_dir = tmp_path / "out"
+    cfg.write_text(json.dumps({"scenario": "ou_family", "n_grid": [2, 4], "mc_count": 300,
+                               "dt": 0.05, "out_dir": str(out_dir)}))
+    assert main(["run", str(cfg)]) == 1
+    report = json.loads((out_dir / "report.json").read_text())
+    assert not report["incomplete"] and not report["pass"]
+    [check] = [c for c in report["checks"] if c["name"] == "em_divergence"]
+    assert check == {"name": "em_divergence", "status": "fail", "flagged": {"2": 300, "4": 300}}
+    header = (out_dir / "marginal_w2.csv").read_text().splitlines()[0]
+    assert header == "label,w2,closed_form,gap,budget,pass"
+    assert "em_divergence" in capsys.readouterr().out
 
 
 def test_validate_rejects_truncated_finite_file(tmp_path, capsys):

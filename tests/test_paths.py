@@ -7,6 +7,7 @@ from mmlab import (
     FiniteMms,
     Interval,
     PathEnsemble,
+    Potential,
     Torus,
     box_domain,
     euler_maruyama,
@@ -17,9 +18,9 @@ from mmlab import (
     quadratic_potential,
     sample_kernel_chain,
 )
-from mmlab.paths import PathError
+from mmlab.paths import PathError, _pair_distance, grid_index
 
-from _oracles import folded_normal_cdf, ou_mean_var
+from _oracles import folded_normal_cdf, modulus_statistic_loop, ou_mean_var
 
 
 def test_chain_determinism():
@@ -100,6 +101,56 @@ def test_em_divergence_guard_flags():
     assert np.all(np.isfinite(ens.states))
 
 
+EM_CASES = {
+    # (keyword arguments, recorded times)
+    "free": (dict(potential=quadratic_potential(1.0), x0=0.3, dt=1e-2, T=1.0, count=64),
+             (0.0, 0.37, 1.0)),
+    "reflected": (dict(potential=quadratic_potential(0.0), x0=0.25, dt=5e-3, T=1.5, count=64,
+                       domain=box_domain(0.0, 1.0)),
+                  (1.0, 1.5)),
+    # dX = 5X dt with a large step: every path is frozen by t = 10
+    "flagged": (dict(potential=quadratic_potential(-5.0), x0=1.0, dt=0.5, T=20.0, count=8),
+                (0.5, 10.0, 20.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EM_CASES))
+def test_em_record_equals_full_grid_columns(case):
+    kwargs, record = EM_CASES[case]
+    full = euler_maruyama(seed=21, **kwargs)
+    part = euler_maruyama(seed=21, record=record, **kwargs)
+    cols = [grid_index(full.times, t) for t in record]
+    assert np.array_equal(part.times, record)
+    assert part.states.shape == (kwargs["count"], len(record), 1)
+    assert np.array_equal(part.states, full.states[:, cols])
+    assert np.array_equal(part.flags, full.flags)
+    if case == "flagged":
+        assert np.all(part.flags)
+        assert np.array_equal(part.states[:, 1], part.states[:, 2])
+
+
+def test_em_record_off_grid_rejected():
+    v = quadratic_potential(1.0)
+    for record in [(0.5, 0.505), (1.2,), (0.5, 0.2), ()]:
+        with pytest.raises(PathError):
+            euler_maruyama(v, 0.0, 1e-2, 1.0, 4, seed=0, record=record)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("A, x0, x1", [
+    ([[1.0, 0.5], [0.0, 2.0]], (1.0, 1.0), (0.85, 0.8)),
+    # x0 is an eigenvector whose eigenvalue is A's first row sum, so the
+    # first row of A @ X is right and only the last row shows the mix-up
+    ([[2.0, 0.0], [0.0, 3.0]], (1.0, 0.0), (0.8, 0.0)),
+])
+def test_em_per_point_gradient_when_count_equals_dim(count, A, x0, x1):
+    # grad = A x accepts a (count, 2) batch too, but computes A @ X from it
+    A = np.asarray(A)
+    v = Potential(value=lambda x: 0.5 * float(x @ A @ x), grad=lambda x: A @ x)
+    ens = euler_maruyama(v, x0, 0.1, 0.1, count, seed=0, noise=False)
+    assert np.allclose(ens.states[:, 1], [x1] * count, rtol=0, atol=1e-15)
+
+
 def test_reflected_paths_stay_inside():
     dom = box_domain(0.0, 1.0)
     ens = euler_maruyama(quadratic_potential(0.0), 0.5, 1e-3, 1.0, 200, seed=4, domain=dom)
@@ -175,23 +226,57 @@ def test_modulus_trivial_cases():
     times = np.linspace(0.0, 1.0, 41)
     const = PathEnsemble(times, np.zeros((50, 41, 1)), 0, "point", Circle(2 * np.pi),
                          np.zeros(50, dtype=bool))
-    assert modulus_statistic(const, 1.0, 0.1, 0.5) == 0.0
+    assert modulus_statistic(const, 1.0, [0.1], 0.5) == [0.0]
     moving = sample_kernel_chain(Circle(2 * np.pi), "base", times, 50, seed=14)
-    assert modulus_statistic(moving, 1.0, 0.1, 0.0) == 1.0
+    assert modulus_statistic(moving, 1.0, [0.1], 0.0) == [1.0]
 
 
 def test_modulus_grid_too_coarse_rejected():
     times = np.linspace(0.0, 1.0, 11)  # step 0.1 > 0.2/4
     ens = sample_kernel_chain(Circle(2 * np.pi), "base", times, 10, seed=15)
     with pytest.raises(PathError):
-        modulus_statistic(ens, 1.0, 0.2, 0.5)
+        modulus_statistic(ens, 1.0, [0.2], 0.5)
 
 
 def test_modulus_monotone_in_eta():
     times = np.arange(0, 0.3 + 1e-12, 0.0125)
     ens = sample_kernel_chain(Circle(2 * np.pi), "base", times, 3000, seed=16)
-    stats = [modulus_statistic(ens, 0.3, eta, 0.5) for eta in (0.4, 0.2, 0.1, 0.05)]
+    stats = modulus_statistic(ens, 0.3, (0.4, 0.2, 0.1, 0.05), 0.5)
     assert all(b <= a for a, b in zip(stats, stats[1:]))
+
+
+def _ring(n):
+    pts = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    dist = np.abs(pts[:, None] - pts[None, :])
+    dist = np.minimum(dist, 2 * np.pi - dist)
+    return FiniteMms(dist=dist, weights=np.full(n, 2 * np.pi / n), base_index=0)
+
+
+@pytest.mark.parametrize("space", [Circle(2 * np.pi), Torus(2 * np.pi, np.pi, n_nodes=(64, 32)),
+                                   _ring(16)], ids=["circle", "torus", "finite"])
+def test_modulus_multi_eta_equals_per_eta_loop(space):
+    times = np.arange(0, 0.5 + 1e-12, 0.0125)
+    ens = sample_kernel_chain(space, "base", times, 500, seed=31)
+    etas = (0.07, 0.33, 0.05, 0.111, 0.2)  # unsorted, mostly off the 0.0125 grid
+
+    def dist(a, b):
+        return _pair_distance(ens, a, b)
+
+    seen = set()
+    for T, delta in [(0.3, 0.5), (0.5, 0.8)]:
+        stats = modulus_statistic(ens, T, etas, delta)
+        assert stats == [modulus_statistic_loop(ens.times, ens.states, T, eta, delta, dist)
+                         for eta in etas]
+        seen.update(stats)
+    assert len(seen) >= 4
+
+
+def test_modulus_step_rule_uses_smallest_eta():
+    times = np.linspace(0.0, 1.0, 11)
+    ens = sample_kernel_chain(Circle(2 * np.pi), "base", times, 10, seed=15)
+    modulus_statistic(ens, 1.0, [0.4], 0.5)
+    with pytest.raises(PathError):
+        modulus_statistic(ens, 1.0, [0.4, 0.2], 0.5)
 
 
 def test_kolmogorov_exponent():
