@@ -22,6 +22,7 @@ import scipy.stats
 from numpy.random import SeedSequence
 
 from .convergence import (
+    BASELINE_PARTS,
     LipschitzTestFunction,
     SpaceFamily,
     entropy_tightness,
@@ -49,6 +50,7 @@ from .paths import (
     time_grid,
 )
 from .spaces import (
+    CONE_MIN_RESOLUTION,
     Circle,
     CollapseMap,
     EuclideanLogConcave,
@@ -151,11 +153,18 @@ def validate_dict(raw: dict) -> list:
         else:
             try:
                 FiniteMms.load(ff)
-            except SpaceError as exc:
+            except (SpaceError, OSError, UnicodeDecodeError) as exc:
                 errors.append("finite_file: %s" % exc)
-    if not errors:
-        errors = _grid_errors(ScenarioConfig(**raw))
-    return errors
+    if errors:
+        return errors
+    cfg = ScenarioConfig(**raw)
+    least = MIN_PATHS.get(kind, 1)
+    if cfg.mc_count < least:
+        errors.append("mc_count: %s splits its paths into %d parts, so it needs at least "
+                      "%d" % (kind, least, least))
+    if kind == "cone_interval" and cfg.resolution < CONE_MIN_RESOLUTION:
+        errors.append("resolution: the cone mesh needs at least %d" % CONE_MIN_RESOLUTION)
+    return errors + _grid_errors(cfg)
 
 
 def _grid_errors(cfg: ScenarioConfig) -> list:
@@ -277,6 +286,10 @@ KOLMOGOROV_T = (0.25, 0.5)           # the torus runner's Kolmogorov moment time
 OU_T = 1.0                           # the OU runner's horizon, the one time it reads
 REFLECTED_T = 1.5                    # the reflected runner's horizon
 REFLECTED_READS = (1.0, REFLECTED_T)  # the times its tables read
+OU_PARTS = 4                         # the OU runner's W2 spread is over this many parts
+# the fewest paths a runner can split into its parts
+MIN_PATHS = {"torus_collapse": BASELINE_PARTS, "cone_interval": BASELINE_PARTS,
+             "ou_family": OU_PARTS}
 
 
 def _torus_grid(cfg: ScenarioConfig) -> np.ndarray:
@@ -483,8 +496,8 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         w2 = wasserstein_1d(2, emp, limit_ref)
         a_n = 1.0 + 1.0 / n
         closed = abs(np.sqrt((1.0 - np.exp(-2.0 * a_n)) / a_n) - sigma_inf)
-        quarters = np.array_split(final, 4)
-        qvals = [wasserstein_1d(2, DiscreteMeasure(q), limit_ref) for q in quarters]
+        parts = np.array_split(final, OU_PARTS)
+        qvals = [wasserstein_1d(2, DiscreteMeasure(q), limit_ref) for q in parts]
         se = float(np.std(qvals))
         budget = 3 * se + 10 * dt + 0.01
         rows.append({"label": n, "w2": w2, "closed_form": closed,

@@ -35,6 +35,7 @@ from .transport import (
 
 QUAD_TOL = 1e-6
 LIP_SLACK = 1e-6
+BASELINE_PARTS = 2   # pathlaw_baseline compares two halves of the limit ensemble
 
 
 class ConvergenceError(ValueError):
@@ -125,10 +126,6 @@ def pmg_test(family: SpaceFamily, test_functions: Sequence[LipschitzTestFunction
             "pass": all(r.get("pass", True) for r in rows)}
 
 
-def _unwrap(f):
-    return f.f if isinstance(f, LipschitzTestFunction) else f
-
-
 def fdd_operator(space: PmmSpace, times: Sequence[float], functions, x) -> float:
     """Nested semigroup functional
     P_{t1}(f1 P_{t2-t1}(f2 ... P_{tk-t_{k-1}} fk))(x), with t0 = 0.
@@ -150,7 +147,7 @@ def _nested_functional(space: PmmSpace, cmap: Optional[CollapseMap], times, func
         raise ConvergenceError("times must be strictly increasing and nonnegative")
     sk = get_kernel(space)
     pts = _mapped_points(space, cmap, sk.points)
-    fvals = [_evaluate(_unwrap(f), pts) for f in functions]
+    fvals = [_evaluate(f, pts) for f in functions]
     vals = fvals[-1]
     for i in range(len(times) - 1, 0, -1):
         vals = fvals[i - 1] * sk.apply_values(times[i] - times[i - 1], vals)
@@ -180,10 +177,19 @@ def mcshane_extend(domain_points, values, H: float, metric) -> Callable:
             if abs(vals[i] - vals[j]) > H * d + 1e-9:
                 raise ConvergenceError("input is not H-Lipschitz on the domain")
     lo, hi = float(np.min(vals)), float(np.max(vals))
+    tail = np.shape(pts[0])
 
-    def extension(x):
+    def one(x):
         ds = np.asarray([float(np.asarray(metric(x, a))) for a in pts])
         return float(min(max(np.max(vals - H * ds), lo), hi))
+
+    def extension(x):
+        # the metric takes one pair of points, so a batch goes point by point
+        x = np.asarray(x)
+        if x.shape == tail:
+            return one(x)
+        lead = x.shape[:x.ndim - len(tail)]
+        return np.asarray([one(p) for p in x.reshape((-1,) + tail)]).reshape(lead)
 
     return extension
 
@@ -297,7 +303,7 @@ def pathlaw_baseline(ensemble_limit: PathEnsemble, times: Sequence[float],
     specs = [_bin_edges(limit, nu.atoms[:, j], bins) for j in range(len(times))]
     rng = make_rng(seed, 7)
     split_vals = []
-    half = ensemble_limit.count // 2
+    half = ensemble_limit.count // BASELINE_PARTS
     for _ in range(n_splits):
         perm = rng.permutation(ensemble_limit.count)
         a_idx, b_idx = perm[:half], perm[half:2 * half]

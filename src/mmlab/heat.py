@@ -122,9 +122,7 @@ class SpectralKernel:
         """Values on the grid of a callable on native points, or of a vector
         of grid values."""
         if callable(f):
-            # points with several coordinates go one at a time: a function
-            # written per point can misread a whole batch
-            return _evaluate(f, self._points, batch=self._points.ndim == 1)
+            return _evaluate(f, self._points)
         vals = np.asarray(f, dtype=float)
         if vals.shape[0] != len(self._points):
             raise HeatError("function vector length mismatch")
@@ -513,7 +511,7 @@ def entropy_identity_check(space: PmmSpace, C: float, mu_density: np.ndarray,
     ent_m = float(np.sum(w * rho * np.where(rho > 0, np.log(np.maximum(rho, 1e-300)), 0.0)))
     ratio = rho / g
     ent_tilde = float(np.sum(w * rho * np.where(rho > 0, np.log(np.maximum(ratio, 1e-300)), 0.0)))
-    if isinstance(space, EuclideanLogConcave) and space.mass_mode == "sigma-finite":
+    if isinstance(space, EuclideanLogConcave):
         d2 = np.asarray(space.distance(pts, float(space.base_point[0]))) ** 2
         z = float(np.sum(w * np.exp(-C * d2)))
         correction = C * float(np.sum(w * rho * d2)) + np.log(z)

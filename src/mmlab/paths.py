@@ -235,15 +235,11 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
     raise PathError("no kernel sampler for %s" % type(space).__name__)
 
 
-def _confine(domain: ConvexDomain, x: np.ndarray, scheme: str) -> np.ndarray:
-    """Bring states back into the domain after an unconstrained step.
-
-    ``mirror`` reflects each point through its projection (exact in law for a
-    half-line, O(dt)-accurate for general convex domains); ``project`` is the
-    plain clip, kept for comparison (its boundary bias is O(sqrt(dt)))."""
+def _confine(domain: ConvexDomain, x: np.ndarray) -> np.ndarray:
+    """Bring states back into the domain after an unconstrained step by
+    reflecting each point through its projection (exact in law for a
+    half-line, O(dt)-accurate for general convex domains)."""
     p = np.atleast_2d(np.asarray(domain.project(x), dtype=float))
-    if scheme == "project":
-        return p
     mirrored = 2.0 * p - x
     # a second pass handles overshoot past the opposite face
     p2 = np.atleast_2d(np.asarray(domain.project(mirrored), dtype=float))
@@ -253,11 +249,10 @@ def _confine(domain: ConvexDomain, x: np.ndarray, scheme: str) -> np.ndarray:
 def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
                    seed: int, noise: bool = True,
                    domain: Optional[ConvexDomain] = None,
-                   space: Optional[PmmSpace] = None,
-                   scheme: str = "mirror",
                    record: Optional[Sequence[float]] = None) -> PathEnsemble:
     """X_{k+1} = X_k - grad V(X_k) dt + sqrt(2 dt) xi_k, optionally confined
-    to a convex domain after every step.
+    to a convex domain after every step; ``potential.grad`` follows the
+    batch rule of ``spaces._evaluate``.
 
     Paths whose norm exceeds the divergence guard are frozen and flagged.
     ``noise=False`` is the deterministic gradient-flow test hook.  The
@@ -297,7 +292,7 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
             step = step + scale * rng.standard_normal((count, d))
         xn = x + step
         if domain is not None:
-            xn = _confine(domain, xn, scheme)
+            xn = _confine(domain, xn)
         blown = np.linalg.norm(xn, axis=1) > DIVERGENCE_GUARD
         newly = blown & alive
         flags |= newly
@@ -306,7 +301,7 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
         if slot[k + 1] >= 0:
             out[:, slot[k + 1]] = x
     law = "point(%s)" % ",".join("%g" % v for v in x0)
-    return PathEnsemble(times, out, seed, law, space, flags)
+    return PathEnsemble(times, out, seed, law, flags=flags)
 
 
 def extract_fdd(ensemble: PathEnsemble, times: Sequence[float],

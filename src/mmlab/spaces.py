@@ -3,7 +3,8 @@
 Each space carries a base point, a reference measure, and (where meaningful)
 a deterministic quadrature grid.  Finite spaces are distance matrices with
 positive atom weights; collapse maps are the 1-Lipschitz surrogates used to
-compare a family of spaces against a declared limit.
+compare a family of spaces against a declared limit.  ``_evaluate`` states
+the batch rule for functions of a point.
 """
 
 from __future__ import annotations
@@ -17,44 +18,38 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 TRIANGLE_TOL = 1e-9
 LIPSCHITZ_TOL = 1e-9
-
-SIGMA_FINITE = "sigma-finite"
-NORMALIZED = "normalized-probability"
+CONE_MIN_RESOLUTION = 4   # rings and meridians of the coarsest cone mesh
 
 
 class SpaceError(ValueError):
     pass
 
 
-def _evaluate(f: Callable, pts: np.ndarray, item_shape: tuple = (),
-              batch: bool = True) -> np.ndarray:
-    """Values of ``f`` at the rows of ``pts``, each of shape ``item_shape``.
+def _evaluate(f: Callable, pts: np.ndarray, item_shape: tuple = ()) -> np.ndarray:
+    """Values of ``f`` at the points ``pts``, each of shape ``item_shape``.
 
-    With ``batch`` set, one vectorized call ``f(pts)`` is tried first and
-    kept when it returns one item per row and its first and last items equal
-    ``f`` at those rows; otherwise ``f`` is called row by row.
-    The shape alone cannot tell a batch from a per-point result that happens
-    to match it, such as ``A @ x`` applied to ``d`` rows of length ``d``; the
-    last row catches this where all rows are equal and the first row agrees.
+    The rule for every function the lab evaluates on many points (test
+    functions, collapse maps, potentials and their gradients): it takes an
+    array of points, with the points along the leading axes, and returns one
+    value per point.  ``f`` is called once, on the whole array; a result of
+    any shape other than ``(len(pts),) + item_shape`` raises ``SpaceError``.
+    A function written for a single point only, such as ``A @ x`` for a
+    gradient, is outside the rule; where its batch result happens to have the
+    right shape (``d`` points in dimension ``d``) no check can tell.
     """
-    if batch:
-        try:
-            vals = np.asarray(f(pts), dtype=float)
-            # tolist: an exact comparison at a fraction of np.array_equal's
-            # cost, which Euler-Maruyama pays on every step
-            if vals.shape == (len(pts),) + item_shape and all(
-                    vals[i].tolist() == np.reshape(f(pts[i]), item_shape).tolist()
-                    for i in (0, -1)):
-                return vals
-        except Exception:
-            pass
-    return np.asarray([np.reshape(f(p), item_shape) for p in pts], dtype=float)
+    vals = np.asarray(f(pts), dtype=float)
+    want = (len(pts),) + item_shape
+    if vals.shape != want:
+        raise SpaceError("function returned shape %s for %d points; expected %s"
+                         % (vals.shape, len(pts), want))
+    return vals
 
 
 @dataclass(frozen=True)
 class Potential:
     """A potential V with its gradient and a declared convexity modulus.
 
+    ``value`` and ``grad`` follow the batch rule of ``_evaluate``.
     ``quadratic_coeff`` marks V(x) = a|x|^2/2 exactly; this unlocks the
     closed-form Gaussian semigroup in the heat module.
     """
@@ -83,7 +78,7 @@ class Potential:
 
 def quadratic_potential(a: float, dim: int = 1) -> Potential:
     return Potential(
-        value=lambda x, a=a: 0.5 * a * float(np.sum(np.square(x))),
+        value=lambda x, a=a: 0.5 * a * np.sum(np.square(x), axis=-1),
         grad=lambda x, a=a: a * np.atleast_1d(np.asarray(x, dtype=float)),
         convexity_modulus=a,
         quadratic_coeff=a,
@@ -120,8 +115,6 @@ def box_domain(lo, hi) -> ConvexDomain:
 
 class PmmSpace:
     """Base interface: distance, base point, reference measure, quadrature."""
-
-    mass_mode: str = SIGMA_FINITE
 
     @property
     def base_point(self):
@@ -160,10 +153,6 @@ class Circle(PmmSpace):
             raise SpaceError("circumference must be positive")
 
     @property
-    def mass_mode(self):
-        return NORMALIZED if self.normalized else SIGMA_FINITE
-
-    @property
     def base_point(self):
         return self.base
 
@@ -200,10 +189,6 @@ class Torus(PmmSpace):
     def __post_init__(self):
         if self.len1 <= 0 or self.len2 <= 0:
             raise SpaceError("circumferences must be positive")
-
-    @property
-    def mass_mode(self):
-        return NORMALIZED if self.normalized else SIGMA_FINITE
 
     @property
     def base_point(self):
@@ -251,10 +236,6 @@ class Interval(PmmSpace):
             raise SpaceError("need a < b")
 
     @property
-    def mass_mode(self):
-        return NORMALIZED if self.normalized else SIGMA_FINITE
-
-    @property
     def base_point(self):
         return 0.5 * (self.a + self.b) if self.base is None else self.base
 
@@ -293,8 +274,6 @@ class EuclideanLogConcave(PmmSpace):
     grid_radius: float = 10.0
     n_nodes: int = 4096
 
-    mass_mode = SIGMA_FINITE
-
     def __post_init__(self):
         if self.dim < 1:
             raise SpaceError("dim must be positive")
@@ -320,8 +299,7 @@ class EuclideanLogConcave(PmmSpace):
         x0 = float(self.base_point[0])
         h = 2 * self.grid_radius / self.n_nodes
         pts = x0 - self.grid_radius + (np.arange(self.n_nodes) + 0.5) * h
-        dens = np.exp(-np.asarray([self.potential.value(np.atleast_1d(p)) for p in pts]))
-        return pts, dens * h
+        return pts, np.exp(-_evaluate(self.potential.value, pts[:, None])) * h
 
 
 def _check_triangle(dist: np.ndarray, tol: float, rng_seed: int = 0) -> None:
@@ -346,8 +324,6 @@ class FiniteMms(PmmSpace):
     weights: np.ndarray
     base_index: int = 0
     coords: Optional[np.ndarray] = None   # optional embedding, for plots/maps
-
-    mass_mode = NORMALIZED
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -461,12 +437,13 @@ class QuadratureDensity:
 
 def weighted_measure(space: PmmSpace, C: float = 1.0) -> QuadratureDensity:
     """The probability reference on the space's quadrature grid (the atoms of
-    a finite space): m/m(X) in finite-mass mode, else the Gaussian-weighted
-    normalization (1/z) e^{-C d^2(., base)} m."""
+    a finite space): m/m(X) on the finite-mass spaces, and on
+    ``EuclideanLogConcave`` the Gaussian-weighted normalization
+    (1/z) e^{-C d^2(., base)} m."""
     if C <= 0:
         raise SpaceError("C must be positive")
     pts, w = space.quadrature()
-    if space.mass_mode == NORMALIZED or not isinstance(space, EuclideanLogConcave):
+    if not isinstance(space, EuclideanLogConcave):
         # finite-mass branch: C is ignored
         total = float(np.sum(w))
         return QuadratureDensity(pts, w, np.full(len(w), 1.0 / total))
@@ -568,8 +545,8 @@ def mesh_cone(n: int, resolution: int):
     graph-geodesic distances; collapses onto Interval(0, 1) by x-projection."""
     if n < 1:
         raise SpaceError("n must be >= 1")
-    if resolution < 4:
-        raise SpaceError("resolution must be >= 4")
+    if resolution < CONE_MIN_RESOLUTION:
+        raise SpaceError("resolution must be >= %d" % CONE_MIN_RESOLUTION)
     rings = resolution
     angular = resolution
     xs = np.linspace(0.0, 1.0, rings + 1)[1:]

@@ -99,6 +99,43 @@ def test_validate_rejects_unknown_test_functions():
         assert len(errors) == 1 and errors[0].startswith("test_functions: ")
 
 
+def test_validate_rejects_a_cone_mesh_below_its_minimum_resolution():
+    errors = validate_dict({"scenario": "cone_interval", "resolution": 3})
+    assert len(errors) == 1 and errors[0].startswith("resolution: ")
+    assert "at least %d" % cli.CONE_MIN_RESOLUTION in errors[0]
+    assert validate_dict({"scenario": "cone_interval", "resolution": 4}) == []
+    # only the cone runner meshes a cone
+    assert validate_dict({"scenario": "torus_collapse", "resolution": 3}) == []
+
+
+@pytest.mark.parametrize("scenario", ["torus_collapse", "cone_interval"])
+def test_validate_rejects_too_few_paths_for_the_baseline_halves(scenario):
+    errors = validate_dict({"scenario": scenario, "mc_count": 1})
+    assert len(errors) == 1 and errors[0].startswith("mc_count: ")
+    assert cli.MIN_PATHS[scenario] == 2
+    assert validate_dict({"scenario": scenario, "mc_count": 2}) == []
+
+
+def test_validate_rejects_too_few_paths_for_the_ou_parts():
+    least = cli.OU_PARTS
+    errors = validate_dict({"scenario": "ou_family", "mc_count": least - 1})
+    assert len(errors) == 1 and errors[0].startswith("mc_count: ")
+    assert "at least %d" % least in errors[0]
+    assert validate_dict({"scenario": "ou_family", "mc_count": least}) == []
+
+
+def test_validate_reports_an_unreadable_finite_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, finite_file=str(tmp_path))
+    assert main(["validate", str(cfg)]) == 1
+    assert "finite_file: " in capsys.readouterr().out
+    binary = tmp_path / "space.bin"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    write_config(cfg, finite_file=str(binary))
+    assert main(["validate", str(cfg)]) == 1
+    assert "finite_file: " in capsys.readouterr().out
+
+
 def _spy_on_em(monkeypatch, potential=None):
     """Record every ensemble the runners get from euler_maruyama, optionally
     run with another potential."""

@@ -14,12 +14,17 @@ from mmlab import (
     entropy_tightness,
     fdd_convergence_report,
     fdd_operator,
+    get_kernel,
+    graph_generator,
     initial_law_w1,
     mcshane_extend,
     pathlaw_w1,
     pmg_test,
     sample_kernel_chain,
+    semigroup_apply,
+    set_generator,
     wasserstein_exact,
+    weighted_measure,
 )
 import mmlab.convergence as convergence
 from mmlab.convergence import (
@@ -74,6 +79,51 @@ def test_fdd_operator_single_time_matches_semigroup():
     assert abs(got - np.exp(-0.4)) <= 1e-8
 
 
+def _invariant_case(kind):
+    """A space whose probability reference m~ is invariant, a test function on
+    it, and the transition matrix of its kernel at time t."""
+    if kind == "circle":
+        space = Circle(2 * np.pi, n_nodes=256, normalized=True)
+        f = LipschitzTestFunction(lambda x: np.cos(x) ** 2 + 0.3 * np.sin(x), 1.3, 1.3,
+                                  name="f")
+        sk = get_kernel(space)
+
+        def transition(t):
+            return np.array([sk.kernel_row(t, p) * sk.weights for p in sk.points])
+    else:
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(12, 2))
+        dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        space = FiniteMms(dist=dist, weights=rng.random(12) + 0.1, coords=pts)
+        set_generator(space, graph_generator(space))
+        x = pts[:, 0]
+        f = LipschitzTestFunction(lambda idx: np.tanh(x[np.asarray(idx, dtype=int)]),
+                                  1.0, 1.0, name="f")
+        sk = get_kernel(space)
+        transition = sk.transition_matrix
+    return space, f, sk, transition
+
+
+@pytest.mark.parametrize("kind", ["circle", "finite"])
+def test_fdd_report_weighted_start_is_invariant(kind):
+    # m~ P_t = m~, so the outermost semigroup drops out of the weighted start
+    space, f, sk, transition = _invariant_case(kind)
+    family = SpaceFamily([("self", space, None)], space)
+    ref = weighted_measure(space).masses()
+    fv = f(sk.points)
+    one = fdd_convergence_report(family, [0.3], [f], mode="weighted-start")["rows"][0]
+    two = fdd_convergence_report(family, [0.3, 0.8], [f], mode="weighted-start")["rows"][0]
+    assert one["mode"] == two["mode"] == "weighted-start"
+    expect_one = float(np.sum(ref * fv))
+    expect_two = float(np.sum(ref * fv * (transition(0.5) @ fv)))
+    for row, expect in [(one, expect_one), (two, expect_two)]:
+        assert row["value"] == pytest.approx(expect, rel=0, abs=1e-12)
+        assert row["value_limit"] == pytest.approx(expect, rel=0, abs=1e-12)
+    # the point start at the base point sees a different number
+    point = fdd_convergence_report(family, [0.3, 0.8], [f])["rows"][0]
+    assert abs(point["value"] - expect_two) > 1e-3
+
+
 def test_fdd_operator_rejects_bad_times():
     space = Circle(2 * np.pi)
     with pytest.raises(ConvergenceError):
@@ -101,6 +151,30 @@ def test_mcshane_properties(seed):
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
             assert abs(evals[i] - evals[j]) <= H * metric(probes[i], probes[j]) + 1e-9
+
+
+def test_mcshane_extension_takes_a_batch():
+    # the lab calls a test function once on a whole grid of points
+    circle = Circle(2 * np.pi, n_nodes=64, normalized=True)
+    ext = mcshane_extend([0.0, 1.0, 3.0], [0.0, 0.5, -0.4], 1.0, circle.distance)
+    grid = get_kernel(circle).points
+    one_by_one = np.asarray([ext(p) for p in grid])
+    assert isinstance(ext(grid[3]), float)
+    assert np.array_equal(ext(grid), one_by_one)
+    assert np.array_equal(ext(grid.reshape(8, 8)), one_by_one.reshape(8, 8))
+    assert np.array_equal(semigroup_apply(circle, 0.1, ext),
+                          semigroup_apply(circle, 0.1, one_by_one))
+    family = torus_family([2, 4], nodes=(64, 8))
+    got = pmg_test(family, [LipschitzTestFunction(ext, 1.0, 0.5)])
+    want = pmg_test(family, [LipschitzTestFunction(np.vectorize(ext), 1.0, 0.5)])
+    assert [r["gap"] for r in got["rows"]] == [r["gap"] for r in want["rows"]]
+    # points with two coordinates: one value per row
+    torus = Torus(n_nodes=(8, 4))
+    ext2 = mcshane_extend([np.zeros(2), np.ones(2)], [0.0, 0.5], 1.0, torus.distance)
+    tgrid = get_kernel(torus).points
+    assert isinstance(ext2(tgrid[5]), float)
+    assert np.array_equal(ext2(tgrid), [ext2(p) for p in tgrid])
+    assert semigroup_apply(torus, 0.1, ext2).shape == (32,)
 
 
 def test_mcshane_rejects_non_lipschitz_input():

@@ -19,6 +19,7 @@ from mmlab import (
     sample_kernel_chain,
 )
 from mmlab.paths import PathError, _pair_distance, grid_index
+from mmlab.spaces import SpaceError
 
 from _oracles import folded_normal_cdf, modulus_statistic_loop, ou_mean_var
 
@@ -136,19 +137,51 @@ def test_em_record_off_grid_rejected():
             euler_maruyama(v, 0.0, 1e-2, 1.0, 4, seed=0, record=record)
 
 
+def _linear_potential(A):
+    """V(x) = x.Ax/2 in batch form: points along the leading axes."""
+    A = np.asarray(A)
+    return Potential(value=lambda x: 0.5 * np.sum(x * (x @ A.T), axis=-1),
+                     grad=lambda x: x @ A.T)
+
+
 @pytest.mark.parametrize("count", [2, 3])
 @pytest.mark.parametrize("A, x0, x1", [
     ([[1.0, 0.5], [0.0, 2.0]], (1.0, 1.0), (0.85, 0.8)),
     # x0 is an eigenvector whose eigenvalue is A's first row sum, so the
-    # first row of A @ X is right and only the last row shows the mix-up
+    # first row of a per-point A @ X would be right and only the last wrong
     ([[2.0, 0.0], [0.0, 3.0]], (1.0, 0.0), (0.8, 0.0)),
+    # the rows of a per-point A @ X would be .8, .7, .8 with count 3: only a
+    # middle row shows the mix-up
+    ([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]], (1.0, 0.0, 0.0),
+     (0.8, 0.0, 0.0)),
 ])
 def test_em_per_point_gradient_when_count_equals_dim(count, A, x0, x1):
-    # grad = A x accepts a (count, 2) batch too, but computes A @ X from it
-    A = np.asarray(A)
-    v = Potential(value=lambda x: 0.5 * float(x @ A @ x), grad=lambda x: A @ x)
-    ens = euler_maruyama(v, x0, 0.1, 0.1, count, seed=0, noise=False)
+    """Each path gets its own gradient A x_i from the batch form X @ A.T,
+    also when the path count equals the dimension.  A gradient written for
+    one point (A @ x) is outside the batch rule; with count == d its batch
+    result has the right shape, and no check can catch it."""
+    ens = euler_maruyama(_linear_potential(A), x0, 0.1, 0.1, count, seed=0, noise=False)
     assert np.allclose(ens.states[:, 1], [x1] * count, rtol=0, atol=1e-15)
+
+
+def test_em_calls_the_gradient_once_per_step():
+    calls = []
+
+    def grad(x):
+        calls.append(x.shape)
+        return x @ np.diag([1.0, 2.0]).T
+
+    v = Potential(value=lambda x: 0.0, grad=grad)
+    euler_maruyama(v, (1.0, 1.0), 0.1, 0.5, 7, seed=0)
+    assert calls == [(7, 2)] * 5
+
+
+def test_em_rejects_a_gradient_of_the_wrong_shape():
+    # a gradient written for one point reads the first two paths of a batch
+    # as its two coordinates: two items for three paths
+    v = Potential(value=lambda x: 0.0, grad=lambda x: np.array([x[0], 2.0 * x[1]]))
+    with pytest.raises(SpaceError, match=r"shape \(2, 2\) for 3 points; expected \(3, 2\)"):
+        euler_maruyama(v, (1.0, 1.0), 0.1, 0.1, 3, seed=0, noise=False)
 
 
 def test_reflected_paths_stay_inside():

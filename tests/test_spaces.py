@@ -8,17 +8,19 @@ from mmlab import (
     EuclideanLogConcave,
     FiniteMms,
     Interval,
+    Potential,
     Torus,
     bishop_gromov_check,
     box_domain,
     collapse_map_torus,
+    get_kernel,
     mesh_cone,
     quadratic_potential,
     theta_comparison,
     volume_growth_check,
     weighted_measure,
 )
-from mmlab.spaces import SpaceError
+from mmlab.spaces import SpaceError, _evaluate
 
 
 def random_finite(rng, n):
@@ -125,6 +127,64 @@ def test_potential_gradient_check():
     worst = v.check_gradient(rng.normal(size=(20, 3)))
     assert worst <= 1e-5
     assert v.convexity_modulus == 2.5
+
+
+def _counted(f, calls):
+    def g(x):
+        calls.append(np.shape(x))
+        return f(x)
+    return g
+
+
+def test_evaluate_calls_once_on_the_whole_array():
+    pts = Torus(n_nodes=(8, 4)).quadrature()[0]
+    calls = []
+    vals = _evaluate(_counted(lambda x: np.cos(x[..., 0]) * x[..., 1], calls), pts)
+    assert calls == [(32, 2)]
+    assert np.array_equal(vals, np.cos(pts[:, 0]) * pts[:, 1])
+    calls.clear()
+    grads = _evaluate(_counted(lambda x: 2.0 * x, calls), pts, (2,))
+    assert calls == [(32, 2)] and np.array_equal(grads, 2.0 * pts)
+    # an error inside the function is the caller's to see
+    with pytest.raises(ZeroDivisionError):
+        _evaluate(lambda x: 1 / 0, pts)
+
+
+def test_evaluate_rejects_the_wrong_number_of_items():
+    pts = np.linspace(0.0, 1.0, 5)
+    # written for one point: one number for the whole array
+    with pytest.raises(SpaceError, match=r"shape \(\) for 5 points; expected \(5,\)"):
+        _evaluate(lambda x: float(np.cos(np.atleast_1d(x)[0])), pts)
+    with pytest.raises(SpaceError, match=r"shape \(4,\) for 5 points"):
+        _evaluate(lambda x: x[:4], pts)
+    with pytest.raises(SpaceError, match=r"expected \(5, 1\)"):
+        _evaluate(lambda x: x, pts, (1,))
+    # on a torus grid the kernel passes all points at once as well
+    sk = get_kernel(Torus(n_nodes=(8, 4)))
+    calls = []
+    assert np.array_equal(sk.evaluate(_counted(lambda x: x[..., 0], calls)), sk.points[:, 0])
+    assert calls == [(32, 2)]
+    # written for one point (x, y): reads the first two grid points instead
+    with pytest.raises(SpaceError, match=r"shape \(2,\) for 32 points"):
+        sk.evaluate(lambda x: np.cos(x[0]) * np.sin(x[1]))
+
+
+def test_quadrature_calls_the_potential_once():
+    a = 1.5
+    calls = []
+    pot = Potential(_counted(lambda x: 0.5 * a * np.sum(np.square(x), axis=-1), calls),
+                    lambda x: a * x)
+    space = EuclideanLogConcave(1, pot, n_nodes=64, grid_radius=4.0)
+    pts, w = space.quadrature()
+    assert calls == [(64, 1)]
+    h = 8.0 / 64
+    per_node = np.exp(-np.asarray([0.5 * a * float(np.sum(np.square([p]))) for p in pts])) * h
+    assert np.array_equal(w, per_node)
+    assert np.array_equal(pts, -4.0 + (np.arange(64) + 0.5) * h)
+    # a value written for one point gives one number for all nodes
+    scalar = Potential(lambda x: 0.5 * a * float(np.sum(np.square(x))), lambda x: a * x)
+    with pytest.raises(SpaceError, match=r"shape \(\) for 64 points; expected \(64,\)"):
+        EuclideanLogConcave(1, scalar, n_nodes=64, grid_radius=4.0).quadrature()
 
 
 def test_box_domain_projection():
