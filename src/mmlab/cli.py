@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Optional
 
 import numpy as np
 import scipy
@@ -37,6 +39,7 @@ from .heat import (
     get_kernel,
     graph_generator,
     mixing_bound_check,
+    on_diagonal,
     set_generator,
     spectral_gap,
 )
@@ -63,21 +66,13 @@ from .spaces import (
 )
 from .transport import DiscreteMeasure, wasserstein_1d
 
-SCENARIOS = {
-    "torus_collapse": "flat tori with shrinking second factor collapsing onto a circle",
-    "cone_interval": "triangulated narrowing cones collapsing onto a weighted interval",
-    "ou_family": "Ornstein-Uhlenbeck family V_n = (1+1/n)|x|^2/2 tightening to V = |x|^2/2",
-    "reflected_family": "reflected Brownian motion on [0,1-1/n] growing to [0,1]",
-    "custom_finite": "kernel-level checks on a finite space loaded from a flat file",
-}
-
 
 @dataclass
 class ScenarioConfig:
     scenario: str
-    n_grid: list = field(default_factory=lambda: [1, 2, 4, 8, 16])
-    times: list = field(default_factory=lambda: [0.25, 0.75])
-    test_functions: list = None
+    n_grid: list[float] = field(default_factory=lambda: [1, 2, 4, 8, 16])
+    times: list[float] = field(default_factory=lambda: [0.25, 0.75])
+    test_functions: list[str] = None
     mc_count: int = 10000
     dt: float = None
     seed: int = 1234
@@ -86,125 +81,79 @@ class ScenarioConfig:
     eps_entropy: float = 0.1
     bins: int = 24
     path_T: float = 1.0
-    modulus_eta: list = field(default_factory=lambda: [0.4, 0.2, 0.1, 0.05])
+    modulus_eta: list[float] = field(default_factory=lambda: [0.4, 0.2, 0.1, 0.05])
     modulus_delta: float = 0.5
     modulus_T: float = 0.3
     kolmogorov_beta: float = 4.0
-    kolmogorov_h: list = field(default_factory=lambda: [0.0125, 0.025, 0.05, 0.1])
+    kolmogorov_h: list[float] = field(default_factory=lambda: [0.0125, 0.025, 0.05, 0.1])
     fdd_budget_scale: float = 0.5
     ks_level: float = 0.01
     finite_file: str = None
 
 
-def validate_dict(raw: dict) -> list:
-    """Schema validation; returns a list of 'field: problem' strings."""
-    errors = []
+ZERO_ALLOWED = ("seed", "fdd_budget_scale")  # number fields that may also be 0
+INCREASING = ("n_grid", "times")             # lists that must strictly increase
+# what a value of each declared field type must be
+MUST_BE = {"int": "a {} integer", "float": "a finite {} number", "str": "a string",
+           "list[float]": "a nonempty list of finite {} numbers",
+           "list[str]": "a nonempty list of names"}
+
+
+def _accepts(kind: str, v, zero: bool) -> bool:
+    """Whether ``v`` is a value of the declared field type ``kind``; numbers
+    must be positive, or non-negative when ``zero``."""
+    if kind.startswith("list["):
+        return isinstance(v, list) and bool(v) and all(_accepts(kind[5:-1], x, zero) for x in v)
+    if kind == "str":
+        return isinstance(v, str)
+    return (isinstance(v, int if kind == "int" else (int, float)) and not isinstance(v, bool)
+            and (isinstance(v, int) or math.isfinite(v)) and (v >= 0 if zero else v > 0))
+
+
+def _field_error(f, raw: dict) -> Optional[str]:
+    """The 'field: problem' string of one config field, or None."""
+    if f.name not in raw:
+        required = f.default is MISSING and f.default_factory is MISSING
+        return "%s: required" % f.name if required else None
+    v = raw[f.name]
+    if v is None:
+        return None if f.default is None else "%s: must not be null" % f.name
+    zero = f.name in ZERO_ALLOWED
+    if not _accepts(f.type, v, zero):
+        return "%s: must be %s" % (f.name, MUST_BE[f.type].format(
+            "non-negative" if zero else "positive"))
+    if f.name in INCREASING and any(b <= a for a, b in zip(v, v[1:])):
+        return "%s: must be strictly increasing" % f.name
+    return None
+
+
+def validate_dict(raw) -> list:
+    """Schema validation; returns a list of 'field: problem' strings.
+
+    Each ``ScenarioConfig`` field is checked by the rule of its declared type,
+    then the scenario's entry in ``SCENARIOS`` adds the errors only it can
+    see.  ``lab run`` runs only a config with no errors."""
+    if not isinstance(raw, dict):
+        return ["config must be a JSON object"]
     known = {f.name for f in fields(ScenarioConfig)}
-    for key in raw:
-        if key not in known:
-            errors.append("%s: unknown key" % key)
+    errors = ["%s: unknown key" % key for key in raw if key not in known]
+    errors += [e for e in (_field_error(f, raw) for f in fields(ScenarioConfig)) if e]
     kind = raw.get("scenario")
-    if kind is None:
-        errors.append("scenario: required")
-    elif kind not in SCENARIOS:
+    if isinstance(kind, str) and kind not in SCENARIOS:
         errors.append("scenario: unknown kind %r (valid: %s)" % (kind, ", ".join(sorted(SCENARIOS))))
-    def positive(name, cls):
-        v = raw.get(name)
-        if v is not None and (not isinstance(v, cls) or isinstance(v, bool) or v <= 0):
-            errors.append("%s: must be a positive %s" % (name, cls.__name__))
-    positive("mc_count", int)
-    positive("dt", (int, float))
-    positive("resolution", int)
-    positive("eps_entropy", (int, float))
-    positive("bins", int)
-    positive("path_T", (int, float))
-    positive("modulus_delta", (int, float))
-    positive("modulus_T", (int, float))
-    positive("kolmogorov_beta", (int, float))
-    positive("ks_level", (int, float))
-    seed = raw.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        errors.append("seed: must be an integer")
-    for name in ("n_grid", "times", "modulus_eta", "kolmogorov_h"):
-        v = raw.get(name)
-        if v is None:
-            continue
-        if not isinstance(v, list) or not v or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0 for x in v):
-            errors.append("%s: must be a nonempty list of positive numbers" % name)
-        elif name in ("n_grid", "times") and any(b <= a for a, b in zip(v, v[1:])):
-            errors.append("%s: must be strictly increasing" % name)
-    tf = raw.get("test_functions")
-    if tf is not None and (not isinstance(tf, list) or not tf
-                           or not all(isinstance(x, str) for x in tf)):
-        errors.append("test_functions: must be a nonempty list of names")
-    elif tf is not None and kind in TEST_FUNCTIONS:
-        valid = TEST_FUNCTIONS[kind]()
-        missing = [name for name in tf if name not in valid]
-        if missing:
-            errors.append("test_functions: unknown %s (valid: %s)"
-                          % (", ".join(missing), ", ".join(sorted(valid))))
-    if kind == "custom_finite":
-        ff = raw.get("finite_file")
-        if not isinstance(ff, str):
-            errors.append("finite_file: required for custom_finite")
-        elif not os.path.exists(ff):
-            errors.append("finite_file: file not found: %s" % ff)
-        else:
-            try:
-                FiniteMms.load(ff)
-            except (SpaceError, OSError, UnicodeDecodeError) as exc:
-                errors.append("finite_file: %s" % exc)
     if errors:
         return errors
     cfg = ScenarioConfig(**raw)
-    least = MIN_PATHS.get(kind, 1)
-    if cfg.mc_count < least:
-        errors.append("mc_count: %s splits its paths into %d parts, so it needs at least "
-                      "%d" % (kind, least, least))
-    if kind == "cone_interval" and cfg.resolution < CONE_MIN_RESOLUTION:
-        errors.append("resolution: the cone mesh needs at least %d" % CONE_MIN_RESOLUTION)
-    return errors + _grid_errors(cfg)
-
-
-def _grid_errors(cfg: ScenarioConfig) -> list:
-    """The times a runner reads from its paths that are off their grid, and a
-    modulus horizon that holds less than one grid step."""
-    errors = []
-    if cfg.scenario == "torus_collapse":
-        grid = _torus_grid(cfg)
-        rule = "multiples of min(modulus_eta)/4 up to path_T"
-        reads = [("times", t) for t in cfg.times]
-        reads += [("kolmogorov_h", t + h) for t in KOLMOGOROV_T for h in cfg.kolmogorov_h]
-        modulus_T = min(cfg.modulus_T, cfg.path_T)
-        if np.sum(grid <= modulus_T + 1e-12) < 2:
-            errors.append("modulus_T: min(modulus_T, path_T) = %g is below the path-grid "
-                          "step min(modulus_eta)/4 = %g" % (modulus_T, min(cfg.modulus_eta) / 4))
-    elif cfg.scenario == "ou_family":
-        grid = time_grid(_ou_dt(cfg), OU_T)
-        rule = "multiples of dt up to %g" % OU_T
-        reads = [("dt", OU_T)]
-    elif cfg.scenario == "reflected_family":
-        grid = time_grid(_reflected_dt(cfg), REFLECTED_T)
-        rule = "multiples of dt up to %g" % REFLECTED_T
-        reads = [("dt", t) for t in REFLECTED_READS]
-    else:
-        return []
-    for name, t in reads:
+    scenario = SCENARIOS[kind]
+    if cfg.test_functions is not None and scenario.test_functions is not None:
         try:
-            grid_index(grid, t)
-        except PathError as exc:
-            errors.append("%s: %s, which holds the %s" % (name, exc, rule))
-    return errors
-
-
-def load_config(path: str) -> ScenarioConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    errors = validate_dict(raw)
-    if errors:
-        raise ValueError("invalid config:\n" + "\n".join("  " + e for e in errors))
-    return ScenarioConfig(**raw)
+            _select(scenario.test_functions(), cfg.test_functions)
+        except ValueError as exc:
+            errors.append("test_functions: %s" % exc)
+    if cfg.mc_count < scenario.min_paths:
+        errors.append("mc_count: %s splits its paths into %d parts, so it needs at least "
+                      "%d" % (kind, scenario.min_paths, scenario.min_paths))
+    return errors + scenario.errors(cfg)
 
 
 def _seed_for(cfg: ScenarioConfig, *key: int) -> int:
@@ -218,6 +167,12 @@ def _trend_check(name: str, labels, values, strict: bool = True) -> dict:
     ok = all((b < a) if strict else (b <= a + 1e-12) for a, b in pairs)
     return {"name": name, "status": "pass" if ok else "fail",
             "labels": list(labels), "values": [float(v) for v in values]}
+
+
+def _trend_checks(prefix: str, fns, rows: list, key: str, labels, strict: bool) -> list:
+    """One ``_trend_check`` per test function over its rows' ``key`` values."""
+    return [_trend_check("%s_%s" % (prefix, f.name), labels,
+                         [r[key] for r in rows if r["f"] == f.name], strict) for f in fns]
 
 
 def _status(name: str, ok: bool, **extra) -> dict:
@@ -261,15 +216,6 @@ def chain_functions(positions: np.ndarray) -> dict:
     }
 
 
-# the registry each scenario selects ``test_functions`` from; validation reads
-# only its names, which do not depend on the chain positions
-TEST_FUNCTIONS = {
-    "torus_collapse": circle_functions,
-    "cone_interval": lambda: chain_functions(np.zeros(1)),
-    "ou_family": line_functions,
-}
-
-
 def _select(registry: dict, names) -> list:
     if names is None:
         return list(registry.values())
@@ -284,25 +230,28 @@ def _select(registry: dict, names) -> list:
 
 KOLMOGOROV_T = (0.25, 0.5)           # the torus runner's Kolmogorov moment times
 OU_T = 1.0                           # the OU runner's horizon, the one time it reads
+OU_DT = 1e-3                         # the OU runner's step when the config sets no dt
 REFLECTED_T = 1.5                    # the reflected runner's horizon
 REFLECTED_READS = (1.0, REFLECTED_T)  # the times its tables read
+REFLECTED_DT = 5e-4                  # the reflected runner's step when no dt is set
 OU_PARTS = 4                         # the OU runner's W2 spread is over this many parts
-# the fewest paths a runner can split into its parts
-MIN_PATHS = {"torus_collapse": BASELINE_PARTS, "cone_interval": BASELINE_PARTS,
-             "ou_family": OU_PARTS}
+
+
+def _off_grid(grid: np.ndarray, rule: str, reads) -> list:
+    """An error for each (field, time) a runner reads that is off its path
+    grid; ``rule`` says which times the grid holds."""
+    errors = []
+    for name, t in reads:
+        try:
+            grid_index(grid, t)
+        except PathError as exc:
+            errors.append("%s: %s, which holds the %s" % (name, exc, rule))
+    return errors
 
 
 def _torus_grid(cfg: ScenarioConfig) -> np.ndarray:
     """The torus runner's path grid: step min(modulus_eta)/4 up to path_T."""
     return time_grid(min(cfg.modulus_eta) / 4, cfg.path_T)
-
-
-def _ou_dt(cfg: ScenarioConfig) -> float:
-    return cfg.dt if cfg.dt is not None else 1e-3
-
-
-def _reflected_dt(cfg: ScenarioConfig) -> float:
-    return cfg.dt if cfg.dt is not None else 5e-4
 
 
 def _divergence_check(ensembles: dict) -> dict:
@@ -326,10 +275,23 @@ def _sample_pathlaw(cfg: ScenarioConfig, pool: ThreadPoolExecutor, members, limi
     base_se = pathlaw_baseline(limit_ens, cfg.times, bins=cfg.bins, seed=_seed_for(cfg, 3))
     rows = []
     for n, _, cmap in members:
-        res = pathlaw_w1(ensembles[n], limit_ens, cfg.times, cmap,
-                         bins=cfg.bins, baseline_se=base_se)
+        res = pathlaw_w1(ensembles[n], limit_ens, cfg.times, base_se, cmap, bins=cfg.bins)
         rows.append({"label": n, **{k: v for k, v in res.items() if k != "check"}})
     return ensembles, limit_ens, rows
+
+
+def _torus_errors(cfg: ScenarioConfig) -> list:
+    """Fdd and Kolmogorov times off the path grid, and a modulus horizon that
+    holds less than one grid step."""
+    errors = []
+    grid = _torus_grid(cfg)
+    modulus_T = min(cfg.modulus_T, cfg.path_T)
+    if np.sum(grid <= modulus_T + 1e-12) < 2:
+        errors.append("modulus_T: min(modulus_T, path_T) = %g is below the path-grid "
+                      "step min(modulus_eta)/4 = %g" % (modulus_T, min(cfg.modulus_eta) / 4))
+    reads = [("times", t) for t in cfg.times]
+    reads += [("kolmogorov_h", t + h) for t in KOLMOGOROV_T for h in cfg.kolmogorov_h]
+    return errors + _off_grid(grid, "multiples of min(modulus_eta)/4 up to path_T", reads)
 
 
 def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
@@ -352,9 +314,8 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     fdd = fdd_convergence_report(family, cfg.times, fns)
     tables["fdd"] = fdd["rows"]
     checks.append(_status("fdd_gaps", fdd["pass"]))
-    for f in fns:
-        series = [r["gap_plus_budget"] for r in fdd["rows"] if r["f"] == f.name]
-        checks.append(_trend_check("fdd_trend_%s" % f.name, cfg.n_grid, series))
+    checks += _trend_checks("fdd_trend", fns, fdd["rows"], "gap_plus_budget", cfg.n_grid,
+                            strict=True)
 
     il = initial_law_w1(family)
     tables["initial_law"] = il["rows"]
@@ -403,6 +364,12 @@ def _interval_chain(resolution: int) -> FiniteMms:
     return FiniteMms(dist=dist, weights=w, base_index=0, coords=pos[:, None])
 
 
+def _cone_errors(cfg: ScenarioConfig) -> list:
+    if cfg.resolution < CONE_MIN_RESOLUTION:
+        return ["resolution: the cone mesh needs at least %d" % CONE_MIN_RESOLUTION]
+    return []
+
+
 def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     res = cfg.resolution
     limit = _interval_chain(res)
@@ -429,9 +396,7 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
                    tolerances=[max_lip * np.pi * np.sqrt(1.0 / n) + 0.05 for n in cfg.n_grid])
     tables["pmg"] = pmg["rows"]
     checks.append(_status("pmg", pmg["pass"]))
-    for f in fns:
-        series = [r["gap"] for r in pmg["rows"] if r["f"] == f.name]
-        checks.append(_trend_check("pmg_trend_%s" % f.name, cfg.n_grid, series, strict=False))
+    checks += _trend_checks("pmg_trend", fns, pmg["rows"], "gap", cfg.n_grid, strict=False)
 
     fdd = fdd_convergence_report(family, cfg.times, fns)
     tables["fdd"] = fdd["rows"]
@@ -453,8 +418,13 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     return checks, tables
 
 
+def _ou_errors(cfg: ScenarioConfig) -> list:
+    return _off_grid(time_grid(cfg.dt or OU_DT, OU_T), "multiples of dt up to %g" % OU_T,
+                     [("dt", OU_T)])
+
+
 def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
-    dt = _ou_dt(cfg)
+    dt = cfg.dt or OU_DT
     limit = EuclideanLogConcave(1, quadratic_potential(1.0))
     members = []
     for n in cfg.n_grid:
@@ -469,9 +439,7 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     fdd = fdd_convergence_report(family, cfg.times, fns, extra_budgets=extra)
     tables["fdd"] = fdd["rows"]
     checks.append(_status("fdd_gaps", fdd["pass"]))
-    for f in fns:
-        series = [r["gap"] for r in fdd["rows"] if r["f"] == f.name]
-        checks.append(_trend_check("fdd_trend_%s" % f.name, cfg.n_grid, series, strict=False))
+    checks += _trend_checks("fdd_trend", fns, fdd["rows"], "gap", cfg.n_grid, strict=False)
 
     il = initial_law_w1(family)
     tables["initial_law"] = il["rows"]
@@ -511,8 +479,14 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     return checks, tables
 
 
+def _reflected_errors(cfg: ScenarioConfig) -> list:
+    return _off_grid(time_grid(cfg.dt or REFLECTED_DT, REFLECTED_T),
+                     "multiples of dt up to %g" % REFLECTED_T,
+                     [("dt", t) for t in REFLECTED_READS])
+
+
 def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
-    dt = _reflected_dt(cfg)
+    dt = cfg.dt or REFLECTED_DT
     t_mid, T = REFLECTED_READS
     v0 = quadratic_potential(0.0)
     x0 = 0.25
@@ -556,6 +530,18 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     return checks, tables
 
 
+def _custom_finite_errors(cfg: ScenarioConfig) -> list:
+    if cfg.finite_file is None:
+        return ["finite_file: required for custom_finite"]
+    if not os.path.exists(cfg.finite_file):
+        return ["finite_file: file not found: %s" % cfg.finite_file]
+    try:
+        FiniteMms.load(cfg.finite_file)
+    except (SpaceError, OSError, UnicodeDecodeError) as exc:
+        return ["finite_file: %s" % exc]
+    return []
+
+
 def run_custom_finite(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     space = FiniteMms.load(cfg.finite_file)
     sk = get_kernel(space)
@@ -577,7 +563,6 @@ def run_custom_finite(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     tables["kernel_checks"] = rows
     checks.append(_status("kernel_algebra", all(r["pass"] for r in rows)))
 
-    from .heat import on_diagonal
     diag = [on_diagonal(space, t, space.base_index) for t in np.arange(0.1, 2.01, 0.1)]
     checks.append(_status("on_diagonal_monotone",
                           all(b <= a + 1e-12 for a, b in zip(diag, diag[1:]))))
@@ -600,13 +585,39 @@ def run_custom_finite(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     return checks, tables
 
 
-RUNNERS = {
-    "torus_collapse": run_torus,
-    "cone_interval": run_cone,
-    "ou_family": run_ou,
-    "reflected_family": run_reflected,
-    "custom_finite": run_custom_finite,
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario kind: what it runs, its runner, the config errors only it
+    can see, the test-function registry its ``test_functions`` select from
+    (None when it takes none), and the fewest paths its runner can split."""
+
+    about: str
+    run: Callable
+    errors: Callable
+    test_functions: Optional[Callable]
+    min_paths: int
+
+
+SCENARIOS = {
+    "torus_collapse": Scenario(
+        "flat tori with shrinking second factor collapsing onto a circle",
+        run_torus, _torus_errors, circle_functions, BASELINE_PARTS),
+    # validation reads only the registry's names, which do not depend on the
+    # chain positions
+    "cone_interval": Scenario(
+        "triangulated narrowing cones collapsing onto a weighted interval",
+        run_cone, _cone_errors, lambda: chain_functions(np.zeros(1)), BASELINE_PARTS),
+    "ou_family": Scenario(
+        "Ornstein-Uhlenbeck family V_n = (1+1/n)|x|^2/2 tightening to V = |x|^2/2",
+        run_ou, _ou_errors, line_functions, OU_PARTS),
+    "reflected_family": Scenario(
+        "reflected Brownian motion on [0,1-1/n] growing to [0,1]",
+        run_reflected, _reflected_errors, None, 1),
+    "custom_finite": Scenario(
+        "kernel-level checks on a finite space loaded from a flat file",
+        run_custom_finite, _custom_finite_errors, None, 1),
 }
+RUNNERS = {kind: s.run for kind, s in SCENARIOS.items()}
 
 
 # --- output -----------------------------------------------------------------
@@ -628,12 +639,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj]
     return obj
@@ -718,28 +725,23 @@ def main(argv=None) -> int:
 
     if args.command == "list-scenarios":
         for name in sorted(SCENARIOS):
-            print("%-18s %s" % (name, SCENARIOS[name]))
-        return 0
-    if args.command == "validate":
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print("error: %s" % exc)
-            return 1
-        errors = validate_dict(raw)
-        if errors:
-            for e in errors:
-                print("error: %s" % e)
-            return 1
-        print("ok")
+            print("%-18s %s" % (name, SCENARIOS[name].about))
         return 0
     try:
-        cfg = load_config(args.config)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc)
         return 1
-    return run_scenario(cfg, threads=args.threads, out_dir=args.out)
+    errors = validate_dict(raw)
+    if errors:
+        for e in errors:
+            print("error: %s" % e)
+        return 1
+    if args.command == "validate":
+        print("ok")
+        return 0
+    return run_scenario(ScenarioConfig(**raw), threads=args.threads, out_dir=args.out)
 
 
 if __name__ == "__main__":

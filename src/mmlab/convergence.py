@@ -9,7 +9,7 @@ tightness — all with explicit fiber-bound and Monte Carlo error budgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ class LipschitzTestFunction:
     f: Callable
     lip: float
     sup_bound: float
-    bounded_support: bool = True
     name: str = "f"
 
     def __call__(self, x):
@@ -258,9 +257,8 @@ def product_distance_matrix(limit: PmmSpace, A: np.ndarray, B: np.ndarray) -> np
 
 
 def pathlaw_w1(ensemble_n: PathEnsemble, ensemble_limit: PathEnsemble,
-               times: Sequence[float], collapse: Optional[CollapseMap] = None,
-               bins: int = 24, n_splits: int = 4, seed: int = 0,
-               baseline_se: Optional[tuple] = None) -> dict:
+               times: Sequence[float], baseline_se: tuple,
+               collapse: Optional[CollapseMap] = None, bins: int = 24) -> dict:
     """W_1 between mapped empirical fdds, with an error budget.
 
     The joint laws are snapped onto per-coordinate bins (bin diameter
@@ -268,7 +266,8 @@ def pathlaw_w1(ensemble_n: PathEnsemble, ensemble_limit: PathEnsemble,
     min-cost flow on the bin grid where the limit's metric allows, else as
     the dense transport LP (see ``_binned_w1``); the self-distance baseline
     and its spread come from random half/half splits of the limit ensemble
-    with the same binning.
+    with the same binning, passed in as ``baseline_se`` from
+    ``pathlaw_baseline``.
     """
     if len(ensemble_n.times) != len(ensemble_limit.times) or \
             np.max(np.abs(ensemble_n.times - ensemble_limit.times)) > 1e-12:
@@ -281,11 +280,7 @@ def pathlaw_w1(ensemble_n: PathEnsemble, ensemble_limit: PathEnsemble,
     specs = [_bin_edges(limit, pooled[:, j], bins) for j in range(k)]
     value = _binned_w1(limit, _weighted_rebin(mu.atoms, mu.weights, specs),
                        _weighted_rebin(nu.atoms, nu.weights, specs), specs)
-    if baseline_se is not None:
-        baseline, se = float(baseline_se[0]), float(baseline_se[1])
-    else:
-        baseline, se = pathlaw_baseline(ensemble_limit, times, bins=bins,
-                                        n_splits=n_splits, seed=seed)
+    baseline, se = float(baseline_se[0]), float(baseline_se[1])
     fiber = 0.0 if collapse is None else collapse.fiber_diameter_bound
     bin_budget = float(sum(spec[1] for spec in specs))
     bound = baseline + k * fiber + 3 * se
@@ -393,8 +388,7 @@ def _binned_w1(limit: PmmSpace, mu, nu, specs) -> float:
     return value
 
 
-def entropy_tightness(family: SpaceFamily, eps: float,
-                      include_limit: bool = True) -> dict:
+def entropy_tightness(family: SpaceFamily, eps: float) -> dict:
     """Relative entropy of the time-eps kernel measure started at the base
     point, w.r.t. each member's probability reference."""
     if eps <= 0:
@@ -410,8 +404,7 @@ def entropy_tightness(family: SpaceFamily, eps: float,
         return {"label": label, "entropy": float(ent)}
 
     rows = [one(label, space) for label, space, _ in family.members]
-    if include_limit:
-        rows.append(one("limit", family.limit))
+    rows.append(one("limit", family.limit))
     ents = [r["entropy"] for r in rows]
     finite = all(np.isfinite(e) for e in ents)
     return {"check": "entropy_tightness", "eps": float(eps), "rows": rows,

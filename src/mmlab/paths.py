@@ -73,33 +73,8 @@ class PathEnsemble:
     def count(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
     def state_at(self, t: float) -> np.ndarray:
         return self.states[:, grid_index(self.times, t), :]
-
-    def to_csv(self) -> str:
-        cols = ",".join("coord_%d" % j for j in range(self.dim))
-        lines = ["path_id,t,%s" % cols]
-        for i in range(self.count):
-            for k, t in enumerate(self.times):
-                vals = ",".join("%.17g" % v for v in self.states[i, k])
-                lines.append("%d,%.17g,%s" % (i, t, vals))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text: str, seed: int = 0, initial_law: str = "unknown",
-                 space=None) -> "PathEnsemble":
-        lines = text.strip().splitlines()
-        body = np.asarray([[float(v) for v in line.split(",")] for line in lines[1:]])
-        ids = body[:, 0].astype(int)
-        count = ids.max() + 1
-        n_t = np.sum(ids == 0)
-        times = body[:n_t, 1]
-        states = body[:, 2:].reshape(count, n_t, -1)
-        return PathEnsemble(times, states, seed, initial_law, space)
 
 
 def time_grid(dt: float, T: float) -> np.ndarray:

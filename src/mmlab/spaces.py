@@ -76,7 +76,7 @@ class Potential:
         return worst
 
 
-def quadratic_potential(a: float, dim: int = 1) -> Potential:
+def quadratic_potential(a: float) -> Potential:
     return Potential(
         value=lambda x, a=a: 0.5 * a * np.sum(np.square(x), axis=-1),
         grad=lambda x, a=a: a * np.atleast_1d(np.asarray(x, dtype=float)),

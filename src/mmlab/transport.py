@@ -11,7 +11,7 @@ entropic regularization anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,25 +66,9 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.atoms
-
     def integrate(self, f: Callable) -> float:
         vals = np.asarray([f(x) for x in self.atoms], dtype=float)
         return float(self.weights @ vals)
-
-    def to_rows(self) -> str:
-        """Serialize as whitespace rows ``weight x_1 ... x_d``."""
-        lines = []
-        for w, x in zip(self.weights, self.atoms):
-            lines.append(" ".join("%.17g" % v for v in [w, *x]))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_rows(text: str) -> "DiscreteMeasure":
-        rows = [[float(v) for v in line.split()] for line in text.strip().splitlines()]
-        arr = np.asarray(rows, dtype=float)
-        return DiscreteMeasure(arr[:, 1:], arr[:, 0])
 
 
 def _merge_close_atoms(atoms: np.ndarray, weights: np.ndarray):
@@ -115,39 +99,34 @@ class TransportPlan:
     """A coupling matrix between two discrete measures."""
 
     plan: np.ndarray
-    marginal_tol: float = MARGINAL_TOL
 
     def check_marginals(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
         rows = self.plan.sum(axis=1)
         cols = self.plan.sum(axis=0)
-        if np.max(np.abs(rows - mu.weights)) > self.marginal_tol:
+        if np.max(np.abs(rows - mu.weights)) > MARGINAL_TOL:
             raise TransportError("row marginals violated")
-        if np.max(np.abs(cols - nu.weights)) > self.marginal_tol:
+        if np.max(np.abs(cols - nu.weights)) > MARGINAL_TOL:
             raise TransportError("column marginals violated")
 
 
-def pairwise_distances(mu: DiscreteMeasure, nu: DiscreteMeasure, metric=None) -> np.ndarray:
-    if metric is None:
-        diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    out = np.empty((len(mu), len(nu)))
-    for i, x in enumerate(mu.atoms):
-        for j, y in enumerate(nu.atoms):
-            out[i, j] = metric(x, y)
-    return out
+def pairwise_distances(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """Euclidean distances between the atoms of ``mu`` and of ``nu``."""
+    diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def wasserstein_exact(p: int, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      metric=None, dist_matrix: np.ndarray | None = None):
+                      dist_matrix: np.ndarray | None = None):
     """W_p between discrete measures via the exact transportation LP.
 
-    Returns ``(value, plan)`` with an optimal feasible TransportPlan.
+    The ground metric is ``dist_matrix``, else the Euclidean one.  Returns
+    ``(value, plan)`` with an optimal feasible TransportPlan.
     """
     if p not in (1, 2):
         raise TransportError("p must be 1 or 2")
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
         raise TransportError("unbalanced masses")
-    d = dist_matrix if dist_matrix is not None else pairwise_distances(mu, nu, metric)
+    d = dist_matrix if dist_matrix is not None else pairwise_distances(mu, nu)
     if not np.all(np.isfinite(d)):
         raise TransportError("non-finite distances")
     n, m = d.shape

@@ -34,7 +34,7 @@ from mmlab import (
     wasserstein_exact,
     EuclideanLogConcave,
 )
-from mmlab.cli import ScenarioConfig, _jsonable, circle_functions, main as cli_main
+from mmlab.cli import SCENARIOS, ScenarioConfig, _jsonable, circle_functions, main as cli_main
 from mmlab.cli import run_cone, run_custom_finite, run_ou, run_reflected, run_torus
 from mmlab.cli import validate_dict, write_csv
 
@@ -95,6 +95,10 @@ def finite_results():
 GOLDEN = {"torus_collapse": "torus_results", "cone_interval": "cone_results",
           "ou_family": "ou_results", "reflected_family": "reflected_results",
           "custom_finite": "finite_results"}
+
+
+def test_every_scenario_has_golden_tables():
+    assert sorted(SCENARIOS) == sorted(GOLDEN)
 
 
 def read_csv(path):

@@ -1,6 +1,7 @@
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import mmlab.cli as cli
 from mmlab import FiniteMms, quadratic_potential
 from mmlab.cli import ScenarioConfig, main, validate_dict
+from mmlab.convergence import BASELINE_PARTS
 from mmlab.spaces import SpaceError
 
 
@@ -50,6 +52,53 @@ def test_validate_command(tmp_path, capsys):
     bad.write_text('{"scenario": "unknown"}')
     assert main(["validate", str(bad)]) == 1
     capsys.readouterr()
+
+
+# a run that got past validation would be short: few paths, one member
+SMALL = '"mc_count": 8, "n_grid": [2]'
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"scenario": "ou_family", "dt": NaN}', "dt: "),
+    ('{"scenario": "torus_collapse", "path_T": Infinity}', "path_T: "),
+    ('{"scenario": "ou_family", "mc_count": null}', "mc_count: "),
+    ('{"scenario": "ou_family", "n_grid": null, "mc_count": 8}', "n_grid: "),
+    ('{"scenario": "ou_family", "times": null, %s}' % SMALL, "times: "),
+    ('{"scenario": "reflected_family", "ks_level": null, %s}' % SMALL, "ks_level: "),
+    ('{"scenario": "ou_family", "fdd_budget_scale": null, %s}' % SMALL, "fdd_budget_scale: "),
+    ('{"scenario": "ou_family", "fdd_budget_scale": "x", %s}' % SMALL, "fdd_budget_scale: "),
+    ('{"scenario": "ou_family", "out_dir": 5, %s}' % SMALL, "out_dir: "),
+    ('{"scenario": "ou_family", "seed": -1, %s}' % SMALL, "seed: "),
+    ('{"scenario": []}', "scenario: "),
+    ('[1, 2]', "config must be a JSON object"),
+])
+def test_validate_rejects_what_the_run_would_crash_on(tmp_path, capsys, text, problem):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 1
+    assert "error: " + problem in capsys.readouterr().out
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: " + problem in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_has_a_rule_for_every_field():
+    for f in fields(ScenarioConfig):
+        errors = validate_dict({"scenario": "torus_collapse", f.name: {}})
+        assert any(e.startswith(f.name + ": ") for e in errors), f.name
+
+
+def test_validate_allows_zero_only_in_seed_and_fdd_budget_scale():
+    assert validate_dict({"scenario": "ou_family", "seed": 0, "fdd_budget_scale": 0}) == []
+    for name in ("mc_count", "dt", "ks_level"):
+        errors = validate_dict({"scenario": "ou_family", name: 0})
+        assert len(errors) == 1 and errors[0].startswith(name + ": must be a ")
+
+
+def test_validate_rejects_grids_that_do_not_increase():
+    for name in cli.INCREASING:
+        errors = validate_dict({"scenario": "ou_family", name: [0.5, 0.5]})
+        assert errors == ["%s: must be strictly increasing" % name]
 
 
 def test_validate_rejects_torus_times_off_the_path_grid(tmp_path, capsys):
@@ -112,7 +161,7 @@ def test_validate_rejects_a_cone_mesh_below_its_minimum_resolution():
 def test_validate_rejects_too_few_paths_for_the_baseline_halves(scenario):
     errors = validate_dict({"scenario": scenario, "mc_count": 1})
     assert len(errors) == 1 and errors[0].startswith("mc_count: ")
-    assert cli.MIN_PATHS[scenario] == 2
+    assert cli.SCENARIOS[scenario].min_paths == BASELINE_PARTS
     assert validate_dict({"scenario": scenario, "mc_count": 2}) == []
 
 

@@ -243,9 +243,9 @@ def test_pathlaw_self_distance_within_baseline():
     grid = np.linspace(0.0, 1.0, 81)
     a = sample_kernel_chain(circle, "base", grid, 4000, seed=30)
     b = sample_kernel_chain(circle, "base", grid, 4000, seed=31)
-    out = pathlaw_w1(a, b, [0.25, 0.75], collapse=None, bins=24, seed=7)
-    assert out["pass"]
     base, se = pathlaw_baseline(b, [0.25, 0.75], bins=24, seed=7)
+    out = pathlaw_w1(a, b, [0.25, 0.75], (base, se), collapse=None, bins=24)
+    assert out["pass"]
     assert out["w1"] <= base + 3 * se + 0.05
 
 

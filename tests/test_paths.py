@@ -155,7 +155,7 @@ def _linear_potential(A):
     ([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]], (1.0, 0.0, 0.0),
      (0.8, 0.0, 0.0)),
 ])
-def test_em_per_point_gradient_when_count_equals_dim(count, A, x0, x1):
+def test_em_batch_gradient_when_count_equals_dim(count, A, x0, x1):
     """Each path gets its own gradient A x_i from the batch form X @ A.T,
     also when the path count equals the dimension.  A gradient written for
     one point (A @ x) is outside the batch rule; with count == d its batch
@@ -217,17 +217,6 @@ def test_reflected_occupation_chi2():
     hist, _ = np.histogram(final, bins=10, range=(0.0, 1.0))
     chi2 = scipy.stats.chisquare(hist)
     assert chi2.pvalue >= 0.01
-
-
-def test_csv_roundtrip():
-    space = Torus(2 * np.pi, np.pi)
-    times = np.linspace(0.0, 0.5, 6)
-    ens = sample_kernel_chain(space, "base", times, 17, seed=12)
-    text = ens.to_csv()
-    assert text.splitlines()[0] == "path_id,t,coord_0,coord_1"
-    back = PathEnsemble.from_csv(text, seed=ens.seed, space=space)
-    assert np.array_equal(back.states, ens.states)
-    assert np.array_equal(back.times, ens.times)
 
 
 def test_extract_fdd_point_mass_and_functoriality():

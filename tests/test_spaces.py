@@ -123,7 +123,7 @@ def test_torus_pushforward_exact():
 
 def test_potential_gradient_check():
     rng = np.random.default_rng(0)
-    v = quadratic_potential(2.5, dim=3)
+    v = quadratic_potential(2.5)
     worst = v.check_gradient(rng.normal(size=(20, 3)))
     assert worst <= 1e-5
     assert v.convexity_modulus == 2.5

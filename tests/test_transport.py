@@ -188,14 +188,6 @@ def test_degenerate_inputs_raise():
         kr_dual_bound(mu, mu, [])
 
 
-def test_rows_roundtrip():
-    rng = np.random.default_rng(5)
-    mu = DiscreteMeasure(rng.normal(size=(4, 3)), rng.dirichlet(np.ones(4)))
-    back = DiscreteMeasure.from_rows(mu.to_rows())
-    assert np.allclose(back.atoms, mu.atoms)
-    assert np.allclose(back.weights, mu.weights)
-
-
 def grid_metric(edge_costs, periodic):
     """Sum over the axes of each axis graph's shortest-path metric, between
     all cells of the grid in C order (Dijkstra on each axis)."""
