@@ -94,7 +94,7 @@ class ScenarioConfig:
 ZERO_ALLOWED = ("seed", "fdd_budget_scale")  # number fields that may also be 0
 INCREASING = ("n_grid", "times")             # lists that must strictly increase
 # what a value of each declared field type must be
-MUST_BE = {"int": "a {} integer", "float": "a finite {} number", "str": "a string",
+MUST_BE = {"int": "a {} integer", "float": "a finite {} number", "str": "a nonempty string",
            "list[float]": "a nonempty list of finite {} numbers",
            "list[str]": "a nonempty list of names"}
 
@@ -105,7 +105,7 @@ def _accepts(kind: str, v, zero: bool) -> bool:
     if kind.startswith("list["):
         return isinstance(v, list) and bool(v) and all(_accepts(kind[5:-1], x, zero) for x in v)
     if kind == "str":
-        return isinstance(v, str)
+        return isinstance(v, str) and v != ""
     return (isinstance(v, int if kind == "int" else (int, float)) and not isinstance(v, bool)
             and (isinstance(v, int) or math.isfinite(v)) and (v >= 0 if zero else v > 0))
 
@@ -365,9 +365,12 @@ def _interval_chain(resolution: int) -> FiniteMms:
 
 
 def _cone_errors(cfg: ScenarioConfig) -> list:
+    errors = []
+    if min(cfg.n_grid) < 1:
+        errors.append("n_grid: the cone mesh needs every entry at least 1")
     if cfg.resolution < CONE_MIN_RESOLUTION:
-        return ["resolution: the cone mesh needs at least %d" % CONE_MIN_RESOLUTION]
-    return []
+        errors.append("resolution: the cone mesh needs at least %d" % CONE_MIN_RESOLUTION)
+    return errors
 
 
 def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):

@@ -131,36 +131,44 @@ def fdd_operator(space: PmmSpace, times: Sequence[float], functions, x) -> float
 
     Bounded by the product of the sup norms of the f_i.
     """
-    return _nested_functional(space, None, times, functions, x)
+    return _nested_functional(space, None, times, [functions], x)[0]
 
 
-def _nested_functional(space: PmmSpace, cmap: Optional[CollapseMap], times, functions,
-                       start) -> float:
-    """The nested functional of ``fdd_operator`` with each f_i pulled back
-    through ``cmap``, evaluated at the point ``start``, or integrated against
-    the probability reference when ``start`` is None."""
+def _nested_functional(space: PmmSpace, cmap: Optional[CollapseMap], times, function_lists,
+                       start) -> list:
+    """The nested functional of ``fdd_operator`` of each list in
+    ``function_lists``, with each f_i pulled back through ``cmap``, evaluated
+    at the point ``start``, or integrated against the probability reference
+    when ``start`` is None.  The lists are the columns of one block, so each
+    time step is one ``apply_values`` call for all of them."""
     times = [float(t) for t in times]
-    if len(times) != len(functions):
+    if any(len(times) != len(functions) for functions in function_lists):
         raise ConvergenceError("times and functions must align")
     if any(b <= a for a, b in zip(times, times[1:])) or times[0] < 0:
         raise ConvergenceError("times must be strictly increasing and nonnegative")
+    if not function_lists:
+        return []
     sk = get_kernel(space)
     pts = _mapped_points(space, cmap, sk.points)
-    fvals = [_evaluate(f, pts) for f in functions]
+    # fvals[i][:, j] holds the i-th function of list j on the grid
+    fvals = [np.stack([_evaluate(functions[i], pts) for functions in function_lists], axis=1)
+             for i in range(len(times))]
     vals = fvals[-1]
     for i in range(len(times) - 1, 0, -1):
         vals = fvals[i - 1] * sk.apply_values(times[i] - times[i - 1], vals)
     t1 = times[0]
     if start is None:
-        return float(np.sum(weighted_measure(space).masses() * sk.apply_values(t1, vals)))
+        masses = weighted_measure(space).masses()
+        vals = sk.apply_values(t1, vals)
+        return [float(np.sum(masses * v)) for v in vals.T]
     if t1 == 0:
         # evaluate at the grid point nearest the start
         if isinstance(space, FiniteMms):
-            return float(vals[int(start)])
+            return [float(v) for v in vals[int(start)]]
         d = np.asarray(space.distance(sk.points, start))
-        return float(vals[int(np.argmin(d))])
-    row = sk.kernel_row(t1, start)
-    return float(np.sum(sk.weights * row * vals))
+        return [float(v) for v in vals[int(np.argmin(d))]]
+    weighted_row = sk.weights * sk.kernel_row(t1, start)
+    return [float(np.sum(weighted_row * v)) for v in vals.T]
 
 
 def mcshane_extend(domain_points, values, H: float, metric) -> Callable:
@@ -207,17 +215,19 @@ def fdd_convergence_report(family: SpaceFamily, times: Sequence[float],
     if mode not in ("point-start", "weighted-start"):
         raise ConvergenceError("mode must be point-start or weighted-start")
     k = len(times)
+    lists = [[f] * k for f in functions]
 
-    def value_on(space, cmap, fs):
+    def values_on(space, cmap):
         start = space.base_point if mode == "point-start" else None
-        return _nested_functional(space, cmap, times, fs, start)
+        return _nested_functional(space, cmap, times, lists, start)
 
+    vals_limit = values_on(family.limit, None)
+    vals_members = [values_on(space, cmap) for _, space, cmap in family.members]
     rows = []
-    for f in functions:
-        fs = [f] * k
-        val_limit = value_on(family.limit, None, fs)
-        for label, space, cmap in family.members:
-            val_n = value_on(space, cmap, fs)
+    for fi, f in enumerate(functions):
+        val_limit = vals_limit[fi]
+        for (label, _, cmap), vals in zip(family.members, vals_members):
+            val_n = vals[fi]
             fiber = 0.0 if cmap is None else cmap.fiber_diameter_bound
             budget = k * f.lip * fiber + QUAD_TOL
             if extra_budgets is not None:

@@ -11,6 +11,12 @@ spaces get a graph generator with exact detailed balance and a symmetric
 eigendecomposition.  ``get_kernel`` builds a space's kernel once and keeps it
 on the space itself, so the kernel and its per-t caches live exactly as long
 as the space does.
+
+``apply_values`` takes the grid values of one function as an (n,) vector, or
+of m functions as the columns of an (n, m) block.  Column j of a block's
+result is bit-identical to the (n,) call on column j: the matrix kernels do
+one matrix-vector product per column, and the circle and torus transform each
+column alone.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ STOCHASTIC_TOL = 1e-10
 DETAILED_BALANCE_TOL = 1e-9
 # threshold below which image sums beat eigen-sums (both < 50 terms to 1e-12)
 SERIES_CROSSOVER = 0.3
+# rows of the Mehler matrix built at a time, so no dense n x n matrix is held
+MEHLER_SLAB = 256
 
 
 class HeatError(ValueError):
@@ -45,6 +53,16 @@ class HeatError(ValueError):
 
 def _gauss(z: np.ndarray, var: float) -> np.ndarray:
     return np.exp(-np.square(z) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+
+
+def _per_column(mat: np.ndarray, values) -> np.ndarray:
+    """mat @ values for an (n,) vector or an (n, m) block, one matrix-vector
+    product per column; each column is copied contiguous first, so the
+    product sees the same memory layout as an (n,) call."""
+    values = np.asarray(values, dtype=float)
+    cols = np.ascontiguousarray(values.reshape(len(values), -1).T)
+    out = np.stack([mat @ c for c in cols], axis=-1)
+    return out.reshape(mat.shape[:1] + values.shape[1:])
 
 
 def circle_kernel_arc(t: float, dx, circumference: float) -> np.ndarray:
@@ -112,7 +130,9 @@ class SpectralKernel:
         raise NotImplementedError
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
-        """P_t f for f given by its values on the grid."""
+        """P_t f for f given by its values on the grid: an (n,) vector, or an
+        (n, m) block of m functions whose column j of the result is
+        bit-identical to the (n,) call on column j."""
         raise NotImplementedError
 
     def gap(self) -> float:
@@ -163,8 +183,9 @@ class CircleKernel(SpectralKernel):
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         if t == 0:
             return np.asarray(values, dtype=float)
-        f_hat = np.fft.rfft(np.asarray(values, dtype=float))
-        return np.fft.irfft(f_hat * self._multiplier(t), n=self.space.n_nodes)
+        # transform along the grid axis, last after transposing a block
+        f_hat = np.fft.rfft(np.asarray(values, dtype=float).T)
+        return np.fft.irfft(f_hat * self._multiplier(t), n=self.space.n_nodes).T
 
     def gap(self) -> float:
         return (2 * np.pi / self.space.circumference) ** 2
@@ -196,10 +217,12 @@ class TorusKernel(SpectralKernel):
         if t == 0:
             return np.asarray(values, dtype=float)
         n1, n2 = self._shape
-        v = np.asarray(values, dtype=float).reshape(self._shape)
-        v = np.fft.irfft(np.fft.rfft(v, axis=0) * self._f1._multiplier(t)[:, None], n=n1, axis=0)
-        v = np.fft.irfft(np.fft.rfft(v, axis=1) * self._f2._multiplier(t)[None, :], n=n2, axis=1)
-        return v.ravel()
+        v = np.asarray(values, dtype=float).T
+        lead = v.shape[:-1]
+        v = v.reshape(lead + self._shape)
+        v = np.fft.irfft(np.fft.rfft(v, axis=-2) * self._f1._multiplier(t)[:, None], n=n1, axis=-2)
+        v = np.fft.irfft(np.fft.rfft(v, axis=-1) * self._f2._multiplier(t), n=n2, axis=-1)
+        return v.reshape(lead + (n1 * n2,)).T
 
     def gap(self) -> float:
         return min(self._f1.gap(), self._f2.gap())
@@ -231,7 +254,7 @@ class IntervalKernel(SpectralKernel):
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         if t == 0:
             return np.asarray(values, dtype=float)
-        return self.transition_matrix(t) @ np.asarray(values, dtype=float)
+        return _per_column(self.transition_matrix(t), values)
 
     def gap(self) -> float:
         return (np.pi / self.space.length) ** 2
@@ -275,11 +298,16 @@ class GaussianKernel(SpectralKernel):
         return float(_gauss(y0 - mean, var)) * np.exp(0.5 * self.a * y0 * y0)
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
         if t == 0:
-            return np.asarray(values, dtype=float)
+            return values
         mean, var = self._moments(t, self._points)
-        mat = _gauss(self._points[None, :] - mean[:, None], var) * self._h
-        return mat @ np.asarray(values, dtype=float)
+        out = np.empty(values.shape)
+        for lo in range(0, len(mean), MEHLER_SLAB):
+            rows = slice(lo, lo + MEHLER_SLAB)
+            slab = _gauss(self._points[None, :] - mean[rows, None], var) * self._h
+            out[rows] = _per_column(slab, values)
+        return out
 
     def gap(self) -> float:
         if self.a <= 0:
@@ -337,7 +365,7 @@ class FiniteKernel(SpectralKernel):
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         if t == 0:
             return np.asarray(values, dtype=float)
-        return self.transition_matrix(t) @ np.asarray(values, dtype=float)
+        return _per_column(self.transition_matrix(t), values)
 
     def gap(self) -> float:
         rates = np.sort(-self._lam)
@@ -436,6 +464,14 @@ def spectral_gap(space: PmmSpace) -> float:
     return get_kernel(space).gap()
 
 
+def _block(sk: SpectralKernel, functions) -> np.ndarray:
+    """Grid values of the functions as the columns of an (n, m) block."""
+    cols = [sk.evaluate(f) for f in functions]
+    if not cols:
+        raise HeatError("no functions given")
+    return np.stack(cols, axis=1)
+
+
 def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions,
                        M: Optional[float] = None, eps: Optional[float] = None,
                        tol: float = 1e-9) -> dict:
@@ -450,14 +486,15 @@ def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions
     sk = get_kernel(space)
     lam = sk.gap()
     tw = weighted_measure(space).masses()
+    block = _block(sk, trial_functions)
+    applied = [sk.apply_values(t, block) for t in t_grid]
     rows = []
-    for fi, f in enumerate(trial_functions):
-        vals = sk.evaluate(f)
+    for fi, vals in enumerate(block.T):
         mean = float(np.sum(tw * vals))
         centered = vals - mean
         base = float(np.sqrt(np.sum(tw * centered * centered)))
-        for t in t_grid:
-            pt = sk.apply_values(t, vals) - mean
+        for t, p in zip(t_grid, applied):
+            pt = p[:, fi] - mean
             lhs = float(np.sqrt(np.sum(tw * pt * pt)))
             rhs = np.exp(-lam * t) * base
             row = {"check": "mixing_l2", "f": fi, "t": float(t),
@@ -528,13 +565,14 @@ def feller_check(space: PmmSpace, test_functions, t_grid: Sequence[float],
     """Strong continuity at t -> 0: sup|P_t f - f| shrinks below tol."""
     ts = sorted(float(t) for t in t_grid)
     sk = get_kernel(space)
+    block = _block(sk, test_functions)
+    applied = [sk.apply_values(t, block) for t in ts]
     rows = []
     ok = True
-    for fi, f in enumerate(test_functions):
-        vals = sk.evaluate(f)
+    for fi, vals in enumerate(block.T):
         gaps = []
-        for t in ts:
-            gap = float(np.max(np.abs(sk.apply_values(t, vals) - vals)))
+        for t, p in zip(ts, applied):
+            gap = float(np.max(np.abs(p[:, fi] - vals)))
             gaps.append(gap)
             rows.append({"check": "feller", "f": fi, "t": t, "sup_gap": gap})
         monotone = all(a <= b + 1e-9 for a, b in zip(gaps, gaps[1:]))

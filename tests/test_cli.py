@@ -68,6 +68,8 @@ SMALL = '"mc_count": 8, "n_grid": [2]'
     ('{"scenario": "ou_family", "fdd_budget_scale": null, %s}' % SMALL, "fdd_budget_scale: "),
     ('{"scenario": "ou_family", "fdd_budget_scale": "x", %s}' % SMALL, "fdd_budget_scale: "),
     ('{"scenario": "ou_family", "out_dir": 5, %s}' % SMALL, "out_dir: "),
+    ('{"scenario": "ou_family", "out_dir": "", %s}' % SMALL, "out_dir: "),
+    ('{"scenario": "cone_interval", "n_grid": [0.5], "mc_count": 8}', "n_grid: "),
     ('{"scenario": "ou_family", "seed": -1, %s}' % SMALL, "seed: "),
     ('{"scenario": []}', "scenario: "),
     ('[1, 2]', "config must be a JSON object"),
@@ -155,6 +157,26 @@ def test_validate_rejects_a_cone_mesh_below_its_minimum_resolution():
     assert validate_dict({"scenario": "cone_interval", "resolution": 4}) == []
     # only the cone runner meshes a cone
     assert validate_dict({"scenario": "torus_collapse", "resolution": 3}) == []
+
+
+def test_cone_kernel_caches_hold_one_matrix_per_step_length(monkeypatch):
+    spaces = []
+    real = cli.set_generator
+
+    def spy(space, generator):
+        spaces.append(space)
+        real(space, generator)
+
+    monkeypatch.setattr(cli, "set_generator", spy)
+    cfg = ScenarioConfig(scenario="cone_interval", n_grid=[1, 2], mc_count=8, resolution=6)
+    with ThreadPoolExecutor(2) as pool:
+        cli.run_cone(cfg, pool)
+    # the entropy time, the first fdd time and the gap between fdd times
+    steps = {cfg.eps_entropy, *np.diff([0.0] + cfg.times)}
+    assert steps == {0.1, 0.25, 0.5}
+    assert len(spaces) == 3
+    for space in spaces:
+        assert set(vars(space)["_kernel"]._cache) == steps
 
 
 @pytest.mark.parametrize("scenario", ["torus_collapse", "cone_interval"])

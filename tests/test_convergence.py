@@ -6,6 +6,7 @@ from mmlab import (
     Circle,
     CollapseMap,
     DiscreteMeasure,
+    EuclideanLogConcave,
     FiniteMms,
     Interval,
     LipschitzTestFunction,
@@ -20,6 +21,7 @@ from mmlab import (
     mcshane_extend,
     pathlaw_w1,
     pmg_test,
+    quadratic_potential,
     sample_kernel_chain,
     semigroup_apply,
     set_generator,
@@ -27,6 +29,8 @@ from mmlab import (
     weighted_measure,
 )
 import mmlab.convergence as convergence
+import mmlab.heat as heat
+from mmlab.cli import circle_functions, line_functions
 from mmlab.convergence import (
     ConvergenceError,
     _bin_edges,
@@ -230,6 +234,38 @@ def test_fdd_report_torus_within_budget():
     for r in out["rows"]:
         assert r["gap"] <= r["budget"]
         assert r["budget"] == pytest.approx(2 * COS.lip * np.pi / r["label"] + 1e-6)
+
+
+def test_fdd_report_torus_values_equal_the_limit():
+    # the circle functions factor through the collapsed coordinate, so each
+    # torus's product-kernel value is the limit's up to rounding
+    fam = torus_family([1, 2, 4, 8, 16])
+    out = fdd_convergence_report(fam, [0.25, 0.75], list(circle_functions().values()))
+    assert len(out["rows"]) == 15
+    for r in out["rows"]:
+        assert abs(r["value"] - r["value_limit"]) <= 1e-12
+
+
+def test_fdd_report_applies_each_semigroup_once_per_step(monkeypatch):
+    calls = []
+    real = heat.GaussianKernel.apply_values
+
+    def counted(self, t, values):
+        calls.append(np.shape(values))
+        return real(self, t, values)
+
+    monkeypatch.setattr(heat.GaussianKernel, "apply_values", counted)
+    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
+    members = []
+    for n in (1, 2, 4, 8):
+        space = EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n))
+        members.append((n, space, CollapseMap(space, limit, lambda x: x, 0.0)))
+    fns = list(line_functions().values())
+    out = fdd_convergence_report(SpaceFamily(members, limit), [0.25, 0.75], fns)
+    assert calls == [(4096, 3)] * 5
+    # rows stay function-major, member-minor
+    assert [(r["f"], r["label"]) for r in out["rows"]] == [
+        (f.name, n) for f in fns for n in (1, 2, 4, 8)]
 
 
 def test_fdd_report_extra_budgets():

@@ -28,6 +28,7 @@ from mmlab import (
     spectral_gap,
     weighted_measure,
 )
+import mmlab.heat as heat
 from mmlab.heat import HeatError
 
 from _oracles import circle_kernel_series, interval_kernel_series, ou_mean_var
@@ -298,3 +299,37 @@ def test_semigroup_apply_matches_kernel_row():
     # eigenfunction cos(pi x) decays at rate pi^2; sin projected onto cosines
     direct = np.array([np.sum(sk.weights * sk.kernel_row(0.2, x) * f) for x in pts[::64]])
     assert np.max(np.abs(pf[::64] - direct)) <= 1e-9
+
+
+BLOCK_SPACES = [Circle(2 * np.pi, n_nodes=256), Torus(2 * np.pi, np.pi / 2, n_nodes=(64, 32)),
+                Interval(0.0, 1.0, n_nodes=200),
+                EuclideanLogConcave(1, quadratic_potential(1.5), n_nodes=600)]
+
+
+@pytest.mark.parametrize("space", BLOCK_SPACES + [None],
+                         ids=["circle", "torus", "interval", "gaussian", "finite"])
+def test_apply_values_block_is_columnwise_identical(space):
+    rng = np.random.default_rng(5)
+    if space is None:
+        space = random_finite(rng, 15)
+    sk = get_kernel(space)
+    block = rng.standard_normal((len(sk.points), 3))
+    for t in (0.0, 0.1, 1.0):
+        out = sk.apply_values(t, block)
+        assert out.shape == block.shape
+        for j in range(3):
+            assert np.array_equal(out[:, j], sk.apply_values(t, block[:, j].copy()))
+
+
+@pytest.mark.parametrize("n_nodes", [600, 1000])
+def test_mehler_slabs_match_the_dense_matrix(n_nodes):
+    # neither grid is a multiple of the slab height, so the last slab is short
+    assert n_nodes % heat.MEHLER_SLAB != 0
+    sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(1.5), n_nodes=n_nodes))
+    t = 0.5
+    mean, var = sk._moments(t, sk.points)
+    dense = heat._gauss(sk.points[None, :] - mean[:, None], var) * sk._h
+    block = np.random.default_rng(6).standard_normal((n_nodes, 3))
+    out = sk.apply_values(t, block)
+    for j in range(3):
+        assert np.array_equal(out[:, j], dense @ np.ascontiguousarray(block[:, j]))
