@@ -25,6 +25,7 @@ from numpy.random import SeedSequence
 
 from .convergence import (
     BASELINE_PARTS,
+    QUAD_TOL,
     LipschitzTestFunction,
     SpaceFamily,
     entropy_tightness,
@@ -314,6 +315,10 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     fdd = fdd_convergence_report(family, cfg.times, fns)
     tables["fdd"] = fdd["rows"]
     checks.append(_status("fdd_gaps", fdd["pass"]))
+    # the circle functions factor through the first coordinate and the torus
+    # kernel is a product, so each member's value is the limit's
+    max_gap = max(r["gap"] for r in fdd["rows"])
+    checks.append(_status("fdd_product_identity", max_gap <= QUAD_TOL, max_gap=max_gap))
     checks += _trend_checks("fdd_trend", fns, fdd["rows"], "gap_plus_budget", cfg.n_grid,
                             strict=True)
 

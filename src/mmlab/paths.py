@@ -314,9 +314,13 @@ def modulus_statistic(ensemble: PathEnsemble, T: float, etas: Sequence[float],
     sup_{|t-s|<=eta, t,s<=T} d(B_t, B_s) > delta, the supremum taken over the
     stored grid (a lower-bound proxy).
 
-    Each lag up to the largest eta is scanned once; an eta's statistic is the
-    OR of the per-lag exceedances within it.  The grid step must not exceed
-    min(etas)/4.
+    One scan for all eta, over only the paths still under delta: lag l is
+    measured only on the paths that went past delta at no smaller lag, and
+    the scan stops when none is left or l passes the largest eta.  Each
+    path's first such lag is kept, and an eta's statistic is the fraction of
+    paths whose first lag lies within eta.  The statistic is therefore
+    monotone (non-decreasing) in eta by construction.  The grid step must not
+    exceed min(etas)/4.
     """
     etas = [float(eta) for eta in etas]
     sel = ensemble.times <= T + 1e-12
@@ -327,19 +331,20 @@ def modulus_statistic(ensemble: PathEnsemble, T: float, etas: Sequence[float],
         raise PathError("grid step exceeds eta/4")
     states = ensemble.states[:, sel]
     n_t = len(times)
-    # exceeded[l] marks the paths exceeding delta at some lag <= l + 1
-    exceeded = []
-    for lag in range(1, n_t):
-        if times[lag] - times[0] > max(etas) + 1e-12:
+    # first_lag[i] is the first lag at which path i went past delta; n_t, a
+    # lag no grid holds, means never
+    first_lag = np.full(len(states), n_t)
+    todo = np.arange(len(states))
+    offsets = times[1:] - times[0]
+    for lag in range(1, int(np.sum(offsets <= max(etas) + 1e-12)) + 1):
+        if len(todo) == 0:
             break
-        d = _pair_distance(ensemble, states[:, :n_t - lag], states[:, lag:])
+        rows = states[todo]
+        d = _pair_distance(ensemble, rows[:, :n_t - lag], rows[:, lag:])
         hit = np.any(d > delta, axis=1)
-        exceeded.append(hit | exceeded[-1] if exceeded else hit)
-    stats = []
-    for eta in etas:
-        lags = int(np.sum(times[1:len(exceeded) + 1] - times[0] <= eta + 1e-12))
-        stats.append(float(np.mean(exceeded[lags - 1])))
-    return stats
+        first_lag[todo[hit]] = lag
+        todo = todo[~hit]
+    return [float(np.mean(first_lag <= np.sum(offsets <= eta + 1e-12))) for eta in etas]
 
 
 def kolmogorov_moment(ensemble: PathEnsemble, beta: float,
@@ -351,11 +356,11 @@ def kolmogorov_moment(ensemble: PathEnsemble, beta: float,
     rows = []
     per_h: dict = {}
     for t in t_grid:
+        a = ensemble.state_at(t)
         for h in h_grid:
             if h == 0:
                 rows.append({"t": float(t), "h": 0.0, "moment": 0.0, "se": 0.0})
                 continue
-            a = ensemble.state_at(t)
             b = ensemble.state_at(t + h)
             d = np.minimum(_pair_distance(ensemble, a, b), 1.0)
             vals = d ** beta

@@ -179,6 +179,30 @@ def test_cone_kernel_caches_hold_one_matrix_per_step_length(monkeypatch):
         assert set(vars(space)["_kernel"]._cache) == steps
 
 
+@pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
+def test_torus_product_identity_fails_off_the_first_coordinate(monkeypatch, second):
+    # collapsing the n = 4 torus onto its short coordinate pulls the circle
+    # functions back through another map, so its fdd values leave the limit's
+    real = cli.CollapseMap
+
+    def second_coordinate(x):
+        return np.asarray(x, dtype=float)[..., 1]
+
+    def collapse(space, target, fmap, fiber):
+        if second and space.len2 < np.pi:
+            fmap = second_coordinate
+        return real(space, target, fmap, fiber)
+
+    monkeypatch.setattr(cli, "CollapseMap", collapse)
+    cfg = ScenarioConfig(scenario="torus_collapse", n_grid=[1, 4], mc_count=8)
+    with ThreadPoolExecutor(2) as pool:
+        checks, tables = cli.run_torus(cfg, pool)
+    [check] = [c for c in checks if c["name"] == "fdd_product_identity"]
+    assert check["max_gap"] == max(r["gap"] for r in tables["fdd"])
+    assert check["status"] == ("fail" if second else "pass")
+    assert (check["max_gap"] > cli.QUAD_TOL) == second
+
+
 @pytest.mark.parametrize("scenario", ["torus_collapse", "cone_interval"])
 def test_validate_rejects_too_few_paths_for_the_baseline_halves(scenario):
     errors = validate_dict({"scenario": scenario, "mc_count": 1})

@@ -18,6 +18,7 @@ from mmlab import (
     quadratic_potential,
     sample_kernel_chain,
 )
+import mmlab.paths as paths
 from mmlab.paths import PathError, _pair_distance, grid_index
 from mmlab.spaces import SpaceError
 
@@ -244,13 +245,33 @@ def test_extract_fdd_point_mass_and_functoriality():
     assert np.allclose(ua, ub) and np.allclose(wa, wb)
 
 
-def test_modulus_trivial_cases():
+def _count_measured_paths(monkeypatch):
+    """The number of paths each distance call of the modulus scan measures,
+    in call order (one call per lag)."""
+    measured = []
+    real = paths._pair_distance
+
+    def counted(ensemble, a, b):
+        measured.append(len(a))
+        return real(ensemble, a, b)
+
+    monkeypatch.setattr(paths, "_pair_distance", counted)
+    return measured
+
+
+def test_modulus_trivial_cases(monkeypatch):
+    measured = _count_measured_paths(monkeypatch)
     times = np.linspace(0.0, 1.0, 41)
     const = PathEnsemble(times, np.zeros((50, 41, 1)), 0, "point", Circle(2 * np.pi),
                          np.zeros(50, dtype=bool))
     assert modulus_statistic(const, 1.0, [0.1], 0.5) == [0.0]
+    # no path ever passes delta: every lag within eta = 4 steps measures all
+    assert measured == [50] * 4
+    measured.clear()
     moving = sample_kernel_chain(Circle(2 * np.pi), "base", times, 50, seed=14)
     assert modulus_statistic(moving, 1.0, [0.1], 0.0) == [1.0]
+    # every moving path passes delta = 0 at lag 1, so no later lag is measured
+    assert measured == [50]
 
 
 def test_modulus_grid_too_coarse_rejected():
@@ -284,13 +305,35 @@ def test_modulus_multi_eta_equals_per_eta_loop(space):
     def dist(a, b):
         return _pair_distance(ens, a, b)
 
-    seen = set()
-    for T, delta in [(0.3, 0.5), (0.5, 0.8)]:
+    seen, by_delta = set(), {}
+    # delta 2.0: most paths never pass it; delta -1: every path passes at lag 1
+    for T, delta in [(0.3, 0.5), (0.5, 0.8), (0.5, 2.0), (0.3, -1.0)]:
         stats = modulus_statistic(ens, T, etas, delta)
         assert stats == [modulus_statistic_loop(ens.times, ens.states, T, eta, delta, dist)
                          for eta in etas]
         seen.update(stats)
+        by_delta[delta] = stats
     assert len(seen) >= 4
+    assert 0 < max(by_delta[2.0]) < 1
+    assert by_delta[-1.0] == [1.0] * len(etas)
+
+
+@pytest.mark.parametrize("space", [Circle(2 * np.pi), Torus(2 * np.pi, np.pi, n_nodes=(64, 32)),
+                                   _ring(16)], ids=["circle", "torus", "finite"])
+def test_modulus_measures_only_the_paths_still_under_delta(monkeypatch, space):
+    times = np.arange(0, 0.5 + 1e-12, 0.0125)
+    ens = sample_kernel_chain(space, "base", times, 500, seed=32)
+    n_t = len(times)
+    under = np.ones(ens.count, dtype=bool)
+    expected = []
+    for lag in range(1, 17):  # the lags within eta = 0.2
+        expected.append(int(np.sum(under)))
+        d = _pair_distance(ens, ens.states[:, :n_t - lag], ens.states[:, lag:])
+        under &= ~np.any(d > 1.0, axis=1)
+    measured = _count_measured_paths(monkeypatch)
+    modulus_statistic(ens, 0.5, (0.05, 0.2), 1.0)
+    assert measured == expected
+    assert expected[0] > expected[-1] > 0
 
 
 def test_modulus_step_rule_uses_smallest_eta():
