@@ -329,21 +329,21 @@ def modulus_statistic(ensemble: PathEnsemble, T: float, etas: Sequence[float],
         raise PathError("grid does not cover [0, T]")
     if np.max(np.diff(times)) > min(etas) / 4 + 1e-12:
         raise PathError("grid step exceeds eta/4")
-    states = ensemble.states[:, sel]
     n_t = len(times)
+    # the times are increasing, so those up to T are a prefix: a view
+    rows = ensemble.states[:, :n_t]
     # first_lag[i] is the first lag at which path i went past delta; n_t, a
-    # lag no grid holds, means never
-    first_lag = np.full(len(states), n_t)
-    todo = np.arange(len(states))
+    # lag no grid holds, means never.  rows holds the states of the paths todo.
+    first_lag = np.full(ensemble.count, n_t)
+    todo = np.arange(ensemble.count)
     offsets = times[1:] - times[0]
     for lag in range(1, int(np.sum(offsets <= max(etas) + 1e-12)) + 1):
         if len(todo) == 0:
             break
-        rows = states[todo]
         d = _pair_distance(ensemble, rows[:, :n_t - lag], rows[:, lag:])
         hit = np.any(d > delta, axis=1)
         first_lag[todo[hit]] = lag
-        todo = todo[~hit]
+        todo, rows = todo[~hit], rows[~hit]
     return [float(np.mean(first_lag <= np.sum(offsets <= eta + 1e-12))) for eta in etas]
 
 
