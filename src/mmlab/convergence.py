@@ -36,6 +36,7 @@ from .transport import (
 QUAD_TOL = 1e-6
 LIP_SLACK = 1e-6
 BASELINE_PARTS = 2   # pathlaw_baseline compares two halves of the limit ensemble
+BASELINE_SPLITS = 4  # the random half/half splits pathlaw_baseline averages
 
 
 class ConvergenceError(ValueError):
@@ -89,11 +90,9 @@ class SpaceFamily:
         object.__setattr__(self, "limit", limit)
 
 
-def _mapped_points(space: PmmSpace, cmap: Optional[CollapseMap], pts: np.ndarray) -> np.ndarray:
+def _mapped_points(cmap: Optional[CollapseMap], pts: np.ndarray) -> np.ndarray:
     if cmap is None:
         return pts
-    if isinstance(space, FiniteMms):
-        return np.asarray(cmap.map(np.asarray(pts, dtype=int)), dtype=float)
     return np.asarray(cmap.map(pts), dtype=float)
 
 
@@ -108,8 +107,8 @@ def pmg_test(family: SpaceFamily, test_functions: Sequence[LipschitzTestFunction
     for mi, (label, space, cmap) in enumerate(family.members):
         ref = weighted_measure(space)
         masses = ref.masses()
-        mapped = _mapped_points(space, cmap, ref.points)
-        base = _mapped_points(space, cmap, np.asarray([space.base_point]))[0]
+        mapped = _mapped_points(cmap, ref.points)
+        base = _mapped_points(cmap, np.asarray([space.base_point]))[0]
         base_gap = float(np.asarray(family.limit.distance(base, family.limit.base_point)))
         tol = None if tolerances is None else tolerances[mi]
         for fi, f in enumerate(test_functions):
@@ -149,7 +148,7 @@ def _nested_functional(space: PmmSpace, cmap: Optional[CollapseMap], times, func
     if not function_lists:
         return []
     sk = get_kernel(space)
-    pts = _mapped_points(space, cmap, sk.points)
+    pts = _mapped_points(cmap, sk.points)
     # fvals[i][:, j] holds the i-th function of list j on the grid
     fvals = [np.stack([_evaluate(functions[i], pts) for functions in function_lists], axis=1)
              for i in range(len(times))]
@@ -300,7 +299,7 @@ def pathlaw_w1(ensemble_n: PathEnsemble, ensemble_limit: PathEnsemble,
 
 
 def pathlaw_baseline(ensemble_limit: PathEnsemble, times: Sequence[float],
-                     bins: int = 24, n_splits: int = 4, seed: int = 0) -> tuple:
+                     bins: int = 24, seed: int = 0) -> tuple:
     """Self-distance of the limit ensemble: mean and spread of binned W_1
     between random half/half splits (the zero-versus-noise reference)."""
     limit = ensemble_limit.space
@@ -309,7 +308,7 @@ def pathlaw_baseline(ensemble_limit: PathEnsemble, times: Sequence[float],
     rng = make_rng(seed, 7)
     split_vals = []
     half = ensemble_limit.count // BASELINE_PARTS
-    for _ in range(n_splits):
+    for _ in range(BASELINE_SPLITS):
         perm = rng.permutation(ensemble_limit.count)
         a_idx, b_idx = perm[:half], perm[half:2 * half]
         fa = extract_fdd(_subset(ensemble_limit, a_idx), times)
@@ -433,7 +432,7 @@ def initial_law_w1(family: SpaceFamily, bins: int = 64) -> dict:
     for label, space, cmap in family.members:
         ref = weighted_measure(space)
         masses = ref.masses()
-        mapped = _mapped_points(space, cmap, ref.points)
+        mapped = _mapped_points(cmap, ref.points)
         mu = DiscreteMeasure(np.asarray(mapped, dtype=float), masses / masses.sum())
         if isinstance(limit, Circle):
             spec = [_bin_edges(limit, None, bins)]

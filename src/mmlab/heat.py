@@ -33,7 +33,6 @@ from .spaces import (
     FiniteMms,
     Interval,
     PmmSpace,
-    QuadratureDensity,
     Torus,
     _evaluate,
     weighted_measure,
@@ -109,25 +108,27 @@ class SpectralKernel:
     """Semigroup interface: quadrature grid plus kernel/apply queries.
 
     All kernel densities are w.r.t. the space's reference measure, so
-    conservativeness reads sum_j p(t, x, y_j) w_j = 1.
+    conservativeness reads sum_j p(t, x, y_j) w_j = 1.  Each kernel states its
+    density once, as ``_density(t, x, y)`` for an array of points y;
+    ``kernel_row`` and ``kernel_value`` both read it.
     """
 
-    space: PmmSpace
+    def __init__(self, space: PmmSpace):
+        self.space = space
+        self.points, self.weights = space.quadrature()
+        self._cache: dict = {}
+        self._lock = threading.Lock()
 
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
+    def _density(self, t: float, x, y) -> np.ndarray:
+        """p(t, x, y) at each point of the array y."""
+        raise NotImplementedError
 
     def kernel_row(self, t: float, x) -> np.ndarray:
         """Density p(t, x, .) at every grid point."""
-        raise NotImplementedError
+        return self._density(t, x, self.points)
 
     def kernel_value(self, t: float, x, y) -> float:
-        raise NotImplementedError
+        return self._density(t, x, y).item()
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         """P_t f for f given by its values on the grid: an (n,) vector, or an
@@ -142,9 +143,9 @@ class SpectralKernel:
         """Values on the grid of a callable on native points, or of a vector
         of grid values."""
         if callable(f):
-            return _evaluate(f, self._points)
+            return _evaluate(f, self.points)
         vals = np.asarray(f, dtype=float)
-        if vals.shape[0] != len(self._points):
+        if vals.shape[0] != len(self.points):
             raise HeatError("function vector length mismatch")
         return vals
 
@@ -162,23 +163,16 @@ class SpectralKernel:
 
 class CircleKernel(SpectralKernel):
     def __init__(self, space: Circle):
-        self.space = space
-        self._points, self._weights = space.quadrature()
+        super().__init__(space)
         self._h = space.circumference / space.n_nodes
-        self._cache: dict = {}
-        self._lock = threading.Lock()
 
-    def kernel_row(self, t: float, x) -> np.ndarray:
-        arc = circle_kernel_arc(t, self._points - float(x), self.space.circumference)
+    def _density(self, t: float, x, y) -> np.ndarray:
+        arc = circle_kernel_arc(t, y - float(x), self.space.circumference)
         return arc / self.space.measure_scale
-
-    def kernel_value(self, t: float, x, y) -> float:
-        arc = circle_kernel_arc(t, np.asarray(float(x) - float(y)), self.space.circumference)
-        return float(arc) / self.space.measure_scale
 
     def _multiplier(self, t: float) -> np.ndarray:
         return self._per_t(t, lambda t: np.fft.rfft(
-            circle_kernel_arc(t, self._points, self.space.circumference)) * self._h)
+            circle_kernel_arc(t, self.points, self.space.circumference)) * self._h)
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         if t == 0:
@@ -192,26 +186,27 @@ class CircleKernel(SpectralKernel):
 
 
 class TorusKernel(SpectralKernel):
+    """Product of its two circle factors.  ``kernel_row`` is the outer product
+    of the factor rows, equal to the density on the grid at a fraction of
+    its cost."""
+
     def __init__(self, space: Torus):
-        self.space = space
-        c1, c2 = space.factors()
-        self._f1 = CircleKernel(c1)
-        self._f2 = CircleKernel(c2)
-        self._points, self._weights = space.quadrature()
+        super().__init__(space)
+        self._f1, self._f2 = (CircleKernel(c) for c in space.factors())
         self._shape = (space.n_nodes[0], space.n_nodes[1])
+
+    def _density(self, t: float, x, y) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        a1 = circle_kernel_arc(t, y[..., 0] - x[0], self.space.len1)
+        a2 = circle_kernel_arc(t, y[..., 1] - x[1], self.space.len2)
+        return a1 * a2 / self.space.measure_scale
 
     def kernel_row(self, t: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        a1 = circle_kernel_arc(t, self._f1._points - x[0], self.space.len1)
-        a2 = circle_kernel_arc(t, self._f2._points - x[1], self.space.len2)
+        a1 = circle_kernel_arc(t, self._f1.points - x[0], self.space.len1)
+        a2 = circle_kernel_arc(t, self._f2.points - x[1], self.space.len2)
         return np.outer(a1, a2).ravel() / self.space.measure_scale
-
-    def kernel_value(self, t: float, x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        a1 = circle_kernel_arc(t, np.asarray(x[0] - y[0]), self.space.len1)
-        a2 = circle_kernel_arc(t, np.asarray(x[1] - y[1]), self.space.len2)
-        return float(a1) * float(a2) / self.space.measure_scale
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         if t == 0:
@@ -230,25 +225,16 @@ class TorusKernel(SpectralKernel):
 
 class IntervalKernel(SpectralKernel):
     def __init__(self, space: Interval):
-        self.space = space
-        self._points, self._weights = space.quadrature()
+        super().__init__(space)
         self._h = space.length / space.n_nodes
-        self._cache: dict = {}
-        self._lock = threading.Lock()
 
-    def kernel_row(self, t: float, x) -> np.ndarray:
-        leb = interval_kernel_leb(t, np.asarray(float(x)), self._points,
-                                  self.space.a, self.space.length)
+    def _density(self, t: float, x, y) -> np.ndarray:
+        leb = interval_kernel_leb(t, np.asarray(float(x)), y, self.space.a, self.space.length)
         return leb / self.space.measure_scale
-
-    def kernel_value(self, t: float, x, y) -> float:
-        leb = interval_kernel_leb(t, np.asarray(float(x)), np.asarray(float(y)),
-                                  self.space.a, self.space.length)
-        return float(leb) / self.space.measure_scale
 
     def transition_matrix(self, t: float) -> np.ndarray:
         return self._per_t(t, lambda t: interval_kernel_leb(
-            t, self._points[:, None], self._points[None, :],
+            t, self.points[:, None], self.points[None, :],
             self.space.a, self.space.length) * self._h)
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
@@ -269,9 +255,8 @@ class GaussianKernel(SpectralKernel):
             raise HeatError("closed-form Gaussian semigroup is 1-D only")
         if space.potential.quadratic_coeff is None:
             raise HeatError("no computable kernel for non-quadratic potentials")
-        self.space = space
+        super().__init__(space)
         self.a = float(space.potential.quadratic_coeff)
-        self._points, self._weights = space.quadrature()
         self._h = 2 * space.grid_radius / space.n_nodes
 
     def _moments(self, t: float, x):
@@ -282,30 +267,21 @@ class GaussianKernel(SpectralKernel):
             decay, var = 1.0, 2.0 * t
         return np.asarray(x, dtype=float) * decay, var
 
-    def kernel_row(self, t: float, x) -> np.ndarray:
+    def _density(self, t: float, x, y) -> np.ndarray:
         if t <= 0:
             raise HeatError("t must be positive")
         mean, var = self._moments(t, float(np.atleast_1d(x)[0]))
-        dens = _gauss(self._points - mean, var)
-        return dens * np.exp(0.5 * self.a * np.square(self._points))
-
-    def kernel_value(self, t: float, x, y) -> float:
-        if t <= 0:
-            raise HeatError("t must be positive")
-        x0 = float(np.atleast_1d(x)[0])
-        y0 = float(np.atleast_1d(y)[0])
-        mean, var = self._moments(t, x0)
-        return float(_gauss(y0 - mean, var)) * np.exp(0.5 * self.a * y0 * y0)
+        return _gauss(y - mean, var) * np.exp(0.5 * self.a * np.square(y))
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if t == 0:
             return values
-        mean, var = self._moments(t, self._points)
+        mean, var = self._moments(t, self.points)
         out = np.empty(values.shape)
         for lo in range(0, len(mean), MEHLER_SLAB):
             rows = slice(lo, lo + MEHLER_SLAB)
-            slab = _gauss(self._points[None, :] - mean[rows, None], var) * self._h
+            slab = _gauss(self.points[None, :] - mean[rows, None], var) * self._h
             out[rows] = _per_column(slab, values)
         return out
 
@@ -325,8 +301,7 @@ class FiniteKernel(SpectralKernel):
     """
 
     def __init__(self, space: FiniteMms, generator: Optional[np.ndarray] = None):
-        self.space = space
-        self._points, self._weights = space.quadrature()
+        super().__init__(space)
         m = space.weights
         if generator is None:
             generator = graph_generator(space)
@@ -344,23 +319,19 @@ class FiniteKernel(SpectralKernel):
         self._lam = lam
         self._modes_left = q / sqrt_m[:, None]      # D^{-1/2} Q
         self._modes_right = (q * sqrt_m[:, None]).T  # Q^T D^{1/2}
-        self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def transition_matrix(self, t: float) -> np.ndarray:
         return self._per_t(t, lambda t: (self._modes_left * np.exp(t * self._lam))
                            @ self._modes_right)
 
-    def kernel_row(self, t: float, x) -> np.ndarray:
+    def _density(self, t: float, x, y) -> np.ndarray:
         if t <= 0:
             raise HeatError("t must be positive")
         i = int(x)
         if not 0 <= i < self.space.n:
             raise HeatError("atom index out of range")
-        return self.transition_matrix(t)[i] / self.space.weights
-
-    def kernel_value(self, t: float, x, y) -> float:
-        return float(self.kernel_row(t, x)[int(y)])
+        y = np.asarray(y, dtype=int)
+        return self.transition_matrix(t)[i, y] / self.space.weights[y]
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         if t == 0:
@@ -512,21 +483,12 @@ def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions
 
 
 def relative_entropy(mu, ref) -> float:
-    """Ent(mu | ref) = int rho log rho d(ref); +inf off the support of ref.
-
-    Accepts a pair of probability vectors, or a pair of QuadratureDensity
-    objects on the same grid.
-    """
-    if isinstance(mu, QuadratureDensity) and isinstance(ref, QuadratureDensity):
-        if mu.points.shape != ref.points.shape or np.max(np.abs(mu.points - ref.points)) > 1e-12:
-            raise HeatError("measures live on different grids")
-        p = mu.masses()
-        q = ref.masses()
-    else:
-        p = np.asarray(mu, dtype=float)
-        q = np.asarray(ref, dtype=float)
-        if p.shape != q.shape:
-            raise HeatError("probability vectors of different lengths")
+    """Ent(mu | ref) = int rho log rho d(ref) for a pair of probability
+    vectors; +inf off the support of ref."""
+    p = np.asarray(mu, dtype=float)
+    q = np.asarray(ref, dtype=float)
+    if p.shape != q.shape:
+        raise HeatError("probability vectors of different lengths")
     active = p > 0
     if np.any(active & (q <= 0)):
         return float("inf")

@@ -192,18 +192,13 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
 
     if isinstance(space, EuclideanLogConcave):
         sk = get_kernel(space)  # validates the quadratic form
-        a = sk.a
         x, law = _initial_states(space, initial, count, rng, 1)
         x = x[:, 0].copy()
         out = np.empty((count, len(times), 1))
         out[:, 0, 0] = x
         for k, dt in enumerate(dts):
-            if a > 0:
-                decay = np.exp(-a * dt)
-                var = (1.0 - decay * decay) / a
-            else:
-                decay, var = 1.0, 2.0 * dt
-            x = x * decay + np.sqrt(var) * rng.standard_normal(count)
+            mean, var = sk._moments(dt, x)
+            x = mean + np.sqrt(var) * rng.standard_normal(count)
             out[:, k + 1, 0] = x
         return PathEnsemble(times, out, seed, law, space)
 
@@ -287,25 +282,29 @@ def extract_fdd(ensemble: PathEnsemble, times: Sequence[float],
     for t in times:
         s = ensemble.state_at(t)
         if collapse is not None:
-            if ensemble.space is not None and isinstance(ensemble.space, FiniteMms):
-                mapped = np.asarray(collapse.map(s[:, 0].astype(int)), dtype=float)
-            else:
-                mapped = np.asarray(collapse.map(s), dtype=float)
+            mapped = np.asarray(collapse.map(_points(ensemble.space, s)), dtype=float)
             s = mapped[:, None] if mapped.ndim == 1 else mapped
         blocks.append(s)
     return DiscreteMeasure(np.concatenate(blocks, axis=1))
 
 
+def _points(space: Optional[PmmSpace], states: np.ndarray) -> np.ndarray:
+    """Stored states of shape (..., d) as points of their space: atom indices
+    on a finite space, the coordinate on a circle or an interval, and the
+    states themselves on any other space (or none)."""
+    if isinstance(space, FiniteMms):
+        return states[..., 0].astype(int)
+    if isinstance(space, (Circle, Interval)):
+        return states[..., 0]
+    return states
+
+
 def _pair_distance(ensemble: PathEnsemble, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between state blocks of shape (..., d)."""
+    """Distance between state blocks of shape (..., d), one per leading index."""
     space = ensemble.space
     if space is None:
         return np.linalg.norm(a - b, axis=-1)
-    if isinstance(space, FiniteMms):
-        return space.dist[a[..., 0].astype(int), b[..., 0].astype(int)]
-    if isinstance(space, (Circle, Interval, EuclideanLogConcave)):
-        return np.asarray(space.distance(a[..., 0], b[..., 0]))
-    return np.asarray(space.distance(a, b))
+    return np.asarray(space.distance(_points(space, a), _points(space, b)))
 
 
 def modulus_statistic(ensemble: PathEnsemble, T: float, etas: Sequence[float],

@@ -87,11 +87,10 @@ def quadratic_potential(a: float) -> Potential:
 
 @dataclass(frozen=True)
 class ConvexDomain:
-    """A closed convex set given by membership, projection, and a radius bound."""
+    """A closed convex set given by membership and projection."""
 
     contains: Callable
     project: Callable
-    bounding_radius: float
 
     def check_projection(self, probes: np.ndarray, tol: float = 1e-9) -> None:
         for x in np.atleast_2d(probes):
@@ -109,7 +108,6 @@ def box_domain(lo, hi) -> ConvexDomain:
     return ConvexDomain(
         contains=lambda x: bool(np.all(np.atleast_1d(x) >= lo - 1e-12) and np.all(np.atleast_1d(x) <= hi + 1e-12)),
         project=lambda x: np.clip(np.atleast_1d(np.asarray(x, dtype=float)), lo, hi),
-        bounding_radius=float(np.linalg.norm(hi - lo)),
     )
 
 
@@ -430,9 +428,6 @@ class QuadratureDensity:
 
     def total(self) -> float:
         return float(np.sum(self.masses()))
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.sum(self.masses() * np.asarray(values, dtype=float)))
 
 
 def weighted_measure(space: PmmSpace, C: float = 1.0) -> QuadratureDensity:

@@ -333,3 +333,25 @@ def test_mehler_slabs_match_the_dense_matrix(n_nodes):
     out = sk.apply_values(t, block)
     for j in range(3):
         assert np.array_equal(out[:, j], dense @ np.ascontiguousarray(block[:, j]))
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_torus_row_is_its_density_on_the_grid(n):
+    sk = get_kernel(Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64), normalized=True))
+    # t on both sides of the image/eigen-sum switch of the first factor
+    for t in (0.5 * heat.SERIES_CROSSOVER, 2.5 * heat.SERIES_CROSSOVER):
+        for x in (np.zeros(2), np.array([1.3, 0.1]), sk.points[777]):
+            assert np.array_equal(sk.kernel_row(t, x), sk._density(t, x, sk.points))
+
+
+@pytest.mark.parametrize("space", BLOCK_SPACES + [None],
+                         ids=["circle", "torus", "interval", "gaussian", "finite"])
+def test_kernel_value_is_the_row_entry(space):
+    if space is None:
+        space = random_finite(np.random.default_rng(8), 15)
+    sk = get_kernel(space)
+    x = sk.points[3]
+    for t in (0.05, 1.0):
+        row = sk.kernel_row(t, x)
+        for j in (0, 7, len(sk.points) - 1):
+            assert sk.kernel_value(t, x, sk.points[j]) == row[j]

@@ -4,6 +4,7 @@ import scipy.stats
 
 from mmlab import (
     Circle,
+    EuclideanLogConcave,
     FiniteMms,
     Interval,
     PathEnsemble,
@@ -88,6 +89,18 @@ def test_em_ou_moments_and_weak_order():
     # first-order weak error: halving dt roughly halves the bias
     assert errs[2] < errs[0]
     assert errs[0] <= 0.05
+
+
+@pytest.mark.parametrize("a", [0.0, 1.5])
+def test_chain_on_a_line_has_the_ou_moments(a):
+    # the exact OU (a > 0) and free (a = 0) transitions of the kernel chain
+    space = EuclideanLogConcave(1, quadratic_potential(a), base=0.7)
+    ens = sample_kernel_chain(space, "base", [0.0, 0.2, 0.5], 40000, seed=4)
+    for k, t in ((1, 0.2), (2, 0.5)):
+        m_ref, v_ref = ou_mean_var(a, 0.7, t)
+        x = ens.states[:, k, 0]
+        assert abs(np.mean(x) - m_ref) <= 4 * np.sqrt(v_ref / len(x))
+        assert abs(np.var(x) / v_ref - 1.0) <= 4 * np.sqrt(2.0 / len(x))
 
 
 def test_em_zero_noise_gradient_flow():
@@ -319,7 +332,8 @@ def test_modulus_multi_eta_equals_per_eta_loop(space):
 
 
 @pytest.mark.parametrize("space", [Circle(2 * np.pi), Torus(2 * np.pi, np.pi, n_nodes=(64, 32)),
-                                   _ring(16)], ids=["circle", "torus", "finite"])
+                                   _ring(16), EuclideanLogConcave(1, quadratic_potential(1.0))],
+                         ids=["circle", "torus", "finite", "line"])
 def test_modulus_measures_only_the_paths_still_under_delta(monkeypatch, space):
     times = np.arange(0, 0.5 + 1e-12, 0.0125)
     ens = sample_kernel_chain(space, "base", times, 500, seed=32)
@@ -329,11 +343,31 @@ def test_modulus_measures_only_the_paths_still_under_delta(monkeypatch, space):
     for lag in range(1, 17):  # the lags within eta = 0.2
         expected.append(int(np.sum(under)))
         d = _pair_distance(ens, ens.states[:, :n_t - lag], ens.states[:, lag:])
+        assert d.shape == (ens.count, n_t - lag)
         under &= ~np.any(d > 1.0, axis=1)
     measured = _count_measured_paths(monkeypatch)
     modulus_statistic(ens, 0.5, (0.05, 0.2), 1.0)
     assert measured == expected
     assert expected[0] > expected[-1] > 0
+
+
+def test_modulus_on_a_line_matches_a_per_path_loop():
+    # a kernel-chain ensemble on a 1-D log-concave line stores (count, n_t, 1)
+    # states; each pair of times is one distance, not a norm over time
+    space = EuclideanLogConcave(1, quadratic_potential(1.0))
+    times = np.arange(0, 0.5 + 1e-12, 0.0125)
+    ens = sample_kernel_chain(space, "base", times, 300, seed=33)
+    etas, delta = (0.05, 0.2), 0.5
+    expected = []
+    for eta in etas:
+        lags = int(round(eta / 0.0125))
+        passed = 0
+        for path in ens.states[:, :, 0]:
+            passed += any(abs(path[j] - path[i]) > delta
+                          for i in range(len(path)) for j in range(i + 1, min(i + lags + 1, len(path))))
+        expected.append(passed / ens.count)
+    assert modulus_statistic(ens, 0.5, etas, delta) == expected
+    assert 0 < expected[0] < expected[1] < 1
 
 
 def test_modulus_step_rule_uses_smallest_eta():
