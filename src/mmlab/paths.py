@@ -209,11 +209,16 @@ def _confine(domain: ConvexDomain, x: np.ndarray) -> np.ndarray:
     """Bring states back into the domain after an unconstrained step by
     reflecting each point through its projection (exact in law for a
     half-line, O(dt)-accurate for general convex domains)."""
-    p = np.atleast_2d(np.asarray(domain.project(x), dtype=float))
-    mirrored = 2.0 * p - x
+    p = np.asarray(domain.project(x), dtype=float)
+    if not p.flags.writeable or np.may_share_memory(p, x):
+        p = p.copy()  # a projection may hand back its input, as the whole space does
+    p *= 2.0
+    p -= x  # the mirror image 2p - x, in place
     # a second pass handles overshoot past the opposite face
-    p2 = np.atleast_2d(np.asarray(domain.project(mirrored), dtype=float))
-    return np.where(np.abs(mirrored - p2) > 1e-12, p2, mirrored)
+    p2 = np.asarray(domain.project(p), dtype=float)
+    if not (p != p2).any():
+        return p
+    return np.where(np.abs(p - p2) > 1e-12, p2, p)
 
 
 def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
@@ -225,12 +230,20 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
     batch rule of ``spaces._evaluate``.
 
     Paths whose norm exceeds the divergence guard are frozen and flagged.
+    The guard is screened exactly: while no path is flagged and every
+    coordinate lies within DIVERGENCE_GUARD/(2 sqrt d), no norm can pass the
+    guard, so the per-path norms are taken only when the screen fails (a NaN
+    state fails it and, as before, is never flagged).
     ``noise=False`` is the deterministic gradient-flow test hook.  The
     ensemble keeps the states at the ``record`` times, each a multiple of dt
     up to T (the whole grid when None); every step is simulated either way.
     """
-    if dt <= 0 or T < dt:
-        raise PathError("need dt > 0 and T >= dt")
+    if not count >= 1:
+        raise PathError("count must be >= 1")
+    if not 0 < dt < np.inf:
+        raise PathError("dt must be positive and finite")
+    if not dt <= T < np.inf:
+        raise PathError("T must be finite and >= dt")
     grid = time_grid(dt, T)
     steps = len(grid) - 1
     if record is None:
@@ -244,30 +257,39 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
     slot[keep] = np.arange(len(keep))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
+    if d < 1:
+        raise PathError("x0 must have at least one coordinate")
     rng = make_rng(seed)
     x = np.tile(x0, (count, 1))
     if domain is not None:
         if not domain.contains(x0):
             raise PathError("x0 outside the domain")
-        x = np.atleast_2d(np.asarray(domain.project(x), dtype=float))
+        # a copy: the step loop writes into the arrays it holds
+        x = np.array(domain.project(x), dtype=float, ndmin=2)
     out = np.empty((count, len(keep), d))
     if slot[0] >= 0:
         out[:, slot[0]] = x
     flags = np.zeros(count, dtype=bool)
-    alive = ~flags
+    frozen = False  # whether any path is flagged
+    screen = DIVERGENCE_GUARD / (2.0 * np.sqrt(d))
     scale = np.sqrt(2.0 * dt)
+    # the step is formed in xn; z holds the normals, then |xn| for the screen
+    xn, z = np.empty((count, d)), np.empty((count, d))
     for k in range(steps):
-        step = -_evaluate(potential.grad, x, (d,)) * dt
+        np.multiply(_evaluate(potential.grad, x, (d,)), -dt, out=xn)
         if noise:
-            step = step + scale * rng.standard_normal((count, d))
-        xn = x + step
+            rng.standard_normal(out=z)
+            z *= scale
+            xn += z
+        xn += x
         if domain is not None:
             xn = _confine(domain, xn)
-        blown = np.linalg.norm(xn, axis=1) > DIVERGENCE_GUARD
-        newly = blown & alive
-        flags |= newly
-        alive = ~flags
-        x = np.where(alive[:, None], xn, x)
+        if frozen or not np.abs(xn, out=z).max() <= screen:
+            flags |= np.linalg.norm(xn, axis=1) > DIVERGENCE_GUARD
+            frozen = bool(flags.any())
+            x = np.where(flags[:, None], x, xn)
+        else:
+            x, xn = xn, x  # the old state's array takes the next step
         if slot[k + 1] >= 0:
             out[:, slot[k + 1]] = x
     law = "point(%s)" % ",".join("%g" % v for v in x0)

@@ -171,3 +171,48 @@ def modulus_statistic_loop(times, states, T, eta, delta, distance):
         d = distance(states[:, :n_t - lag], states[:, lag:])
         exceeded |= np.any(d > delta, axis=1)
     return float(np.mean(exceeded))
+
+
+def euler_maruyama_loop(grad, x0, dt, T, count, seed, noise=True, project=None,
+                        guard=1e6):
+    """Euler-Maruyama X_{k+1} = X_k - grad(X_k) dt + sqrt(2 dt) xi_k on the
+    whole grid of multiples of dt up to T, written step by step: fresh arrays
+    for the noise and the step, mirror reflection through ``project`` in two
+    passes, and the per-path norm against the divergence guard at every step
+    (a path past it is frozen and flagged).  The normals come from the same
+    Philox stream as the sampler's, one (count, d) draw per step.  Returns
+    the states, shape (count, n_times, d), and the flags."""
+    from numpy.random import Generator, Philox, SeedSequence
+
+    def confine(x):
+        p = np.atleast_2d(np.asarray(project(x), dtype=float))
+        mirrored = 2.0 * p - x
+        p2 = np.atleast_2d(np.asarray(project(mirrored), dtype=float))
+        return np.where(np.abs(mirrored - p2) > 1e-12, p2, mirrored)
+
+    rng = Generator(Philox(SeedSequence(entropy=int(seed), spawn_key=())))
+    steps = int(round(T / dt))
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    d = len(x0)
+    x = np.tile(x0, (count, 1))
+    if project is not None:
+        x = np.atleast_2d(np.asarray(project(x), dtype=float))
+    out = np.empty((count, steps + 1, d))
+    out[:, 0] = x
+    flags = np.zeros(count, dtype=bool)
+    alive = ~flags
+    scale = np.sqrt(2.0 * dt)
+    for k in range(steps):
+        step = -np.asarray(grad(x), dtype=float) * dt
+        if noise:
+            step = step + scale * rng.standard_normal((count, d))
+        xn = x + step
+        if project is not None:
+            xn = confine(xn)
+        blown = np.linalg.norm(xn, axis=1) > guard
+        newly = blown & alive
+        flags |= newly
+        alive = ~flags
+        x = np.where(alive[:, None], xn, x)
+        out[:, k + 1] = x
+    return out, flags

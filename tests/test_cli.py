@@ -230,14 +230,14 @@ def test_validate_reports_an_unreadable_finite_file(tmp_path, capsys):
     assert "finite_file: " in capsys.readouterr().out
 
 
-def _spy_on_em(monkeypatch, potential=None):
+def _spy_on_em(monkeypatch, swap=None):
     """Record every ensemble the runners get from euler_maruyama, optionally
-    run with another potential."""
+    run with the potential ``swap`` makes of the runner's."""
     made = []
     real = cli.euler_maruyama
 
     def spy(pot, *args, **kwargs):
-        ens = real(potential or pot, *args, **kwargs)
+        ens = real(swap(pot) if swap else pot, *args, **kwargs)
         made.append(ens)
         return ens
 
@@ -265,7 +265,7 @@ def test_em_runners_keep_only_their_read_times(monkeypatch, scenario, reads, ens
 def test_em_divergence_fails_the_report(tmp_path, monkeypatch, capsys):
     # V = -50|x|^2/2 multiplies the state by 3.5 per step of 0.05, so every
     # OU path passes the divergence guard before t = 1
-    _spy_on_em(monkeypatch, potential=quadratic_potential(-50.0))
+    _spy_on_em(monkeypatch, swap=lambda pot: quadratic_potential(-50.0))
     cfg = tmp_path / "ou.json"
     out_dir = tmp_path / "out"
     cfg.write_text(json.dumps({"scenario": "ou_family", "n_grid": [2, 4], "mc_count": 300,
@@ -278,6 +278,44 @@ def test_em_divergence_fails_the_report(tmp_path, monkeypatch, capsys):
     header = (out_dir / "marginal_w2.csv").read_text().splitlines()[0]
     assert header == "label,w2,closed_form,gap,budget,pass"
     assert "em_divergence" in capsys.readouterr().out
+
+
+def _run_report(tmp_path, **cfg):
+    path = tmp_path / "cfg.json"
+    out_dir = tmp_path / "out"
+    path.write_text(json.dumps({**cfg, "out_dir": str(out_dir)}))
+    code = main(["run", str(path)])
+    return code, json.loads((out_dir / "report.json").read_text())
+
+
+def _status_of(report, name):
+    [check] = [c for c in report["checks"] if c["name"] == name]
+    return check["status"]
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_reflection_on_the_wrong_domain_fails_the_report(tmp_path, monkeypatch, wrong):
+    # the limit's paths reflected into [0, 0.9] are not uniform on [0, 1]
+    real = cli.box_domain
+    if wrong:
+        monkeypatch.setattr(cli, "box_domain",
+                            lambda lo, hi: real(lo, 0.9 if hi == 1.0 else hi))
+    code, report = _run_report(tmp_path, scenario="reflected_family", n_grid=[2, 4],
+                               mc_count=2000, dt=5e-3)
+    assert code == (1 if wrong else 0)
+    assert report["pass"] is not wrong
+    assert _status_of(report, "occupation_ks") == ("fail" if wrong else "pass")
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_ou_members_with_a_doubled_potential_fail_marginal_w2(tmp_path, monkeypatch, wrong):
+    made = _spy_on_em(monkeypatch, swap=lambda pot: quadratic_potential(
+        (2.0 if wrong else 1.0) * pot.quadratic_coeff))
+    code, report = _run_report(tmp_path, scenario="ou_family", n_grid=[2, 4],
+                               mc_count=2000, dt=0.01)
+    assert len(made) == 2
+    assert code == (1 if wrong else 0)
+    assert _status_of(report, "marginal_w2") == ("fail" if wrong else "pass")
 
 
 def test_validate_rejects_truncated_finite_file(tmp_path, capsys):

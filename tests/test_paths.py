@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -21,9 +24,14 @@ from mmlab import (
 )
 import mmlab.paths as paths
 from mmlab.paths import PathError, _pair_distance, grid_index
-from mmlab.spaces import SpaceError
+from mmlab.spaces import ConvexDomain, SpaceError
 
-from _oracles import folded_normal_cdf, modulus_statistic_loop, ou_mean_var
+from _oracles import (
+    euler_maruyama_loop,
+    folded_normal_cdf,
+    modulus_statistic_loop,
+    ou_mean_var,
+)
 
 
 def test_chain_determinism():
@@ -196,6 +204,119 @@ def test_em_rejects_a_gradient_of_the_wrong_shape():
     v = Potential(value=lambda x: 0.0, grad=lambda x: np.array([x[0], 2.0 * x[1]]))
     with pytest.raises(SpaceError, match=r"shape \(2, 2\) for 3 points; expected \(3, 2\)"):
         euler_maruyama(v, (1.0, 1.0), 0.1, 0.1, 3, seed=0, noise=False)
+
+
+def _nan_rows_gradient(x):
+    """grad of |x|^2/2, except NaN on every third path."""
+    return np.where(np.arange(len(x))[:, None] % 3 == 0, np.nan, x)
+
+
+ORACLE_CASES = {
+    **{case: kwargs for case, (kwargs, _) in EM_CASES.items()},
+    # steps of sd 0.14 in a box of width 0.05: mirror images land past the
+    # opposite face, so the second projection pass runs
+    "narrow_box": dict(potential=quadratic_potential(0.0), x0=0.02, dt=1e-2, T=0.5, count=64,
+                       domain=box_domain(0.0, 0.05)),
+    "box_2d": dict(potential=quadratic_potential(1.0), x0=(0.5, 0.25), dt=5e-3, T=0.5,
+                   count=64, domain=box_domain((0.0, 0.0), (1.0, 0.5))),
+    # the whole line: its projection returns the very array it is given
+    "identity_projection": dict(potential=quadratic_potential(1.0), x0=0.3, dt=1e-2, T=0.5,
+                                count=64, domain=ConvexDomain(contains=lambda x: True,
+                                                              project=lambda x: x)),
+    # above the screen (5e5 in 1-D), below the guard: the full rule runs, no flag
+    "above_screen": dict(potential=quadratic_potential(0.0), x0=6e5, dt=1e-2, T=0.5,
+                         count=64),
+    # steps of sd 1 from just under the guard: some paths flag, others do not
+    "partly_flagged": dict(potential=quadratic_potential(0.0), x0=1e6 - 0.5, dt=0.5, T=5.0,
+                           count=64),
+    # a * dt = 1 cancels the state, so each step is pure noise of sd 4e5: now
+    # and then one path passes the guard, and at later steps every path, the
+    # frozen one's next step too, can lie under the screen again
+    "frozen_under_screen": dict(potential=quadratic_potential(1.25e-11), x0=0.0, dt=8e10,
+                                T=3.2e12, count=4),
+    "nan_rows": dict(potential=Potential(value=lambda x: 0.0, grad=_nan_rows_gradient),
+                     x0=0.3, dt=1e-2, T=0.5, count=64),
+    "no_noise": dict(potential=quadratic_potential(2.0), x0=1.0, dt=1e-2, T=1.0, count=4,
+                     noise=False),
+}
+
+
+def _em_loop(seed, potential, domain=None, **kwargs):
+    return euler_maruyama_loop(potential.grad, seed=seed,
+                               project=None if domain is None else domain.project, **kwargs)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_em_is_bit_identical_to_the_step_loop(case):
+    kwargs = ORACLE_CASES[case]
+    ens = euler_maruyama(seed=21, **kwargs)
+    states, flags = _em_loop(21, **kwargs)
+    assert np.array_equal(ens.states, states, equal_nan=True)
+    assert np.array_equal(ens.flags, flags)
+    if case == "flagged":
+        assert np.all(flags)
+    elif case in ("partly_flagged", "frozen_under_screen"):
+        assert 0 < np.sum(flags) < len(flags)
+    elif case == "nan_rows":
+        assert np.all(np.isnan(states[::3, 1:])) and np.all(np.isfinite(states[1::3]))
+    else:
+        assert not np.any(flags)
+
+
+def test_narrow_box_case_overshoots_the_opposite_face():
+    box = ORACLE_CASES["narrow_box"]["domain"]
+    seen = []
+
+    def project(x):
+        seen.append(np.array(x, dtype=float))
+        return box.project(x)
+
+    kwargs = dict(ORACLE_CASES["narrow_box"], domain=ConvexDomain(box.contains, project))
+    euler_maruyama(seed=21, **kwargs)
+    # call 0 projects the start; each step then projects its step and the
+    # mirror image of that step
+    mirrored = np.concatenate(seen[2::2])
+    assert np.any((mirrored < -1e-12) | (mirrored > 0.05 + 1e-12))
+
+
+def test_em_concurrent_ensembles_equal_their_serial_runs():
+    """Two ensembles stepped at once on two threads, with the interpreter
+    switching threads as often as it can, match their serial runs bit for
+    bit: each call draws its normals into a buffer of its own."""
+    runs = [dict(potential=quadratic_potential(0.0), x0=0.25, dt=5e-3, T=1.0, count=2000,
+                 seed=3, domain=box_domain(0.0, 0.75)),
+            dict(potential=quadratic_potential(1.0), x0=0.0, dt=5e-3, T=1.0, count=2000,
+                 seed=4)]
+    serial = [euler_maruyama(**kwargs) for kwargs in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(euler_maruyama, **kwargs) for kwargs in runs]
+            concurrent = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for one, other in zip(serial, concurrent):
+        assert np.array_equal(one.states, other.states)
+        assert np.array_equal(one.flags, other.flags)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("count", 0), ("count", -3), ("dt", float("nan")), ("dt", 0.0), ("T", float("inf")),
+    ("T", 5e-3), ("x0", ()),
+])
+def test_em_rejects_bad_arguments_before_any_step(name, value):
+    calls = []
+
+    def grad(x):
+        calls.append(x.shape)
+        return x
+
+    kwargs = dict(potential=Potential(value=lambda x: 0.0, grad=grad), x0=0.0, dt=1e-2,
+                  T=1.0, count=4, seed=0)
+    with pytest.raises(PathError, match="^%s " % name):
+        euler_maruyama(**{**kwargs, name: value})
+    assert calls == []
 
 
 def test_reflected_paths_stay_inside():
