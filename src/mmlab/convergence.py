@@ -27,6 +27,7 @@ from .spaces import (
 )
 from .transport import (
     DiscreteMeasure,
+    unique_rows,
     wasserstein_1d,
     wasserstein_circle,
     wasserstein_exact,
@@ -109,7 +110,7 @@ def pmg_test(family: SpaceFamily, test_functions: Sequence[LipschitzTestFunction
         masses = ref.masses()
         mapped = _mapped_points(cmap, ref.points)
         base = _mapped_points(cmap, np.asarray([space.base_point]))[0]
-        base_gap = float(np.asarray(family.limit.distance(base, family.limit.base_point)))
+        base_gap = np.asarray(family.limit.distance(base, family.limit.base_point)).item()
         tol = None if tolerances is None else tolerances[mi]
         for fi, f in enumerate(test_functions):
             val_n = float(np.sum(masses * _evaluate(f, mapped)))
@@ -337,8 +338,8 @@ def _weighted_rebin(atoms: np.ndarray, weights: np.ndarray, specs):
         idx = np.floor((x - lo) / width).astype(int)
         # a closed coordinate's right end (x == b on an Interval) joins the last bin
         cells[:, j] = np.mod(idx, count) if period is not None else np.minimum(idx, count - 1)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    w = np.bincount(inverse.ravel(), weights=weights, minlength=len(uniq))
+    uniq, inverse = unique_rows(cells)
+    w = np.bincount(inverse, weights=weights, minlength=len(uniq))
     return uniq, w / w.sum()
 
 

@@ -44,12 +44,18 @@ class DiscreteMeasure:
 
     def __init__(self, atoms, weights=None):
         a = _as_atoms(atoms)
+        if len(a) == 0:
+            raise TransportError("a measure needs at least one atom")
+        if not np.all(np.isfinite(a)):
+            raise TransportError("atoms must be finite")
         if weights is None:
             w = np.full(len(a), 1.0 / len(a))
         else:
             w = np.asarray(weights, dtype=float)
         if len(w) != len(a):
             raise TransportError("weights and atoms length mismatch")
+        if not np.all(np.isfinite(w)):
+            raise TransportError("weights must be finite")
         if np.any(w <= 0):
             raise TransportError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-6:
@@ -71,6 +77,23 @@ class DiscreteMeasure:
         return float(self.weights @ vals)
 
 
+def unique_rows(a: np.ndarray):
+    """``np.unique(a, axis=0, return_inverse=True)`` for a 2-D array of finite
+    numbers, by a stable column sort instead of a sort of structured rows.
+
+    Returns the distinct rows in lexicographic order and, for each row of
+    ``a``, the index of its distinct row.
+    """
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
+
+
 def _merge_close_atoms(atoms: np.ndarray, weights: np.ndarray):
     """Merge atoms closer than ATOM_MERGE_TOL (sums weights); avoids LP degeneracy.
 
@@ -80,8 +103,8 @@ def _merge_close_atoms(atoms: np.ndarray, weights: np.ndarray):
     than twice the tolerance from its sorted predecessor is always kept: only
     the atoms with a close predecessor need the scan.
     """
-    a, inverse = np.unique(atoms, axis=0, return_inverse=True)
-    w = np.bincount(inverse.ravel(), weights=weights, minlength=len(a))
+    a, inverse = unique_rows(atoms)
+    w = np.bincount(inverse, weights=weights, minlength=len(a))
     close = np.max(np.abs(np.diff(a, axis=0)), axis=1) <= 2 * ATOM_MERGE_TOL
     keep = np.ones(len(a), dtype=bool)
     anchor = -1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from mmlab import (
     Circle,
@@ -225,6 +226,27 @@ def test_pmg_torus_family():
     assert out["pass"]
     for r in out["rows"]:
         assert r["base_gap"] <= 1e-12
+
+
+def test_pmg_log_concave_limit():
+    # the OU pair a = 2 against a = 1: the limit's distance to a base point
+    # comes back with shape (1,), and pmg_test must still read it as a number
+    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
+    space = EuclideanLogConcave(1, quadratic_potential(2.0))
+    fam = SpaceFamily([(2, space, CollapseMap(space, limit, lambda x: x, 0.0))], limit)
+    out = pmg_test(fam, list(line_functions().values()))
+    assert [r["f"] for r in out["rows"]] == ["clamp", "tanh", "bump"]
+    assert all(type(r["base_gap"]) is float and r["base_gap"] == 0.0 for r in out["rows"])
+    gaps = {r["f"]: r["gap"] for r in out["rows"]}
+    # the tilted references e^{-V - x^2} are N(0, 1/4) and N(0, 1/3); the odd
+    # functions integrate to 0 under both, and the bump has a closed form
+    assert gaps["clamp"] <= convergence.QUAD_TOL and gaps["tanh"] <= convergence.QUAD_TOL
+
+    def bump_mean(s):
+        return erf(1 / (s * np.sqrt(2))) - 2 * s / np.sqrt(2 * np.pi) * (1 - np.exp(-0.5 / s ** 2))
+
+    assert gaps["bump"] == pytest.approx(bump_mean(0.5) - bump_mean(1 / np.sqrt(3)),
+                                         abs=convergence.QUAD_TOL)
 
 
 def test_fdd_report_torus_within_budget():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -15,7 +16,7 @@ from mmlab import (
     wasserstein_exact,
     wasserstein_grid,
 )
-from mmlab.transport import ATOM_MERGE_TOL, TransportError, _merge_close_atoms
+from mmlab.transport import ATOM_MERGE_TOL, TransportError, _merge_close_atoms, unique_rows
 
 from _oracles import merge_close_atoms_loop, random_measure, wasserstein_vertex
 
@@ -186,6 +187,52 @@ def test_degenerate_inputs_raise():
         displacement_interpolation_1d(mu, mu, 1.5)
     with pytest.raises(TransportError):
         kr_dual_bound(mu, mu, [])
+    # what the atom merge cannot order or weigh
+    for empty in ([], np.empty((0, 2))):
+        with pytest.raises(TransportError, match="at least one atom"):
+            DiscreteMeasure(empty)
+    for bad in ([np.nan, 1.0], [[0.0, np.inf], [1.0, 1.0]], [-np.inf]):
+        with pytest.raises(TransportError, match="atoms must be finite"):
+            DiscreteMeasure(bad)
+    with pytest.raises(TransportError, match="weights must be finite"):
+        DiscreteMeasure([0.0, 1.0], [np.nan, 1.0])
+
+
+def assert_unique_rows_like_numpy(a):
+    rows, inverse = unique_rows(a)
+    want_rows, want_inverse = np.unique(a, axis=0, return_inverse=True)
+    assert rows.dtype == want_rows.dtype and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(inverse, want_inverse.ravel())
+
+
+def test_unique_rows_matches_numpy():
+    rng = np.random.default_rng(21)
+    # torus-lattice states, exact and within 5e-13 of a node
+    for jitter in (0.0, 5e-13):
+        for dim in (1, 2, 3):
+            nodes = rng.integers(0, 256, size=(3000, dim)) * (2 * np.pi / 256)
+            assert_unique_rows_like_numpy(nodes + jitter * rng.integers(-1, 2, size=nodes.shape))
+    # integer bin cells with 1, 2 and 3 columns
+    for dim in (1, 2, 3):
+        assert_unique_rows_like_numpy(rng.integers(0, 24, size=(4000, dim)))
+    assert_unique_rows_like_numpy(rng.normal(size=(50, 1)))
+    assert_unique_rows_like_numpy(np.array([[3.0, -1.0]]))
+    assert_unique_rows_like_numpy(np.full((7, 2), 0.25))
+    # the first column decides before the second
+    rows, inverse = unique_rows(np.array([[1, 0], [0, 9], [1, 0], [0, 2]]))
+    assert rows.tolist() == [[0, 2], [0, 9], [1, 0]] and inverse.tolist() == [2, 1, 2, 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    arrays(np.int64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
+           elements=st.integers(-3, 3)),
+    arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 4)),
+           elements=st.one_of(st.sampled_from([-1.5, 0.0, 1e-300, 2.0]),
+                              st.floats(-1e6, 1e6, allow_subnormal=False)))))
+def test_unique_rows_property(a):
+    assert_unique_rows_like_numpy(a)
 
 
 def grid_metric(edge_costs, periodic):
