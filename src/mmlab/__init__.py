@@ -16,16 +16,13 @@ from .spaces import (
     Torus,
     bishop_gromov_check,
     box_domain,
-    collapse_map_torus,
     mesh_cone,
     quadratic_potential,
     theta_comparison,
-    volume_growth_check,
     weighted_measure,
 )
 from .transport import (
     DiscreteMeasure,
-    TransportPlan,
     displacement_interpolation_1d,
     entropy_convexity_check,
     kr_dual_bound,
@@ -38,11 +35,8 @@ from .heat import (
     SpectralKernel,
     entropy_identity_check,
     feller_check,
-    gaussian_bound_check,
     get_kernel,
     graph_generator,
-    heat_kernel,
-    kernel_ball_sup,
     mixing_bound_check,
     on_diagonal,
     relative_entropy,

@@ -300,8 +300,7 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     members = []
     for n in cfg.n_grid:
         torus = Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64), normalized=True)
-        cmap = CollapseMap(torus, limit, lambda x: np.asarray(x, dtype=float)[..., 0],
-                           np.pi / n)
+        cmap = CollapseMap(limit, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n)
         members.append((n, torus, cmap))
     family = SpaceFamily(members, limit)
     fns = _select(circle_functions(), cfg.test_functions)
@@ -385,14 +384,14 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     set_generator(limit, graph_generator(limit, eps=eps))
     members = []
     for n in cfg.n_grid:
-        space, _ = mesh_cone(n, res)
+        space = mesh_cone(n, res)
         set_generator(space, graph_generator(space, eps=eps))
 
         def ring_map(idx, angular=res):
             idx = np.asarray(idx, dtype=int)
             return np.where(idx == 0, 0, (idx - 1) // angular + 1).astype(float)
 
-        cmap = CollapseMap(space, limit, ring_map, np.pi * np.sqrt(1.0 / n))
+        cmap = CollapseMap(limit, ring_map, np.pi * np.sqrt(1.0 / n))
         members.append((n, space, cmap))
     family = SpaceFamily(members, limit)
     positions = limit.coords[:, 0]
@@ -437,7 +436,7 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     members = []
     for n in cfg.n_grid:
         space = EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n))
-        cmap = CollapseMap(space, limit, lambda x: x, 0.0)
+        cmap = CollapseMap(limit, lambda x: x, 0.0)
         members.append((n, space, cmap))
     family = SpaceFamily(members, limit)
     fns = _select(line_functions(), cfg.test_functions)

@@ -35,7 +35,6 @@ from .transport import (
 )
 
 QUAD_TOL = 1e-6
-LIP_SLACK = 1e-6
 BASELINE_PARTS = 2   # pathlaw_baseline compares two halves of the limit ensemble
 BASELINE_SPLITS = 4  # the random half/half splits pathlaw_baseline averages
 
@@ -55,21 +54,6 @@ class LipschitzTestFunction:
 
     def __call__(self, x):
         return self.f(x)
-
-    def validate(self, probes: np.ndarray, distance, tol: float = LIP_SLACK) -> float:
-        """Max sampled difference quotient minus the declared constant."""
-        worst = -np.inf
-        vals = [float(np.asarray(self.f(p))) for p in probes]
-        for i in range(len(probes)):
-            if abs(vals[i]) > self.sup_bound + tol:
-                raise ConvergenceError("sup bound violated at a probe")
-            for j in range(i + 1, len(probes)):
-                d = float(np.asarray(distance(probes[i], probes[j])))
-                if d > 1e-12:
-                    worst = max(worst, abs(vals[i] - vals[j]) / d - self.lip)
-        if worst > tol:
-            raise ConvergenceError("Lipschitz constant violated by %.2e" % worst)
-        return worst
 
 
 @dataclass(frozen=True)

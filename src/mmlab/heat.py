@@ -229,7 +229,11 @@ class IntervalKernel(SpectralKernel):
         self._h = space.length / space.n_nodes
 
     def _density(self, t: float, x, y) -> np.ndarray:
-        leb = interval_kernel_leb(t, np.asarray(float(x)), y, self.space.a, self.space.length)
+        x = float(x)
+        lo, hi = self.space.a - 1e-12, self.space.b + 1e-12
+        if not lo <= x <= hi or np.any((y < lo) | (y > hi)):
+            raise HeatError("point outside the interval")
+        leb = interval_kernel_leb(t, np.asarray(x), y, self.space.a, self.space.length)
         return leb / self.space.measure_scale
 
     def transition_matrix(self, t: float) -> np.ndarray:
@@ -328,9 +332,9 @@ class FiniteKernel(SpectralKernel):
         if t <= 0:
             raise HeatError("t must be positive")
         i = int(x)
-        if not 0 <= i < self.space.n:
-            raise HeatError("atom index out of range")
         y = np.asarray(y, dtype=int)
+        if not 0 <= i < self.space.n or np.any((y < 0) | (y >= self.space.n)):
+            raise HeatError("atom index out of range")
         return self.transition_matrix(t)[i, y] / self.space.weights[y]
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
@@ -389,26 +393,6 @@ def get_kernel(space: PmmSpace) -> SpectralKernel:
     return sk
 
 
-def _check_point(space: PmmSpace, x) -> None:
-    if isinstance(space, Interval):
-        v = float(np.atleast_1d(x)[0])
-        if not space.a - 1e-12 <= v <= space.b + 1e-12:
-            raise HeatError("point outside the interval")
-    elif isinstance(space, FiniteMms):
-        i = int(x)
-        if not 0 <= i < space.n:
-            raise HeatError("atom index out of range")
-
-
-def heat_kernel(space: PmmSpace, t: float, x, y) -> float:
-    """p(t, x, y), the transition density w.r.t. the reference measure."""
-    if t <= 0:
-        raise HeatError("t must be positive")
-    _check_point(space, x)
-    _check_point(space, y)
-    return get_kernel(space).kernel_value(t, x, y)
-
-
 def semigroup_apply(space: PmmSpace, t: float, f) -> np.ndarray:
     """P_t f as a vector of values on the space's quadrature grid/atoms.
 
@@ -424,7 +408,6 @@ def on_diagonal(space: PmmSpace, t: float, x) -> float:
     """p(t, x, x) computed as the squared L^2(m)-norm of p(t/2, x, .)."""
     if t <= 0:
         raise HeatError("t must be positive")
-    _check_point(space, x)
     sk = get_kernel(space)
     row = sk.kernel_row(0.5 * t, x)
     return float(np.sum(sk.weights * row * row))
@@ -444,15 +427,11 @@ def _block(sk: SpectralKernel, functions) -> np.ndarray:
 
 
 def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions,
-                       M: Optional[float] = None, eps: Optional[float] = None,
                        tol: float = 1e-9) -> dict:
     """Exponential L^2 mixing at rate given by the spectral gap.
 
     Checks ||P_t f - mean(f)||_2 <= e^{-gap t} ||f - mean(f)||_2 in L^2 of
-    the probability reference, for every trial f and grid t.  If an
-    on-diagonal bound ``M`` at a time ``eps`` is supplied, the sup-norm chain
-    bound sup|P_t f - mean f| <= M^{1/2} e^{-gap (t - eps)} ||f - mean f||_2
-    is evaluated as well for t > eps.
+    the probability reference, for every trial f and grid t.
     """
     sk = get_kernel(space)
     lam = sk.gap()
@@ -468,18 +447,11 @@ def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions
             pt = p[:, fi] - mean
             lhs = float(np.sqrt(np.sum(tw * pt * pt)))
             rhs = np.exp(-lam * t) * base
-            row = {"check": "mixing_l2", "f": fi, "t": float(t),
-                   "max_violation": max(lhs - rhs, 0.0),
-                   "pass": bool(lhs <= rhs + tol)}
-            if M is not None and eps is not None and t > eps:
-                sup = float(np.max(np.abs(pt)))
-                chain = np.sqrt(M) * np.exp(-lam * (t - eps)) * base
-                row["sup_gap"] = sup
-                row["chain_bound"] = chain
-                row["chain_pass"] = bool(sup <= chain + tol)
-            rows.append(row)
+            rows.append({"check": "mixing_l2", "f": fi, "t": float(t),
+                         "max_violation": max(lhs - rhs, 0.0),
+                         "pass": bool(lhs <= rhs + tol)})
     return {"check": "mixing_bound", "gap": lam, "rows": rows,
-            "pass": all(r["pass"] and r.get("chain_pass", True) for r in rows)}
+            "pass": all(r["pass"] for r in rows)}
 
 
 def relative_entropy(mu, ref) -> float:
@@ -541,47 +513,3 @@ def feller_check(space: PmmSpace, test_functions, t_grid: Sequence[float],
         if not (monotone and gaps[0] <= tol):
             ok = False
     return {"check": "feller", "rows": rows, "pass": ok}
-
-
-def kernel_ball_sup(space: PmmSpace, t: float, xbar, r: float) -> float:
-    """sup of p(t, xbar, .) over the ball of radius r, by grid scan."""
-    if t <= 0 or r <= 0:
-        raise HeatError("t and r must be positive")
-    sk = get_kernel(space)
-    row = sk.kernel_row(t, xbar)
-    d = np.asarray(space.distance(sk.points, xbar))
-    sel = d < r
-    if not np.any(sel):
-        return 0.0
-    return float(np.max(row[sel]))
-
-
-def gaussian_bound_check(space: PmmSpace, C1: float, C2: float, c: float, nu: float,
-                         t_grid: Sequence[float], probe_pairs) -> dict:
-    """Upper bound p(t,x,y) <= (C1/(c t^nu)) exp(-C2 d(x,y)^2 / t) on probes.
-
-    Also reports the tightest admissible C1 and a log-log fit of the
-    on-diagonal decay at the base point (empirical nu).
-    """
-    sk = get_kernel(space)
-    rows = []
-    tightest = 0.0
-    for t in t_grid:
-        worst = -np.inf
-        for x, y in probe_pairs:
-            p = sk.kernel_value(t, x, y)
-            d = float(np.asarray(space.distance(x, y)))
-            envelope = np.exp(-C2 * d * d / t) / (c * t ** nu)
-            worst = max(worst, p - C1 * envelope)
-            if envelope > 0:
-                tightest = max(tightest, p / envelope)
-        rows.append({"check": "gaussian_bound", "t": float(t),
-                     "max_violation": max(worst, 0.0), "pass": bool(worst <= 1e-12)})
-    diag = np.asarray([on_diagonal(space, t, space.base_point) for t in t_grid])
-    if len(t_grid) >= 2 and np.all(diag > 0):
-        slope = float(np.polyfit(np.log(np.asarray(t_grid, dtype=float)), np.log(diag), 1)[0])
-        nu_fit = -slope
-    else:
-        nu_fit = float("nan")
-    return {"check": "gaussian_bound", "rows": rows, "tightest_C1": tightest,
-            "nu_fit": nu_fit, "pass": all(r["pass"] for r in rows)}

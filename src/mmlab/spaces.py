@@ -17,7 +17,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 TRIANGLE_TOL = 1e-9
-LIPSCHITZ_TOL = 1e-9
 CONE_MIN_RESOLUTION = 4   # rings and meridians of the coarsest cone mesh
 
 
@@ -59,22 +58,6 @@ class Potential:
     convexity_modulus: float = 0.0
     quadratic_coeff: Optional[float] = None
 
-    def check_gradient(self, probes: np.ndarray, rtol: float = 1e-5, h: float = 1e-5) -> float:
-        """Max relative mismatch of grad against central differences."""
-        worst = 0.0
-        for x in np.atleast_2d(probes):
-            g = np.atleast_1d(np.asarray(self.grad(x), dtype=float))
-            fd = np.empty_like(g)
-            for i in range(len(g)):
-                e = np.zeros_like(np.atleast_1d(x), dtype=float)
-                e[i] = h
-                fd[i] = (self.value(x + e) - self.value(x - e)) / (2 * h)
-            scale = max(1.0, float(np.max(np.abs(g))))
-            worst = max(worst, float(np.max(np.abs(g - fd))) / scale)
-        if worst > rtol:
-            raise SpaceError("gradient disagrees with finite differences (%.2e)" % worst)
-        return worst
-
 
 def quadratic_potential(a: float) -> Potential:
     return Potential(
@@ -92,14 +75,6 @@ class ConvexDomain:
     contains: Callable
     project: Callable
 
-    def check_projection(self, probes: np.ndarray, tol: float = 1e-9) -> None:
-        for x in np.atleast_2d(probes):
-            p = np.asarray(self.project(x), dtype=float)
-            pp = np.asarray(self.project(p), dtype=float)
-            if np.max(np.abs(pp - p)) > tol:
-                raise SpaceError("projection not idempotent")
-            if self.contains(x) and np.max(np.abs(p - np.atleast_1d(x))) > tol:
-                raise SpaceError("projection moves an interior point")
 
 
 def box_domain(lo, hi) -> ConvexDomain:
@@ -331,6 +306,8 @@ class FiniteMms(PmmSpace):
         n = len(w)
         if d.shape != (n, n):
             raise SpaceError("dist must be n x n")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(w))):
+            raise SpaceError("distances and weights must be finite")
         if np.any(np.abs(np.diag(d)) > 0):
             raise SpaceError("nonzero diagonal")
         if np.max(np.abs(d - d.T)) > TRIANGLE_TOL:
@@ -395,24 +372,9 @@ class CollapseMap:
     ``fiber_diameter_bound`` from the embedded one.
     """
 
-    source: PmmSpace
     target: PmmSpace
     map: Callable
     fiber_diameter_bound: float
-
-    def __call__(self, x):
-        return self.map(x)
-
-    def check_lipschitz(self, xs, ys, tol: float = LIPSCHITZ_TOL) -> float:
-        """Max of d_target(m(x), m(y)) - d_source(x, y) over given pairs."""
-        worst = -np.inf
-        for x, y in zip(xs, ys):
-            ds = float(np.asarray(self.source.distance(x, y)))
-            dt = float(np.asarray(self.target.distance(self.map(x), self.map(y))))
-            worst = max(worst, dt - ds)
-        if worst > tol:
-            raise SpaceError("collapse map not 1-Lipschitz (excess %.2e)" % worst)
-        return worst
 
 
 @dataclass(frozen=True)
@@ -425,9 +387,6 @@ class QuadratureDensity:
 
     def masses(self) -> np.ndarray:
         return self.base_weights * self.density
-
-    def total(self) -> float:
-        return float(np.sum(self.masses()))
 
 
 def weighted_measure(space: PmmSpace, C: float = 1.0) -> QuadratureDensity:
@@ -449,24 +408,6 @@ def weighted_measure(space: PmmSpace, C: float = 1.0) -> QuadratureDensity:
     if z <= 0 or tail > 1e-10 * z:
         raise SpaceError("weight e^{-C d^2} not integrable on the grid; C too small")
     return QuadratureDensity(pts, w, weight / z)
-
-
-def volume_growth_check(space: PmmSpace, c1: float, c2: float, radii) -> dict:
-    """Check m(B_r(base)) <= c1 e^{c2 r^2} at each radius."""
-    radii = list(radii)
-    if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise SpaceError("radii must be positive and increasing")
-    rows = []
-    first_violation = None
-    for r in radii:
-        mass = space.ball_mass(space.base_point, r)
-        bound = c1 * np.exp(c2 * r * r)
-        ok = mass <= bound + 1e-12
-        if not ok and first_violation is None:
-            first_violation = r
-        rows.append({"r": float(r), "mass": mass, "bound": float(bound), "pass": bool(ok)})
-    return {"check": "volume_growth", "rows": rows,
-            "first_violation": first_violation, "pass": first_violation is None}
 
 
 def theta_comparison(kappa: float, theta) -> np.ndarray:
@@ -519,25 +460,9 @@ def bishop_gromov_check(space: PmmSpace, N: float, K: float, D: float, radii) ->
             "pass": all(r["pass"] for r in rows if not r.get("degenerate"))}
 
 
-def collapse_map_torus(n: int, circumference: float = 2 * np.pi,
-                       normalized: bool = True, n_nodes=(256, 64)) -> CollapseMap:
-    """Projection Torus(c, c/n) -> Circle(c); fiber diameter = half the
-    second-factor circumference."""
-    if n < 1:
-        raise SpaceError("n must be >= 1")
-    torus = Torus(circumference, circumference / n, n_nodes=n_nodes, normalized=normalized)
-    circle = Circle(circumference, normalized=normalized)
-    return CollapseMap(
-        source=torus,
-        target=circle,
-        map=lambda x: np.asarray(x, dtype=float)[..., 0],
-        fiber_diameter_bound=circumference / (2 * n),
-    )
-
-
-def mesh_cone(n: int, resolution: int):
+def mesh_cone(n: int, resolution: int) -> FiniteMms:
     """Triangulated point cloud on {y^2 + z^2 = x/n, 0 <= x <= 1} with
-    graph-geodesic distances; collapses onto Interval(0, 1) by x-projection."""
+    graph-geodesic distances; ``coords`` holds the nodes, apex first."""
     if n < 1:
         raise SpaceError("n must be >= 1")
     if resolution < CONE_MIN_RESOLUTION:
@@ -596,14 +521,4 @@ def mesh_cone(n: int, resolution: int):
         w[1 + j * angular:1 + (j + 1) * angular] = ds[j] * 2 * np.pi * radii[j] / angular
     w /= w.sum()
 
-    space = FiniteMms(dist=dist, weights=w, base_index=0, coords=coords)
-    interval = Interval(0.0, 1.0, base=0.0, normalized=True)
-    node_x = coords[:, 0].copy()
-    fiber = np.pi * np.sqrt(1.0 / n)
-    cmap = CollapseMap(
-        source=space,
-        target=interval,
-        map=lambda idx: node_x[np.asarray(idx, dtype=int)],
-        fiber_diameter_bound=fiber,
-    )
-    return space, cmap
+    return FiniteMms(dist=dist, weights=w, base_index=0, coords=coords)

@@ -117,21 +117,6 @@ def _merge_close_atoms(atoms: np.ndarray, weights: np.ndarray):
     return a[keep], w[keep]
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """A coupling matrix between two discrete measures."""
-
-    plan: np.ndarray
-
-    def check_marginals(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-        rows = self.plan.sum(axis=1)
-        cols = self.plan.sum(axis=0)
-        if np.max(np.abs(rows - mu.weights)) > MARGINAL_TOL:
-            raise TransportError("row marginals violated")
-        if np.max(np.abs(cols - nu.weights)) > MARGINAL_TOL:
-            raise TransportError("column marginals violated")
-
-
 def pairwise_distances(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """Euclidean distances between the atoms of ``mu`` and of ``nu``."""
     diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
@@ -143,7 +128,8 @@ def wasserstein_exact(p: int, mu: DiscreteMeasure, nu: DiscreteMeasure,
     """W_p between discrete measures via the exact transportation LP.
 
     The ground metric is ``dist_matrix``, else the Euclidean one.  Returns
-    ``(value, plan)`` with an optimal feasible TransportPlan.
+    ``(value, plan)`` with an optimal plan, an (n, m) array whose row and
+    column sums are the weights of ``mu`` and ``nu``.
     """
     if p not in (1, 2):
         raise TransportError("p must be 1 or 2")
@@ -164,8 +150,10 @@ def wasserstein_exact(p: int, mu: DiscreteMeasure, nu: DiscreteMeasure,
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise TransportError("transport LP failed: %s" % res.message)
-    plan = TransportPlan(res.x.reshape(n, m))
-    plan.check_marginals(mu, nu)
+    plan = res.x.reshape(n, m)
+    if np.max(np.abs(plan.sum(axis=1) - mu.weights)) > MARGINAL_TOL \
+            or np.max(np.abs(plan.sum(axis=0) - nu.weights)) > MARGINAL_TOL:
+        raise TransportError("transport plan violates its marginals")
     value = float(max(res.fun, 0.0)) ** (1.0 / p)
     return value, plan
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mmlab.cli as cli
-from mmlab import FiniteMms, quadratic_potential
+from mmlab import Circle, FiniteMms, quadratic_potential
 from mmlab.cli import ScenarioConfig, main, validate_dict
 from mmlab.convergence import BASELINE_PARTS
 from mmlab.spaces import SpaceError
@@ -188,10 +188,11 @@ def test_torus_product_identity_fails_off_the_first_coordinate(monkeypatch, seco
     def second_coordinate(x):
         return np.asarray(x, dtype=float)[..., 1]
 
-    def collapse(space, target, fmap, fiber):
-        if second and space.len2 < np.pi:
+    def collapse(target, fmap, fiber):
+        # the n = 4 member's fiber bound is pi/4, the n = 1 member's pi
+        if second and fiber < np.pi / 2:
             fmap = second_coordinate
-        return real(space, target, fmap, fiber)
+        return real(target, fmap, fiber)
 
     monkeypatch.setattr(cli, "CollapseMap", collapse)
     cfg = ScenarioConfig(scenario="torus_collapse", n_grid=[1, 4], mc_count=8)
@@ -334,6 +335,23 @@ def test_validate_rejects_truncated_finite_file(tmp_path, capsys):
         FiniteMms.load(space_file)
 
 
+@pytest.mark.parametrize("bad", ["weight", "distance"])
+def test_validate_rejects_non_finite_finite_file(tmp_path, capsys, bad):
+    # NaN and inf pass every comparison, so only a finiteness check sees them
+    space_file = tmp_path / "space.txt"
+    write_finite(space_file, n=4)
+    lines = space_file.read_text().splitlines()
+    if bad == "weight":
+        lines[2] = "nan"
+    else:
+        lines[5:9] = ["0 inf 1 1", "inf 0 1 1", "1 1 0 1", "1 1 1 0"]
+    space_file.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, finite_file=str(space_file))
+    assert main(["validate", str(cfg)]) == 1
+    assert "finite_file: " in capsys.readouterr().out
+
+
 def test_runner_crash_writes_an_incomplete_report(tmp_path, capsys, monkeypatch):
     def crash(cfg, pool):
         raise RuntimeError("boom")
@@ -392,3 +410,27 @@ def test_config_defaults_documented():
     assert cfg.n_grid == [1, 2, 4, 8, 16]
     assert cfg.mc_count == 10000
     assert cfg.times == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("kind", ["circle", "line", "chain"])
+def test_bundled_test_functions_keep_their_declared_constants(kind):
+    """|f| <= sup_bound and every difference quotient <= lip on a probe grid,
+    under the metric of the limit the functions are declared on; every fdd
+    and pmg budget scales with lip."""
+    if kind == "circle":
+        registry = cli.circle_functions()
+        probes = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
+        dist = Circle(2 * np.pi).distance(probes[:, None], probes[None, :])
+    elif kind == "line":
+        registry = cli.line_functions()
+        probes = np.linspace(-5.0, 5.0, 401)
+        dist = np.abs(probes[:, None] - probes[None, :])
+    else:
+        chain = cli._interval_chain(24)
+        registry = cli.chain_functions(chain.coords[:, 0])
+        probes = np.arange(chain.n)
+        dist = chain.distance(probes[:, None], probes[None, :])
+    for f in registry.values():
+        vals = np.asarray(f(probes), dtype=float)
+        assert np.max(np.abs(vals)) <= f.sup_bound + 1e-12, f.name
+        assert np.all(np.abs(vals[:, None] - vals[None, :]) <= f.lip * dist + 1e-12), f.name

@@ -48,8 +48,7 @@ def torus_family(ns, nodes=(256, 64)):
     members = []
     for n in ns:
         torus = Torus(2 * np.pi, 2 * np.pi / n, n_nodes=nodes, normalized=True)
-        cmap = CollapseMap(torus, limit,
-                           lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n)
+        cmap = CollapseMap(limit, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n)
         members.append((n, torus, cmap))
     return SpaceFamily(members, limit)
 
@@ -190,16 +189,6 @@ def test_mcshane_rejects_non_lipschitz_input():
         mcshane_extend([], [], 1.0, metric)
 
 
-def test_lipschitz_test_function_validate():
-    probes = np.linspace(0, 2 * np.pi, 25)
-    metric = Circle(2 * np.pi).distance
-    COS.validate(probes, metric)
-    too_steep = LipschitzTestFunction(lambda x: np.cos(5 * np.asarray(x, dtype=float)),
-                                      lip=1.0, sup_bound=1.0)
-    with pytest.raises(ConvergenceError):
-        too_steep.validate(probes, metric)
-
-
 def test_space_family_rejects_mismatched_limit():
     fam = torus_family([2])
     other = Circle(4 * np.pi)
@@ -233,7 +222,7 @@ def test_pmg_log_concave_limit():
     # comes back with shape (1,), and pmg_test must still read it as a number
     limit = EuclideanLogConcave(1, quadratic_potential(1.0))
     space = EuclideanLogConcave(1, quadratic_potential(2.0))
-    fam = SpaceFamily([(2, space, CollapseMap(space, limit, lambda x: x, 0.0))], limit)
+    fam = SpaceFamily([(2, space, CollapseMap(limit, lambda x: x, 0.0))], limit)
     out = pmg_test(fam, list(line_functions().values()))
     assert [r["f"] for r in out["rows"]] == ["clamp", "tanh", "bump"]
     assert all(type(r["base_gap"]) is float and r["base_gap"] == 0.0 for r in out["rows"])
@@ -281,7 +270,7 @@ def test_fdd_report_applies_each_semigroup_once_per_step(monkeypatch):
     members = []
     for n in (1, 2, 4, 8):
         space = EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n))
-        members.append((n, space, CollapseMap(space, limit, lambda x: x, 0.0)))
+        members.append((n, space, CollapseMap(limit, lambda x: x, 0.0)))
     fns = list(line_functions().values())
     out = fdd_convergence_report(SpaceFamily(members, limit), [0.25, 0.75], fns)
     assert calls == [(4096, 3)] * 5

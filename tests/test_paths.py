@@ -363,8 +363,7 @@ def test_extract_fdd_point_mass_and_functoriality():
 
     from mmlab import CollapseMap
     circle = Circle(2 * np.pi)
-    cmap = CollapseMap(space, circle, lambda x: np.asarray(x, dtype=float)[..., 0],
-                       np.pi / 4)
+    cmap = CollapseMap(circle, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / 4)
     mapped = extract_fdd(ens, [0.2, 0.4], cmap)
     raw = extract_fdd(ens, [0.2, 0.4])
 
