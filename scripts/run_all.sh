@@ -1,12 +1,25 @@
 #!/bin/sh
 # Run every bundled scenario config; exits nonzero if any scenario fails.
+# Usage: scripts/run_all.sh [DIR]
 # Runs the lab from src/, so it works in a checkout without `pip install`.
-# Each scenario writes into its own directory under a fresh temporary
-# directory, never into the committed golden tables in out/.
+# Each scenario writes into its own directory under DIR, or under a fresh
+# temporary directory when no DIR is given.  DIR may not lie inside out/,
+# which holds the committed golden tables.
 set -e
-cd "$(dirname "$0")/.."
+root=$(cd "$(dirname "$0")/.." && pwd -P)
+if [ $# -gt 0 ]; then
+    dest=$(python -c 'import os, sys; print(os.path.realpath(sys.argv[1]))' "$1")
+    case "$dest/" in
+        "$root/out/"*)
+            echo "refusing $1: out/ holds the committed golden tables" >&2
+            exit 2 ;;
+    esac
+    mkdir -p "$dest"
+else
+    dest=$(mktemp -d)
+fi
+cd "$root"
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
-dest=$(mktemp -d)
 echo "writing tables to $dest"
 for cfg in scripts/*.json; do
     echo "== $cfg"

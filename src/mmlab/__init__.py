@@ -27,7 +27,6 @@ from .transport import (
     entropy_convexity_check,
     kr_dual_bound,
     wasserstein_1d,
-    wasserstein_circle,
     wasserstein_exact,
     wasserstein_grid,
 )

@@ -31,7 +31,6 @@ from .convergence import (
     entropy_tightness,
     fdd_convergence_report,
     initial_law_w1,
-    pathlaw_baseline,
     pathlaw_w1,
     pmg_test,
 )
@@ -262,23 +261,20 @@ def _divergence_check(ensembles: dict) -> dict:
     return _status("em_divergence", not any(flagged.values()), flagged=flagged)
 
 
-def _sample_pathlaw(cfg: ScenarioConfig, pool: ThreadPoolExecutor, members, limit,
+def _sample_pathlaw(cfg: ScenarioConfig, pool: ThreadPoolExecutor, family: SpaceFamily,
                     grid, count: int):
     """Kernel-chain ensembles of every member and of the limit started at the
-    base point, and the table of member-to-limit path-law W1 rows."""
+    base point, and their path-law W1 report."""
     futures = {n: pool.submit(sample_kernel_chain, space, "base", grid, count,
                               _seed_for(cfg, 1, i))
-               for i, (n, space, _) in enumerate(members)}
-    limit_future = pool.submit(sample_kernel_chain, limit, "base", grid, count,
+               for i, (n, space, _) in enumerate(family.members)}
+    limit_future = pool.submit(sample_kernel_chain, family.limit, "base", grid, count,
                                _seed_for(cfg, 2))
     ensembles = {n: fut.result() for n, fut in futures.items()}
     limit_ens = limit_future.result()
-    base_se = pathlaw_baseline(limit_ens, cfg.times, bins=cfg.bins, seed=_seed_for(cfg, 3))
-    rows = []
-    for n, _, cmap in members:
-        res = pathlaw_w1(ensembles[n], limit_ens, cfg.times, base_se, cmap, bins=cfg.bins)
-        rows.append({"label": n, **{k: v for k, v in res.items() if k != "check"}})
-    return ensembles, limit_ens, rows
+    report = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
+                        seed=_seed_for(cfg, 3))
+    return ensembles, limit_ens, report
 
 
 def _torus_errors(cfg: ScenarioConfig) -> list:
@@ -330,10 +326,10 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     tables["entropy"] = et["rows"]
     checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
 
-    ensembles, limit_ens, rows = _sample_pathlaw(cfg, pool, members, limit,
-                                                 _torus_grid(cfg), cfg.mc_count)
-    tables["pathlaw"] = rows
-    checks.append(_status("pathlaw_w1", all(r["pass"] for r in rows)))
+    ensembles, limit_ens, pl = _sample_pathlaw(cfg, pool, family, _torus_grid(cfg),
+                                               cfg.mc_count)
+    tables["pathlaw"] = pl["rows"]
+    checks.append(_status("pathlaw_w1", pl["pass"]))
 
     mod_rows = []
     mod_ok = True
@@ -419,9 +415,9 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
 
     grid = np.concatenate([[0.0], np.asarray(cfg.times, dtype=float)])
-    _, _, rows = _sample_pathlaw(cfg, pool, members, limit, grid, min(cfg.mc_count, 4000))
-    tables["pathlaw"] = rows
-    checks.append(_status("pathlaw_w1", all(r["pass"] for r in rows)))
+    _, _, pl = _sample_pathlaw(cfg, pool, family, grid, min(cfg.mc_count, 4000))
+    tables["pathlaw"] = pl["rows"]
+    checks.append(_status("pathlaw_w1", pl["pass"]))
     return checks, tables
 
 

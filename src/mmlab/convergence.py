@@ -29,14 +29,13 @@ from .transport import (
     DiscreteMeasure,
     unique_rows,
     wasserstein_1d,
-    wasserstein_circle,
     wasserstein_exact,
     wasserstein_grid,
 )
 
 QUAD_TOL = 1e-6
-BASELINE_PARTS = 2   # pathlaw_baseline compares two halves of the limit ensemble
-BASELINE_SPLITS = 4  # the random half/half splits pathlaw_baseline averages
+BASELINE_PARTS = 2   # pathlaw_w1's baseline compares two halves of the limit's paths
+BASELINE_SPLITS = 4  # the random half/half splits that baseline averages
 
 
 class ConvergenceError(ValueError):
@@ -65,6 +64,9 @@ class SpaceFamily:
 
     def __init__(self, members, limit):
         members = tuple(members)
+        labels = [label for label, _, _ in members]
+        if len(set(labels)) != len(labels):
+            raise ConvergenceError("member labels must be distinct")
         for label, space, cmap in members:
             if cmap is not None:
                 if not np.isfinite(cmap.fiber_diameter_bound):
@@ -244,68 +246,67 @@ def _bin_edges(limit: PmmSpace, pooled: Optional[np.ndarray], bins: int):
 
 def product_distance_matrix(limit: PmmSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Sum-metric distances between product-space atoms (1-D blocks)."""
-    out = np.zeros((len(A), len(B)))
+    # flat pairs: a space may read a trailing axis as one point's coordinates,
+    # so (n, 1) against (1, m) need not broadcast to the n x m pairs
+    rows, cols = np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))
+    out = np.zeros(len(rows))
     for j in range(A.shape[1]):
-        out += np.asarray(limit.distance(A[:, j][:, None], B[:, j][None, :]))
-    return out
+        out += np.asarray(limit.distance(rows[:, j], cols[:, j]))
+    return out.reshape(len(A), len(B))
 
 
-def pathlaw_w1(ensemble_n: PathEnsemble, ensemble_limit: PathEnsemble,
-               times: Sequence[float], baseline_se: tuple,
-               collapse: Optional[CollapseMap] = None, bins: int = 24) -> dict:
-    """W_1 between mapped empirical fdds, with an error budget.
+def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
+               times: Sequence[float], bins: int = 24, seed: int = 0) -> dict:
+    """W_1 between each member's mapped empirical fdd and the limit's, with an
+    error budget, one row per member of ``members`` (label, space, collapse
+    map); ``ensembles`` maps each label to the member's paths.
 
-    The joint laws are snapped onto per-coordinate bins (bin diameter
-    reported in the budget) and W_1 is solved exactly on the bins, as a
-    min-cost flow on the bin grid where the limit's metric allows, else as
-    the dense transport LP (see ``_binned_w1``); the self-distance baseline
-    and its spread come from random half/half splits of the limit ensemble
-    with the same binning, passed in as ``baseline_se`` from
-    ``pathlaw_baseline``.
+    The joint laws are snapped onto one set of per-coordinate bins, taken
+    from the limit and every member pooled (bin diameter reported in the
+    budget), and W_1 is solved exactly on the bins, as a min-cost flow on the
+    bin grid where the limit's metric allows, else as the dense transport LP
+    (see ``_binned_w1``).  The self-distance baseline and its spread are the
+    mean and standard deviation of the binned W_1 between the two halves of
+    ``BASELINE_SPLITS`` random half/half splits of the limit's paths.
     """
-    if len(ensemble_n.times) != len(ensemble_limit.times) or \
-            np.max(np.abs(ensemble_n.times - ensemble_limit.times)) > 1e-12:
-        raise ConvergenceError("mismatched time grids")
+    for label, _, _ in members:
+        grid = ensembles[label].times
+        if len(grid) != len(ensemble_limit.times) or \
+                np.max(np.abs(grid - ensemble_limit.times)) > 1e-12:
+            raise ConvergenceError("mismatched time grids")
     limit = ensemble_limit.space
     k = len(times)
-    mu = extract_fdd(ensemble_n, times, collapse)
-    nu = extract_fdd(ensemble_limit, times)
-    pooled = np.concatenate([mu.atoms, nu.atoms], axis=0)
+    mus = [extract_fdd(ensembles[label], times, cmap) for label, _, cmap in members]
+    # the limit's law, and its splits below, from the same concatenated rows
+    states = np.concatenate([ensemble_limit.state_at(t) for t in times], axis=1)
+    nu = DiscreteMeasure(states)
+    pooled = np.concatenate([nu.atoms] + [mu.atoms for mu in mus], axis=0)
     specs = [_bin_edges(limit, pooled[:, j], bins) for j in range(k)]
-    value = _binned_w1(limit, _weighted_rebin(mu.atoms, mu.weights, specs),
-                       _weighted_rebin(nu.atoms, nu.weights, specs), specs)
-    baseline, se = float(baseline_se[0]), float(baseline_se[1])
-    fiber = 0.0 if collapse is None else collapse.fiber_diameter_bound
-    bin_budget = float(sum(spec[1] for spec in specs))
-    bound = baseline + k * fiber + 3 * se
-    return {"check": "pathlaw_w1", "w1": value, "baseline": baseline, "se": se,
-            "fiber_budget": k * fiber, "bin_budget": bin_budget,
-            "bound": bound, "pass": bool(value <= bound)}
 
+    def binned(law):
+        return _weighted_rebin(law.atoms, law.weights, specs)
 
-def pathlaw_baseline(ensemble_limit: PathEnsemble, times: Sequence[float],
-                     bins: int = 24, seed: int = 0) -> tuple:
-    """Self-distance of the limit ensemble: mean and spread of binned W_1
-    between random half/half splits (the zero-versus-noise reference)."""
-    limit = ensemble_limit.space
-    nu = extract_fdd(ensemble_limit, times)
-    specs = [_bin_edges(limit, nu.atoms[:, j], bins) for j in range(len(times))]
+    nu_binned = binned(nu)
     rng = make_rng(seed, 7)
-    split_vals = []
     half = ensemble_limit.count // BASELINE_PARTS
+    split_vals = []
     for _ in range(BASELINE_SPLITS):
         perm = rng.permutation(ensemble_limit.count)
-        a_idx, b_idx = perm[:half], perm[half:2 * half]
-        fa = extract_fdd(_subset(ensemble_limit, a_idx), times)
-        fb = extract_fdd(_subset(ensemble_limit, b_idx), times)
-        split_vals.append(_binned_w1(limit, _weighted_rebin(fa.atoms, fa.weights, specs),
-                                     _weighted_rebin(fb.atoms, fb.weights, specs), specs))
-    return float(np.mean(split_vals)), float(np.std(split_vals)) + 1e-12
-
-
-def _subset(ensemble: PathEnsemble, idx: np.ndarray) -> PathEnsemble:
-    return PathEnsemble(ensemble.times, ensemble.states[idx], ensemble.seed,
-                        ensemble.initial_law, ensemble.space, ensemble.flags[idx])
+        a, b = states[perm[:half]], states[perm[half:2 * half]]
+        split_vals.append(_binned_w1(limit, binned(DiscreteMeasure(a)),
+                                     binned(DiscreteMeasure(b)), specs))
+    baseline = float(np.mean(split_vals))
+    se = float(np.std(split_vals)) + 1e-12
+    bin_budget = float(sum(spec[1] for spec in specs))
+    rows = []
+    for (label, _, cmap), mu in zip(members, mus):
+        value = _binned_w1(limit, binned(mu), nu_binned, specs)
+        fiber = 0.0 if cmap is None else cmap.fiber_diameter_bound
+        bound = baseline + k * fiber + 3 * se
+        rows.append({"label": label, "w1": value, "baseline": baseline, "se": se,
+                     "fiber_budget": k * fiber, "bin_budget": bin_budget,
+                     "bound": bound, "pass": bool(value <= bound)})
+    return {"check": "pathlaw_w1", "rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
 def _weighted_rebin(atoms: np.ndarray, weights: np.ndarray, specs):
@@ -342,7 +343,7 @@ def _axis_graph(limit: PmmSpace, spec, first: int, last: int):
     is not that graph's shortest-path metric."""
     lo, width, _, period = spec
     centers = lo + (np.arange(first, last + 1) + 0.5) * width
-    d = np.asarray(limit.distance(centers[:, None], centers[None, :]), dtype=float)
+    d = product_distance_matrix(limit, centers[:, None], centers[:, None])
     # closing a cycle through one or two bins adds no route
     cyclic = period is not None and len(centers) > 2
     edges = np.diagonal(d, 1)
@@ -406,27 +407,30 @@ def entropy_tightness(family: SpaceFamily, eps: float) -> dict:
 
 
 def initial_law_w1(family: SpaceFamily, bins: int = 64) -> dict:
-    """W_1 between each mapped probability reference and the limit's, on a
-    common 1-D discretization of the limit space."""
+    """W_1 between each mapped probability reference and the limit's: on a
+    circle or a finite limit, binned W_1 on ``bins`` arcs or on the atoms;
+    on the line, the quantile formula."""
     limit = family.limit
     limit_ref = weighted_measure(limit)
     limit_masses = limit_ref.masses()
     lim_measure = DiscreteMeasure(np.asarray(limit_ref.points, dtype=float),
                                   limit_masses / limit_masses.sum())
+    if isinstance(limit, (Circle, FiniteMms)):
+        spec = [_bin_edges(limit, None, bins)]
+        lim_binned = _weighted_rebin(lim_measure.atoms, lim_measure.weights, spec)
+
+        def w1_to_limit(mu):
+            return _binned_w1(limit, _weighted_rebin(mu.atoms, mu.weights, spec), lim_binned,
+                              spec)
+    else:
+        def w1_to_limit(mu):
+            return wasserstein_1d(1, mu, lim_measure)
     rows = []
     for label, space, cmap in family.members:
         ref = weighted_measure(space)
         masses = ref.masses()
         mapped = _mapped_points(cmap, ref.points)
         mu = DiscreteMeasure(np.asarray(mapped, dtype=float), masses / masses.sum())
-        if isinstance(limit, Circle):
-            spec = [_bin_edges(limit, None, bins)]
-            mu_b = _center_measure(_weighted_rebin(mu.atoms, mu.weights, spec), spec)
-            lim_b = _center_measure(
-                _weighted_rebin(lim_measure.atoms, lim_measure.weights, spec), spec)
-            w1 = wasserstein_circle(1, mu_b, lim_b, limit.circumference)
-        else:
-            w1 = wasserstein_1d(1, mu, lim_measure)
         fiber = 0.0 if cmap is None else cmap.fiber_diameter_bound
-        rows.append({"label": label, "w1": float(w1), "fiber": fiber})
+        rows.append({"label": label, "w1": float(w1_to_limit(mu)), "fiber": fiber})
     return {"check": "initial_law_w1", "rows": rows}

@@ -52,8 +52,6 @@ class PathEnsemble:
 
     times: np.ndarray
     states: np.ndarray
-    seed: int
-    initial_law: str
     space: Optional[PmmSpace] = None
     flags: np.ndarray = field(default=None)
 
@@ -98,10 +96,10 @@ def _initial_states(space: Optional[PmmSpace], initial, count: int,
         if initial.dim != dim:
             raise PathError("initial law dimension mismatch")
         idx = rng.choice(len(initial), size=count, p=initial.weights)
-        return initial.atoms[idx], "supplied"
+        return initial.atoms[idx]
     if initial is None or initial == "base":
         base = np.atleast_1d(np.asarray(space.base_point, dtype=float))
-        return np.tile(base[:dim], (count, 1)), "base"
+        return np.tile(base[:dim], (count, 1))
     if initial == "weighted":
         ref = weighted_measure(space)
         masses = ref.masses()
@@ -109,7 +107,7 @@ def _initial_states(space: Optional[PmmSpace], initial, count: int,
         pts = np.asarray(ref.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        return pts[idx], "weighted"
+        return pts[idx]
     raise PathError("unknown initial law %r" % (initial,))
 
 
@@ -157,8 +155,7 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
     if isinstance(space, (Circle, Torus)):
         # independent increments on each circle factor
         circles = [space] if isinstance(space, Circle) else space.factors()
-        x, law = _initial_states(space, initial, count, rng, len(circles))
-        x = x.copy()
+        x = _initial_states(space, initial, count, rng, len(circles)).copy()
         samplers = {float(dt): [
             _increment_sampler(circle_kernel_arc(dt, c.grid(), c.circumference),
                                c.grid(), c.circumference / c.n_nodes) for c in circles]
@@ -169,13 +166,13 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
             for j, (draw, c) in enumerate(zip(samplers[float(dt)], circles)):
                 x[:, j] = np.mod(x[:, j] + draw(rng, count), c.circumference)
             out[:, k + 1] = x
-        return PathEnsemble(times, out, seed, law, space)
+        return PathEnsemble(times, out, space)
 
     if isinstance(space, (Interval, FiniteMms)):
         # a Markov chain on the grid (atoms), one row CDF per step length
         sk = get_kernel(space)
         grid = sk.points
-        x, law = _initial_states(space, initial, count, rng, 1)
+        x = _initial_states(space, initial, count, rng, 1)
         if isinstance(space, FiniteMms):
             state = x[:, 0].astype(int)
         else:
@@ -188,19 +185,18 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
             u = rng.random(count)
             state = np.argmax(rows > u[:, None], axis=1)
             out[:, k + 1, 0] = grid[state]
-        return PathEnsemble(times, out, seed, law, space)
+        return PathEnsemble(times, out, space)
 
     if isinstance(space, EuclideanLogConcave):
         sk = get_kernel(space)  # validates the quadratic form
-        x, law = _initial_states(space, initial, count, rng, 1)
-        x = x[:, 0].copy()
+        x = _initial_states(space, initial, count, rng, 1)[:, 0].copy()
         out = np.empty((count, len(times), 1))
         out[:, 0, 0] = x
         for k, dt in enumerate(dts):
             mean, var = sk._moments(dt, x)
             x = mean + np.sqrt(var) * rng.standard_normal(count)
             out[:, k + 1, 0] = x
-        return PathEnsemble(times, out, seed, law, space)
+        return PathEnsemble(times, out, space)
 
     raise PathError("no kernel sampler for %s" % type(space).__name__)
 
@@ -292,8 +288,7 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
             x, xn = xn, x  # the old state's array takes the next step
         if slot[k + 1] >= 0:
             out[:, slot[k + 1]] = x
-    law = "point(%s)" % ",".join("%g" % v for v in x0)
-    return PathEnsemble(times, out, seed, law, flags=flags)
+    return PathEnsemble(times, out, flags=flags)
 
 
 def extract_fdd(ensemble: PathEnsemble, times: Sequence[float],

@@ -190,32 +190,6 @@ def wasserstein_1d(p: int, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(np.sum(w * np.abs(x - y) ** p)) ** (1.0 / p)
 
 
-def wasserstein_circle(p: int, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       circumference: float) -> float:
-    """W_p on a circle of given circumference.
-
-    Small instances (<= 64 atoms each) lift to the line over all cyclic cuts;
-    larger ones fall back to the LP on pairwise geodesic distances.
-    """
-    c = float(circumference)
-    if max(len(mu), len(nu)) <= 64:
-        xs = np.mod(mu.atoms[:, 0], c)
-        ys = np.mod(nu.atoms[:, 0], c)
-        cuts = np.unique(np.concatenate([xs, ys]))
-        best = np.inf
-        for cut in cuts:
-            mu_cut = DiscreteMeasure(np.mod(xs - cut, c), mu.weights)
-            nu_cut = DiscreteMeasure(np.mod(ys - cut, c), nu.weights)
-            best = min(best, wasserstein_1d(p, mu_cut, nu_cut))
-        return best
-
-    from .spaces import circle_distance  # spaces imports this module
-
-    d = circle_distance(mu.atoms[:, 0][:, None], nu.atoms[:, 0][None, :], c)
-    value, _ = wasserstein_exact(p, mu, nu, dist_matrix=d)
-    return value
-
-
 def wasserstein_grid(mu_cells, mu_weights, nu_cells, nu_weights,
                      edge_costs: Sequence, periodic: Sequence[bool]) -> float:
     """Exact W_1 between two measures on a grid of cells under the sum metric.

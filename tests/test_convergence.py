@@ -38,9 +38,9 @@ from mmlab.convergence import (
     _binned_w1,
     _center_measure,
     _weighted_rebin,
-    pathlaw_baseline,
     product_distance_matrix,
 )
+from mmlab.paths import PathEnsemble, make_rng
 
 
 def torus_family(ns, nodes=(256, 64)):
@@ -290,10 +290,81 @@ def test_pathlaw_self_distance_within_baseline():
     grid = np.linspace(0.0, 1.0, 81)
     a = sample_kernel_chain(circle, "base", grid, 4000, seed=30)
     b = sample_kernel_chain(circle, "base", grid, 4000, seed=31)
-    base, se = pathlaw_baseline(b, [0.25, 0.75], bins=24, seed=7)
-    out = pathlaw_w1(a, b, [0.25, 0.75], (base, se), collapse=None, bins=24)
-    assert out["pass"]
-    assert out["w1"] <= base + 3 * se + 0.05
+    out = pathlaw_w1([("a", circle, None)], {"a": a}, b, [0.25, 0.75], bins=24, seed=7)
+    assert out["check"] == "pathlaw_w1" and out["pass"]
+    (row,) = out["rows"]
+    assert list(row) == ["label", "w1", "baseline", "se", "fiber_budget", "bin_budget",
+                         "bound", "pass"]
+    assert row["label"] == "a" and row["fiber_budget"] == 0.0
+    assert row["w1"] <= row["baseline"] + 3 * row["se"] + 0.05
+
+
+def test_pathlaw_rejects_mismatched_time_grids():
+    circle = Circle(2 * np.pi, n_nodes=64)
+    a = sample_kernel_chain(circle, "base", np.linspace(0.0, 1.0, 5), 50, seed=1)
+    b = sample_kernel_chain(circle, "base", np.linspace(0.0, 1.0, 9), 50, seed=2)
+    with pytest.raises(ConvergenceError):
+        pathlaw_w1([("a", circle, None)], {"a": a}, b, [0.25, 0.75], bins=8)
+
+
+def test_pathlaw_builds_the_limit_law_once_plus_two_per_split(monkeypatch):
+    fam = torus_family([1, 2, 4], nodes=(64, 16))
+    grid = np.linspace(0.0, 1.0, 5)
+    ensembles = {n: sample_kernel_chain(space, "base", grid, 200, seed=n)
+                 for n, space, _ in fam.members}
+    limit_ens = sample_kernel_chain(fam.limit, "base", grid, 200, seed=9)
+    before = pathlaw_w1(fam.members, ensembles, limit_ens, [0.25, 0.75], bins=8, seed=3)
+    laws = []
+    extract, measure = convergence.extract_fdd, convergence.DiscreteMeasure
+
+    def counted_extract(ensemble, *args):
+        if ensemble.space is fam.limit:
+            laws.append("extract_fdd")
+        return extract(ensemble, *args)
+
+    def counted_measure(*args):
+        laws.append("DiscreteMeasure")
+        return measure(*args)
+
+    monkeypatch.setattr(convergence, "extract_fdd", counted_extract)
+    monkeypatch.setattr(convergence, "DiscreteMeasure", counted_measure)
+    out = pathlaw_w1(fam.members, ensembles, limit_ens, [0.25, 0.75], bins=8, seed=3)
+    # the limit's paths make one law, and each split two; the members none
+    assert laws == ["DiscreteMeasure"] * (1 + 2 * convergence.BASELINE_SPLITS)
+    assert out == before
+    assert [r["label"] for r in out["rows"]] == [1, 2, 4]
+
+
+def test_pathlaw_baseline_is_binned_on_the_shared_bins():
+    # on the line the bins span the pooled states, so a member that reaches
+    # past the limit's range widens the bins of the baseline too
+    line = EuclideanLogConcave(1, quadratic_potential(0.0))
+    grid = np.array([0.0, 0.25, 0.75])
+    times = [0.25, 0.75]
+    limit_ens = sample_kernel_chain(line, "base", grid, 400, seed=1)
+    own = sample_kernel_chain(line, "base", grid, 400, seed=2)
+    wide = PathEnsemble(own.times, 3.0 * own.states, line)
+    out = pathlaw_w1([("wide", line, None)], {"wide": wide}, limit_ens, times, bins=12, seed=5)
+    states = np.concatenate([limit_ens.state_at(t) for t in times], axis=1)
+    pooled = np.concatenate([states, np.concatenate([wide.state_at(t) for t in times], axis=1)])
+    assert pooled.max() > states.max() + 1.0
+
+    def baseline(specs):
+        rng = make_rng(5, 7)
+        vals = []
+        for _ in range(convergence.BASELINE_SPLITS):
+            perm = rng.permutation(400)
+            a, b = (_weighted_rebin(m.atoms, m.weights, specs) for m in (
+                DiscreteMeasure(states[perm[:200]]), DiscreteMeasure(states[perm[200:]])))
+            vals.append(_binned_w1(line, a, b, specs))
+        return float(np.mean(vals))
+
+    shared = [_bin_edges(line, pooled[:, j], 12) for j in range(2)]
+    limit_only = [_bin_edges(line, states[:, j], 12) for j in range(2)]
+    (row,) = out["rows"]
+    assert row["baseline"] == baseline(shared)
+    assert row["bin_budget"] == sum(spec[1] for spec in shared)
+    assert baseline(limit_only) != pytest.approx(row["baseline"], rel=1e-3)
 
 
 def test_product_distance_matrix_sum_metric():
@@ -402,6 +473,36 @@ def test_binned_w1_non_chain_finite_takes_dense_lp(monkeypatch):
         assert _binned_w1(limit, mu, nu, specs) == ref
 
 
+def test_binned_w1_on_circle_bins_matches_cdf_formula(monkeypatch):
+    # on a circle W_1 = int |F - G - median(F - G)| (median weighted by arc
+    # length), here for laws on the centers of the 64 arcs of the initial-law spec
+    c = 3.0
+    specs = [_bin_edges(Circle(c), None, 64)]
+    width = specs[0][1]
+    rng = np.random.default_rng(4)
+    a = np.sort(rng.choice(64, 40, replace=False))[:, None]
+    b = np.sort(rng.choice(64, 30, replace=False))[:, None]
+    wa, wb = rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(30))
+    xa, xb = (a[:, 0] + 0.5) * width, (b[:, 0] + 0.5) * width
+    cuts = np.concatenate([[0.0], np.sort(np.concatenate([xa, xb])), [c]])
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    h = np.array([wa[xa <= x].sum() - wb[xb <= x].sum() for x in mids])
+    lengths = np.diff(cuts)
+    order = np.argsort(h)
+    median = h[order][np.searchsorted(np.cumsum(lengths[order]), 0.5 * c)]
+    ref = float(np.sum(lengths * np.abs(h - median)))
+    forbid(monkeypatch, "wasserstein_exact")
+    assert abs(_binned_w1(Circle(c), (a, wa), (b, wb), specs) - ref) <= 1e-9
+
+
+def test_binned_w1_on_circle_bins_antipodal():
+    circle = Circle(2 * np.pi)
+    specs = [_bin_edges(circle, None, 64)]
+    w1 = _binned_w1(circle, (np.array([[0]]), np.ones(1)), (np.array([[32]]), np.ones(1)),
+                    specs)
+    assert abs(w1 - np.pi) <= 1e-12
+
+
 def test_weighted_rebin_interval_endpoint():
     interval = Interval(0.0, 2.0)
     specs = [_bin_edges(interval, None, 4)]
@@ -419,6 +520,21 @@ def test_entropy_tightness_finite_sup():
     assert np.isfinite(out["sup"])
     with pytest.raises(ConvergenceError):
         entropy_tightness(fam, -1.0)
+
+
+def test_initial_law_w1_on_a_finite_limit_is_in_its_distance():
+    limit = FiniteMms(dist=[[0.0, 0.1], [0.1, 0.0]], weights=[0.5, 0.5])
+    member = FiniteMms(dist=[[0.0, 0.1], [0.1, 0.0]], weights=[0.25, 0.75])
+    fam = SpaceFamily([(1, member, CollapseMap(limit, lambda idx: idx, 0.0))], limit)
+    (row,) = initial_law_w1(fam)["rows"]
+    # a quarter of the mass moves across the one edge, of length 0.1
+    assert row["w1"] == pytest.approx(0.025, abs=1e-12)
+
+
+def test_space_family_rejects_repeated_labels():
+    circle = Circle(2 * np.pi)
+    with pytest.raises(ConvergenceError, match="distinct"):
+        SpaceFamily([(1, circle, None), (2, circle, None), (1, circle, None)], circle)
 
 
 def test_initial_law_w1_small_for_uniform_family():

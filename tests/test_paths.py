@@ -395,7 +395,7 @@ def _count_measured_paths(monkeypatch):
 def test_modulus_trivial_cases(monkeypatch):
     measured = _count_measured_paths(monkeypatch)
     times = np.linspace(0.0, 1.0, 41)
-    const = PathEnsemble(times, np.zeros((50, 41, 1)), 0, "point", Circle(2 * np.pi),
+    const = PathEnsemble(times, np.zeros((50, 41, 1)), Circle(2 * np.pi),
                          np.zeros(50, dtype=bool))
     assert modulus_statistic(const, 1.0, [0.1], 0.5) == [0.0]
     # no path ever passes delta: every lag within eta = 4 steps measures all

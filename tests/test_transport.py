@@ -12,7 +12,6 @@ from mmlab import (
     entropy_convexity_check,
     kr_dual_bound,
     wasserstein_1d,
-    wasserstein_circle,
     wasserstein_exact,
     wasserstein_grid,
 )
@@ -113,45 +112,6 @@ def test_kr_dual_point_masses():
     primal, _ = wasserstein_exact(1, mu, nu)
     assert abs(dual - 1.0) <= 1e-12
     assert abs(primal - 1.0) <= 1e-12
-
-
-def test_circle_matches_lp():
-    rng = np.random.default_rng(3)
-    c = 2 * np.pi
-    for _ in range(10):
-        mu = DiscreteMeasure(rng.random(5) * c, rng.dirichlet(np.ones(5)))
-        nu = DiscreteMeasure(rng.random(4) * c, rng.dirichlet(np.ones(4)))
-        def geod(x, y):
-            d = np.abs(np.asarray(x) - np.asarray(y)) % c
-            return np.minimum(d, c - d)
-        d = geod(mu.atoms[:, 0][:, None], nu.atoms[:, 0][None, :])
-        lp, _ = wasserstein_exact(1, mu, nu, dist_matrix=d)
-        assert abs(wasserstein_circle(1, mu, nu, c) - lp) <= 1e-9
-
-
-def test_circle_many_atoms_matches_cdf_formula():
-    # above 64 atoms the circle goes to the LP; on a circle
-    # W_1 = int |F - G - median(F - G)| (median weighted by arc length)
-    rng = np.random.default_rng(4)
-    c = 3.0
-    mu = DiscreteMeasure(rng.random(90) * c, rng.dirichlet(np.ones(90)))
-    nu = DiscreteMeasure(rng.random(70) * c, rng.dirichlet(np.ones(70)))
-    cuts = np.concatenate([[0.0], np.sort(np.concatenate([mu.atoms[:, 0], nu.atoms[:, 0]])), [c]])
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    h = np.array([mu.weights[mu.atoms[:, 0] <= x].sum() - nu.weights[nu.atoms[:, 0] <= x].sum()
-                  for x in mids])
-    lengths = np.diff(cuts)
-    order = np.argsort(h)
-    median = h[order][np.searchsorted(np.cumsum(lengths[order]), 0.5 * c)]
-    ref = float(np.sum(lengths * np.abs(h - median)))
-    assert abs(wasserstein_circle(1, mu, nu, c) - ref) <= 1e-9
-
-
-def test_circle_antipodal():
-    c = 2 * np.pi
-    mu = DiscreteMeasure([0.0])
-    nu = DiscreteMeasure([np.pi])
-    assert abs(wasserstein_circle(1, mu, nu, c) - np.pi) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
