@@ -43,6 +43,7 @@ from .heat import (
     set_generator,
     spectral_gap,
 )
+from .kolmogorov import kstest_uniform
 from .paths import (
     PathEnsemble,
     euler_maruyama,

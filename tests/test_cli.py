@@ -123,6 +123,15 @@ def test_validate_rejects_reflected_dt_off_the_read_times():
     assert validate_dict({"scenario": "reflected_family", "dt": 2.5e-4}) == []
 
 
+def test_validate_rejects_a_ks_level_of_one_or_more():
+    # occupation_ks passes when p >= ks_level, so a level of 1 or more passes
+    # only p = 1, or nothing
+    for level in (1.0, 1.5):
+        assert validate_dict({"scenario": "reflected_family", "ks_level": level}) == [
+            "ks_level: must be below 1"]
+    assert validate_dict({"scenario": "reflected_family", "ks_level": 0.5}) == []
+
+
 def test_validate_rejects_ou_dt_off_the_read_time():
     # time_grid(0.3, 1.0) ends at 0.9; dt = 2 gives a grid of t = 0 alone
     for dt in (0.3, 2.0):
@@ -317,6 +326,30 @@ def test_ou_members_with_a_doubled_potential_fail_marginal_w2(tmp_path, monkeypa
     assert len(made) == 2
     assert code == (1 if wrong else 0)
     assert _status_of(report, "marginal_w2") == ("fail" if wrong else "pass")
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_ou_against_the_wrong_limit_variance_fails_marginal_w2(tmp_path, monkeypatch, wrong):
+    # limit quantiles 1.1 times too wide: the n = 4 gap is about 0.096
+    # against a budget of about 0.051
+    real = cli.ndtri
+    monkeypatch.setattr(cli, "ndtri", lambda q: (1.1 if wrong else 1.0) * real(q))
+    code, report = _run_report(tmp_path, scenario="ou_family", n_grid=[2, 4],
+                               mc_count=2000, dt=cli.OU_DT)
+    assert code == (1 if wrong else 0)
+    assert _status_of(report, "marginal_w2") == ("fail" if wrong else "pass")
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_torus_against_a_circle_of_the_wrong_circumference_fails(tmp_path, monkeypatch, wrong):
+    # only the limit is built 1.1 times too long; the tori are unchanged
+    real = cli.Circle
+    monkeypatch.setattr(cli, "Circle", lambda length, **kw: real(
+        (1.1 if wrong else 1.0) * length, **kw))
+    code, report = _run_report(tmp_path, scenario="torus_collapse", n_grid=[1, 2, 4],
+                               mc_count=2000)
+    assert code == (1 if wrong else 0)
+    assert _status_of(report, "fdd_product_identity") == ("fail" if wrong else "pass")
 
 
 def test_validate_rejects_truncated_finite_file(tmp_path, capsys):
