@@ -3,6 +3,15 @@ path laws on metric measure spaces."""
 
 __version__ = "0.1.0"
 
+import os
+
+# The runner's --threads pool is the lab's one level of parallelism.  OpenBLAS
+# would otherwise start a worker per core that spins beside the pool after
+# every large product or eigh, and its thread count also moves the last bits
+# of the cone tables.  numpy reads this once, when it is first imported, so
+# it must be set before any import below; a value the caller set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .spaces import (
     Circle,
     CollapseMap,

@@ -262,20 +262,16 @@ def _divergence_check(ensembles: dict) -> dict:
     return _status("em_divergence", not any(flagged.values()), flagged=flagged)
 
 
-def _sample_pathlaw(cfg: ScenarioConfig, pool: ThreadPoolExecutor, family: SpaceFamily,
-                    grid, count: int):
-    """Kernel-chain ensembles of every member and of the limit started at the
-    base point, and their path-law W1 report."""
+def _sample_chains(cfg: ScenarioConfig, pool: ThreadPoolExecutor, family: SpaceFamily,
+                   grid, count: int):
+    """Kernel-chain ensembles of every member and of the limit, started at
+    the base point and sampled on the pool."""
     futures = {n: pool.submit(sample_kernel_chain, space, "base", grid, count,
                               _seed_for(cfg, 1, i))
                for i, (n, space, _) in enumerate(family.members)}
     limit_future = pool.submit(sample_kernel_chain, family.limit, "base", grid, count,
                                _seed_for(cfg, 2))
-    ensembles = {n: fut.result() for n, fut in futures.items()}
-    limit_ens = limit_future.result()
-    report = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
-                        seed=_seed_for(cfg, 3))
-    return ensembles, limit_ens, report
+    return {n: fut.result() for n, fut in futures.items()}, limit_future.result()
 
 
 def _torus_errors(cfg: ScenarioConfig) -> list:
@@ -327,16 +323,20 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     tables["entropy"] = et["rows"]
     checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
 
-    ensembles, limit_ens, pl = _sample_pathlaw(cfg, pool, family, _torus_grid(cfg),
-                                               cfg.mc_count)
+    ensembles, limit_ens = _sample_chains(cfg, pool, family, _torus_grid(cfg), cfg.mc_count)
+    # the modulus statistics run on the pool while the path-law W1 runs here
+    labelled = [("limit", limit_ens)] + [(n, ensembles[n]) for n in cfg.n_grid]
+    mod_futures = [pool.submit(modulus_statistic, ens, min(cfg.modulus_T, cfg.path_T),
+                               cfg.modulus_eta, cfg.modulus_delta) for _, ens in labelled]
+    pl = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
+                    seed=_seed_for(cfg, 3))
     tables["pathlaw"] = pl["rows"]
     checks.append(_status("pathlaw_w1", pl["pass"]))
 
     mod_rows = []
     mod_ok = True
-    for label, ens in [("limit", limit_ens)] + [(n, ensembles[n]) for n in cfg.n_grid]:
-        stats = modulus_statistic(ens, min(cfg.modulus_T, cfg.path_T), cfg.modulus_eta,
-                                  cfg.modulus_delta)
+    for (label, _), fut in zip(labelled, mod_futures):
+        stats = fut.result()
         for eta, s in zip(cfg.modulus_eta, stats):
             mod_rows.append({"label": label, "eta": eta, "statistic": s})
         mod_ok &= all(b <= a + 1e-12 for a, b in zip(stats, stats[1:]))
@@ -374,22 +374,27 @@ def _cone_errors(cfg: ScenarioConfig) -> list:
     return errors
 
 
+def _cone_member(n: float, res: int, eps: float) -> FiniteMms:
+    """The n-th cone mesh with its graph generator and eigendecomposition."""
+    space = mesh_cone(n, res)
+    set_generator(space, graph_generator(space, eps=eps))
+    return space
+
+
 def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     res = cfg.resolution
-    limit = _interval_chain(res)
     eps = 2.5 / res
+    # each member's mesh and eigh is one pool task
+    futures = [pool.submit(_cone_member, n, res, eps) for n in cfg.n_grid]
+    limit = _interval_chain(res)
     set_generator(limit, graph_generator(limit, eps=eps))
-    members = []
-    for n in cfg.n_grid:
-        space = mesh_cone(n, res)
-        set_generator(space, graph_generator(space, eps=eps))
 
-        def ring_map(idx, angular=res):
-            idx = np.asarray(idx, dtype=int)
-            return np.where(idx == 0, 0, (idx - 1) // angular + 1).astype(float)
+    def ring_map(idx):
+        idx = np.asarray(idx, dtype=int)
+        return np.where(idx == 0, 0, (idx - 1) // res + 1).astype(float)
 
-        cmap = CollapseMap(limit, ring_map, np.pi * np.sqrt(1.0 / n))
-        members.append((n, space, cmap))
+    members = [(n, fut.result(), CollapseMap(limit, ring_map, np.pi * np.sqrt(1.0 / n)))
+               for n, fut in zip(cfg.n_grid, futures)]
     family = SpaceFamily(members, limit)
     positions = limit.coords[:, 0]
     fns = _select(chain_functions(positions), cfg.test_functions)
@@ -416,7 +421,9 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
 
     grid = np.concatenate([[0.0], np.asarray(cfg.times, dtype=float)])
-    _, _, pl = _sample_pathlaw(cfg, pool, family, grid, min(cfg.mc_count, 4000))
+    ensembles, limit_ens = _sample_chains(cfg, pool, family, grid, min(cfg.mc_count, 4000))
+    pl = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
+                    seed=_seed_for(cfg, 3))
     tables["pathlaw"] = pl["rows"]
     checks.append(_status("pathlaw_w1", pl["pass"]))
     return checks, tables
@@ -436,6 +443,10 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         cmap = CollapseMap(limit, lambda x: x, 0.0)
         members.append((n, space, cmap))
     family = SpaceFamily(members, limit)
+    # the Euler-Maruyama ensembles sample on the pool while the checks run here
+    futures = {n: pool.submit(euler_maruyama, space.potential, 0.0, dt, OU_T,
+                              cfg.mc_count, _seed_for(cfg, 1, i), record=(OU_T,))
+               for i, (n, space, _) in enumerate(members)}
     fns = _select(line_functions(), cfg.test_functions)
     checks, tables = [], {}
 
@@ -457,9 +468,6 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     sigma_inf = np.sqrt(1.0 - np.exp(-2.0))
     qs = (np.arange(4096) + 0.5) / 4096
     limit_ref = DiscreteMeasure(ndtri(qs) * sigma_inf)
-    futures = {n: pool.submit(euler_maruyama, space.potential, 0.0, dt, OU_T,
-                              cfg.mc_count, _seed_for(cfg, 1, i), record=(OU_T,))
-               for i, (n, space, _) in enumerate(members)}
     ensembles = {n: fut.result() for n, fut in futures.items()}
     rows = []
     for n, space, _ in members:

@@ -378,18 +378,25 @@ def set_generator(space: FiniteMms, generator: np.ndarray) -> None:
 
 def get_kernel(space: PmmSpace) -> SpectralKernel:
     """Semigroup object for a space, built on first use and kept on the
-    space, so eigen-data is built once per space."""
+    space, so eigen-data is built once per space.  Pool threads and the main
+    thread may ask at once: a per-space lock makes the first caller build and
+    the others wait for its kernel."""
     sk = vars(space).get("_kernel")
-    if sk is None:
-        for cls, build in ((Circle, CircleKernel), (Torus, TorusKernel),
-                           (Interval, IntervalKernel), (EuclideanLogConcave, GaussianKernel),
-                           (FiniteMms, FiniteKernel)):
-            if isinstance(space, cls):
-                break
-        else:
-            raise HeatError("no computable heat kernel for %s" % type(space).__name__)
-        sk = build(space)
-        object.__setattr__(space, "_kernel", sk)
+    if sk is not None:
+        return sk
+    # dict.setdefault is atomic, so every caller gets the same lock
+    with vars(space).setdefault("_kernel_lock", threading.Lock()):
+        sk = vars(space).get("_kernel")
+        if sk is None:
+            for cls, build in ((Circle, CircleKernel), (Torus, TorusKernel),
+                               (Interval, IntervalKernel), (EuclideanLogConcave, GaussianKernel),
+                               (FiniteMms, FiniteKernel)):
+                if isinstance(space, cls):
+                    break
+            else:
+                raise HeatError("no computable heat kernel for %s" % type(space).__name__)
+            sk = build(space)
+            object.__setattr__(space, "_kernel", sk)
     return sk
 
 

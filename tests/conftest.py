@@ -1,5 +1,9 @@
 import sys
 
+# loaded before any test module imports numpy, so in-process runs use the
+# lab's one BLAS thread, as `lab run` does
+import mmlab  # noqa: F401
+
 ACCEPTANCE_LINES = []
 
 

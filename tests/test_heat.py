@@ -1,6 +1,10 @@
 import gc
+import sys
+import threading
+import time
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -181,6 +185,36 @@ def test_kernel_is_kept_on_its_space_and_dies_with_it():
     del space, sk
     gc.collect()
     assert ref() is None
+
+
+def test_concurrent_first_calls_build_one_kernel(monkeypatch):
+    # a slow build leaves every thread inside get_kernel at once
+    builds = []
+
+    class SlowKernel:
+        def __init__(self, space):
+            builds.append(space)
+            time.sleep(0.2)
+
+    monkeypatch.setattr(heat, "CircleKernel", SlowKernel)
+    space = Circle(2 * np.pi, n_nodes=16)
+    callers = 4  # more than the cores of a small machine
+    start = threading.Barrier(callers)
+
+    def first_call(_):
+        start.wait(timeout=10)
+        return get_kernel(space)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(callers) as pool:
+            kernels = list(pool.map(first_call, range(callers), timeout=10))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    assert all(sk is kernels[0] for sk in kernels)
+    assert get_kernel(space) is kernels[0]
 
 
 def test_disconnected_space_zero_gap():
