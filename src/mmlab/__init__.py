@@ -32,7 +32,6 @@ from .spaces import (
 )
 from .transport import (
     DiscreteMeasure,
-    displacement_interpolation_1d,
     entropy_convexity_check,
     kr_dual_bound,
     wasserstein_1d,
@@ -66,7 +65,6 @@ from .convergence import (
     SpaceFamily,
     entropy_tightness,
     fdd_convergence_report,
-    fdd_operator,
     initial_law_w1,
     mcshane_extend,
     pathlaw_w1,

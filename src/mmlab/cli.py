@@ -146,7 +146,9 @@ def validate_dict(raw) -> list:
         return errors
     cfg = ScenarioConfig(**raw)
     scenario = SCENARIOS[kind]
-    if cfg.test_functions is not None and scenario.test_functions is not None:
+    if cfg.test_functions is not None and scenario.test_functions is None:
+        errors.append("test_functions: %s takes no test functions" % kind)
+    elif cfg.test_functions is not None:
         try:
             _select(scenario.test_functions(), cfg.test_functions)
         except ValueError as exc:
@@ -262,6 +264,30 @@ def _divergence_check(ensembles: dict) -> dict:
     return _status("em_divergence", not any(flagged.values()), flagged=flagged)
 
 
+def _family_checks(cfg: ScenarioConfig, family: SpaceFamily, fns, pmg_slack=None,
+                   fdd_extra=None):
+    """The checks every family runner shares, in report order, and their
+    tables: measure convergence when ``pmg_slack`` is set (each member's
+    tolerance is the largest Lipschitz constant times its fiber bound, plus
+    the slack), the point-start fdd gaps with ``fdd_extra`` added to the
+    budgets, the initial-law table, and entropy tightness."""
+    checks, tables = [], {}
+    if pmg_slack is not None:
+        max_lip = max(f.lip for f in fns)
+        pmg = pmg_test(family, fns, tolerances=[max_lip * cmap.fiber_diameter_bound + pmg_slack
+                                                for _, _, cmap in family.members])
+        tables["pmg"] = pmg["rows"]
+        checks.append(_status("pmg", pmg["pass"]))
+    fdd = fdd_convergence_report(family, cfg.times, fns, extra_budgets=fdd_extra)
+    tables["fdd"] = fdd["rows"]
+    checks.append(_status("fdd_gaps", fdd["pass"]))
+    tables["initial_law"] = initial_law_w1(family)["rows"]
+    et = entropy_tightness(family, cfg.eps_entropy)
+    tables["entropy"] = et["rows"]
+    checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
+    return checks, tables
+
+
 def _sample_chains(cfg: ScenarioConfig, pool: ThreadPoolExecutor, family: SpaceFamily,
                    grid, count: int):
     """Kernel-chain ensembles of every member and of the limit, started at
@@ -272,6 +298,15 @@ def _sample_chains(cfg: ScenarioConfig, pool: ThreadPoolExecutor, family: SpaceF
     limit_future = pool.submit(sample_kernel_chain, family.limit, "base", grid, count,
                                _seed_for(cfg, 2))
     return {n: fut.result() for n, fut in futures.items()}, limit_future.result()
+
+
+def _pathlaw_check(cfg: ScenarioConfig, family: SpaceFamily, ensembles: dict, limit_ens,
+                   tables: dict) -> dict:
+    """The path-law W1 check of the kernel-chain ensembles; adds its table."""
+    pl = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
+                    seed=_seed_for(cfg, 3))
+    tables["pathlaw"] = pl["rows"]
+    return _status("pathlaw_w1", pl["pass"])
 
 
 def _torus_errors(cfg: ScenarioConfig) -> list:
@@ -290,55 +325,33 @@ def _torus_errors(cfg: ScenarioConfig) -> list:
 
 def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     limit = Circle(2 * np.pi, n_nodes=256, normalized=True)
-    members = []
-    for n in cfg.n_grid:
-        torus = Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64), normalized=True)
-        cmap = CollapseMap(limit, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n)
-        members.append((n, torus, cmap))
-    family = SpaceFamily(members, limit)
+    family = SpaceFamily([
+        (n, Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64), normalized=True),
+         CollapseMap(limit, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n))
+        for n in cfg.n_grid], limit)
     fns = _select(circle_functions(), cfg.test_functions)
-    max_lip = max(f.lip for f in fns)
-    checks, tables = [], {}
-
-    pmg = pmg_test(family, fns, tolerances=[max_lip * np.pi / n + 1e-6 for n in cfg.n_grid])
-    tables["pmg"] = pmg["rows"]
-    checks.append(_status("pmg", pmg["pass"]))
-
-    fdd = fdd_convergence_report(family, cfg.times, fns)
-    tables["fdd"] = fdd["rows"]
-    checks.append(_status("fdd_gaps", fdd["pass"]))
+    checks, tables = _family_checks(cfg, family, fns, pmg_slack=1e-6)
     # the circle functions factor through the first coordinate and the torus
     # kernel is a product, so each member's value is the limit's
-    max_gap = max(r["gap"] for r in fdd["rows"])
+    max_gap = max(r["gap"] for r in tables["fdd"])
     checks.append(_status("fdd_product_identity", max_gap <= QUAD_TOL, max_gap=max_gap))
-    checks += _trend_checks("fdd_trend", fns, fdd["rows"], "gap_plus_budget", cfg.n_grid,
+    checks += _trend_checks("fdd_trend", fns, tables["fdd"], "gap_plus_budget", cfg.n_grid,
                             strict=True)
-
-    il = initial_law_w1(family)
-    tables["initial_law"] = il["rows"]
     checks.append(_status("initial_law", all(
-        r["w1"] <= r["fiber"] + 0.05 for r in il["rows"])))
-
-    et = entropy_tightness(family, cfg.eps_entropy)
-    tables["entropy"] = et["rows"]
-    checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
+        r["w1"] <= r["fiber"] + 0.05 for r in tables["initial_law"])))
 
     ensembles, limit_ens = _sample_chains(cfg, pool, family, _torus_grid(cfg), cfg.mc_count)
     # the modulus statistics run on the pool while the path-law W1 runs here
     labelled = [("limit", limit_ens)] + [(n, ensembles[n]) for n in cfg.n_grid]
     mod_futures = [pool.submit(modulus_statistic, ens, min(cfg.modulus_T, cfg.path_T),
                                cfg.modulus_eta, cfg.modulus_delta) for _, ens in labelled]
-    pl = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
-                    seed=_seed_for(cfg, 3))
-    tables["pathlaw"] = pl["rows"]
-    checks.append(_status("pathlaw_w1", pl["pass"]))
+    checks.append(_pathlaw_check(cfg, family, ensembles, limit_ens, tables))
 
-    mod_rows = []
-    mod_ok = True
+    mod_rows, mod_ok = [], True
     for (label, _), fut in zip(labelled, mod_futures):
         stats = fut.result()
-        for eta, s in zip(cfg.modulus_eta, stats):
-            mod_rows.append({"label": label, "eta": eta, "statistic": s})
+        mod_rows += [{"label": label, "eta": eta, "statistic": s}
+                     for eta, s in zip(cfg.modulus_eta, stats)]
         mod_ok &= all(b <= a + 1e-12 for a, b in zip(stats, stats[1:]))
     tables["modulus"] = mod_rows
     checks.append(_status("modulus_monotone", bool(mod_ok)))
@@ -396,36 +409,15 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     members = [(n, fut.result(), CollapseMap(limit, ring_map, np.pi * np.sqrt(1.0 / n)))
                for n, fut in zip(cfg.n_grid, futures)]
     family = SpaceFamily(members, limit)
-    positions = limit.coords[:, 0]
-    fns = _select(chain_functions(positions), cfg.test_functions)
-    max_lip = max(f.lip for f in fns)
-    checks, tables = [], {}
-
-    pmg = pmg_test(family, fns,
-                   tolerances=[max_lip * np.pi * np.sqrt(1.0 / n) + 0.05 for n in cfg.n_grid])
-    tables["pmg"] = pmg["rows"]
-    checks.append(_status("pmg", pmg["pass"]))
-    checks += _trend_checks("pmg_trend", fns, pmg["rows"], "gap", cfg.n_grid, strict=False)
-
-    fdd = fdd_convergence_report(family, cfg.times, fns)
-    tables["fdd"] = fdd["rows"]
-    checks.append(_status("fdd_gaps", fdd["pass"]))
-
-    il = initial_law_w1(family)
-    tables["initial_law"] = il["rows"]
+    fns = _select(chain_functions(limit.coords[:, 0]), cfg.test_functions)
+    checks, tables = _family_checks(cfg, family, fns, pmg_slack=0.05)
+    checks += _trend_checks("pmg_trend", fns, tables["pmg"], "gap", cfg.n_grid, strict=False)
     checks.append(_trend_check("initial_law_trend", cfg.n_grid,
-                               [r["w1"] for r in il["rows"]], strict=False))
-
-    et = entropy_tightness(family, cfg.eps_entropy)
-    tables["entropy"] = et["rows"]
-    checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
+                               [r["w1"] for r in tables["initial_law"]], strict=False))
 
     grid = np.concatenate([[0.0], np.asarray(cfg.times, dtype=float)])
     ensembles, limit_ens = _sample_chains(cfg, pool, family, grid, min(cfg.mc_count, 4000))
-    pl = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
-                    seed=_seed_for(cfg, 3))
-    tables["pathlaw"] = pl["rows"]
-    checks.append(_status("pathlaw_w1", pl["pass"]))
+    checks.append(_pathlaw_check(cfg, family, ensembles, limit_ens, tables))
     return checks, tables
 
 
@@ -437,33 +429,19 @@ def _ou_errors(cfg: ScenarioConfig) -> list:
 def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     dt = cfg.dt or OU_DT
     limit = EuclideanLogConcave(1, quadratic_potential(1.0))
-    members = []
-    for n in cfg.n_grid:
-        space = EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n))
-        cmap = CollapseMap(limit, lambda x: x, 0.0)
-        members.append((n, space, cmap))
+    members = [(n, EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n)),
+                CollapseMap(limit, lambda x: x, 0.0)) for n in cfg.n_grid]
     family = SpaceFamily(members, limit)
     # the Euler-Maruyama ensembles sample on the pool while the checks run here
     futures = {n: pool.submit(euler_maruyama, space.potential, 0.0, dt, OU_T,
                               cfg.mc_count, _seed_for(cfg, 1, i), record=(OU_T,))
                for i, (n, space, _) in enumerate(members)}
     fns = _select(line_functions(), cfg.test_functions)
-    checks, tables = [], {}
-
-    extra = {n: cfg.fdd_budget_scale / n for n in cfg.n_grid}
-    fdd = fdd_convergence_report(family, cfg.times, fns, extra_budgets=extra)
-    tables["fdd"] = fdd["rows"]
-    checks.append(_status("fdd_gaps", fdd["pass"]))
-    checks += _trend_checks("fdd_trend", fns, fdd["rows"], "gap", cfg.n_grid, strict=False)
-
-    il = initial_law_w1(family)
-    tables["initial_law"] = il["rows"]
+    checks, tables = _family_checks(cfg, family, fns, fdd_extra={
+        n: cfg.fdd_budget_scale / n for n in cfg.n_grid})
+    checks += _trend_checks("fdd_trend", fns, tables["fdd"], "gap", cfg.n_grid, strict=False)
     checks.append(_trend_check("initial_law_trend", cfg.n_grid,
-                               [r["w1"] for r in il["rows"]]))
-
-    et = entropy_tightness(family, cfg.eps_entropy)
-    tables["entropy"] = et["rows"]
-    checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
+                               [r["w1"] for r in tables["initial_law"]]))
 
     sigma_inf = np.sqrt(1.0 - np.exp(-2.0))
     qs = (np.arange(4096) + 0.5) / 4096
@@ -472,17 +450,14 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     rows = []
     for n, space, _ in members:
         final = ensembles[n].states[:, -1, 0]
-        emp = DiscreteMeasure(final)
-        w2 = wasserstein_1d(2, emp, limit_ref)
+        w2 = wasserstein_1d(2, DiscreteMeasure(final), limit_ref)
         a_n = 1.0 + 1.0 / n
         closed = abs(np.sqrt((1.0 - np.exp(-2.0 * a_n)) / a_n) - sigma_inf)
-        parts = np.array_split(final, OU_PARTS)
-        qvals = [wasserstein_1d(2, DiscreteMeasure(q), limit_ref) for q in parts]
-        se = float(np.std(qvals))
-        budget = 3 * se + 10 * dt + 0.01
-        rows.append({"label": n, "w2": w2, "closed_form": closed,
-                     "gap": abs(w2 - closed), "budget": budget,
-                     "pass": bool(abs(w2 - closed) <= budget)})
+        qvals = [wasserstein_1d(2, DiscreteMeasure(q), limit_ref)
+                 for q in np.array_split(final, OU_PARTS)]
+        gap, budget = abs(w2 - closed), 3 * float(np.std(qvals)) + 10 * dt + 0.01
+        rows.append({"label": n, "w2": w2, "closed_form": closed, "gap": gap,
+                     "budget": budget, "pass": bool(gap <= budget)})
     tables["marginal_w2"] = rows
     checks.append(_status("marginal_w2", all(r["pass"] for r in rows)))
     checks.append(_trend_check("marginal_w2_trend", cfg.n_grid,

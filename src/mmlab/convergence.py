@@ -111,22 +111,15 @@ def pmg_test(family: SpaceFamily, test_functions: Sequence[LipschitzTestFunction
             "pass": all(r.get("pass", True) for r in rows)}
 
 
-def fdd_operator(space: PmmSpace, times: Sequence[float], functions, x) -> float:
-    """Nested semigroup functional
-    P_{t1}(f1 P_{t2-t1}(f2 ... P_{tk-t_{k-1}} fk))(x), with t0 = 0.
-
-    Bounded by the product of the sup norms of the f_i.
-    """
-    return _nested_functional(space, None, times, [functions], x)[0]
-
-
 def _nested_functional(space: PmmSpace, cmap: Optional[CollapseMap], times, function_lists,
                        start) -> list:
-    """The nested functional of ``fdd_operator`` of each list in
-    ``function_lists``, with each f_i pulled back through ``cmap``, evaluated
-    at the point ``start``, or integrated against the probability reference
-    when ``start`` is None.  The lists are the columns of one block, so each
-    time step is one ``apply_values`` call for all of them."""
+    """The nested semigroup functional
+    P_{t1}(f1 P_{t2-t1}(f2 ... P_{tk-t_{k-1}} fk)), with t0 = 0, of each list
+    f1..fk in ``function_lists``, with each f_i pulled back through ``cmap``,
+    evaluated at the point ``start``, or integrated against the probability
+    reference when ``start`` is None; it is bounded by the product of the sup
+    norms of the f_i.  The lists are the columns of one block, so each time
+    step is one ``apply_values`` call for all of them."""
     times = [float(t) for t in times]
     if any(len(times) != len(functions) for functions in function_lists):
         raise ConvergenceError("times and functions must align")
@@ -406,15 +399,21 @@ def entropy_tightness(family: SpaceFamily, eps: float) -> dict:
             "sup": float(np.max(ents)), "pass": bool(finite)}
 
 
+def _probability(points, masses: np.ndarray) -> DiscreteMeasure:
+    """The normalized measure on the quadrature nodes of positive mass: a
+    steep potential's far nodes underflow to mass 0 and move no W_1."""
+    keep = masses > 0
+    return DiscreteMeasure(np.asarray(points, dtype=float)[keep],
+                           masses[keep] / masses.sum())
+
+
 def initial_law_w1(family: SpaceFamily, bins: int = 64) -> dict:
     """W_1 between each mapped probability reference and the limit's: on a
     circle or a finite limit, binned W_1 on ``bins`` arcs or on the atoms;
     on the line, the quantile formula."""
     limit = family.limit
     limit_ref = weighted_measure(limit)
-    limit_masses = limit_ref.masses()
-    lim_measure = DiscreteMeasure(np.asarray(limit_ref.points, dtype=float),
-                                  limit_masses / limit_masses.sum())
+    lim_measure = _probability(limit_ref.points, limit_ref.masses())
     if isinstance(limit, (Circle, FiniteMms)):
         spec = [_bin_edges(limit, None, bins)]
         lim_binned = _weighted_rebin(lim_measure.atoms, lim_measure.weights, spec)
@@ -428,9 +427,7 @@ def initial_law_w1(family: SpaceFamily, bins: int = 64) -> dict:
     rows = []
     for label, space, cmap in family.members:
         ref = weighted_measure(space)
-        masses = ref.masses()
-        mapped = _mapped_points(cmap, ref.points)
-        mu = DiscreteMeasure(np.asarray(mapped, dtype=float), masses / masses.sum())
+        mu = _probability(_mapped_points(cmap, ref.points), ref.masses())
         fiber = 0.0 if cmap is None else cmap.fiber_diameter_bound
         rows.append({"label": label, "w1": float(w1_to_limit(mu)), "fiber": fiber})
     return {"check": "initial_law_w1", "rows": rows}

@@ -118,9 +118,13 @@ def is_number(cell):
 def test_golden_tables(scenario, request, tmp_path):
     """Every table of a bundled scenario, written as ``lab run`` writes it,
     matches the committed ``out/<scenario>/`` table: numeric cells to a
-    relative 1e-10, every other cell exactly."""
-    tables = request.getfixturevalue(GOLDEN[scenario])[1]
+    relative 1e-10, every other cell exactly; its checks carry the names and
+    statuses of the committed ``report.json``, in its order."""
+    checks, tables = request.getfixturevalue(GOLDEN[scenario])[:2]
     golden_dir = REPO / "out" / scenario
+    report = json.loads((golden_dir / "report.json").read_text())
+    assert [(c["name"], c["status"]) for c in checks] == [
+        (c["name"], c["status"]) for c in report["checks"]]
     assert sorted(tables) == sorted(p.stem for p in golden_dir.glob("*.csv"))
     for name, rows in tables.items():
         write_csv(str(tmp_path / name), _jsonable(rows))

@@ -147,7 +147,7 @@ def test_validate_rejects_modulus_T_below_the_path_grid_step():
     assert validate_dict({"scenario": "torus_collapse", "modulus_T": 0.0125}) == []
 
 
-def test_validate_rejects_unknown_test_functions():
+def test_validate_rejects_unknown_test_functions(tmp_path):
     for kind, good, bad in [("torus_collapse", ["cos", "sin"], ["cos", "tanh"]),
                             ("cone_interval", ["tent"], ["cos"]),
                             ("ou_family", ["bump", "clamp"], ["linear"])]:
@@ -157,6 +157,13 @@ def test_validate_rejects_unknown_test_functions():
         assert bad[-1] in errors[0]
         errors = validate_dict({"scenario": kind, "test_functions": []})
         assert len(errors) == 1 and errors[0].startswith("test_functions: ")
+    # these kinds read no test functions, so naming any is an error
+    write_finite(tmp_path / "space.txt")
+    for kind in ["reflected_family", "custom_finite"]:
+        raw = {"scenario": kind, "finite_file": str(tmp_path / "space.txt")}
+        assert validate_dict(raw) == []
+        errors = validate_dict({**raw, "test_functions": ["nope"]})
+        assert errors == ["test_functions: %s takes no test functions" % kind]
 
 
 def test_validate_rejects_a_cone_mesh_below_its_minimum_resolution():

@@ -15,7 +15,6 @@ from mmlab import (
     Torus,
     entropy_tightness,
     fdd_convergence_report,
-    fdd_operator,
     get_kernel,
     graph_generator,
     initial_law_w1,
@@ -37,6 +36,7 @@ from mmlab.convergence import (
     _bin_edges,
     _binned_w1,
     _center_measure,
+    _nested_functional,
     _weighted_rebin,
     product_distance_matrix,
 )
@@ -68,7 +68,7 @@ def test_fdd_operator_uniform_bound(seed):
     times = np.sort(rng.random(3) * 2.0 + 0.01)
     while np.any(np.diff(times) <= 0):
         times = np.sort(rng.random(3) * 2.0 + 0.01)
-    val = fdd_operator(space, times, [COS, SIN2, COS], x)
+    val = _nested_functional(space, None, times, [[COS, SIN2, COS]], x)[0]
     assert abs(val) <= COS.sup_bound * SIN2.sup_bound * COS.sup_bound + 1e-12
 
 
@@ -76,7 +76,7 @@ def test_fdd_operator_single_time_matches_semigroup():
     space = Circle(2 * np.pi, n_nodes=512)
     from mmlab import get_kernel
     sk = get_kernel(space)
-    got = fdd_operator(space, [0.4], [COS], 0.0)
+    got = _nested_functional(space, None, [0.4], [[COS]], 0.0)[0]
     ref = float(np.sum(sk.weights * sk.kernel_row(0.4, 0.0) * np.cos(sk.points)))
     assert abs(got - ref) <= 1e-12
     # cos is the first eigenfunction: P_t cos = e^{-t} cos
@@ -131,9 +131,9 @@ def test_fdd_report_weighted_start_is_invariant(kind):
 def test_fdd_operator_rejects_bad_times():
     space = Circle(2 * np.pi)
     with pytest.raises(ConvergenceError):
-        fdd_operator(space, [0.5, 0.25], [COS, COS], 0.0)
+        _nested_functional(space, None, [0.5, 0.25], [[COS, COS]], 0.0)
     with pytest.raises(ConvergenceError):
-        fdd_operator(space, [0.5], [COS, COS], 0.0)
+        _nested_functional(space, None, [0.5], [[COS, COS]], 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,6 +535,19 @@ def test_space_family_rejects_repeated_labels():
     circle = Circle(2 * np.pi)
     with pytest.raises(ConvergenceError, match="distinct"):
         SpaceFamily([(1, circle, None), (2, circle, None), (1, circle, None)], circle)
+
+
+@pytest.mark.parametrize("a", [21.0, 101.0])
+def test_initial_law_w1_skips_quadrature_nodes_of_zero_mass(a):
+    # a steep member's far nodes underflow to mass 0 (810 of 4096 at a = 21);
+    # its tilted reference is N(0, 1/(a+2)) and the limit's N(0, 1/3)
+    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
+    member = EuclideanLogConcave(1, quadratic_potential(a))
+    assert np.any(weighted_measure(member).masses() == 0)
+    fam = SpaceFamily([(a, member, CollapseMap(limit, lambda x: x, 0.0))], limit)
+    (row,) = initial_law_w1(fam)["rows"]
+    expect = (1 / np.sqrt(3) - 1 / np.sqrt(a + 2)) * np.sqrt(2 / np.pi)
+    assert row["w1"] == pytest.approx(expect, abs=1e-5)
 
 
 def test_initial_law_w1_small_for_uniform_family():

@@ -8,14 +8,19 @@ from scipy.sparse.csgraph import shortest_path
 
 from mmlab import (
     DiscreteMeasure,
-    displacement_interpolation_1d,
     entropy_convexity_check,
     kr_dual_bound,
     wasserstein_1d,
     wasserstein_exact,
     wasserstein_grid,
 )
-from mmlab.transport import ATOM_MERGE_TOL, TransportError, _merge_close_atoms, unique_rows
+from mmlab.transport import (
+    ATOM_MERGE_TOL,
+    TransportError,
+    _merge_close_atoms,
+    displacement_interpolation_1d,
+    unique_rows,
+)
 
 from _oracles import merge_close_atoms_loop, random_measure, wasserstein_vertex
 
