@@ -182,6 +182,11 @@ def _status(name: str, ok: bool, **extra) -> dict:
     return {"name": name, "status": "pass" if ok else "fail", **extra}
 
 
+def _max_ratio(rows, value: str, budget: str) -> float:
+    """The largest value/budget over a gated check's rows."""
+    return max(r[value] / r[budget] for r in rows)
+
+
 # --- test-function families -------------------------------------------------
 
 def circle_functions() -> dict:
@@ -280,7 +285,8 @@ def _family_checks(cfg: ScenarioConfig, family: SpaceFamily, fns, pmg_slack=None
         checks.append(_status("pmg", pmg["pass"]))
     fdd = fdd_convergence_report(family, cfg.times, fns, extra_budgets=fdd_extra)
     tables["fdd"] = fdd["rows"]
-    checks.append(_status("fdd_gaps", fdd["pass"]))
+    checks.append(_status("fdd_gaps", fdd["pass"],
+                          max_ratio=_max_ratio(fdd["rows"], "gap", "budget")))
     tables["initial_law"] = initial_law_w1(family)["rows"]
     et = entropy_tightness(family, cfg.eps_entropy)
     tables["entropy"] = et["rows"]
@@ -306,7 +312,7 @@ def _pathlaw_check(cfg: ScenarioConfig, family: SpaceFamily, ensembles: dict, li
     pl = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
                     seed=_seed_for(cfg, 3))
     tables["pathlaw"] = pl["rows"]
-    return _status("pathlaw_w1", pl["pass"])
+    return _status("pathlaw_w1", pl["pass"], max_ratio=_max_ratio(pl["rows"], "w1", "bound"))
 
 
 def _torus_errors(cfg: ScenarioConfig) -> list:
@@ -459,7 +465,8 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         rows.append({"label": n, "w2": w2, "closed_form": closed, "gap": gap,
                      "budget": budget, "pass": bool(gap <= budget)})
     tables["marginal_w2"] = rows
-    checks.append(_status("marginal_w2", all(r["pass"] for r in rows)))
+    checks.append(_status("marginal_w2", all(r["pass"] for r in rows),
+                          max_ratio=_max_ratio(rows, "gap", "budget")))
     checks.append(_trend_check("marginal_w2_trend", cfg.n_grid,
                                [r["w2"] for r in rows]))
     checks.append(_divergence_check(ensembles))

@@ -42,7 +42,8 @@ STOCHASTIC_TOL = 1e-10
 DETAILED_BALANCE_TOL = 1e-9
 # threshold below which image sums beat eigen-sums (both < 50 terms to 1e-12)
 SERIES_CROSSOVER = 0.3
-# rows of the Mehler matrix built at a time, so no dense n x n matrix is held
+# rows of the Mehler matrix built at a time, in one buffer reused for every
+# slab of an apply, so no dense n x n matrix is held
 MEHLER_SLAB = 256
 
 
@@ -252,7 +253,16 @@ class IntervalKernel(SpectralKernel):
 
 class GaussianKernel(SpectralKernel):
     """Exact semigroup for V(x) = a|x|^2/2 on the line (Mehler / OU), with
-    a = 0 degenerating to free Brownian motion."""
+    a = 0 degenerating to free Brownian motion.
+
+    ``apply_values`` builds the Mehler matrix MEHLER_SLAB rows at a time in
+    one reused buffer.  The Mehler mean is decay * x, so on a grid with
+    ``points == -points[::-1]`` exactly (the bundled grid about base 0 is
+    one) the matrix satisfies K[n-1-i, n-1-j] == K[i, j] bit for bit: when n
+    is even only the top half is built, and each lower slab is the top slab
+    reversed along both axes and copied contiguous, so every row's product
+    sums in the same order as from the full matrix.
+    """
 
     def __init__(self, space: EuclideanLogConcave):
         if space.dim != 1:
@@ -262,6 +272,8 @@ class GaussianKernel(SpectralKernel):
         super().__init__(space)
         self.a = float(space.potential.quadratic_coeff)
         self._h = 2 * space.grid_radius / space.n_nodes
+        self._mirror = len(self.points) % 2 == 0 and bool(
+            np.array_equal(self.points, -self.points[::-1]))
 
     def _moments(self, t: float, x):
         if self.a > 0:
@@ -275,18 +287,38 @@ class GaussianKernel(SpectralKernel):
         if t <= 0:
             raise HeatError("t must be positive")
         mean, var = self._moments(t, float(np.atleast_1d(x)[0]))
-        return _gauss(y - mean, var) * np.exp(0.5 * self.a * np.square(y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = _gauss(y - mean, var) * np.exp(0.5 * self.a * np.square(y))
+        bad = ~np.isfinite(row)
+        if np.any(bad):
+            # a steep member's far nodes give 0 * inf: take those in log space
+            log_row = 0.5 * self.a * np.square(y) - np.square(y - mean) / (2.0 * var)
+            row = np.where(bad, np.exp(log_row) / np.sqrt(2.0 * np.pi * var), row)
+        return row
 
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if t == 0:
             return values
         mean, var = self._moments(t, self.points)
+        n = len(mean)
+        built = n // 2 if self._mirror else n
         out = np.empty(values.shape)
-        for lo in range(0, len(mean), MEHLER_SLAB):
-            rows = slice(lo, lo + MEHLER_SLAB)
-            slab = _gauss(self.points[None, :] - mean[rows, None], var) * self._h
-            out[rows] = _per_column(slab, values)
+        buf = np.empty((min(MEHLER_SLAB, built), n))
+        for lo in range(0, built, MEHLER_SLAB):
+            hi = min(lo + MEHLER_SLAB, built)
+            slab = buf[:hi - lo]
+            # _gauss(points - mean, var) * h in place, in its order of operations
+            np.subtract(self.points, mean[lo:hi, None], out=slab)
+            np.square(slab, out=slab)
+            np.negative(slab, out=slab)
+            np.divide(slab, 2.0 * var, out=slab)
+            np.exp(slab, out=slab)
+            np.divide(slab, np.sqrt(2.0 * np.pi * var), out=slab)
+            np.multiply(slab, self._h, out=slab)
+            out[lo:hi] = _per_column(slab, values)
+            if self._mirror:
+                out[n - hi:n - lo] = _per_column(np.ascontiguousarray(slab[::-1, ::-1]), values)
         return out
 
     def gap(self) -> float:

@@ -141,6 +141,25 @@ def test_golden_tables(scenario, request, tmp_path):
                     assert cell == expected, (name, line)
 
 
+# each gated check's largest ratio, as (table, value column, budget column)
+RATIO_TABLES = {"fdd_gaps": ("fdd", "gap", "budget"), "pathlaw_w1": ("pathlaw", "w1", "bound"),
+                "marginal_w2": ("marginal_w2", "gap", "budget")}
+
+
+@pytest.mark.parametrize("scenario", ["torus_collapse", "cone_interval", "ou_family"])
+def test_gated_checks_report_their_largest_ratio(scenario, request):
+    checks, tables = request.getfixturevalue(GOLDEN[scenario])[:2]
+    committed = {c["name"]: c for c in json.loads(
+        (REPO / "out" / scenario / "report.json").read_text())["checks"]}
+    gated = [c for c in checks if c["name"] in RATIO_TABLES]
+    assert len(gated) == 2
+    for check in gated:
+        table, value, budget = RATIO_TABLES[check["name"]]
+        assert check["max_ratio"] == max(r[value] / r[budget] for r in tables[table])
+        assert check["max_ratio"] == pytest.approx(committed[check["name"]]["max_ratio"],
+                                                   rel=GOLDEN_RTOL, abs=0.0)
+
+
 def test_criterion_1_kernel_algebra():
     t0 = time.monotonic()
     rng = np.random.default_rng(101)

@@ -335,6 +335,18 @@ def test_ou_members_with_a_doubled_potential_fail_marginal_w2(tmp_path, monkeypa
     assert _status_of(report, "marginal_w2") == ("fail" if wrong else "pass")
 
 
+def test_steep_ou_member_gives_finite_fdd_cells(tmp_path):
+    # n = 0.05 is V = 21|x|^2/2, whose far grid nodes overflow exp(V)
+    code, report = _run_report(tmp_path, scenario="ou_family", n_grid=[0.05, 1],
+                               mc_count=2000, dt=0.005)
+    assert not report["incomplete"]
+    assert _status_of(report, "fdd_gaps") == "pass"
+    rows = (tmp_path / "out" / "fdd.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    cells = [float(r.split(",")[header.index(c)]) for r in rows[1:] for c in ("value", "gap")]
+    assert len(cells) == 12 and np.all(np.isfinite(cells))
+
+
 @pytest.mark.parametrize("wrong", [False, True])
 def test_ou_against_the_wrong_limit_variance_fails_marginal_w2(tmp_path, monkeypatch, wrong):
     # limit quantiles 1.1 times too wide: the n = 4 gap is about 0.096

@@ -154,6 +154,32 @@ def test_gaussian_kernel_moments():
         assert abs(var - v_ref) <= 1e-7
 
 
+@pytest.mark.parametrize("a", [21.0, 101.0])
+def test_steep_gaussian_row_is_finite_and_conservative(a):
+    # exp(a y^2 / 2) overflows on the far nodes, where the Gaussian factor
+    # is 0 or subnormal, so the plain product is inf or nan there
+    sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(a)))
+    for t in (0.25, 0.75):
+        for x in (0.0, 0.5):
+            mean, var = sk._moments(t, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain = heat._gauss(sk.points - mean, var) * np.exp(0.5 * a * sk.points ** 2)
+            assert not np.all(np.isfinite(plain))
+            row = sk.kernel_row(t, x)
+            assert np.all(np.isfinite(row))
+            assert abs(np.sum(sk.weights * row) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_gaussian_row_is_the_direct_product(a):
+    sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(a)))
+    for t in (0.25, 0.75):
+        for x in (0.0, 0.7):
+            mean, var = sk._moments(t, x)
+            direct = heat._gauss(sk.points - mean, var) * np.exp(0.5 * a * np.square(sk.points))
+            assert np.array_equal(sk.kernel_row(t, x), direct)
+
+
 def test_spectral_gaps_closed_form():
     assert abs(spectral_gap(Circle(2 * np.pi)) - 1.0) <= 1e-9
     assert abs(spectral_gap(Interval(0.0, 1.0)) - np.pi ** 2) <= 1e-9
@@ -353,11 +379,19 @@ def test_apply_values_block_is_columnwise_identical(space):
             assert np.array_equal(out[:, j], sk.apply_values(t, block[:, j].copy()))
 
 
-@pytest.mark.parametrize("n_nodes", [600, 1000])
-def test_mehler_slabs_match_the_dense_matrix(n_nodes):
-    # neither grid is a multiple of the slab height, so the last slab is short
-    assert n_nodes % heat.MEHLER_SLAB != 0
-    sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(1.5), n_nodes=n_nodes))
+# (n_nodes, a, base, mirrored): 600 and 1000 end on a short slab, and their
+# inexact step leaves the grid off its mirror image; 512 and 4096 about 0
+# are mirrored, free motion (a = 0) too; a shifted base or an odd grid is not
+MEHLER_GRIDS = [(600, 1.5, 0.0, False), (1000, 1.5, 0.0, False), (512, 1.5, 0.0, True),
+                (4096, 1.5, 0.0, True), (512, 0.0, 0.0, True), (4096, 1.5, 0.3, False),
+                (601, 1.5, 0.0, False)]
+
+
+@pytest.mark.parametrize("n_nodes, a, base, mirrored", MEHLER_GRIDS,
+                         ids=["600", "1000", "512", "4096", "512-free", "4096-base", "601"])
+def test_mehler_slabs_match_the_dense_matrix(n_nodes, a, base, mirrored):
+    sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(a), base=base, n_nodes=n_nodes))
+    assert sk._mirror is mirrored
     t = 0.5
     mean, var = sk._moments(t, sk.points)
     dense = heat._gauss(sk.points[None, :] - mean[:, None], var) * sk._h
