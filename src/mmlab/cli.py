@@ -237,6 +237,7 @@ def _select(registry: dict, names) -> list:
 # --- scenario runners -------------------------------------------------------
 
 KOLMOGOROV_T = (0.25, 0.5)           # the torus runner's Kolmogorov moment times
+TORUS_NODES = 256                    # grid nodes of the torus limit, the most path-law bins
 OU_T = 1.0                           # the OU runner's horizon, the one time it reads
 OU_DT = 1e-3                         # the OU runner's step when the config sets no dt
 REFLECTED_T = 1.5                    # the reflected runner's horizon
@@ -316,9 +317,12 @@ def _pathlaw_check(cfg: ScenarioConfig, family: SpaceFamily, ensembles: dict, li
 
 
 def _torus_errors(cfg: ScenarioConfig) -> list:
-    """Fdd and Kolmogorov times off the path grid, and a modulus horizon that
-    holds less than one grid step."""
+    """Fdd and Kolmogorov times off the path grid, a modulus horizon that
+    holds less than one grid step, and more path-law bins than grid nodes."""
     errors = []
+    if cfg.bins > TORUS_NODES:
+        errors.append("bins: at most %d, the torus limit's grid nodes, so that each bin "
+                      "holds whole nodes" % TORUS_NODES)
     grid = _torus_grid(cfg)
     modulus_T = min(cfg.modulus_T, cfg.path_T)
     if np.sum(grid <= modulus_T + 1e-12) < 2:
@@ -330,9 +334,9 @@ def _torus_errors(cfg: ScenarioConfig) -> list:
 
 
 def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
-    limit = Circle(2 * np.pi, n_nodes=256, normalized=True)
+    limit = Circle(2 * np.pi, n_nodes=TORUS_NODES, normalized=True)
     family = SpaceFamily([
-        (n, Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64), normalized=True),
+        (n, Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(TORUS_NODES, 64), normalized=True),
          CollapseMap(limit, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n))
         for n in cfg.n_grid], limit)
     fns = _select(circle_functions(), cfg.test_functions)

@@ -224,9 +224,12 @@ def fdd_convergence_report(family: SpaceFamily, times: Sequence[float],
 
 def _bin_edges(limit: PmmSpace, pooled: Optional[np.ndarray], bins: int):
     """Bins of one coordinate: (lo, width, count, period); period is the
-    circumference of a periodic coordinate and None otherwise."""
+    circumference of a periodic coordinate and None otherwise.  Circle bins
+    start half a grid node below 0, so for ``bins`` up to ``n_nodes`` every
+    grid node lies well inside a bin and each bin holds whole nodes."""
     if isinstance(limit, Circle):
-        return 0.0, limit.circumference / bins, bins, limit.circumference
+        c = limit.circumference
+        return -c / (2 * limit.n_nodes), c / bins, bins, c
     if isinstance(limit, Interval):
         return limit.a, limit.length / bins, bins, None
     if isinstance(limit, FiniteMms):
@@ -254,12 +257,13 @@ def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
     error budget, one row per member of ``members`` (label, space, collapse
     map); ``ensembles`` maps each label to the member's paths.
 
-    The joint laws are snapped onto one set of per-coordinate bins, taken
+    The path rows are snapped onto one set of per-coordinate bins, taken
     from the limit and every member pooled (bin diameter reported in the
-    budget), and W_1 is solved exactly on the bins, as a min-cost flow on the
-    bin grid where the limit's metric allows, else as the dense transport LP
-    (see ``_binned_w1``).  The self-distance baseline and its spread are the
-    mean and standard deviation of the binned W_1 between the two halves of
+    budget), each row with weight one, and W_1 is solved exactly on the
+    bins, as a min-cost flow on the bin grid where the limit's metric
+    allows, else as the dense transport LP (see ``_binned_w1``).  The
+    self-distance baseline and its spread are the mean and standard
+    deviation of the binned W_1 between the two halves of
     ``BASELINE_SPLITS`` random half/half splits of the limit's paths.
     """
     for label, _, _ in members:
@@ -270,24 +274,22 @@ def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
     limit = ensemble_limit.space
     k = len(times)
     mus = [extract_fdd(ensembles[label], times, cmap) for label, _, cmap in members]
-    # the limit's law, and its splits below, from the same concatenated rows
-    states = np.concatenate([ensemble_limit.state_at(t) for t in times], axis=1)
-    nu = DiscreteMeasure(states)
-    pooled = np.concatenate([nu.atoms] + [mu.atoms for mu in mus], axis=0)
+    # the limit's law, and its splits below, from the same rows
+    states = extract_fdd(ensemble_limit, times)
+    pooled = np.concatenate([states] + mus, axis=0)
     specs = [_bin_edges(limit, pooled[:, j], bins) for j in range(k)]
 
     def binned(law):
-        return _weighted_rebin(law.atoms, law.weights, specs)
+        return _weighted_rebin(law, np.ones(len(law)), specs)
 
-    nu_binned = binned(nu)
+    nu_binned = binned(states)
     rng = make_rng(seed, 7)
     half = ensemble_limit.count // BASELINE_PARTS
     split_vals = []
     for _ in range(BASELINE_SPLITS):
         perm = rng.permutation(ensemble_limit.count)
         a, b = states[perm[:half]], states[perm[half:2 * half]]
-        split_vals.append(_binned_w1(limit, binned(DiscreteMeasure(a)),
-                                     binned(DiscreteMeasure(b)), specs))
+        split_vals.append(_binned_w1(limit, binned(a), binned(b), specs))
     baseline = float(np.mean(split_vals))
     se = float(np.std(split_vals)) + 1e-12
     bin_budget = float(sum(spec[1] for spec in specs))
@@ -384,11 +386,13 @@ def entropy_tightness(family: SpaceFamily, eps: float) -> dict:
 
     def one(label, space):
         sk = get_kernel(space)
-        row = sk.kernel_row(eps, space.base_point)
         masses = weighted_measure(space).masses()
-        mu = row * sk.weights
+        # a steep potential's far nodes underflow to mass 0, as in
+        # ``_probability``; the kernel's mass there is negligible too
+        keep = masses > 0
+        mu = (sk.kernel_row(eps, space.base_point) * sk.weights)[keep]
         mu = mu / mu.sum()
-        ent = relative_entropy(mu, masses / masses.sum())
+        ent = relative_entropy(mu, masses[keep] / masses[keep].sum())
         return {"label": label, "entropy": float(ent)}
 
     rows = [one(label, space) for label, space, _ in family.members]

@@ -292,9 +292,10 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
 
 
 def extract_fdd(ensemble: PathEnsemble, times: Sequence[float],
-                collapse=None) -> DiscreteMeasure:
-    """Empirical joint law of the path at the given times, optionally pushed
-    through a collapse map; atoms are the per-time blocks concatenated."""
+                collapse=None) -> np.ndarray:
+    """The path states at the given times, optionally pushed through a
+    collapse map: one row per path, the per-time blocks concatenated, so the
+    rows with uniform weights are the empirical joint law."""
     blocks = []
     for t in times:
         s = ensemble.state_at(t)
@@ -302,7 +303,7 @@ def extract_fdd(ensemble: PathEnsemble, times: Sequence[float],
             mapped = np.asarray(collapse.map(_points(ensemble.space, s)), dtype=float)
             s = mapped[:, None] if mapped.ndim == 1 else mapped
         blocks.append(s)
-    return DiscreteMeasure(np.concatenate(blocks, axis=1))
+    return np.concatenate(blocks, axis=1)
 
 
 def _points(space: Optional[PmmSpace], states: np.ndarray) -> np.ndarray:

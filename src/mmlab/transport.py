@@ -18,7 +18,6 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-ATOM_MERGE_TOL = 1e-12
 MARGINAL_TOL = 1e-9
 
 
@@ -37,7 +36,8 @@ def _as_atoms(atoms) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted atoms in a shared metric context; weights sum to 1."""
+    """Weighted atoms in a shared metric context; weights sum to 1.  Equal
+    atoms merge into one, which carries their summed weight."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -60,7 +60,8 @@ class DiscreteMeasure:
             raise TransportError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-6:
             raise TransportError("weights must sum to 1 (got %g)" % w.sum())
-        a, w = _merge_close_atoms(a, w)
+        a, inverse = unique_rows(a)
+        w = np.bincount(inverse, weights=w, minlength=len(a))
         w = w / w.sum()
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "weights", w)
@@ -92,29 +93,6 @@ def unique_rows(a: np.ndarray):
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return rows[first], inverse
-
-
-def _merge_close_atoms(atoms: np.ndarray, weights: np.ndarray):
-    """Merge atoms closer than ATOM_MERGE_TOL (sums weights); avoids LP degeneracy.
-
-    Scans the lexicographically sorted distinct atoms, merging each into the
-    last kept atom when within the tolerance in sup-norm.  An atom merges
-    only if every atom between it and that anchor merged too, so an atom more
-    than twice the tolerance from its sorted predecessor is always kept: only
-    the atoms with a close predecessor need the scan.
-    """
-    a, inverse = unique_rows(atoms)
-    w = np.bincount(inverse, weights=weights, minlength=len(a))
-    close = np.max(np.abs(np.diff(a, axis=0)), axis=1) <= 2 * ATOM_MERGE_TOL
-    keep = np.ones(len(a), dtype=bool)
-    anchor = -1
-    for i in np.flatnonzero(close) + 1:
-        if keep[i - 1]:
-            anchor = i - 1
-        if np.max(np.abs(a[i] - a[anchor])) <= ATOM_MERGE_TOL:
-            w[anchor] += w[i]
-            keep[i] = False
-    return a[keep], w[keep]
 
 
 def pairwise_distances(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:

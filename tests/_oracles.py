@@ -141,21 +141,6 @@ def random_measure(rng, max_atoms, dim=1, spread=2.0):
     return atoms, w / w.sum()
 
 
-def merge_close_atoms_loop(atoms, weights, tol):
-    """Sequential merge of sorted atoms: each atom within ``tol`` (sup-norm)
-    of the last kept atom adds its weight to it."""
-    order = np.lexsort(atoms.T[::-1])
-    a, w = atoms[order], weights[order].copy()
-    keep = [0]
-    for i in range(1, len(a)):
-        j = keep[-1]
-        if np.max(np.abs(a[i] - a[j])) <= tol:
-            w[j] += w[i]
-        else:
-            keep.append(i)
-    return a[keep], w[keep]
-
-
 def modulus_statistic_loop(times, states, T, eta, delta, distance):
     """Fraction of paths whose states at two stored times t, s <= T with
     |t - s| <= eta lie more than delta apart, scanning every lag within eta

@@ -147,6 +147,14 @@ def test_validate_rejects_modulus_T_below_the_path_grid_step():
     assert validate_dict({"scenario": "torus_collapse", "modulus_T": 0.0125}) == []
 
 
+def test_validate_rejects_more_torus_bins_than_limit_nodes():
+    # 512 bins would put a node of the 256-node limit grid on a bin edge
+    for bins in (257, 512):
+        errors = validate_dict({"scenario": "torus_collapse", "bins": bins})
+        assert len(errors) == 1 and errors[0].startswith("bins: at most 256")
+    assert validate_dict({"scenario": "torus_collapse", "bins": cli.TORUS_NODES}) == []
+
+
 def test_validate_rejects_unknown_test_functions(tmp_path):
     for kind, good, bad in [("torus_collapse", ["cos", "sin"], ["cos", "tanh"]),
                             ("cone_interval", ["tent"], ["cos"]),

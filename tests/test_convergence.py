@@ -307,7 +307,7 @@ def test_pathlaw_rejects_mismatched_time_grids():
         pathlaw_w1([("a", circle, None)], {"a": a}, b, [0.25, 0.75], bins=8)
 
 
-def test_pathlaw_builds_the_limit_law_once_plus_two_per_split(monkeypatch):
+def test_pathlaw_extracts_the_limit_once_and_builds_no_measure(monkeypatch):
     fam = torus_family([1, 2, 4], nodes=(64, 16))
     grid = np.linspace(0.0, 1.0, 5)
     ensembles = {n: sample_kernel_chain(space, "base", grid, 200, seed=n)
@@ -329,10 +329,33 @@ def test_pathlaw_builds_the_limit_law_once_plus_two_per_split(monkeypatch):
     monkeypatch.setattr(convergence, "extract_fdd", counted_extract)
     monkeypatch.setattr(convergence, "DiscreteMeasure", counted_measure)
     out = pathlaw_w1(fam.members, ensembles, limit_ens, [0.25, 0.75], bins=8, seed=3)
-    # the limit's paths make one law, and each split two; the members none
-    assert laws == ["DiscreteMeasure"] * (1 + 2 * convergence.BASELINE_SPLITS)
+    # the limit's rows serve its law and every split; the rows are binned as
+    # they are, so no measure merges them first
+    assert laws == ["extract_fdd"]
     assert out == before
     assert [r["label"] for r in out["rows"]] == [1, 2, 4]
+
+
+def test_pathlaw_rows_do_not_move_when_the_states_round_differently():
+    # chain states lie within 1e-12 of the limit's 256-node grid, and the
+    # circle bins hold whole nodes, so nudging every state by up to 1e-12
+    # (taken mod each period) moves no state across a bin edge
+    fam = torus_family([1, 2, 4])
+    grid = np.linspace(0.0, 1.0, 5)
+    ensembles = {n: sample_kernel_chain(space, "base", grid, 4000, seed=n)
+                 for n, space, _ in fam.members}
+    limit_ens = sample_kernel_chain(fam.limit, "base", grid, 4000, seed=9)
+    rng = np.random.default_rng(4)
+
+    def nudged(ens, periods):
+        jitter = rng.uniform(-1e-12, 1e-12, size=ens.states.shape)
+        return PathEnsemble(ens.times, np.mod(ens.states + jitter, periods), ens.space)
+
+    moved = {n: nudged(ensembles[n], [2 * np.pi, 2 * np.pi / n]) for n in ensembles}
+    before = pathlaw_w1(fam.members, ensembles, limit_ens, [0.25, 0.75], seed=3)
+    after = pathlaw_w1(fam.members, moved, nudged(limit_ens, [2 * np.pi]), [0.25, 0.75],
+                       seed=3)
+    assert after == before
 
 
 def test_pathlaw_baseline_is_binned_on_the_shared_bins():
@@ -354,8 +377,8 @@ def test_pathlaw_baseline_is_binned_on_the_shared_bins():
         vals = []
         for _ in range(convergence.BASELINE_SPLITS):
             perm = rng.permutation(400)
-            a, b = (_weighted_rebin(m.atoms, m.weights, specs) for m in (
-                DiscreteMeasure(states[perm[:200]]), DiscreteMeasure(states[perm[200:]])))
+            a, b = (_weighted_rebin(rows, np.ones(len(rows)), specs)
+                    for rows in (states[perm[:200]], states[perm[200:]]))
             vals.append(_binned_w1(line, a, b, specs))
         return float(np.mean(vals))
 
@@ -513,6 +536,17 @@ def test_weighted_rebin_interval_endpoint():
     assert interval.a <= center <= interval.b
 
 
+def test_circle_bins_keep_every_grid_node_off_their_edges():
+    # the bins start half a node below 0: up to one bin per node, each grid
+    # node lies inside a bin, whatever the rounding of a state near it
+    limit = Circle(2 * np.pi, n_nodes=256)
+    nodes = limit.grid()
+    for bins in range(1, 257):
+        lo, width, count, _ = _bin_edges(limit, None, bins)
+        edges = lo + np.arange(count + 1) * width
+        assert np.min(np.abs(nodes[:, None] - edges[None, :])) > 1e-6, bins
+
+
 def test_entropy_tightness_finite_sup():
     fam = torus_family([1, 2, 4])
     out = entropy_tightness(fam, 0.1)
@@ -548,6 +582,23 @@ def test_initial_law_w1_skips_quadrature_nodes_of_zero_mass(a):
     (row,) = initial_law_w1(fam)["rows"]
     expect = (1 / np.sqrt(3) - 1 / np.sqrt(a + 2)) * np.sqrt(2 / np.pi)
     assert row["w1"] == pytest.approx(expect, abs=1e-5)
+
+
+@pytest.mark.parametrize("a", [21.0, 101.0])
+def test_entropy_tightness_skips_nodes_of_zero_mass(a):
+    # the kernel measure at eps is N(0, s2) with s2 = (1 - e^{-2 a eps}) / a,
+    # and the tilted reference N(0, r2) with r2 = 1 / (a + 2); the far nodes
+    # of zero reference mass hold kernel mass near 1e-301
+    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
+    member = EuclideanLogConcave(1, quadratic_potential(a))
+    assert np.any(weighted_measure(member).masses() == 0)
+    fam = SpaceFamily([(a, member, CollapseMap(limit, lambda x: x, 0.0))], limit)
+    eps = 0.1
+    out = entropy_tightness(fam, eps)
+    s2, r2 = -np.expm1(-2 * a * eps) / a, 1 / (a + 2)
+    expect = 0.5 * np.log(r2 / s2) + s2 / (2 * r2) - 0.5
+    assert out["rows"][0]["entropy"] == pytest.approx(expect, abs=1e-5)
+    assert out["pass"] and np.isfinite(out["sup"])
 
 
 def test_initial_law_w1_small_for_uniform_family():

@@ -359,7 +359,7 @@ def test_extract_fdd_point_mass_and_functoriality():
     times = np.linspace(0.0, 0.5, 6)
     ens = sample_kernel_chain(space, "base", times, 100, seed=13)
     single = extract_fdd(ens, [0.0])
-    assert len(np.unique(single.atoms, axis=0)) == 1  # all paths start at base
+    assert len(np.unique(single, axis=0)) == 1  # all paths start at base
 
     from mmlab import CollapseMap
     circle = Circle(2 * np.pi)
@@ -367,10 +367,10 @@ def test_extract_fdd_point_mass_and_functoriality():
     mapped = extract_fdd(ens, [0.2, 0.4], cmap)
     raw = extract_fdd(ens, [0.2, 0.4])
 
-    def aggregate(measure):
-        uniq, inv = np.unique(measure.atoms[:, 0].round(12), return_inverse=True)
+    def aggregate(rows):
+        uniq, inv = np.unique(rows[:, 0].round(12), return_inverse=True)
         w = np.zeros(len(uniq))
-        np.add.at(w, inv, measure.weights)
+        np.add.at(w, inv, np.full(len(rows), 1.0 / len(rows)))
         return uniq, w
 
     ua, wa = aggregate(mapped)

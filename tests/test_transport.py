@@ -15,14 +15,12 @@ from mmlab import (
     wasserstein_grid,
 )
 from mmlab.transport import (
-    ATOM_MERGE_TOL,
     TransportError,
-    _merge_close_atoms,
     displacement_interpolation_1d,
     unique_rows,
 )
 
-from _oracles import merge_close_atoms_loop, random_measure, wasserstein_vertex
+from _oracles import random_measure, wasserstein_vertex
 
 
 def random_pair(rng, max_atoms=4, dim=1):
@@ -286,29 +284,8 @@ def test_grid_flow_disjoint_supports():
         assert abs(flow - dense_grid_w1(sizes, costs, periodic, a, wa, b, wb)) <= 1e-9
 
 
-def test_merge_close_atoms_matches_loop():
-    rng = np.random.default_rng(12)
-    for dim in (1, 2, 3):
-        base = rng.integers(0, 4, size=(300, dim)) * 0.5
-        # exact duplicates, near-duplicates 5e-13 apart, and chains drifting
-        # beyond the tolerance in steps within it
-        jitter = rng.integers(0, 3, size=(300, dim)) * 5e-13
-        atoms = base + jitter
-        weights = rng.random(300) + 0.1
-        got_a, got_w = _merge_close_atoms(atoms, weights)
-        ref_a, ref_w = merge_close_atoms_loop(atoms, weights, ATOM_MERGE_TOL)
-        assert np.array_equal(got_a, ref_a)
-        assert np.allclose(got_w, ref_w, rtol=1e-14, atol=0.0)
-        assert got_w.sum() == pytest.approx(weights.sum(), rel=1e-14)
-    # the third atom is 1.8e-12 from its sorted predecessor, yet merges into
-    # the first, which the second merged into
-    atoms = np.array([[0.0, 0.0], [0.5e-12, 0.9e-12], [0.9e-12, -0.9e-12], [1.0, 0.0]])
-    got_a, got_w = _merge_close_atoms(atoms, np.full(4, 0.25))
-    assert np.array_equal(got_a, atoms[[0, 3]])
-    assert got_w.tolist() == [0.75, 0.25]
-    # distinct atoms, none within the tolerance: every atom and weight kept exactly
-    atoms = rng.normal(size=(500, 2))
-    weights = rng.random(500)
-    got_a, got_w = _merge_close_atoms(atoms, weights)
-    ref_a, ref_w = merge_close_atoms_loop(atoms, weights, ATOM_MERGE_TOL)
-    assert np.array_equal(got_a, ref_a) and np.array_equal(got_w, ref_w)
+def test_discrete_measure_merges_only_equal_atoms():
+    # atoms 5e-13 apart stay two atoms; equal atoms sum their weights
+    mu = DiscreteMeasure([[0.0, 1.0], [5e-13, 1.0], [0.0, 1.0]], [0.25, 0.25, 0.5])
+    assert mu.atoms.tolist() == [[0.0, 1.0], [5e-13, 1.0]]
+    assert mu.weights.tolist() == [0.75, 0.25]
