@@ -534,9 +534,11 @@ def _custom_finite_errors(cfg: ScenarioConfig) -> list:
     if not os.path.exists(cfg.finite_file):
         return ["finite_file: file not found: %s" % cfg.finite_file]
     try:
-        FiniteMms.load(cfg.finite_file)
+        space = FiniteMms.load(cfg.finite_file)
     except (SpaceError, OSError, UnicodeDecodeError) as exc:
         return ["finite_file: %s" % exc]
+    if space.n < 2:
+        return ["finite_file: %d atom; the run needs at least 2" % space.n]
     return []
 
 

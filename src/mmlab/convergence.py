@@ -141,9 +141,8 @@ def _nested_functional(space: PmmSpace, cmap: Optional[CollapseMap], times, func
         vals = sk.apply_values(t1, vals)
         return [float(np.sum(masses * v)) for v in vals.T]
     if t1 == 0:
-        # evaluate at the grid point nearest the start
-        if isinstance(space, FiniteMms):
-            return [float(v) for v in vals[int(start)]]
+        # evaluate at the grid point nearest the start; atoms are separated,
+        # so a finite start is its own nearest atom
         d = np.asarray(space.distance(sk.points, start))
         return [float(v) for v in vals[int(np.argmin(d))]]
     weighted_row = sk.weights * sk.kernel_row(t1, start)

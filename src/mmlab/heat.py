@@ -6,17 +6,19 @@ dX = -grad V dt + sqrt(2) dW.  On a circle of circumference 2*pi the
 eigenvalues are k^2 and the spectral gap is 1.
 
 Closed forms are used wherever they exist (wrapped Gaussians / eigen-sums on
-circle, torus, interval; Mehler formula for quadratic potentials); finite
-spaces get a graph generator with exact detailed balance and a symmetric
-eigendecomposition.  ``get_kernel`` builds a space's kernel once and keeps it
-on the space itself, so the kernel and its per-t caches live exactly as long
-as the space does.
+circle and torus; on an interval [a, a+L] the Neumann kernel is the circle
+kernel of circumference 2L folded by the reflection about a; Mehler formula
+for quadratic potentials); finite spaces get a graph generator with exact
+detailed balance and a symmetric eigendecomposition.  ``get_kernel`` builds
+a space's kernel, the ``KERNELS`` class of its type, once and keeps it on the
+space itself, so the kernel and its per-t caches live exactly as long as the
+space does.
 
 ``apply_values`` takes the grid values of one function as an (n,) vector, or
-of m functions as the columns of an (n, m) block.  Column j of a block's
-result is bit-identical to the (n,) call on column j: the matrix kernels do
-one matrix-vector product per column, and the circle and torus transform each
-column alone.
+of m functions as the columns of an (n, m) block, and returns them as floats
+at t = 0.  Column j of a block's result is bit-identical to the (n,) call on
+column j: the matrix kernels do one matrix-vector product per column, and the
+circle and torus transform each column alone.
 """
 
 from __future__ import annotations
@@ -85,24 +87,12 @@ def circle_kernel_arc(t: float, dx, circumference: float) -> np.ndarray:
 
 
 def interval_kernel_leb(t: float, x, y, a: float, length: float) -> np.ndarray:
-    """Neumann heat kernel density w.r.t. Lebesgue on [a, a+length]."""
-    if t <= 0:
-        raise HeatError("t must be positive")
+    """Neumann heat kernel density w.r.t. Lebesgue on [a, a+length]: the
+    circle kernel of circumference 2*length folded by the reflection about a."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    L = float(length)
-    if t < SERIES_CROSSOVER * (L / np.pi) ** 2:
-        n_img = int(np.ceil(13.0 * np.sqrt(t) / (2 * L))) + 2
-        shifts = np.arange(-n_img, n_img + 1) * 2 * L
-        u = (x - y)[..., None] + shifts
-        v = (x + y - 2 * a)[..., None] + shifts
-        return np.sum(_gauss(u, 2.0 * t) + _gauss(v, 2.0 * t), axis=-1)
-    k_max = int(np.ceil(L / np.pi * np.sqrt(42.0 / t))) + 1
-    ks = np.arange(1, k_max + 1)
-    lam = (ks * np.pi / L) ** 2
-    cx = np.cos(np.multiply.outer(x - a, ks * np.pi / L))
-    cy = np.cos(np.multiply.outer(y - a, ks * np.pi / L))
-    return 1.0 / L + (2.0 / L) * np.sum(np.exp(-lam * t) * cx * cy, axis=-1)
+    c = 2.0 * float(length)
+    return circle_kernel_arc(t, x - y, c) + circle_kernel_arc(t, x + y - 2 * a, c)
 
 
 class SpectralKernel:
@@ -134,8 +124,13 @@ class SpectralKernel:
     def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
         """P_t f for f given by its values on the grid: an (n,) vector, or an
         (n, m) block of m functions whose column j of the result is
-        bit-identical to the (n,) call on column j."""
-        raise NotImplementedError
+        bit-identical to the (n,) call on column j.  P_0 is the identity."""
+        values = np.asarray(values, dtype=float)
+        return values if t == 0 else self._apply(t, values)
+
+    def _apply(self, t: float, values: np.ndarray) -> np.ndarray:
+        """apply_values at t > 0 on a float array."""
+        return _per_column(self.transition_matrix(t), values)
 
     def gap(self) -> float:
         raise NotImplementedError
@@ -175,11 +170,9 @@ class CircleKernel(SpectralKernel):
         return self._per_t(t, lambda t: np.fft.rfft(
             circle_kernel_arc(t, self.points, self.space.circumference)) * self._h)
 
-    def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
-        if t == 0:
-            return np.asarray(values, dtype=float)
+    def _apply(self, t: float, values: np.ndarray) -> np.ndarray:
         # transform along the grid axis, last after transposing a block
-        f_hat = np.fft.rfft(np.asarray(values, dtype=float).T)
+        f_hat = np.fft.rfft(values.T)
         return np.fft.irfft(f_hat * self._multiplier(t), n=self.space.n_nodes).T
 
     def gap(self) -> float:
@@ -209,11 +202,9 @@ class TorusKernel(SpectralKernel):
         a2 = circle_kernel_arc(t, self._f2.points - x[1], self.space.len2)
         return np.outer(a1, a2).ravel() / self.space.measure_scale
 
-    def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
-        if t == 0:
-            return np.asarray(values, dtype=float)
+    def _apply(self, t: float, values: np.ndarray) -> np.ndarray:
         n1, n2 = self._shape
-        v = np.asarray(values, dtype=float).T
+        v = values.T
         lead = v.shape[:-1]
         v = v.reshape(lead + self._shape)
         v = np.fft.irfft(np.fft.rfft(v, axis=-2) * self._f1._multiplier(t)[:, None], n=n1, axis=-2)
@@ -241,11 +232,6 @@ class IntervalKernel(SpectralKernel):
         return self._per_t(t, lambda t: interval_kernel_leb(
             t, self.points[:, None], self.points[None, :],
             self.space.a, self.space.length) * self._h)
-
-    def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
-        if t == 0:
-            return np.asarray(values, dtype=float)
-        return _per_column(self.transition_matrix(t), values)
 
     def gap(self) -> float:
         return (np.pi / self.space.length) ** 2
@@ -296,10 +282,7 @@ class GaussianKernel(SpectralKernel):
             row = np.where(bad, np.exp(log_row) / np.sqrt(2.0 * np.pi * var), row)
         return row
 
-    def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if t == 0:
-            return values
+    def _apply(self, t: float, values: np.ndarray) -> np.ndarray:
         mean, var = self._moments(t, self.points)
         n = len(mean)
         built = n // 2 if self._mirror else n
@@ -369,11 +352,6 @@ class FiniteKernel(SpectralKernel):
             raise HeatError("atom index out of range")
         return self.transition_matrix(t)[i, y] / self.space.weights[y]
 
-    def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
-        if t == 0:
-            return np.asarray(values, dtype=float)
-        return _per_column(self.transition_matrix(t), values)
-
     def gap(self) -> float:
         rates = np.sort(-self._lam)
         if len(rates) < 2 or rates[1] < 1e-10:
@@ -408,6 +386,11 @@ def set_generator(space: FiniteMms, generator: np.ndarray) -> None:
     object.__setattr__(space, "_kernel", FiniteKernel(space, generator))
 
 
+# the kernel class of each space type, looked up by exact type
+KERNELS = {Circle: CircleKernel, Torus: TorusKernel, Interval: IntervalKernel,
+           EuclideanLogConcave: GaussianKernel, FiniteMms: FiniteKernel}
+
+
 def get_kernel(space: PmmSpace) -> SpectralKernel:
     """Semigroup object for a space, built on first use and kept on the
     space, so eigen-data is built once per space.  Pool threads and the main
@@ -420,12 +403,8 @@ def get_kernel(space: PmmSpace) -> SpectralKernel:
     with vars(space).setdefault("_kernel_lock", threading.Lock()):
         sk = vars(space).get("_kernel")
         if sk is None:
-            for cls, build in ((Circle, CircleKernel), (Torus, TorusKernel),
-                               (Interval, IntervalKernel), (EuclideanLogConcave, GaussianKernel),
-                               (FiniteMms, FiniteKernel)):
-                if isinstance(space, cls):
-                    break
-            else:
+            build = KERNELS.get(type(space))
+            if build is None:
                 raise HeatError("no computable heat kernel for %s" % type(space).__name__)
             sk = build(space)
             object.__setattr__(space, "_kernel", sk)

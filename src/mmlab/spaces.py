@@ -314,6 +314,8 @@ class FiniteMms(PmmSpace):
             raise SpaceError("dist not symmetric")
         if np.any(d < 0):
             raise SpaceError("negative distances")
+        if np.any(d[~np.eye(n, dtype=bool)] == 0):
+            raise SpaceError("two distinct atoms at distance 0")
         if np.any(w <= 0):
             raise SpaceError("weights must be strictly positive")
         if not 0 <= self.base_index < n:

@@ -56,6 +56,8 @@ def test_validate_command(tmp_path, capsys):
 
 # a run that got past validation would be short: few paths, one member
 SMALL = '"mc_count": 8, "n_grid": [2]'
+# finite space files the configs below name, written into the working directory
+FINITE_FILES = {"coincident.txt": "2 0\n0.5 0.5\n0 0\n0 0\n", "one_atom.txt": "1 0\n1.0\n0\n"}
 
 
 @pytest.mark.parametrize("text, problem", [
@@ -73,8 +75,16 @@ SMALL = '"mc_count": 8, "n_grid": [2]'
     ('{"scenario": "ou_family", "seed": -1, %s}' % SMALL, "seed: "),
     ('{"scenario": []}', "scenario: "),
     ('[1, 2]', "config must be a JSON object"),
+    ('{"scenario": "custom_finite", "finite_file": "coincident.txt"}',
+     "finite_file: two distinct atoms at distance 0"),
+    ('{"scenario": "custom_finite", "finite_file": "one_atom.txt"}',
+     "finite_file: 1 atom; the run needs at least 2"),
 ])
-def test_validate_rejects_what_the_run_would_crash_on(tmp_path, capsys, text, problem):
+def test_validate_rejects_what_the_run_would_crash_on(tmp_path, capsys, monkeypatch, text,
+                                                      problem):
+    monkeypatch.chdir(tmp_path)
+    for name, body in FINITE_FILES.items():
+        (tmp_path / name).write_text(body)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert main(["validate", str(cfg)]) == 1

@@ -119,12 +119,18 @@ def test_circle_kernel_vs_series():
 
 
 def test_interval_kernel_vs_series():
-    space = Interval(0.0, 1.0)
-    for t in (0.005, 0.02, 0.05, 0.5):
-        for x, y in ((0.2, 0.7), (0.0, 0.0), (0.5, 0.5)):
-            ref = interval_kernel_series(t, x, y, 0.0, 1.0, terms=4000)
-            got = get_kernel(space).kernel_value(t, x, y)
-            assert abs(got - ref) <= 1e-9
+    # a != 0 puts weight on the reflected image x + y - 2a; t lies on both
+    # sides of the image/eigen-sum switch at SERIES_CROSSOVER (L/pi)^2
+    for a, b in ((0.0, 1.0), (-3.0, 3.0), (2.5, 3.2)):
+        length = b - a
+        sk = get_kernel(Interval(a, b))
+        switch = heat.SERIES_CROSSOVER * (length / np.pi) ** 2
+        for t in switch * np.array([0.1, 0.5, 0.99, 1.01, 2.0, 16.0]):
+            for fx, fy in ((0.2, 0.7), (0.0, 0.0), (0.5, 0.5), (0.0, 0.3), (1.0, 1.0),
+                           (0.5, 1.0)):
+                x, y = a + fx * length, a + fy * length
+                ref = interval_kernel_series(t, x, y, a, length, terms=4000)
+                assert abs(sk.kernel_value(t, x, y) - ref) <= 1e-9
 
 
 def test_torus_product_structure():
@@ -222,7 +228,7 @@ def test_concurrent_first_calls_build_one_kernel(monkeypatch):
             builds.append(space)
             time.sleep(0.2)
 
-    monkeypatch.setattr(heat, "CircleKernel", SlowKernel)
+    monkeypatch.setitem(heat.KERNELS, Circle, SlowKernel)
     space = Circle(2 * np.pi, n_nodes=16)
     callers = 4  # more than the cores of a small machine
     start = threading.Barrier(callers)
@@ -377,6 +383,19 @@ def test_apply_values_block_is_columnwise_identical(space):
         assert out.shape == block.shape
         for j in range(3):
             assert np.array_equal(out[:, j], sk.apply_values(t, block[:, j].copy()))
+
+
+@pytest.mark.parametrize("space", BLOCK_SPACES + [None],
+                         ids=["circle", "torus", "interval", "gaussian", "finite"])
+def test_apply_values_at_zero_returns_the_values_as_floats(space):
+    if space is None:
+        space = random_finite(np.random.default_rng(5), 15)
+    sk = get_kernel(space)
+    n = len(sk.points)
+    for values in (np.arange(n), np.arange(3 * n).reshape(n, 3)):
+        out = sk.apply_values(0, values)
+        assert out.dtype == float
+        assert np.array_equal(out, values)
 
 
 # (n_nodes, a, base, mirrored): 600 and 1000 end on a short slab, and their

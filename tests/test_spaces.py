@@ -51,6 +51,14 @@ def test_nonpositive_weight_rejected():
         FiniteMms(dist=dist, weights=np.array([1.0, 0.0]), base_index=0)
 
 
+def test_coincident_atoms_rejected():
+    # a metric separates points: two distinct atoms may not lie at distance 0
+    dist = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(SpaceError, match="distance 0"):
+        FiniteMms(dist=dist, weights=np.ones(3), base_index=0)
+    FiniteMms(dist=np.zeros((1, 1)), weights=np.ones(1), base_index=0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_weight_or_distance_rejected(bad):
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
