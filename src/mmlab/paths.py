@@ -111,17 +111,39 @@ def _initial_states(space: Optional[PmmSpace], initial, count: int,
     raise PathError("unknown initial law %r" % (initial,))
 
 
+def _bucket_count(n: int) -> int:
+    """Buckets of the increment sampler's u-table for an n-entry CDF: the
+    first power of two >= 16 n, so that u * M and b / M are exact."""
+    return 1 << (16 * n - 1).bit_length()
+
+
 def _increment_sampler(kernel_arc_row: np.ndarray, grid: np.ndarray, h: float):
-    """Inverse-CDF sampler over grid offsets from a kernel density row."""
+    """Inverse-CDF sampler over grid offsets from a kernel density row.
+
+    A draw is grid[searchsorted(cdf, u, "left")], found through M equal
+    u-buckets (``_bucket_count``): lo[b] is the index of b/M, and since the
+    index is monotone in u, every u in a bucket with lo[b] == lo[b+1] has
+    index lo[b].  Only the u in the other buckets, which each hold a CDF
+    entry and so are at most 1/16 of [0, 1), go through the search.
+    """
     probs = kernel_arc_row * h
     if probs.min() < -KERNEL_CLIP:
         raise PathError("kernel truncation produced negative mass %.2e" % probs.min())
     probs = np.clip(probs, 0.0, None)
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
+    m = _bucket_count(len(cdf))
+    lo = np.searchsorted(cdf, np.arange(m + 1) / m, side="left")
+    offsets = grid[lo[:-1]]
+    search = lo[:-1] != lo[1:]
 
     def draw(rng: Generator, n: int) -> np.ndarray:
-        return grid[np.searchsorted(cdf, rng.random(n), side="left")]
+        u = rng.random(n)
+        b = (u * m).astype(np.intp)
+        inc = offsets[b]
+        hit = search[b]
+        inc[hit] = grid[np.searchsorted(cdf, u[hit], side="left")]
+        return inc
 
     return draw
 
@@ -132,6 +154,17 @@ def _row_cdf_matrix(transition: np.ndarray) -> np.ndarray:
     p = np.clip(transition, 0.0, None)
     cdf = np.cumsum(p, axis=1)
     return cdf / cdf[:, -1:]
+
+
+def _chain_step(cdf: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The next state of each path: the first index whose entry in its
+    state's CDF row exceeds its u, one search per occupied state."""
+    order = np.argsort(state, kind="stable")
+    ranked = state[order]
+    nxt = np.empty_like(state)
+    for group in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
+        nxt[group] = np.searchsorted(cdf[state[group[0]]], u[group], side="right")
+    return nxt
 
 
 def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
@@ -155,17 +188,26 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
     if isinstance(space, (Circle, Torus)):
         # independent increments on each circle factor
         circles = [space] if isinstance(space, Circle) else space.factors()
-        x = _initial_states(space, initial, count, rng, len(circles)).copy()
+        x = _initial_states(space, initial, count, rng, len(circles))
         samplers = {float(dt): [
             _increment_sampler(circle_kernel_arc(dt, c.grid(), c.circumference),
                                c.grid(), c.circumference / c.n_nodes) for c in circles]
             for dt in np.unique(dts)}
         out = np.empty((count, len(times), len(circles)))
         out[:, 0] = x
+        xs = [x[:, j].copy() for j in range(len(circles))]  # one contiguous state per factor
         for k, dt in enumerate(dts):
-            for j, (draw, c) in enumerate(zip(samplers[float(dt)], circles)):
-                x[:, j] = np.mod(x[:, j] + draw(rng, count), c.circumference)
-            out[:, k + 1] = x
+            for j, (y, draw, c) in enumerate(zip(xs, samplers[float(dt)], circles)):
+                y += draw(rng, count)
+                if k == 0:
+                    # a start may lie anywhere; afterwards every state is in [0, c]
+                    np.mod(y, c.circumference, out=y)
+                else:
+                    # y = x + offset lies in [0, 2c), where y - c is exact and
+                    # is what np.mod (an exact fmod) returns; the mask times c
+                    # is exactly 0 or c, and costs a ninth of np.mod
+                    y -= (y >= c.circumference) * c.circumference
+                out[:, k + 1, j] = y
         return PathEnsemble(times, out, space)
 
     if isinstance(space, (Interval, FiniteMms)):
@@ -181,9 +223,7 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
         out = np.empty((count, len(times), 1))
         out[:, 0, 0] = grid[state]
         for k, dt in enumerate(dts):
-            rows = cdfs[float(dt)][state]
-            u = rng.random(count)
-            state = np.argmax(rows > u[:, None], axis=1)
+            state = _chain_step(cdfs[float(dt)], state, rng.random(count))
             out[:, k + 1, 0] = grid[state]
         return PathEnsemble(times, out, space)
 

@@ -122,8 +122,12 @@ class Circle(PmmSpace):
     normalized: bool = False
 
     def __post_init__(self):
-        if self.circumference <= 0:
-            raise SpaceError("circumference must be positive")
+        if not 0 < self.circumference < np.inf:
+            raise SpaceError("circumference must be positive and finite")
+        if not np.isfinite(self.base):
+            raise SpaceError("base must be finite")
+        if not self.n_nodes >= 1:
+            raise SpaceError("n_nodes must be >= 1")
 
     @property
     def base_point(self):
@@ -160,8 +164,12 @@ class Torus(PmmSpace):
     normalized: bool = False
 
     def __post_init__(self):
-        if self.len1 <= 0 or self.len2 <= 0:
-            raise SpaceError("circumferences must be positive")
+        if not (0 < self.len1 < np.inf and 0 < self.len2 < np.inf):
+            raise SpaceError("circumferences must be positive and finite")
+        if not np.all(np.isfinite(self.base)):
+            raise SpaceError("base must be finite")
+        if not min(self.n_nodes) >= 1:
+            raise SpaceError("n_nodes must be >= 1")
 
     @property
     def base_point(self):
@@ -205,8 +213,12 @@ class Interval(PmmSpace):
     normalized: bool = False
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise SpaceError("need a < b")
+        if not -np.inf < self.a < self.b < np.inf:
+            raise SpaceError("need finite a < b")
+        if self.base is not None and not np.isfinite(self.base):
+            raise SpaceError("base must be finite")
+        if not self.n_nodes >= 1:
+            raise SpaceError("n_nodes must be >= 1")
 
     @property
     def base_point(self):

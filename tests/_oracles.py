@@ -201,3 +201,52 @@ def euler_maruyama_loop(grad, x0, dt, T, count, seed, noise=True, project=None,
         x = np.where(alive[:, None], xn, x)
         out[:, k + 1] = x
     return out, flags
+
+
+def kernel_chain_loop(times, start, count, seed, circles=None, chain=None):
+    """Kernel-chain paths drawn by full inverse-CDF searches, as the sampler
+    did before its bucket tables and per-state searches.
+
+    ``start`` is a (count, d) array of start states, or an (atoms, weights)
+    pair of a discrete law drawn first with ``rng.choice``.  On a circle or a
+    torus, ``circles(dt)`` gives one (density row over the grid offsets,
+    grid, circumference) triple per factor; each step adds
+    grid[searchsorted(cdf, u, "left")] and wraps with np.mod.  On an interval
+    or a finite space, ``chain`` is (points, transition(dt)); a start goes to
+    the argmin node of |points - x|, stored as that node, and a step moves to the first index
+    whose row CDF exceeds u.  The uniforms come from the same Philox stream
+    as the sampler's, one draw of ``count`` per factor and step.  Returns the
+    states, shape (count, n_times, d)."""
+    from numpy.random import Generator, Philox, SeedSequence
+
+    def row_cdf(probs):
+        if probs.min() < -1e-13:
+            raise ValueError("negative kernel mass")
+        cdf = np.cumsum(np.clip(probs, 0.0, None), axis=-1)
+        return cdf / cdf[..., -1:]
+
+    rng = Generator(Philox(SeedSequence(entropy=int(seed), spawn_key=())))
+    times = np.asarray(times, dtype=float)
+    if isinstance(start, tuple):
+        atoms, weights = start
+        x = np.asarray(atoms, dtype=float)[rng.choice(len(weights), size=count, p=weights)]
+    else:
+        x = np.array(start, dtype=float)
+    out = np.empty((count, len(times), x.shape[1]))
+    out[:, 0] = x
+    if circles is not None:
+        for k, dt in enumerate(np.diff(times)):
+            for j, (row, grid, c) in enumerate(circles(dt)):
+                cdf = row_cdf(row * (c / len(grid)))
+                inc = grid[np.searchsorted(cdf, rng.random(count), side="left")]
+                x[:, j] = np.mod(x[:, j] + inc, c)
+            out[:, k + 1] = x
+        return out
+    points, transition = chain
+    state = np.argmin(np.abs(points[None, :] - x[:, :1]), axis=1)
+    out[:, 0, 0] = points[state]
+    for k, dt in enumerate(np.diff(times)):
+        rows = row_cdf(transition(dt))[state]
+        state = np.argmax(rows > rng.random(count)[:, None], axis=1)
+        out[:, k + 1, 0] = points[state]
+    return out

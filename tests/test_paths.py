@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.stats
 
 from mmlab import (
     Circle,
+    DiscreteMeasure,
     EuclideanLogConcave,
     FiniteMms,
     Interval,
@@ -23,12 +25,14 @@ from mmlab import (
     sample_kernel_chain,
 )
 import mmlab.paths as paths
+from mmlab.heat import circle_kernel_arc
 from mmlab.paths import PathError, _pair_distance, grid_index
-from mmlab.spaces import ConvexDomain, SpaceError
+from mmlab.spaces import ConvexDomain, SpaceError, mesh_cone
 
 from _oracles import (
     euler_maruyama_loop,
     folded_normal_cdf,
+    kernel_chain_loop,
     modulus_statistic_loop,
     ou_mean_var,
 )
@@ -84,6 +88,116 @@ def test_chain_bad_grid_rejected():
         sample_kernel_chain(space, "base", [0.5, 1.0], 10, seed=0)
     with pytest.raises(PathError):
         sample_kernel_chain(space, "base", [0.0, 0.5, 0.5], 10, seed=0)
+
+
+EXAMPLE_FINITE = FiniteMms.load(Path(__file__).resolve().parent.parent
+                                / "scripts" / "example_finite.txt")
+
+# (space, initial law) pairs for the chain oracle: circles started on and
+# off [0, c), the bundled torus, a small cone member, the example finite
+# file and intervals with their base on a node tie and outside
+CHAIN_STARTS = {
+    "circle-0": (Circle(), "base"),
+    "circle-minus1": (Circle(base=-1.0), "base"),
+    "circle-7": (Circle(base=7.0), "base"),
+    "circle-c": (Circle(base=2 * np.pi), "base"),
+    "circle-law": (Circle(), DiscreteMeasure([[0.5], [3.0], [-2.0], [2 * np.pi]],
+                                             [0.4, 0.3, 0.2, 0.1])),
+    "torus": (Torus(2 * np.pi, 2 * np.pi / 4, n_nodes=(256, 64), normalized=True), "base"),
+    "torus-off": (Torus(2 * np.pi, 2 * np.pi / 4, base=(-1.0, 7.0), n_nodes=(256, 64)), "base"),
+    "torus-c": (Torus(2 * np.pi, 2 * np.pi / 4, base=(2 * np.pi, np.pi / 2),
+                      n_nodes=(256, 64)), "base"),
+    "torus-law": (Torus(2 * np.pi, 2 * np.pi / 4, n_nodes=(256, 64)),
+                  DiscreteMeasure([[0.5, 1.0], [-3.0, 9.0]], [0.25, 0.75])),
+    "cone": (mesh_cone(2, 6), "base"),
+    "finite": (EXAMPLE_FINITE, "base"),
+    "finite-law": (EXAMPLE_FINITE, DiscreteMeasure([[0.0], [2.0], [5.0]], [0.2, 0.5, 0.3])),
+    "interval": (Interval(0.0, 1.0), "base"),
+    "interval-outside": (Interval(-1.0, 2.0, base=2.5, n_nodes=300), "base"),
+    "interval-law": (Interval(-1.0, 2.0, n_nodes=300),
+                     DiscreteMeasure([[-1.5], [0.0], [0.7], [2.0]], [0.1, 0.2, 0.3, 0.4])),
+}
+
+# several step lengths; steps so small that the kernel sits on a few nodes;
+# steps so large that it is flat
+CHAIN_GRIDS = {
+    "steps": [0.0, 0.01, 0.03, 0.04, 0.1, 0.35],
+    "tiny": [0.0, 1e-6, 2e-6, 3e-6],
+    "flat": [0.0, 20.0, 40.0],
+}
+
+
+@pytest.mark.parametrize("grid", CHAIN_GRIDS)
+@pytest.mark.parametrize("case", CHAIN_STARTS)
+def test_chain_is_bit_identical_to_the_full_search_loop(case, grid):
+    space, initial = CHAIN_STARTS[case]
+    times = CHAIN_GRIDS[grid]
+    count, seed = 700, 41
+    ens = sample_kernel_chain(space, initial, times, count, seed=seed)
+    if isinstance(initial, DiscreteMeasure):
+        start = (initial.atoms, initial.weights)
+    else:
+        start = paths._initial_states(space, initial, count, None, ens.states.shape[2])
+    if isinstance(space, (Circle, Torus)):
+        factors = [space] if isinstance(space, Circle) else space.factors()
+        circles = lambda dt: [(circle_kernel_arc(dt, c.grid(), c.circumference), c.grid(),
+                               c.circumference) for c in factors]
+        ref = kernel_chain_loop(times, start, count, seed, circles=circles)
+    else:
+        sk = get_kernel(space)
+        ref = kernel_chain_loop(times, start, count, seed,
+                                chain=(sk.points, sk.transition_matrix))
+    assert np.array_equal(ens.states, ref)
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random(n)`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("total", [64, 128, 256, 384])
+def test_increment_draws_at_bucket_edges_equal_the_full_search(total):
+    # integer masses summing to total, with zeros inside and at the end: with
+    # 8 nodes there are 128 buckets, so for total 64 and 128 every CDF entry
+    # sits on a bucket edge
+    weights = np.zeros(8)
+    weights[[1, 4, 5, 6]] = np.array([3, 37, 1, 23]) * total // 64
+    weights[7] = total - weights.sum()
+    grid = np.arange(8.0)
+    m = paths._bucket_count(len(grid))
+    assert m == 128
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    edges = np.arange(m) / m
+    u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], edges, np.nextafter(edges[1:], 0.0),
+                        np.nextafter(edges, 1.0), cdf, np.nextafter(cdf, 1.0)])
+    u = u[u < 1.0]  # the range of Generator.random
+    draw = paths._increment_sampler(weights, grid, 1.0)
+    got = draw(_FixedUniforms(u), len(u))
+    assert np.array_equal(got, grid[np.searchsorted(cdf, u, side="left")])
+
+
+def test_chain_step_at_cdf_entries_equals_the_row_argmax():
+    # rows of integer masses with zeros: the CDFs repeat values, and each
+    # path's u is an entry of its own row, or a neighbour of one
+    rng = np.random.default_rng(7)
+    masses = rng.integers(0, 4, size=(6, 9)).astype(float)
+    masses[:, -1] += 1.0
+    cdf = paths._row_cdf_matrix(masses)
+    state = rng.integers(0, 6, size=400)
+    u = cdf[state, rng.integers(0, 9, size=400)]
+    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0), [0.0]])
+    state = np.append(np.tile(state, 3), 0)
+    keep = u < 1.0  # the range of Generator.random
+    u, state = u[keep], state[keep]
+    want = np.argmax(cdf[state] > u[:, None], axis=1)
+    assert np.array_equal(paths._chain_step(cdf, state, u), want)
 
 
 def test_em_ou_moments_and_weak_order():

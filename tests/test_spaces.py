@@ -69,6 +69,48 @@ def test_non_finite_weight_or_distance_rejected(bad):
         FiniteMms(dist=dist, weights=np.ones(2), base_index=0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"circumference": np.nan}, "circumference"),
+    ({"circumference": np.inf}, "circumference"),
+    ({"circumference": -1.0}, "circumference"),
+    ({"base": np.nan}, "base"),
+    ({"base": np.inf}, "base"),
+    ({"base": -np.inf}, "base"),
+    ({"n_nodes": 0}, "n_nodes"),
+], ids=str)
+def test_circle_rejects_bad_inputs(kwargs, message):
+    with pytest.raises(SpaceError, match=message):
+        Circle(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"len1": np.nan}, "circumference"),
+    ({"len2": np.inf}, "circumference"),
+    ({"len2": 0.0}, "circumference"),
+    ({"base": (np.nan, 0.0)}, "base"),
+    ({"base": (0.0, np.inf)}, "base"),
+    ({"n_nodes": (0, 64)}, "n_nodes"),
+    ({"n_nodes": (256, 0)}, "n_nodes"),
+], ids=str)
+def test_torus_rejects_bad_inputs(kwargs, message):
+    with pytest.raises(SpaceError, match=message):
+        Torus(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"a": np.nan}, "finite a < b"),
+    ({"b": np.inf}, "finite a < b"),
+    ({"a": -np.inf}, "finite a < b"),
+    ({"a": 1.0}, "finite a < b"),
+    ({"base": np.nan}, "base"),
+    ({"base": np.inf}, "base"),
+    ({"n_nodes": 0}, "n_nodes"),
+], ids=str)
+def test_interval_rejects_bad_inputs(kwargs, message):
+    with pytest.raises(SpaceError, match=message):
+        Interval(**kwargs)
+
+
 @pytest.mark.parametrize("weight,distance", [("nan", "1"), ("1", "inf")])
 def test_load_rejects_non_finite_values(tmp_path, weight, distance):
     path = tmp_path / "space.txt"
