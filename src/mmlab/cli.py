@@ -9,6 +9,7 @@ versions.  Reruns with the same config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from typing import Callable, Optional
 import numpy as np
 import scipy
 from numpy.random import SeedSequence
-from scipy.special import ndtri
 
 from .convergence import (
     BASELINE_PARTS,
@@ -43,7 +43,7 @@ from .heat import (
     set_generator,
     spectral_gap,
 )
-from .kolmogorov import kstest_uniform
+from .kolmogorov import kstest_uniform, ndtri
 from .paths import (
     PathError,
     euler_maruyama,
@@ -589,24 +589,34 @@ def run_custom_finite(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
 class Scenario:
     """One scenario kind: what it runs, its runner, the config errors only it
     can see, the test-function registry its ``test_functions`` select from
-    (None when it takes none), and the fewest paths its runner can split."""
+    (None when it takes none), the fewest paths its runner can split, and
+    the scipy modules ``main`` imports before the run.
+
+    The lab imports each scipy module inside the function that calls it, so
+    a run loads only what it uses.  A module first imported inside the run
+    holds up the pool threads that reach it while it loads, so ``imports``
+    names the modules the runner always reaches, to be loaded in set-up: the
+    transport LP for the torus and the cone, and the cone mesh's graph
+    distances."""
 
     about: str
     run: Callable
     errors: Callable
     test_functions: Optional[Callable]
     min_paths: int
+    imports: tuple = ()
 
 
 SCENARIOS = {
     "torus_collapse": Scenario(
         "flat tori with shrinking second factor collapsing onto a circle",
-        run_torus, _torus_errors, circle_functions, BASELINE_PARTS),
+        run_torus, _torus_errors, circle_functions, BASELINE_PARTS, ("scipy.optimize",)),
     # validation reads only the registry's names, which do not depend on the
     # chain positions
     "cone_interval": Scenario(
         "triangulated narrowing cones collapsing onto a weighted interval",
-        run_cone, _cone_errors, lambda: chain_functions(np.zeros(1)), BASELINE_PARTS),
+        run_cone, _cone_errors, lambda: chain_functions(np.zeros(1)), BASELINE_PARTS,
+        ("scipy.optimize", "scipy.sparse.csgraph")),
     "ou_family": Scenario(
         "Ornstein-Uhlenbeck family V_n = (1+1/n)|x|^2/2 tightening to V = |x|^2/2",
         run_ou, _ou_errors, line_functions, OU_PARTS),
@@ -741,7 +751,10 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print("ok")
         return 0
-    return run_scenario(ScenarioConfig(**raw), threads=args.threads, out_dir=args.out)
+    cfg = ScenarioConfig(**raw)
+    for module in SCENARIOS[cfg.scenario].imports:
+        importlib.import_module(module)
+    return run_scenario(cfg, threads=args.threads, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,18 @@ Softw. 39(11), 2011, with the branch choice and arithmetic of scipy's
 bit.  One departure: for n <= 140 and 0.754693 < n d^2 <= 4, where scipy runs
 the Pomeranz recursion, this takes the Durbin matrix (DMTW) instead; there
 the two agree to about 2e-11 relative.
+
+``ndtri(p)``, the standard normal quantile, is a port of Cephes ``ndtri``,
+which is what ``scipy.special.ndtri`` evaluates; it gives the same doubles
+without importing ``scipy.special``.  That module is imported only on the
+branch of ``kolmogorov_sf`` that calls ``smirnov``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import smirnov
 
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
@@ -68,6 +74,7 @@ def kolmogorov_sf(n: int, d) -> float:
     # twice the one-sided tail: exact for d >= 1/2, where the two tails
     # cannot overlap, and a close approximation past these n d^2
     if d >= 0.5 or nx2 > 4.0 or (n > 140 and nx2 >= 2.2):
+        from scipy.special import smirnov
         return np.clip(2 * smirnov(n, d), 0.0, 1.0)
     if n <= 140 or (n <= 100000 and n * d ** 1.5 <= 1.4):
         cdf = _durbin_mtw(n, d)
@@ -187,3 +194,73 @@ def _pelz_good(n: int, x):
     K0to3[3] += k3extra
     K0to3 /= np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
     return sum(K0to3)
+
+
+# Cephes ndtri.  P0/Q0 on the centre, exp(-2) < p < 1 - exp(-2), in
+# (p - 1/2)^2; P1/Q1 and P2/Q2 on the tails in 1/z, z = sqrt(-2 log p),
+# for z < 8 and z >= 8.  The Q polynomials' leading 1 is implicit.
+_NDTRI_EXPM2 = 0.13533528323661269189
+_NDTRI_S2PI = 2.50662827463100050242
+_NDTRI_P0 = [-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0]
+_NDTRI_Q0 = [1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0]
+_NDTRI_P1 = [4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4]
+_NDTRI_Q1 = [1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4]
+_NDTRI_P2 = [3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9]
+_NDTRI_Q2 = [6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9]
+
+
+def _polevl(x, coef):
+    """sum_i coef[i] x^(N-i) by Horner's rule, in Cephes' order of operations."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """``_polevl`` with an implicit leading coefficient 1."""
+    return _polevl(x, [1.0] + coef)
+
+
+def ndtri(p):
+    """Standard normal quantile, elementwise; equal to
+    ``scipy.special.ndtri`` bit for bit.  0 and 1 give -inf and +inf, NaN
+    and values outside [0, 1] give NaN."""
+    p = np.asarray(p, dtype=float)
+    upper = p > 1.0 - _NDTRI_EXPM2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.full(p.shape, np.nan)
+    centre = y > _NDTRI_EXPM2
+    yc = y[centre] - 0.5
+    y2 = yc * yc
+    out[centre] = (yc + yc * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _NDTRI_S2PI
+    tail = (y > 0.0) & ~centre
+    # libm's log: numpy's SIMD log differs from it in the last bit in places
+    x = np.array([math.sqrt(-2.0 * math.log(v)) for v in y[tail].tolist()])
+    x0 = x - np.array([math.log(v) for v in x.tolist()]) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1),
+                  z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2))
+    out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
+    out[p == 0.0] = -np.inf
+    out[p == 1.0] = np.inf
+    return out[()]

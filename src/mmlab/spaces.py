@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 TRIANGLE_TOL = 1e-9
 CONE_MIN_RESOLUTION = 4   # rings and meridians of the coarsest cone mesh
@@ -514,6 +512,9 @@ def mesh_cone(n: int, resolution: int) -> FiniteMms:
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     lengths = np.linalg.norm(coords[rows] - coords[cols], axis=1)
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
     graph = coo_matrix((lengths, (rows, cols)), shape=(n_nodes, n_nodes))
     graph = graph.maximum(graph.T)
     n_comp, _ = connected_components(graph, directed=False)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 MARGINAL_TOL = 1e-9
 
@@ -109,6 +107,9 @@ def wasserstein_exact(p: int, mu: DiscreteMeasure, nu: DiscreteMeasure,
     ``(value, plan)`` with an optimal plan, an (n, m) array whose row and
     column sums are the weights of ``mu`` and ``nu``.
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
     if p not in (1, 2):
         raise TransportError("p must be 1 or 2")
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
@@ -206,13 +207,19 @@ def wasserstein_grid(mu_cells, mu_weights, nu_cells, nu_weights,
     if n_arcs == 0:  # a single cell: nothing moves
         flow, value = np.zeros(0), 0.0
     else:
+        from scipy.optimize import linprog
+        from scipy.sparse import coo_matrix
+
         arcs = np.arange(n_arcs)
         incidence = coo_matrix(
             (np.concatenate([np.ones(n_arcs), -np.ones(n_arcs)]),
              (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
             shape=(n_cells, n_arcs)).tocsr()
+        # HiGHS's default primal feasibility tolerance, 1e-7, lets a flow
+        # miss its node balance by more than MARGINAL_TOL
         res = linprog(np.concatenate(arc_costs), A_eq=incidence, b_eq=supply,
-                      bounds=(0, None), method="highs")
+                      bounds=(0, None), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10})
         if not res.success:
             raise TransportError("grid flow LP failed: %s" % res.message)
         flow, value = res.x, float(max(res.fun, 0.0))

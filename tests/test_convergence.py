@@ -19,6 +19,7 @@ from mmlab import (
     graph_generator,
     initial_law_w1,
     mcshane_extend,
+    mesh_cone,
     pathlaw_w1,
     pmg_test,
     quadratic_potential,
@@ -30,7 +31,7 @@ from mmlab import (
 )
 import mmlab.convergence as convergence
 import mmlab.heat as heat
-from mmlab.cli import circle_functions, line_functions
+from mmlab.cli import _interval_chain, circle_functions, line_functions
 from mmlab.convergence import (
     ConvergenceError,
     _bin_edges,
@@ -494,6 +495,43 @@ def test_binned_w1_non_chain_finite_takes_dense_lp(monkeypatch):
         d = sum(limit.dist[np.ix_(mu[0][:, j], nu[0][:, j])] for j in range(k))
         ref, _ = wasserstein_exact(1, a, b, dist_matrix=d)
         assert _binned_w1(limit, mu, nu, specs) == ref
+
+
+def _exact_ring_law(space, rings, eps, res):
+    """The exact binned law of (X_0.25, X_0.75) of ``space``'s graph chain
+    started at its base, pushed to ring indices."""
+    set_generator(space, graph_generator(space, eps=eps))
+    k = get_kernel(space)
+    joint = k.transition_matrix(0.25)[space.base_index][:, None] * k.transition_matrix(0.5)
+    law = np.zeros((res + 1, res + 1))
+    np.add.at(law, (rings[:, None], rings[None, :]), joint)
+    return np.argwhere(law > 0), law[law > 0]
+
+
+def test_binned_w1_grid_flow_holds_node_balance_on_exact_cone_laws(monkeypatch):
+    # at HiGHS's default primal feasibility tolerance (1e-7) the flow missed
+    # its node balance by 1.1e-8 against a uniform-weight limit, and
+    # wasserstein_grid raised
+    res, eps = 24, 2.5 / 24
+    specs = [(-0.5, 1.0, res + 1, None)] * 2
+    chain = _interval_chain(res)
+    uniform = FiniteMms(dist=chain.dist, weights=np.full(res + 1, 1.0 / (res + 1)),
+                        base_index=0, coords=chain.coords)
+    states = np.arange(res + 1)
+    uniform_law = _exact_ring_law(uniform, states, eps, res)
+    true_law = _exact_ring_law(chain, states, eps, res)
+    forbid(monkeypatch, "wasserstein_exact")
+    values = {}
+    for n in (1, 2, 4, 8):
+        cone = mesh_cone(n, res)
+        nodes = np.arange(cone.n)
+        law = _exact_ring_law(cone, np.where(nodes == 0, 0, (nodes - 1) // res + 1), eps, res)
+        values[n] = (_binned_w1(uniform, law, uniform_law, specs),
+                     _binned_w1(chain, law, true_law, specs))
+    assert values[1][0] == pytest.approx(0.3468758079057, rel=1e-12)
+    # ROADMAP's exact cone path-law W_1 at n = 1
+    assert values[1][1] == pytest.approx(0.3542191178370, rel=1e-12)
+    assert all(0.3 < v < 0.36 for pair in values.values() for v in pair)
 
 
 def test_binned_w1_on_circle_bins_matches_cdf_formula(monkeypatch):

@@ -1,0 +1,109 @@
+"""Each run loads only the scipy it calls: the lab imports scipy modules where
+they are used, and ``main`` loads a scenario's ``Scenario.imports`` in
+set-up.  Every check here runs in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mmlab.cli as cli
+
+ROOT = Path(__file__).resolve().parent.parent
+HEAVY = ["scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special"]
+TINY = {
+    "torus_collapse": {"n_grid": [1, 2], "mc_count": 40},
+    "cone_interval": {"n_grid": [1, 2], "mc_count": 40, "resolution": 6},
+    "ou_family": {"n_grid": [2], "mc_count": 40, "dt": 0.05},
+    "reflected_family": {"n_grid": [2], "mc_count": 40, "dt": 0.01},
+    "custom_finite": {"finite_file": "scripts/example_finite.txt", "mc_count": 40},
+}
+
+# runs argv[1] as `lab run` would, and prints the scipy modules first
+# imported inside run_scenario and the heavy ones loaded at the end
+RUN = """
+import json, sys
+import mmlab.cli as cli
+
+def scipy_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "scipy"}
+
+real, inside = cli.run_scenario, []
+
+def spy(*args, **kwargs):
+    before = scipy_modules()
+    code = real(*args, **kwargs)
+    inside.extend(sorted(scipy_modules() - before))
+    return code
+
+cli.run_scenario = spy
+cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"inside": inside, "heavy": [m for m in %r if m in sys.modules]}))
+""" % HEAVY
+
+
+def _python(script, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _config(tmp_path, kind):
+    path = tmp_path / (kind + ".json")
+    path.write_text(json.dumps({"scenario": kind, "out_dir": str(tmp_path / kind),
+                                **TINY[kind]}))
+    return str(path)
+
+
+def test_every_kind_is_tiny():
+    assert sorted(TINY) == sorted(cli.SCENARIOS)
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_run_imports_no_scipy_inside_run_scenario(tmp_path, kind):
+    seen = _python(RUN, json.dumps(["run", _config(tmp_path, kind), "--threads", "2"]))
+    assert seen["inside"] == []
+    assert (tmp_path / kind / "report.json").exists()
+    if not cli.SCENARIOS[kind].imports:
+        assert seen["heavy"] == []
+
+
+def test_validate_loads_no_heavy_scipy():
+    configs = sorted(str(p) for p in (ROOT / "scripts").glob("*.json"))
+    script = """
+import json, sys
+import mmlab.cli as cli
+codes = [cli.main(["validate", path]) for path in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "heavy": [m for m in %r if m in sys.modules]}))
+""" % HEAVY
+    seen = _python(script, json.dumps(configs))
+    assert len(configs) == 5 and seen == {"codes": [0] * 5, "heavy": []}
+
+
+def test_cone_run_without_the_preload_matches_lab_run(tmp_path):
+    # run_scenario called directly skips main's preload, so the two pool
+    # threads that build the cone meshes both import csgraph at once
+    cfg = _config(tmp_path, "cone_interval")
+    _python(RUN, json.dumps(["run", cfg, "--threads", "2", "--out", str(tmp_path / "main")]))
+    script = """
+import json, sys
+import mmlab.cli as cli
+first = "scipy.sparse.csgraph" not in sys.modules
+with open(sys.argv[1]) as fh:
+    cfg = cli.ScenarioConfig(**json.load(fh))
+cli.run_scenario(cfg, threads=2, out_dir=sys.argv[2])
+print(json.dumps(first))
+"""
+    assert _python(script, cfg, str(tmp_path / "direct")) is True
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "direct").iterdir())
+    assert "report.json" in names and len(names) > 3
+    for name in names:
+        assert (tmp_path / "main" / name).read_bytes() \
+            == (tmp_path / "direct" / name).read_bytes(), name

@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats  # the reference the port must reproduce; the lab never loads it
 
 import mmlab
 import mmlab.kolmogorov as kolmogorov
-from mmlab.kolmogorov import kolmogorov_sf, kstest_uniform
+from mmlab.kolmogorov import kolmogorov_sf, kstest_uniform, ndtri
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mmlab.__file__)))
 
@@ -47,10 +48,12 @@ BRANCHES = {
 
 def _spy_routes(monkeypatch):
     calls = []
-    for name, route in [("_durbin_mtw", "dmtw"), ("_pelz_good", "pelz_good"),
-                        ("smirnov", "smirnov")]:
-        real = getattr(kolmogorov, name)
-        monkeypatch.setattr(kolmogorov, name,
+    # kolmogorov_sf imports smirnov from scipy.special on the branch that calls it
+    for owner, name, route in [(kolmogorov, "_durbin_mtw", "dmtw"),
+                               (kolmogorov, "_pelz_good", "pelz_good"),
+                               (scipy.special, "smirnov", "smirnov")]:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda *a, real=real, route=route: calls.append(route) or real(*a))
     return calls
 
@@ -59,9 +62,10 @@ def _spy_routes(monkeypatch):
 def test_kstest_uniform_equals_scipy_on_every_branch(monkeypatch, case):
     make, route = BRANCHES[case]
     x = make()
+    # scipy.stats reaches scipy.special.smirnov too, so it runs before the spy
+    ref = scipy.stats.kstest(x, "uniform")
     calls = _spy_routes(monkeypatch)
     statistic, pvalue = kstest_uniform(x)
-    ref = scipy.stats.kstest(x, "uniform")
     assert statistic == ref.statistic
     assert pvalue == ref.pvalue
     n = len(x)
@@ -138,3 +142,40 @@ print(json.dumps(seen))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False]
     assert (tmp_path / "reflected_family" / "occupation_ks.csv").exists()
+
+
+def _same_doubles(a, b):
+    """Equal bit for bit, NaN payloads aside."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and bool(np.all((a.view(np.int64) == b.view(np.int64))
+                                              | (np.isnan(a) & np.isnan(b))))
+
+
+EXPM2 = np.exp(-2.0)
+NDTRI_INPUTS = {
+    "ou quantiles": lambda: (np.arange(4096) + 0.5) / 4096,
+    "linspace": lambda: np.linspace(0.0, 1.0, 200001),
+    "uniforms": lambda: np.random.default_rng(5).random(200000),
+    "lower tail": lambda: np.logspace(-320, -1, 20001),
+    "upper tail": lambda: 1.0 - np.logspace(-16, -1, 20001),
+    # each side of the branch points, the subnormal end and the centre
+    "branch points": lambda: np.array([
+        EXPM2, 1.0 - EXPM2, np.nextafter(EXPM2, 0.0), np.nextafter(EXPM2, 1.0),
+        np.nextafter(1.0 - EXPM2, 0.0), np.nextafter(1.0 - EXPM2, 1.0),
+        np.exp(-32.0), 0.5, 5e-324]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NDTRI_INPUTS))
+def test_ndtri_equals_scipy_bit_for_bit(case):
+    p = NDTRI_INPUTS[case]()
+    assert _same_doubles(ndtri(p), scipy.special.ndtri(p))
+
+
+def test_ndtri_ends_and_invalid_input():
+    out = ndtri(np.array([0.0, -0.0, 1.0, np.nan, -1e-300, -0.5, 1.0 + 2e-16, 2.0,
+                          np.inf, -np.inf]))
+    assert out[0] == out[1] == -np.inf and out[2] == np.inf
+    assert np.isnan(out[3:]).all()
+    assert ndtri(0.5) == 0.0 and np.isscalar(ndtri(0.25))
+    assert ndtri(np.zeros((2, 3))).shape == (2, 3)
