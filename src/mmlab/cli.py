@@ -73,31 +73,20 @@ class ScenarioConfig:
     scenario: str
     n_grid: list[float] = field(default_factory=lambda: [1, 2, 4, 8, 16])
     times: list[float] = field(default_factory=lambda: [0.25, 0.75])
-    test_functions: list[str] = None
     mc_count: int = 10000
     dt: float = None
     seed: int = 1234
     out_dir: str = "out"
     resolution: int = 24
-    eps_entropy: float = 0.1
     bins: int = 24
-    path_T: float = 1.0
-    modulus_eta: list[float] = field(default_factory=lambda: [0.4, 0.2, 0.1, 0.05])
-    modulus_delta: float = 0.5
-    modulus_T: float = 0.3
-    kolmogorov_beta: float = 4.0
-    kolmogorov_h: list[float] = field(default_factory=lambda: [0.0125, 0.025, 0.05, 0.1])
-    fdd_budget_scale: float = 0.5
-    ks_level: float = 0.01
     finite_file: str = None
 
 
-ZERO_ALLOWED = ("seed", "fdd_budget_scale")  # number fields that may also be 0
+ZERO_ALLOWED = ("seed",)                     # number fields that may also be 0
 INCREASING = ("n_grid", "times")             # lists that must strictly increase
 # what a value of each declared field type must be
 MUST_BE = {"int": "a {} integer", "float": "a finite {} number", "str": "a nonempty string",
-           "list[float]": "a nonempty list of finite {} numbers",
-           "list[str]": "a nonempty list of names"}
+           "list[float]": "a nonempty list of finite {} numbers"}
 
 
 def _accepts(kind: str, v, zero: bool) -> bool:
@@ -146,13 +135,6 @@ def validate_dict(raw) -> list:
         return errors
     cfg = ScenarioConfig(**raw)
     scenario = SCENARIOS[kind]
-    if cfg.test_functions is not None and scenario.test_functions is None:
-        errors.append("test_functions: %s takes no test functions" % kind)
-    elif cfg.test_functions is not None:
-        try:
-            _select(scenario.test_functions(), cfg.test_functions)
-        except ValueError as exc:
-            errors.append("test_functions: %s" % exc)
     if cfg.mc_count < scenario.min_paths:
         errors.append("mc_count: %s splits its paths into %d parts, so it needs at least "
                       "%d" % (kind, scenario.min_paths, scenario.min_paths))
@@ -224,20 +206,26 @@ def chain_functions(positions: np.ndarray) -> dict:
     }
 
 
-def _select(registry: dict, names) -> list:
-    if names is None:
-        return list(registry.values())
-    missing = [n for n in names if n not in registry]
-    if missing:
-        raise ValueError("unknown test functions: %s (valid: %s)"
-                         % (", ".join(missing), ", ".join(sorted(registry))))
-    return [registry[n] for n in names]
-
-
 # --- scenario runners -------------------------------------------------------
 
-KOLMOGOROV_T = (0.25, 0.5)           # the torus runner's Kolmogorov moment times
+# the parameters of the tightness and fdd statistics, which the convergence
+# argument fixes; each runner evaluates its whole test-function registry
+ENTROPY_EPS = 0.1                    # the kernel time of entropy tightness
+PATH_T = 1.0                         # the torus paths' horizon
+MODULUS_ETA = (0.4, 0.2, 0.1, 0.05)  # the modulus statistic's window lengths,
+MODULUS_DELTA = 0.5                  # its distance threshold
+MODULUS_T = 0.3                      # and its horizon
+KOLMOGOROV_BETA = 4.0                # the Kolmogorov moment's exponent,
+KOLMOGOROV_T = (0.25, 0.5)           # its start times
+KOLMOGOROV_H = (0.0125, 0.025, 0.05, 0.1)  # and its lags
+OU_FDD_SLACK = 0.5                   # the OU fdd budgets add OU_FDD_SLACK / n
+KS_LEVEL = 0.01                      # the reflected occupation test's level
+# the torus paths are stored on multiples of min(MODULUS_ETA)/4, as the
+# modulus statistic needs, up to PATH_T
+TORUS_GRID = time_grid(min(MODULUS_ETA) / 4, PATH_T)
+TORUS_GRID.flags.writeable = False
 TORUS_NODES = 256                    # grid nodes of the torus limit, the most path-law bins
+CONE_PATHS = 4000                    # the cone runner samples at most this many paths
 OU_T = 1.0                           # the OU runner's horizon, the one time it reads
 OU_DT = 1e-3                         # the OU runner's step when the config sets no dt
 REFLECTED_T = 1.5                    # the reflected runner's horizon
@@ -256,11 +244,6 @@ def _off_grid(grid: np.ndarray, rule: str, reads) -> list:
         except PathError as exc:
             errors.append("%s: %s, which holds the %s" % (name, exc, rule))
     return errors
-
-
-def _torus_grid(cfg: ScenarioConfig) -> np.ndarray:
-    """The torus runner's path grid: step min(modulus_eta)/4 up to path_T."""
-    return time_grid(min(cfg.modulus_eta) / 4, cfg.path_T)
 
 
 def _divergence_check(ensembles: dict) -> dict:
@@ -289,7 +272,7 @@ def _family_checks(cfg: ScenarioConfig, family: SpaceFamily, fns, pmg_slack=None
     checks.append(_status("fdd_gaps", fdd["pass"],
                           max_ratio=_max_ratio(fdd["rows"], "gap", "budget")))
     tables["initial_law"] = initial_law_w1(family)["rows"]
-    et = entropy_tightness(family, cfg.eps_entropy)
+    et = entropy_tightness(family, ENTROPY_EPS)
     tables["entropy"] = et["rows"]
     checks.append(_status("entropy_tightness", et["pass"], sup=et["sup"]))
     return checks, tables
@@ -317,20 +300,13 @@ def _pathlaw_check(cfg: ScenarioConfig, family: SpaceFamily, ensembles: dict, li
 
 
 def _torus_errors(cfg: ScenarioConfig) -> list:
-    """Fdd and Kolmogorov times off the path grid, a modulus horizon that
-    holds less than one grid step, and more path-law bins than grid nodes."""
+    """Fdd times off the path grid, and more path-law bins than grid nodes."""
     errors = []
     if cfg.bins > TORUS_NODES:
         errors.append("bins: at most %d, the torus limit's grid nodes, so that each bin "
                       "holds whole nodes" % TORUS_NODES)
-    grid = _torus_grid(cfg)
-    modulus_T = min(cfg.modulus_T, cfg.path_T)
-    if np.sum(grid <= modulus_T + 1e-12) < 2:
-        errors.append("modulus_T: min(modulus_T, path_T) = %g is below the path-grid "
-                      "step min(modulus_eta)/4 = %g" % (modulus_T, min(cfg.modulus_eta) / 4))
-    reads = [("times", t) for t in cfg.times]
-    reads += [("kolmogorov_h", t + h) for t in KOLMOGOROV_T for h in cfg.kolmogorov_h]
-    return errors + _off_grid(grid, "multiples of min(modulus_eta)/4 up to path_T", reads)
+    return errors + _off_grid(TORUS_GRID, "multiples of %g up to %g" % (TORUS_GRID[1], PATH_T),
+                              [("times", t) for t in cfg.times])
 
 
 def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
@@ -339,7 +315,7 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         (n, Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(TORUS_NODES, 64), normalized=True),
          CollapseMap(limit, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n))
         for n in cfg.n_grid], limit)
-    fns = _select(circle_functions(), cfg.test_functions)
+    fns = list(circle_functions().values())
     checks, tables = _family_checks(cfg, family, fns, pmg_slack=1e-6)
     # the circle functions factor through the first coordinate and the torus
     # kernel is a product, so each member's value is the limit's
@@ -350,23 +326,23 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     checks.append(_status("initial_law", all(
         r["w1"] <= r["fiber"] + 0.05 for r in tables["initial_law"])))
 
-    ensembles, limit_ens = _sample_chains(cfg, pool, family, _torus_grid(cfg), cfg.mc_count)
+    ensembles, limit_ens = _sample_chains(cfg, pool, family, TORUS_GRID, cfg.mc_count)
     # the modulus statistics run on the pool while the path-law W1 runs here
     labelled = [("limit", limit_ens)] + [(n, ensembles[n]) for n in cfg.n_grid]
-    mod_futures = [pool.submit(modulus_statistic, ens, min(cfg.modulus_T, cfg.path_T),
-                               cfg.modulus_eta, cfg.modulus_delta) for _, ens in labelled]
+    mod_futures = [pool.submit(modulus_statistic, ens, MODULUS_T, MODULUS_ETA, MODULUS_DELTA)
+                   for _, ens in labelled]
     checks.append(_pathlaw_check(cfg, family, ensembles, limit_ens, tables))
 
     mod_rows, mod_ok = [], True
     for (label, _), fut in zip(labelled, mod_futures):
         stats = fut.result()
         mod_rows += [{"label": label, "eta": eta, "statistic": s}
-                     for eta, s in zip(cfg.modulus_eta, stats)]
+                     for eta, s in zip(MODULUS_ETA, stats)]
         mod_ok &= all(b <= a + 1e-12 for a, b in zip(stats, stats[1:]))
     tables["modulus"] = mod_rows
     checks.append(_status("modulus_monotone", bool(mod_ok)))
 
-    kol = kolmogorov_moment(limit_ens, cfg.kolmogorov_beta, KOLMOGOROV_T, cfg.kolmogorov_h)
+    kol = kolmogorov_moment(limit_ens, KOLMOGOROV_BETA, KOLMOGOROV_T, KOLMOGOROV_H)
     tables["kolmogorov"] = kol["rows"]
     checks.append(_status("kolmogorov_theta", 1.7 <= kol["theta_hat"] <= 2.3,
                           theta_hat=kol["theta_hat"], C=kol["C"]))
@@ -419,14 +395,14 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     members = [(n, fut.result(), CollapseMap(limit, ring_map, np.pi * np.sqrt(1.0 / n)))
                for n, fut in zip(cfg.n_grid, futures)]
     family = SpaceFamily(members, limit)
-    fns = _select(chain_functions(limit.coords[:, 0]), cfg.test_functions)
+    fns = list(chain_functions(limit.coords[:, 0]).values())
     checks, tables = _family_checks(cfg, family, fns, pmg_slack=0.05)
     checks += _trend_checks("pmg_trend", fns, tables["pmg"], "gap", cfg.n_grid, strict=False)
     checks.append(_trend_check("initial_law_trend", cfg.n_grid,
                                [r["w1"] for r in tables["initial_law"]], strict=False))
 
     grid = np.concatenate([[0.0], np.asarray(cfg.times, dtype=float)])
-    ensembles, limit_ens = _sample_chains(cfg, pool, family, grid, min(cfg.mc_count, 4000))
+    ensembles, limit_ens = _sample_chains(cfg, pool, family, grid, min(cfg.mc_count, CONE_PATHS))
     checks.append(_pathlaw_check(cfg, family, ensembles, limit_ens, tables))
     return checks, tables
 
@@ -446,9 +422,9 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     futures = {n: pool.submit(euler_maruyama, space.potential, 0.0, dt, OU_T,
                               cfg.mc_count, _seed_for(cfg, 1, i), record=(OU_T,))
                for i, (n, space, _) in enumerate(members)}
-    fns = _select(line_functions(), cfg.test_functions)
+    fns = list(line_functions().values())
     checks, tables = _family_checks(cfg, family, fns, fdd_extra={
-        n: cfg.fdd_budget_scale / n for n in cfg.n_grid})
+        n: OU_FDD_SLACK / n for n in cfg.n_grid})
     checks += _trend_checks("fdd_trend", fns, tables["fdd"], "gap", cfg.n_grid, strict=False)
     checks.append(_trend_check("initial_law_trend", cfg.n_grid,
                                [r["w1"] for r in tables["initial_law"]]))
@@ -478,11 +454,9 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
 
 
 def _reflected_errors(cfg: ScenarioConfig) -> list:
-    # a level of 1 or more fails occupation_ks on all but a p-value of exactly 1
-    errors = ["ks_level: must be below 1"] if cfg.ks_level >= 1 else []
-    return errors + _off_grid(time_grid(cfg.dt or REFLECTED_DT, REFLECTED_T),
-                              "multiples of dt up to %g" % REFLECTED_T,
-                              [("dt", t) for t in REFLECTED_READS])
+    return _off_grid(time_grid(cfg.dt or REFLECTED_DT, REFLECTED_T),
+                     "multiples of dt up to %g" % REFLECTED_T,
+                     [("dt", t) for t in REFLECTED_READS])
 
 
 def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
@@ -508,7 +482,7 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         limit_ens.state_at(t_mid)[:half, 0],
         limit_ens.state_at(T)[half:, 0]])
     statistic, pvalue = kstest_uniform(occupation)
-    ks_pass = bool(pvalue >= cfg.ks_level)
+    ks_pass = bool(pvalue >= KS_LEVEL)
     tables["occupation_ks"] = [{"statistic": statistic, "pvalue": pvalue, "pass": ks_pass}]
     checks.append(_status("occupation_ks", ks_pass, pvalue=pvalue))
 
@@ -588,9 +562,8 @@ def run_custom_finite(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
 @dataclass(frozen=True)
 class Scenario:
     """One scenario kind: what it runs, its runner, the config errors only it
-    can see, the test-function registry its ``test_functions`` select from
-    (None when it takes none), the fewest paths its runner can split, and
-    the scipy modules ``main`` imports before the run.
+    can see, the fewest paths its runner can split, and the scipy modules
+    ``main`` imports before the run.
 
     The lab imports each scipy module inside the function that calls it, so
     a run loads only what it uses.  A module first imported inside the run
@@ -602,7 +575,6 @@ class Scenario:
     about: str
     run: Callable
     errors: Callable
-    test_functions: Optional[Callable]
     min_paths: int
     imports: tuple = ()
 
@@ -610,22 +582,19 @@ class Scenario:
 SCENARIOS = {
     "torus_collapse": Scenario(
         "flat tori with shrinking second factor collapsing onto a circle",
-        run_torus, _torus_errors, circle_functions, BASELINE_PARTS, ("scipy.optimize",)),
-    # validation reads only the registry's names, which do not depend on the
-    # chain positions
+        run_torus, _torus_errors, BASELINE_PARTS, ("scipy.optimize",)),
     "cone_interval": Scenario(
         "triangulated narrowing cones collapsing onto a weighted interval",
-        run_cone, _cone_errors, lambda: chain_functions(np.zeros(1)), BASELINE_PARTS,
-        ("scipy.optimize", "scipy.sparse.csgraph")),
+        run_cone, _cone_errors, BASELINE_PARTS, ("scipy.optimize", "scipy.sparse.csgraph")),
     "ou_family": Scenario(
         "Ornstein-Uhlenbeck family V_n = (1+1/n)|x|^2/2 tightening to V = |x|^2/2",
-        run_ou, _ou_errors, line_functions, OU_PARTS),
+        run_ou, _ou_errors, OU_PARTS),
     "reflected_family": Scenario(
         "reflected Brownian motion on [0,1-1/n] growing to [0,1]",
-        run_reflected, _reflected_errors, None, 1),
+        run_reflected, _reflected_errors, 1),
     "custom_finite": Scenario(
         "kernel-level checks on a finite space loaded from a flat file",
-        run_custom_finite, _custom_finite_errors, None, 1),
+        run_custom_finite, _custom_finite_errors, 1),
 }
 RUNNERS = {kind: s.run for kind, s in SCENARIOS.items()}
 

@@ -36,7 +36,7 @@ from mmlab import (
 )
 from mmlab.cli import SCENARIOS, ScenarioConfig, _jsonable, circle_functions, main as cli_main
 from mmlab.cli import run_cone, run_custom_finite, run_ou, run_reflected, run_torus
-from mmlab.cli import validate_dict, write_csv
+from mmlab.cli import MODULUS_ETA, validate_dict, write_csv
 
 from conftest import record_criterion
 from _oracles import random_measure, wasserstein_vertex
@@ -317,7 +317,7 @@ def test_criterion_8_tightness(torus_results):
     labels = ["limit"] + cfg.n_grid
     for label in labels:
         stats = [r["statistic"] for r in tables["modulus"] if r["label"] == label]
-        ok &= len(stats) == len(cfg.modulus_eta)
+        ok &= len(stats) == len(MODULUS_ETA)
         ok &= all(b <= a for a, b in zip(stats, stats[1:]))
         ok &= stats[-1] < stats[0]  # genuine decrease across the eta range
     theta = [c for c in checks if c["name"] == "kolmogorov_theta"][0]

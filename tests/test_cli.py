@@ -62,13 +62,9 @@ FINITE_FILES = {"coincident.txt": "2 0\n0.5 0.5\n0 0\n0 0\n", "one_atom.txt": "1
 
 @pytest.mark.parametrize("text, problem", [
     ('{"scenario": "ou_family", "dt": NaN}', "dt: "),
-    ('{"scenario": "torus_collapse", "path_T": Infinity}', "path_T: "),
     ('{"scenario": "ou_family", "mc_count": null}', "mc_count: "),
     ('{"scenario": "ou_family", "n_grid": null, "mc_count": 8}', "n_grid: "),
     ('{"scenario": "ou_family", "times": null, %s}' % SMALL, "times: "),
-    ('{"scenario": "reflected_family", "ks_level": null, %s}' % SMALL, "ks_level: "),
-    ('{"scenario": "ou_family", "fdd_budget_scale": null, %s}' % SMALL, "fdd_budget_scale: "),
-    ('{"scenario": "ou_family", "fdd_budget_scale": "x", %s}' % SMALL, "fdd_budget_scale: "),
     ('{"scenario": "ou_family", "out_dir": 5, %s}' % SMALL, "out_dir: "),
     ('{"scenario": "ou_family", "out_dir": "", %s}' % SMALL, "out_dir: "),
     ('{"scenario": "cone_interval", "n_grid": [0.5], "mc_count": 8}', "n_grid: "),
@@ -101,8 +97,9 @@ def test_validate_has_a_rule_for_every_field():
 
 
 def test_validate_allows_zero_only_in_seed_and_fdd_budget_scale():
-    assert validate_dict({"scenario": "ou_family", "seed": 0, "fdd_budget_scale": 0}) == []
-    for name in ("mc_count", "dt", "ks_level"):
+    # fdd_budget_scale is no longer a field (cli.OU_FDD_SLACK), so only seed is left
+    assert validate_dict({"scenario": "ou_family", "seed": 0}) == []
+    for name in ("mc_count", "dt"):
         errors = validate_dict({"scenario": "ou_family", name: 0})
         assert len(errors) == 1 and errors[0].startswith(name + ": must be a ")
 
@@ -114,15 +111,13 @@ def test_validate_rejects_grids_that_do_not_increase():
 
 
 def test_validate_rejects_torus_times_off_the_path_grid(tmp_path, capsys):
-    # the torus paths are stored every min(modulus_eta)/4 = 0.0125
+    # the torus paths are stored every min(MODULUS_ETA)/4 = 0.0125
     cfg = tmp_path / "torus.json"
     cfg.write_text(json.dumps({"scenario": "torus_collapse", "times": [0.25, 0.7501]}))
     assert main(["validate", str(cfg)]) == 1
     assert "times: time 0.7501 not on the grid" in capsys.readouterr().out
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
-    errors = validate_dict({"scenario": "torus_collapse", "kolmogorov_h": [0.013]})
-    assert [e.split(":")[0] for e in errors] == ["kolmogorov_h", "kolmogorov_h"]
     assert validate_dict({"scenario": "torus_collapse"}) == []
 
 
@@ -133,15 +128,6 @@ def test_validate_rejects_reflected_dt_off_the_read_times():
     assert validate_dict({"scenario": "reflected_family", "dt": 2.5e-4}) == []
 
 
-def test_validate_rejects_a_ks_level_of_one_or_more():
-    # occupation_ks passes when p >= ks_level, so a level of 1 or more passes
-    # only p = 1, or nothing
-    for level in (1.0, 1.5):
-        assert validate_dict({"scenario": "reflected_family", "ks_level": level}) == [
-            "ks_level: must be below 1"]
-    assert validate_dict({"scenario": "reflected_family", "ks_level": 0.5}) == []
-
-
 def test_validate_rejects_ou_dt_off_the_read_time():
     # time_grid(0.3, 1.0) ends at 0.9; dt = 2 gives a grid of t = 0 alone
     for dt in (0.3, 2.0):
@@ -150,11 +136,11 @@ def test_validate_rejects_ou_dt_off_the_read_time():
     assert validate_dict({"scenario": "ou_family", "dt": 0.25}) == []
 
 
-def test_validate_rejects_modulus_T_below_the_path_grid_step():
-    # the torus paths are stored every min(modulus_eta)/4 = 0.0125
-    errors = validate_dict({"scenario": "torus_collapse", "modulus_T": 0.01})
-    assert len(errors) == 1 and errors[0].startswith("modulus_T: ")
-    assert validate_dict({"scenario": "torus_collapse", "modulus_T": 0.0125}) == []
+def test_torus_constant_read_times_lie_on_the_path_grid():
+    # no config sets these times, so no validation rule checks them
+    reads = [t + h for t in cli.KOLMOGOROV_T for h in cli.KOLMOGOROV_H] + [cli.MODULUS_T]
+    for t in reads:
+        assert cli.grid_index(cli.TORUS_GRID, t) > 0, t
 
 
 def test_validate_rejects_more_torus_bins_than_limit_nodes():
@@ -165,23 +151,24 @@ def test_validate_rejects_more_torus_bins_than_limit_nodes():
     assert validate_dict({"scenario": "torus_collapse", "bins": cli.TORUS_NODES}) == []
 
 
-def test_validate_rejects_unknown_test_functions(tmp_path):
-    for kind, good, bad in [("torus_collapse", ["cos", "sin"], ["cos", "tanh"]),
-                            ("cone_interval", ["tent"], ["cos"]),
-                            ("ou_family", ["bump", "clamp"], ["linear"])]:
-        assert validate_dict({"scenario": kind, "test_functions": good}) == []
-        errors = validate_dict({"scenario": kind, "test_functions": bad})
-        assert len(errors) == 1 and errors[0].startswith("test_functions: unknown ")
-        assert bad[-1] in errors[0]
-        errors = validate_dict({"scenario": kind, "test_functions": []})
-        assert len(errors) == 1 and errors[0].startswith("test_functions: ")
-    # these kinds read no test functions, so naming any is an error
-    write_finite(tmp_path / "space.txt")
-    for kind in ["reflected_family", "custom_finite"]:
-        raw = {"scenario": kind, "finite_file": str(tmp_path / "space.txt")}
-        assert validate_dict(raw) == []
-        errors = validate_dict({**raw, "test_functions": ["nope"]})
-        assert errors == ["test_functions: %s takes no test functions" % kind]
+# the ten statistic parameters that were config fields, now constants in cli,
+# each with a value the field accepted; a config that sets one is refused
+REMOVED_KEYS = {"eps_entropy": 0.1, "path_T": 1.0, "modulus_eta": [0.4, 0.2, 0.1, 0.05],
+                "modulus_delta": 0.5, "modulus_T": 0.3, "kolmogorov_beta": 4.0,
+                "kolmogorov_h": [0.0125, 0.025, 0.05, 0.1], "fdd_budget_scale": 0.5,
+                "ks_level": 0.01, "test_functions": ["cos"]}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_validate_rejects_the_removed_statistic_keys(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "torus_collapse", "mc_count": 8, "n_grid": [2],
+                               key: REMOVED_KEYS[key]}))
+    assert main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().out == "error: %s: unknown key\n" % key
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out == "error: %s: unknown key\n" % key
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_rejects_a_cone_mesh_below_its_minimum_resolution():
@@ -206,7 +193,7 @@ def test_cone_kernel_caches_hold_one_matrix_per_step_length(monkeypatch):
     with ThreadPoolExecutor(2) as pool:
         cli.run_cone(cfg, pool)
     # the entropy time, the first fdd time and the gap between fdd times
-    steps = {cfg.eps_entropy, *np.diff([0.0] + cfg.times)}
+    steps = {cli.ENTROPY_EPS, *np.diff([0.0] + cfg.times)}
     assert steps == {0.1, 0.25, 0.5}
     assert len(spaces) == 3
     for space in spaces:
