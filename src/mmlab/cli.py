@@ -211,7 +211,7 @@ def chain_functions(positions: np.ndarray) -> dict:
 # the parameters of the tightness and fdd statistics, which the convergence
 # argument fixes; each runner evaluates its whole test-function registry
 ENTROPY_EPS = 0.1                    # the kernel time of entropy tightness
-PATH_T = 1.0                         # the torus paths' horizon
+PATH_T = 1.0                         # the torus path grid's end, which bounds the times
 MODULUS_ETA = (0.4, 0.2, 0.1, 0.05)  # the modulus statistic's window lengths,
 MODULUS_DELTA = 0.5                  # its distance threshold
 MODULUS_T = 0.3                      # and its horizon
@@ -220,8 +220,8 @@ KOLMOGOROV_T = (0.25, 0.5)           # its start times
 KOLMOGOROV_H = (0.0125, 0.025, 0.05, 0.1)  # and its lags
 OU_FDD_SLACK = 0.5                   # the OU fdd budgets add OU_FDD_SLACK / n
 KS_LEVEL = 0.01                      # the reflected occupation test's level
-# the torus paths are stored on multiples of min(MODULUS_ETA)/4, as the
-# modulus statistic needs, up to PATH_T
+# the torus chains step on multiples of min(MODULUS_ETA)/4, as the modulus
+# statistic needs, up to PATH_T, and keep only the times _torus_reads names
 TORUS_GRID = time_grid(min(MODULUS_ETA) / 4, PATH_T)
 TORUS_GRID.flags.writeable = False
 TORUS_NODES = 256                    # grid nodes of the torus limit, the most path-law bins
@@ -279,14 +279,14 @@ def _family_checks(cfg: ScenarioConfig, family: SpaceFamily, fns, pmg_slack=None
 
 
 def _sample_chains(cfg: ScenarioConfig, pool: ThreadPoolExecutor, family: SpaceFamily,
-                   grid, count: int):
+                   grid, count: int, record=None):
     """Kernel-chain ensembles of every member and of the limit, started at
-    the base point and sampled on the pool."""
+    the base point, kept at the ``record`` times and sampled on the pool."""
     futures = {n: pool.submit(sample_kernel_chain, space, "base", grid, count,
-                              _seed_for(cfg, 1, i))
+                              _seed_for(cfg, 1, i), record)
                for i, (n, space, _) in enumerate(family.members)}
     limit_future = pool.submit(sample_kernel_chain, family.limit, "base", grid, count,
-                               _seed_for(cfg, 2))
+                               _seed_for(cfg, 2), record)
     return {n: fut.result() for n, fut in futures.items()}, limit_future.result()
 
 
@@ -309,6 +309,15 @@ def _torus_errors(cfg: ScenarioConfig) -> list:
                               [("times", t) for t in cfg.times])
 
 
+def _torus_reads(times) -> np.ndarray:
+    """The TORUS_GRID times the torus runner reads: the modulus window up to
+    MODULUS_T, the path-law ``times``, and each Kolmogorov pair t, t + h.
+    The members and the limit keep the same times, as the path law needs."""
+    reads = [*TORUS_GRID[TORUS_GRID <= MODULUS_T + 1e-12], *times,
+             *(t + h for t in KOLMOGOROV_T for h in (0.0, *KOLMOGOROV_H))]
+    return TORUS_GRID[sorted({grid_index(TORUS_GRID, t) for t in reads})]
+
+
 def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     limit = Circle(2 * np.pi, n_nodes=TORUS_NODES, normalized=True)
     family = SpaceFamily([
@@ -326,7 +335,8 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     checks.append(_status("initial_law", all(
         r["w1"] <= r["fiber"] + 0.05 for r in tables["initial_law"])))
 
-    ensembles, limit_ens = _sample_chains(cfg, pool, family, TORUS_GRID, cfg.mc_count)
+    ensembles, limit_ens = _sample_chains(cfg, pool, family, TORUS_GRID, cfg.mc_count,
+                                          _torus_reads(cfg.times))
     # the modulus statistics run on the pool while the path-law W1 runs here
     labelled = [("limit", limit_ens)] + [(n, ensembles[n]) for n in cfg.n_grid]
     mod_futures = [pool.submit(modulus_statistic, ens, MODULUS_T, MODULUS_ETA, MODULUS_DELTA)

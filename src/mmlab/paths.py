@@ -167,24 +167,26 @@ def _chain_step(cdf: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarray
     return nxt
 
 
-def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
-                        count: int, seed: int) -> PathEnsemble:
-    """Markov-chain sampling with exact transition kernels p(dt, x, .).
+def _record_slots(grid: np.ndarray, record) -> tuple:
+    """The times a sampler keeps, and the column of each ``grid`` time in its
+    states (-1 where the time is not kept): the whole grid when ``record`` is
+    None, else the ``record`` times, which must each lie on the grid, be
+    nonempty and strictly increase."""
+    if record is None:
+        times, keep = grid, np.arange(len(grid))
+    else:
+        times = np.asarray(record, dtype=float)
+        keep = np.asarray([grid_index(grid, t) for t in times], dtype=int)
+        if len(keep) < 1 or np.any(np.diff(keep) <= 0):
+            raise PathError("record times must be nonempty and strictly increasing")
+    slot = np.full(len(grid), -1)
+    slot[keep] = np.arange(len(keep))
+    return times, slot
 
-    States live on the space's quadrature grid (atoms for finite spaces);
-    grids are fine enough that the discretization is far below Monte Carlo
-    noise at desk scale.
-    """
-    times = np.asarray(times, dtype=float)
-    if len(times) < 1 or abs(times[0]) > 1e-15:
-        raise PathError("time grid must start at 0")
-    if np.any(np.diff(times) <= 0):
-        raise PathError("time grid must be strictly increasing")
-    if count < 1:
-        raise PathError("count must be >= 1")
-    rng = make_rng(seed)
-    dts = np.diff(times)
 
+def _chain_states(space: PmmSpace, initial, count: int, rng: Generator, dts: np.ndarray):
+    """The states of a kernel chain, shape (count, d): the start, then one
+    per step of length dts[k], each step drawing in order from ``rng``."""
     if isinstance(space, (Circle, Torus)):
         # independent increments on each circle factor
         circles = [space] if isinstance(space, Circle) else space.factors()
@@ -193,11 +195,10 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
             _increment_sampler(circle_kernel_arc(dt, c.grid(), c.circumference),
                                c.grid(), c.circumference / c.n_nodes) for c in circles]
             for dt in np.unique(dts)}
-        out = np.empty((count, len(times), len(circles)))
-        out[:, 0] = x
-        xs = [x[:, j].copy() for j in range(len(circles))]  # one contiguous state per factor
+        yield x
+        xs = x.T.copy()  # one contiguous row of states per factor
         for k, dt in enumerate(dts):
-            for j, (y, draw, c) in enumerate(zip(xs, samplers[float(dt)], circles)):
+            for y, draw, c in zip(xs, samplers[float(dt)], circles):
                 y += draw(rng, count)
                 if k == 0:
                     # a start may lie anywhere; afterwards every state is in [0, c]
@@ -207,10 +208,9 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
                     # is what np.mod (an exact fmod) returns; the mask times c
                     # is exactly 0 or c, and costs a ninth of np.mod
                     y -= (y >= c.circumference) * c.circumference
-                out[:, k + 1, j] = y
-        return PathEnsemble(times, out, space)
+            yield xs.T
 
-    if isinstance(space, (Interval, FiniteMms)):
+    elif isinstance(space, (Interval, FiniteMms)):
         # a Markov chain on the grid (atoms), one row CDF per step length
         sk = get_kernel(space)
         grid = sk.points
@@ -220,25 +220,54 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
         else:
             state = np.argmin(np.abs(grid[None, :] - x[:, :1]), axis=1)
         cdfs = {float(dt): _row_cdf_matrix(sk.transition_matrix(dt)) for dt in np.unique(dts)}
-        out = np.empty((count, len(times), 1))
-        out[:, 0, 0] = grid[state]
-        for k, dt in enumerate(dts):
+        yield grid[state][:, None]
+        for dt in dts:
             state = _chain_step(cdfs[float(dt)], state, rng.random(count))
-            out[:, k + 1, 0] = grid[state]
-        return PathEnsemble(times, out, space)
+            yield grid[state][:, None]
 
-    if isinstance(space, EuclideanLogConcave):
+    elif isinstance(space, EuclideanLogConcave):
         sk = get_kernel(space)  # validates the quadratic form
-        x = _initial_states(space, initial, count, rng, 1)[:, 0].copy()
-        out = np.empty((count, len(times), 1))
-        out[:, 0, 0] = x
-        for k, dt in enumerate(dts):
+        x = _initial_states(space, initial, count, rng, 1)[:, 0]
+        yield x[:, None]
+        for dt in dts:
             mean, var = sk._moments(dt, x)
             x = mean + np.sqrt(var) * rng.standard_normal(count)
-            out[:, k + 1, 0] = x
-        return PathEnsemble(times, out, space)
+            yield x[:, None]
 
-    raise PathError("no kernel sampler for %s" % type(space).__name__)
+    else:
+        raise PathError("no kernel sampler for %s" % type(space).__name__)
+
+
+def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
+                        count: int, seed: int,
+                        record: Optional[Sequence[float]] = None) -> PathEnsemble:
+    """Markov-chain sampling with exact transition kernels p(dt, x, .).
+
+    States live on the space's quadrature grid (atoms for finite spaces);
+    grids are fine enough that the discretization is far below Monte Carlo
+    noise at desk scale.  The chain steps along ``times``, and the ensemble
+    keeps the states at the ``record`` times, each on ``times`` (all of them
+    when None).  It stops at the last record time: the draws come in order
+    from one stream, so each kept state is the one the whole chain has.
+    """
+    times = np.asarray(times, dtype=float)
+    if len(times) < 1 or abs(times[0]) > 1e-15:
+        raise PathError("time grid must start at 0")
+    if np.any(np.diff(times) <= 0):
+        raise PathError("time grid must be strictly increasing")
+    if count < 1:
+        raise PathError("count must be >= 1")
+    kept, slot = _record_slots(times, record)
+    # the last kept time's index is slot's argmax: no step goes past it
+    dts = np.diff(times)[:slot.argmax()]
+    states = _chain_states(space, initial, count, make_rng(seed), dts)
+    out = None
+    for k, x in enumerate(states):
+        if out is None:  # the start gives the state dimension
+            out = np.empty((count, len(kept), x.shape[1]))
+        if slot[k] >= 0:
+            out[:, slot[k]] = x
+    return PathEnsemble(kept, out, space)
 
 
 def _confine(domain: ConvexDomain, x: np.ndarray) -> np.ndarray:
@@ -282,15 +311,7 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
         raise PathError("T must be finite and >= dt")
     grid = time_grid(dt, T)
     steps = len(grid) - 1
-    if record is None:
-        times, keep = grid, np.arange(steps + 1)
-    else:
-        times = np.asarray(record, dtype=float)
-        keep = np.asarray([grid_index(grid, t) for t in times], dtype=int)
-        if len(keep) < 1 or np.any(np.diff(keep) <= 0):
-            raise PathError("record times must be nonempty and strictly increasing")
-    slot = np.full(steps + 1, -1)
-    slot[keep] = np.arange(len(keep))
+    times, slot = _record_slots(grid, record)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
     if d < 1:
@@ -302,7 +323,7 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
             raise PathError("x0 outside the domain")
         # a copy: the step loop writes into the arrays it holds
         x = np.array(domain.project(x), dtype=float, ndmin=2)
-    out = np.empty((count, len(keep), d))
+    out = np.empty((count, len(times), d))
     if slot[0] >= 0:
         out[:, slot[0]] = x
     flags = np.zeros(count, dtype=bool)
@@ -382,7 +403,7 @@ def modulus_statistic(ensemble: PathEnsemble, T: float, etas: Sequence[float],
     etas = [float(eta) for eta in etas]
     sel = ensemble.times <= T + 1e-12
     times = ensemble.times[sel]
-    if len(times) < 2:
+    if len(times) < 2 or abs(times[0]) > 1e-12:
         raise PathError("grid does not cover [0, T]")
     if np.max(np.diff(times)) > min(etas) / 4 + 1e-12:
         raise PathError("grid step exceeds eta/4")

@@ -107,9 +107,19 @@ class PmmSpace:
         return float(np.sum(w[d < r]))
 
 
+def _fold(d: np.ndarray, circumference: float) -> np.ndarray:
+    """The circle distance of the differences d, written into d's buffer."""
+    np.mod(d, circumference, out=d)
+    np.abs(d, out=d)
+    return np.minimum(d, circumference - d, out=d)
+
+
+def _scalar_if_0d(d: np.ndarray):
+    return d if d.ndim else d[()]
+
+
 def circle_distance(x, y, circumference: float):
-    d = np.abs(np.mod(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), circumference))
-    return np.minimum(d, circumference - d)
+    return _scalar_if_0d(_fold(np.asarray(np.subtract(x, y, dtype=float)), circumference))
 
 
 @dataclass(frozen=True)
@@ -182,9 +192,12 @@ class Torus(PmmSpace):
     def distance(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        d1 = circle_distance(x[..., 0], y[..., 0], self.len1)
-        d2 = circle_distance(x[..., 1], y[..., 1], self.len2)
-        return np.sqrt(d1 * d1 + d2 * d2)
+        d1 = _fold(np.asarray(x[..., 0] - y[..., 0]), self.len1)
+        d2 = _fold(np.asarray(x[..., 1] - y[..., 1]), self.len2)
+        d1 *= d1
+        d2 *= d2
+        d1 += d2
+        return _scalar_if_0d(np.sqrt(d1, out=d1))
 
     def total_mass(self) -> float:
         return 1.0 if self.normalized else self.len1 * self.len2

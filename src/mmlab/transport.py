@@ -137,6 +137,15 @@ def wasserstein_exact(p: int, mu: DiscreteMeasure, nu: DiscreteMeasure,
     return value, plan
 
 
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.union1d(a, b), the sorted distinct values, without the np.unique
+    that loads numpy.ma on its first call."""
+    u = np.sort(np.concatenate([a, b]))
+    first = np.ones(len(u), dtype=bool)
+    first[1:] = u[1:] != u[:-1]
+    return u[first]
+
+
 def _quantile_refinement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Common refinement of the two quantile functions on (0,1).
 
@@ -151,7 +160,7 @@ def _quantile_refinement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     xs, xw = xs[ox], xw[ox]
     ys, yw = ys[oy], yw[oy]
     cx, cy = np.cumsum(xw), np.cumsum(yw)
-    cuts = np.union1d(cx[:-1], cy[:-1])
+    cuts = _sorted_union(cx[:-1], cy[:-1])
     edges = np.concatenate([[0.0], cuts, [1.0]])
     w = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mmlab.cli as cli
+import mmlab.paths as paths
 from mmlab import Circle, FiniteMms, quadratic_potential
 from mmlab.cli import ScenarioConfig, main, validate_dict
 from mmlab.convergence import BASELINE_PARTS
@@ -141,6 +142,65 @@ def test_torus_constant_read_times_lie_on_the_path_grid():
     reads = [t + h for t in cli.KOLMOGOROV_T for h in cli.KOLMOGOROV_H] + [cli.MODULUS_T]
     for t in reads:
         assert cli.grid_index(cli.TORUS_GRID, t) > 0, t
+
+
+def test_torus_reads_follow_from_the_read_constants():
+    reads = cli._torus_reads([0.25, 0.75])
+    window = cli.TORUS_GRID[:cli.grid_index(cli.TORUS_GRID, cli.MODULUS_T) + 1]
+    pairs = [t + h for t in cli.KOLMOGOROV_T for h in (0.0,) + cli.KOLMOGOROV_H]
+    want = sorted({cli.grid_index(cli.TORUS_GRID, t)
+                   for t in [*window, 0.25, 0.75, *pairs]})
+    assert np.array_equal(reads, cli.TORUS_GRID[want])
+    # on the bundled times: 32 of the 81 grid times, and nothing past 0.75,
+    # so each chain takes 60 of its 80 steps
+    assert (len(reads), len(cli.TORUS_GRID)) == (32, 81)
+    assert cli.grid_index(cli.TORUS_GRID, reads[-1]) == 60
+    later = cli._torus_reads([0.25, 0.9])
+    assert np.array_equal(later, np.append(reads[:-1], cli.TORUS_GRID[72]))
+
+
+# a torus run small enough to repeat once per recorded time
+TINY_TORUS = ScenarioConfig(scenario="torus_collapse", n_grid=[1, 2], mc_count=400, bins=4)
+
+
+def _torus_outputs(tmp_path, monkeypatch, name, reads):
+    """The files of a tiny torus run whose chains keep the times ``reads``,
+    and the ensembles it sampled."""
+    made = []
+
+    def spy(*args):
+        made.append(paths.sample_kernel_chain(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_torus_reads", lambda times: reads)
+    monkeypatch.setattr(cli, "sample_kernel_chain", spy)
+    out = tmp_path / name
+    cli.run_scenario(TINY_TORUS, out_dir=str(out))
+    return {p.name: p.read_bytes() for p in out.iterdir()}, made
+
+
+def test_torus_recorded_chains_write_the_full_grid_tables(tmp_path, monkeypatch, capsys):
+    reads = cli._torus_reads(TINY_TORUS.times)
+    recorded, made = _torus_outputs(tmp_path, monkeypatch, "recorded", reads)
+    full, made_full = _torus_outputs(tmp_path, monkeypatch, "full", cli.TORUS_GRID)
+    assert recorded == full
+    assert {"pathlaw.csv", "modulus.csv", "kolmogorov.csv"} <= set(recorded)
+    assert len(made) == len(made_full) == 3
+    for ens, whole in zip(made, made_full):
+        assert np.array_equal(ens.times, reads)
+        assert np.array_equal(ens.states, whole.states[:, np.isin(whole.times, reads)])
+    capsys.readouterr()
+
+
+def test_every_time_the_torus_chains_keep_is_read(tmp_path, monkeypatch, capsys):
+    # dropping a kept time must make the run fail or change a table; with
+    # t = 0 dropped, the modulus scan would otherwise start at 0.0125
+    reads = cli._torus_reads(TINY_TORUS.times)
+    ref, _ = _torus_outputs(tmp_path, monkeypatch, "all", reads)
+    for i, t in enumerate(reads):
+        got, _ = _torus_outputs(tmp_path, monkeypatch, "drop%d" % i, np.delete(reads, i))
+        assert got != ref, t
+    capsys.readouterr()
 
 
 def test_validate_rejects_more_torus_bins_than_limit_nodes():

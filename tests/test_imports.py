@@ -23,7 +23,8 @@ TINY = {
 }
 
 # runs argv[1] as `lab run` would, and prints the scipy modules first
-# imported inside run_scenario and the heavy ones loaded at the end
+# imported inside run_scenario, whether numpy.ma was, and the heavy ones
+# loaded at the end
 RUN = """
 import json, sys
 import mmlab.cli as cli
@@ -31,17 +32,19 @@ import mmlab.cli as cli
 def scipy_modules():
     return {m for m in sys.modules if m.split(".")[0] == "scipy"}
 
-real, inside = cli.run_scenario, []
+real, inside, ma_inside = cli.run_scenario, [], []
 
 def spy(*args, **kwargs):
-    before = scipy_modules()
+    before, ma_before = scipy_modules(), "numpy.ma" in sys.modules
     code = real(*args, **kwargs)
     inside.extend(sorted(scipy_modules() - before))
+    ma_inside.append(not ma_before and "numpy.ma" in sys.modules)
     return code
 
 cli.run_scenario = spy
 cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"inside": inside, "heavy": [m for m in %r if m in sys.modules]}))
+print(json.dumps({"inside": inside, "ma_inside": ma_inside,
+                  "heavy": [m for m in %r if m in sys.modules]}))
 """ % HEAVY
 
 
@@ -70,6 +73,10 @@ def test_run_imports_no_scipy_inside_run_scenario(tmp_path, kind):
     seen = _python(RUN, json.dumps(["run", _config(tmp_path, kind), "--threads", "2"]))
     assert seen["inside"] == []
     assert (tmp_path / kind / "report.json").exists()
+    # numpy loads numpy.ma on the first np.unique (the OU 1-D W2 once called
+    # it through np.union1d), which these runs do not reach
+    if kind in ("ou_family", "reflected_family"):
+        assert seen["ma_inside"] == [False]
     if not cli.SCENARIOS[kind].imports:
         assert seen["heavy"] == []
 

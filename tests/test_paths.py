@@ -150,6 +150,55 @@ def test_chain_is_bit_identical_to_the_full_search_loop(case, grid):
     assert np.array_equal(ens.states, ref)
 
 
+# one start of each sampler branch, at a point and from a law
+RECORD_STARTS = {
+    **{case: CHAIN_STARTS[case] for case in
+       ("circle-7", "circle-law", "torus-off", "torus-law", "finite", "finite-law",
+        "interval-outside", "interval-law")},
+    "line": (EuclideanLogConcave(1, quadratic_potential(1.5), base=0.7), "base"),
+    "line-law": (EuclideanLogConcave(1, quadratic_potential(1.5)),
+                 DiscreteMeasure([[-1.0], [0.3], [2.0]], [0.5, 0.3, 0.2])),
+}
+RECORD_TIMES = [0.0, 0.01, 0.03, 0.04, 0.1, 0.2, 0.35]
+
+
+def _rng_spy(monkeypatch):
+    """The generators the samplers make, in order."""
+    made, real = [], paths.make_rng
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(paths, "make_rng", spy)
+    return made
+
+
+@pytest.mark.parametrize("record", [(0.0, 0.03, 0.1), (0.01, 0.04), (0.35,)])
+@pytest.mark.parametrize("case", RECORD_STARTS)
+def test_chain_record_equals_full_grid_columns(monkeypatch, case, record):
+    space, initial = RECORD_STARTS[case]
+    rngs = _rng_spy(monkeypatch)
+    full = sample_kernel_chain(space, initial, RECORD_TIMES, 300, seed=8)
+    part = sample_kernel_chain(space, initial, RECORD_TIMES, 300, seed=8, record=record)
+    cols = [grid_index(full.times, t) for t in record]
+    assert np.array_equal(part.times, record)
+    assert part.states.shape == (300, len(record), full.states.shape[2])
+    assert np.array_equal(part.states, full.states[:, cols])
+    # the chain stops at the last record time: its stream is where a chain
+    # on the grid up to that time leaves it
+    upto = sample_kernel_chain(space, initial, RECORD_TIMES[:cols[-1] + 1], 300, seed=8)
+    assert np.array_equal(upto.states[:, -1], part.states[:, -1])
+    assert np.array_equal(rngs[1].random(8), rngs[2].random(8))
+
+
+def test_chain_record_off_grid_rejected():
+    times = np.linspace(0.0, 1.0, 101)
+    for record in [(0.5, 0.505), (1.2,), (0.5, 0.2), (0.5, 0.5), ()]:
+        with pytest.raises(PathError):
+            sample_kernel_chain(Circle(), "base", times, 4, seed=0, record=record)
+
+
 class _FixedUniforms:
     """A stand-in generator whose ``random(n)`` returns given uniforms."""
 
@@ -526,6 +575,14 @@ def test_modulus_grid_too_coarse_rejected():
     ens = sample_kernel_chain(Circle(2 * np.pi), "base", times, 10, seed=15)
     with pytest.raises(PathError):
         modulus_statistic(ens, 1.0, [0.2], 0.5)
+
+
+def test_modulus_rejects_a_grid_without_time_zero():
+    # a grid from 0.0125 would shorten every window by its first lag
+    times = np.arange(0, 0.3 + 1e-12, 0.0125)
+    ens = sample_kernel_chain(Circle(2 * np.pi), "base", times, 10, seed=16, record=times[1:])
+    with pytest.raises(PathError):
+        modulus_statistic(ens, 0.3, (0.4, 0.05), 0.5)
 
 
 def test_modulus_monotone_in_eta():

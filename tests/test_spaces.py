@@ -111,6 +111,29 @@ def test_interval_rejects_bad_inputs(kwargs, message):
         Interval(**kwargs)
 
 
+def _circle_distance_reference(x, y, c):
+    d = np.abs(np.mod(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), c))
+    return np.minimum(d, c - d)
+
+
+@pytest.mark.parametrize("shapes", [((), ()), ((5,), ()), ((3, 4), (4,)), ((1, 4), (3, 1)),
+                                    ((200, 7), (200, 7))], ids=str)
+def test_distances_in_place_equal_the_plain_formula(shapes):
+    # same ufuncs in the same order, so the same bits; a 0-d input gives a
+    # numpy scalar, as before
+    rng = np.random.default_rng(len(shapes[0]) + 10 * len(shapes[1]))
+    x, y = rng.normal(size=shapes[0]) * 9, rng.normal(size=shapes[1]) * 9
+    got, want = Circle(2.5).distance(x, y), _circle_distance_reference(x, y, 2.5)
+    assert type(got) is type(want) and np.array_equal(got, want)
+    torus = Torus(2 * np.pi, 0.7)
+    xt, yt = rng.normal(size=shapes[0] + (2,)) * 9, rng.normal(size=shapes[1] + (2,)) * 9
+    d1 = _circle_distance_reference(xt[..., 0], yt[..., 0], torus.len1)
+    d2 = _circle_distance_reference(xt[..., 1], yt[..., 1], torus.len2)
+    got, want = torus.distance(xt, yt), np.sqrt(d1 * d1 + d2 * d2)
+    assert type(got) is type(want) and np.array_equal(got, want)
+    assert Circle(2.5).distance(1, [3, 4]).tolist() == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("weight,distance", [("nan", "1"), ("1", "inf")])
 def test_load_rejects_non_finite_values(tmp_path, weight, distance):
     path = tmp_path / "space.txt"

@@ -16,6 +16,7 @@ from mmlab import (
 )
 from mmlab.transport import (
     TransportError,
+    _sorted_union,
     displacement_interpolation_1d,
     unique_rows,
 )
@@ -93,6 +94,22 @@ def test_1d_quantile_equals_lp(seed):
     p = int(rng.integers(1, 3))
     lp, _ = wasserstein_exact(p, mu, nu)
     assert abs(lp - wasserstein_1d(p, mu, nu)) <= 1e-9
+
+
+@pytest.mark.parametrize("n, m", [(4, 8), (3, 6), (5, 5), (1, 7), (1, 1), (4096, 10000)])
+def test_quantile_cuts_equal_union1d_of_shared_cumsums(n, m):
+    # uniform weights: the cumsums share the cuts at the multiples of 1/gcd,
+    # exactly for 1/4 and 1/8 and up to rounding for 1/3 and 1/6
+    rng = np.random.default_rng(n * m)
+    cx = np.cumsum(DiscreteMeasure(rng.normal(size=n)).weights)[:-1]
+    cy = np.cumsum(DiscreteMeasure(rng.normal(size=m)).weights)[:-1]
+    want = np.union1d(cx, cy)
+    assert np.array_equal(_sorted_union(cx, cy), want)
+    assert np.array_equal(_sorted_union(cy, cx), want)
+    if n == 4:
+        assert len(want) == len(cy)  # every cut of cx is one of cy's
+    repeats = rng.integers(0, 5, 40) / 4.0  # repeats within one input too
+    assert np.array_equal(_sorted_union(repeats, cx), np.union1d(repeats, cx))
 
 
 @settings(max_examples=40, deadline=None)
