@@ -291,10 +291,12 @@ def _sample_chains(cfg: ScenarioConfig, pool: ThreadPoolExecutor, family: SpaceF
 
 
 def _pathlaw_check(cfg: ScenarioConfig, family: SpaceFamily, ensembles: dict, limit_ens,
-                   tables: dict) -> dict:
-    """The path-law W1 check of the kernel-chain ensembles; adds its table."""
+                   tables: dict, map: Callable = map) -> dict:
+    """The path-law W1 check of the kernel-chain ensembles; adds its table.
+    ``pathlaw_w1`` solves its binned W1 pairs through ``map`` (a pool's
+    ``map`` spreads them over its threads), which gives them back in order."""
     pl = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
-                    seed=_seed_for(cfg, 3))
+                    seed=_seed_for(cfg, 3), map=map)
     tables["pathlaw"] = pl["rows"]
     return _status("pathlaw_w1", pl["pass"], max_ratio=_max_ratio(pl["rows"], "w1", "bound"))
 
@@ -406,14 +408,19 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
                for n, fut in zip(cfg.n_grid, futures)]
     family = SpaceFamily(members, limit)
     fns = list(chain_functions(limit.coords[:, 0]).values())
-    checks, tables = _family_checks(cfg, family, fns, pmg_slack=0.05)
+    grid = np.concatenate([[0.0], np.asarray(cfg.times, dtype=float)])
+    ensembles, limit_ens = _sample_chains(cfg, pool, family, grid, min(cfg.mc_count, CONE_PATHS))
+    # the shared checks are one pool task, and the path law's W1 solves
+    # spread over the pool beside it; only this thread waits on the pool
+    shared = pool.submit(_family_checks, cfg, family, fns, pmg_slack=0.05)
+    pathlaw_table = {}
+    pathlaw = _pathlaw_check(cfg, family, ensembles, limit_ens, pathlaw_table, map=pool.map)
+    checks, tables = shared.result()
     checks += _trend_checks("pmg_trend", fns, tables["pmg"], "gap", cfg.n_grid, strict=False)
     checks.append(_trend_check("initial_law_trend", cfg.n_grid,
                                [r["w1"] for r in tables["initial_law"]], strict=False))
-
-    grid = np.concatenate([[0.0], np.asarray(cfg.times, dtype=float)])
-    ensembles, limit_ens = _sample_chains(cfg, pool, family, grid, min(cfg.mc_count, CONE_PATHS))
-    checks.append(_pathlaw_check(cfg, family, ensembles, limit_ens, tables))
+    checks.append(pathlaw)
+    tables.update(pathlaw_table)
     return checks, tables
 
 

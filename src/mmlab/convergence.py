@@ -251,7 +251,8 @@ def product_distance_matrix(limit: PmmSpace, A: np.ndarray, B: np.ndarray) -> np
 
 
 def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
-               times: Sequence[float], bins: int = 24, seed: int = 0) -> dict:
+               times: Sequence[float], bins: int = 24, seed: int = 0,
+               map: Callable = map) -> dict:
     """W_1 between each member's mapped empirical fdd and the limit's, with an
     error budget, one row per member of ``members`` (label, space, collapse
     map); ``ensembles`` maps each label to the member's paths.
@@ -264,6 +265,11 @@ def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
     self-distance baseline and its spread are the mean and standard
     deviation of the binned W_1 between the two halves of
     ``BASELINE_SPLITS`` random half/half splits of the limit's paths.
+
+    Every binned pair is built first, the splits and then each member
+    against the limit, and the solves go through ``map``, which must give
+    its results in order: a pool's ``map`` spreads them over its threads
+    and the rows are the same as with the builtin.
     """
     for label, _, _ in members:
         grid = ensembles[label].times
@@ -281,20 +287,21 @@ def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
     def binned(law):
         return _weighted_rebin(law, np.ones(len(law)), specs)
 
-    nu_binned = binned(states)
     rng = make_rng(seed, 7)
     half = ensemble_limit.count // BASELINE_PARTS
-    split_vals = []
+    pairs = []
     for _ in range(BASELINE_SPLITS):
         perm = rng.permutation(ensemble_limit.count)
-        a, b = states[perm[:half]], states[perm[half:2 * half]]
-        split_vals.append(_binned_w1(limit, binned(a), binned(b), specs))
+        pairs.append((binned(states[perm[:half]]), binned(states[perm[half:2 * half]])))
+    nu_binned = binned(states)
+    pairs += [(binned(mu), nu_binned) for mu in mus]
+    values = list(map(lambda pair: _binned_w1(limit, *pair, specs), pairs))
+    split_vals = values[:BASELINE_SPLITS]
     baseline = float(np.mean(split_vals))
     se = float(np.std(split_vals)) + 1e-12
     bin_budget = float(sum(spec[1] for spec in specs))
     rows = []
-    for (label, _, cmap), mu in zip(members, mus):
-        value = _binned_w1(limit, binned(mu), nu_binned, specs)
+    for (label, _, cmap), value in zip(members, values[BASELINE_SPLITS:]):
         fiber = 0.0 if cmap is None else cmap.fiber_diameter_bound
         bound = baseline + k * fiber + 3 * se
         rows.append({"label": label, "w1": value, "baseline": baseline, "se": se,

@@ -368,8 +368,10 @@ def graph_generator(space: FiniteMms, eps: Optional[float] = None) -> np.ndarray
         return np.zeros((1, 1))
     if eps is None:
         off = d + np.diag(np.full(n, np.inf))
-        nn = np.min(off, axis=1)
-        eps = 2.0 * float(np.median(nn))
+        # the median from a sort: np.median would load numpy.ma for its NaN check
+        nn = np.sort(np.min(off, axis=1))
+        mid = n // 2
+        eps = 2.0 * float(nn[mid] if n % 2 else (nn[mid - 1] + nn[mid]) / 2)
     if eps <= 0:
         raise HeatError("degenerate distances: zero nearest-neighbor spacing")
     w = np.outer(m, m) * np.exp(-np.square(d) / (eps * eps))

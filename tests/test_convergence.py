@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,6 +359,48 @@ def test_pathlaw_rows_do_not_move_when_the_states_round_differently():
     after = pathlaw_w1(fam.members, moved, nudged(limit_ens, [2 * np.pi]), [0.25, 0.75],
                        seed=3)
     assert after == before
+
+
+def cone_family(ns, res=6):
+    eps = 2.5 / res
+    limit = _interval_chain(res)
+    set_generator(limit, graph_generator(limit, eps=eps))
+
+    def ring_map(idx):
+        idx = np.asarray(idx, dtype=int)
+        return np.where(idx == 0, 0, (idx - 1) // res + 1).astype(float)
+
+    members = []
+    for n in ns:
+        space = mesh_cone(n, res)
+        set_generator(space, graph_generator(space, eps=eps))
+        members.append((n, space, CollapseMap(limit, ring_map, np.pi * np.sqrt(1.0 / n))))
+    return SpaceFamily(members, limit)
+
+
+@pytest.mark.parametrize("kind", ["torus", "cone"])
+def test_pathlaw_rows_through_a_pool_map_equal_the_builtin_map(kind):
+    fam = torus_family([1, 2, 4], nodes=(64, 16)) if kind == "torus" else cone_family([1, 2, 4])
+    grid = np.array([0.0, 0.25, 0.75])
+    ensembles = {n: sample_kernel_chain(space, "base", grid, 600, seed=i)
+                 for i, (n, space, _) in enumerate(fam.members)}
+    limit_ens = sample_kernel_chain(fam.limit, "base", grid, 600, seed=9)
+    serial = pathlaw_w1(fam.members, ensembles, limit_ens, [0.25, 0.75], bins=8, seed=3)
+    solved = []
+    with ThreadPoolExecutor(2) as pool:
+        def pool_map(fn, items):
+            items = list(items)
+            solved.append(len(items))
+            return pool.map(fn, items)
+
+        pooled = pathlaw_w1(fam.members, ensembles, limit_ens, [0.25, 0.75], bins=8, seed=3,
+                            map=pool_map)
+    # the baseline splits and one pair per member, in one map
+    assert solved == [convergence.BASELINE_SPLITS + 3]
+    assert pooled["pass"] == serial["pass"]
+    assert len(pooled["rows"]) == len(serial["rows"]) == 3
+    for a, b in zip(pooled["rows"], serial["rows"]):
+        assert list(a.items()) == list(b.items())
 
 
 def test_pathlaw_baseline_is_binned_on_the_shared_bins():

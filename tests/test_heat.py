@@ -270,6 +270,15 @@ def test_graph_generator_detailed_balance():
     assert np.max(np.abs(L.sum(axis=1))) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 14, 15])
+def test_graph_generator_default_eps_is_twice_the_median_spacing(n):
+    # the sorted middle entry (or the mean of the two) is np.median's, bit for bit
+    space = random_finite(np.random.default_rng(n), n)
+    off = space.dist + np.diag(np.full(n, np.inf))
+    eps = 2.0 * float(np.median(np.min(off, axis=1)))
+    assert np.array_equal(graph_generator(space), graph_generator(space, eps=eps))
+
+
 def test_mixing_bound_with_chain():
     rng = np.random.default_rng(6)
     space = Circle(2 * np.pi)

@@ -73,9 +73,10 @@ def test_run_imports_no_scipy_inside_run_scenario(tmp_path, kind):
     seen = _python(RUN, json.dumps(["run", _config(tmp_path, kind), "--threads", "2"]))
     assert seen["inside"] == []
     assert (tmp_path / kind / "report.json").exists()
-    # numpy loads numpy.ma on the first np.unique (the OU 1-D W2 once called
-    # it through np.union1d), which these runs do not reach
-    if kind in ("ou_family", "reflected_family"):
+    # numpy loads numpy.ma on the first np.unique or np.median (the OU 1-D W2
+    # once called np.union1d, the finite graph generator np.median), which
+    # these runs do not reach
+    if kind in ("ou_family", "reflected_family", "custom_finite"):
         assert seen["ma_inside"] == [False]
     if not cli.SCENARIOS[kind].imports:
         assert seen["heavy"] == []

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import mmlab.cli as cli
+import mmlab.convergence as convergence
 from mmlab.cli import ScenarioConfig, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -63,6 +64,10 @@ class RecordingPool(ThreadPoolExecutor):
         self.log.append(("submit", fn.__name__))
         return super().submit(fn, *args, **kwargs)
 
+    def map(self, fn, *iterables, **kwargs):
+        self.log.append(("map", fn.__name__))
+        return super().map(fn, *iterables, **kwargs)
+
 
 def _log_calls(monkeypatch, log: list, name: str) -> None:
     """Log each call of the runners' ``name`` before it runs."""
@@ -102,6 +107,32 @@ def test_cone_builds_its_meshes_on_the_pool(monkeypatch):
     assert on_main == [False] * 3
 
 
+def test_cone_submits_its_family_checks_before_the_path_law_solves(monkeypatch):
+    log, solves = [], []
+    real = convergence.wasserstein_grid
+
+    def spy(*args, **kwargs):
+        solves.append(threading.current_thread() is threading.main_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "wasserstein_grid", spy)
+    _log_calls(monkeypatch, log, "pathlaw_w1")
+    cfg = ScenarioConfig(scenario="cone_interval", n_grid=[1, 2], mc_count=2000)
+    with RecordingPool(log) as pool:
+        cli.run_cone(cfg, pool)
+    shared = log.index(("submit", "_family_checks"))
+    chains = [i for i, entry in enumerate(log) if entry == ("submit", "sample_kernel_chain")]
+    maps = [i for i, entry in enumerate(log) if entry[0] == "map"]
+    # the chains (each member's and the limit's) come first, then the shared
+    # checks, then the path law with its solves in one pool map
+    assert len(chains) == 3 and max(chains) < shared < log.index(("call", "pathlaw_w1"))
+    assert len(maps) == 1 and shared < maps[0]
+    # the path law's baseline splits and member pairs, and the initial-law
+    # pairs of the shared checks, are all grid flows here
+    assert len(solves) == convergence.BASELINE_SPLITS + 2 * len(cfg.n_grid)
+    assert not any(solves)
+
+
 def test_torus_submits_its_modulus_statistics_before_the_path_law(monkeypatch):
     log = []
     _log_calls(monkeypatch, log, "pathlaw_w1")
@@ -118,6 +149,7 @@ SMALL = {
     "ou_family": {"n_grid": [2, 4], "mc_count": 2000, "dt": 0.005},
     "torus_collapse": {"n_grid": [1, 2], "mc_count": 2000},
     "cone_interval": {"n_grid": [1, 2], "mc_count": 2000},
+    "reflected_family": {"n_grid": [2, 4], "mc_count": 2000, "dt": 0.005},
 }
 
 
