@@ -229,7 +229,8 @@ CONE_PATHS = 4000                    # the cone runner samples at most this many
 OU_T = 1.0                           # the OU runner's horizon, the one time it reads
 OU_DT = 1e-3                         # the OU runner's step when the config sets no dt
 REFLECTED_T = 1.5                    # the reflected runner's horizon
-REFLECTED_READS = (1.0, REFLECTED_T)  # the times its tables read
+# the times its tables read: the limit at both, each member only at the first
+REFLECTED_READS = (1.0, REFLECTED_T)
 REFLECTED_DT = 5e-4                  # the reflected runner's step when no dt is set
 OU_PARTS = 4                         # the OU runner's W2 spread is over this many parts
 
@@ -248,7 +249,8 @@ def _off_grid(grid: np.ndarray, rule: str, reads) -> list:
 
 def _divergence_check(ensembles: dict) -> dict:
     """Fails when the Euler-Maruyama divergence guard froze any path; carries
-    the flagged-path count of each ensemble label."""
+    the flagged-path count of each ensemble label.  Each ensemble's flags
+    cover its own horizon, the last time its runner reads it."""
     flagged = {str(label): int(np.count_nonzero(ens.flags)) for label, ens in ensembles.items()}
     return _status("em_divergence", not any(flagged.values()), flagged=flagged)
 
@@ -486,9 +488,11 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
                                _seed_for(cfg, 2), domain=box_domain(0.0, 1.0),
                                record=REFLECTED_READS)
     usable = [n for n in cfg.n_grid if n >= 2]
-    futures = {n: pool.submit(euler_maruyama, v0, x0, dt, T, cfg.mc_count,
+    # a member is read only at t_mid, so it stops there; its draws come in
+    # the same order, and its state at t_mid is the one a run to T would keep
+    futures = {n: pool.submit(euler_maruyama, v0, x0, dt, t_mid, cfg.mc_count,
                               _seed_for(cfg, 1, i), domain=box_domain(0.0, 1.0 - 1.0 / n),
-                              record=REFLECTED_READS)
+                              record=(t_mid,))
                for i, n in enumerate(usable)}
     limit_ens = limit_future.result()
 

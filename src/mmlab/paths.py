@@ -272,8 +272,13 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
 
 def _confine(domain: ConvexDomain, x: np.ndarray) -> np.ndarray:
     """Bring states back into the domain after an unconstrained step by
-    reflecting each point through its projection (exact in law for a
-    half-line, O(dt)-accurate for general convex domains)."""
+    reflecting each point through its projection.  On a half-line, an
+    interval or a box the mirror is the fold that makes reflected Brownian
+    motion out of a free one, as long as no mirror image lands past the
+    opposite face; so with zero drift the walk is exact in law at every
+    grid time, up to the chance of such an overshoot, which needs a step
+    longer than the domain's width.  The second pass only projects an
+    overshoot, and on other convex domains the mirror is an approximation."""
     p = np.asarray(domain.project(x), dtype=float)
     if not p.flags.writeable or np.may_share_memory(p, x):
         p = p.copy()  # a projection may hand back its input, as the whole space does

@@ -129,6 +129,21 @@ def test_validate_rejects_reflected_dt_off_the_read_times():
     assert validate_dict({"scenario": "reflected_family", "dt": 2.5e-4}) == []
 
 
+@pytest.mark.parametrize("dt, accepted", [(5e-4, True), (2.5e-4, True), (5e-3, True),
+                                          (0.25, True), (0.5, True), (7e-4, False)])
+def test_reflected_runs_every_dt_that_validate_accepts(tmp_path, dt, accepted):
+    # the members stop at the first read time and the limit at the horizon,
+    # so each dt that puts both on its grid must run to a complete report
+    raw = {"scenario": "reflected_family", "n_grid": [2], "mc_count": 40, "dt": dt}
+    errors = validate_dict(raw)
+    assert (errors == []) is accepted
+    if not accepted:
+        assert errors and all(e.startswith("dt: ") for e in errors)
+        return
+    _, report = _run_report(tmp_path, **raw)
+    assert report["incomplete"] is False
+
+
 def test_validate_rejects_ou_dt_off_the_read_time():
     # time_grid(0.3, 1.0) ends at 0.9; dt = 2 gives a grid of t = 0 alone
     for dt in (0.3, 2.0):
@@ -313,30 +328,40 @@ def test_validate_reports_an_unreadable_finite_file(tmp_path, capsys):
 
 
 def _spy_on_em(monkeypatch, swap=None):
-    """Record every ensemble the runners get from euler_maruyama, optionally
-    run with the potential ``swap`` makes of the runner's."""
+    """Record every (seed, T, ensemble) the runners get from euler_maruyama,
+    optionally run with the potential ``swap`` makes of the runner's."""
     made = []
     real = cli.euler_maruyama
 
-    def spy(pot, *args, **kwargs):
-        ens = real(swap(pot) if swap else pot, *args, **kwargs)
-        made.append(ens)
+    def spy(pot, x0, dt, T, count, seed, **kwargs):
+        ens = real(swap(pot) if swap else pot, x0, dt, T, count, seed, **kwargs)
+        made.append((seed, T, ens))
         return ens
 
     monkeypatch.setattr(cli, "euler_maruyama", spy)
     return made
 
 
-@pytest.mark.parametrize("scenario, reads, ensembles",
-                         [("reflected_family", cli.REFLECTED_READS, 3),
-                          ("ou_family", (cli.OU_T,), 2)])
-def test_em_runners_keep_only_their_read_times(monkeypatch, scenario, reads, ensembles):
+# each ensemble, by the spawn key of its seed: the horizon it steps to and
+# the times it keeps; a reflected member is read only at the first time
+_REFLECTED_MEMBER = (cli.REFLECTED_READS[0], cli.REFLECTED_READS[:1])
+
+
+@pytest.mark.parametrize("scenario, expected", [
+    ("reflected_family", {(2,): (cli.REFLECTED_T, cli.REFLECTED_READS),
+                          (1, 0): _REFLECTED_MEMBER, (1, 1): _REFLECTED_MEMBER}),
+    ("ou_family", {(1, 0): (cli.OU_T, (cli.OU_T,)), (1, 1): (cli.OU_T, (cli.OU_T,))})],
+    ids=["reflected_family", "ou_family"])
+def test_em_runners_keep_only_their_read_times(monkeypatch, scenario, expected):
     made = _spy_on_em(monkeypatch)
     cfg = ScenarioConfig(scenario=scenario, n_grid=[2, 4], mc_count=300, dt=5e-3)
     with ThreadPoolExecutor(2) as pool:
         checks, _ = cli.RUNNERS[scenario](cfg, pool)
-    assert len(made) == ensembles
-    for ens in made:
+    seeds = {cli._seed_for(cfg, *key): key for key in expected}
+    assert sorted(seeds[seed] for seed, _, _ in made) == sorted(expected)
+    for seed, T, ens in made:
+        horizon, reads = expected[seeds[seed]]
+        assert T == horizon
         assert ens.times.tolist() == list(reads)
         assert ens.states.shape == (300, len(reads), 1)
     labels = (["limit"] if scenario == "reflected_family" else []) + ["2", "4"]

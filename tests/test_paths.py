@@ -315,6 +315,23 @@ def test_em_record_equals_full_grid_columns(case):
         assert np.array_equal(part.states[:, 1], part.states[:, 2])
 
 
+# horizons t' < T on each case's grid; the flagged case's paths are all
+# unfrozen at 0.5 and all frozen by 10
+EM_PREFIXES = [("free", 0.37), ("reflected", 1.0), ("flagged", 0.5), ("flagged", 10.0)]
+
+
+@pytest.mark.parametrize("case, t", EM_PREFIXES)
+def test_em_stopped_early_equals_the_full_run_at_its_horizon(case, t):
+    kwargs, _ = EM_CASES[case]
+    full = euler_maruyama(seed=21, **kwargs)
+    part = euler_maruyama(seed=21, **{**kwargs, "T": t}, record=(t,))
+    assert np.array_equal(part.states[:, 0], full.state_at(t))
+    assert not np.any(part.flags & ~full.flags)
+    if case == "flagged":
+        assert np.all(full.flags)
+        assert part.flags.tolist() == [t == 10.0] * kwargs["count"]
+
+
 def test_em_record_off_grid_rejected():
     v = quadratic_potential(1.0)
     for record in [(0.5, 0.505), (1.2,), (0.5, 0.2), ()]:
