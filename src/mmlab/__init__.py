@@ -13,9 +13,9 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .spaces import (
+    Box,
     Circle,
     CollapseMap,
-    ConvexDomain,
     EuclideanLogConcave,
     FiniteMms,
     Interval,

@@ -663,6 +663,12 @@ def write_csv(path: str, rows: list) -> None:
 
 
 def run_scenario(cfg: ScenarioConfig, threads: int = 1, out_dir: str = None) -> int:
+    """Run one scenario on ``threads`` pool workers and write its outputs.
+
+    ``main`` loads ``Scenario.imports`` first, so a direct caller pays those
+    scipy imports inside the run.  They stay in ``main``: ``perfbench/child.py``
+    times this call as ``run_s``, and ``tests/test_imports.py`` asserts that
+    no scipy module is first imported inside it."""
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:

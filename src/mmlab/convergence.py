@@ -36,6 +36,7 @@ from .transport import (
 QUAD_TOL = 1e-6
 BASELINE_PARTS = 2   # pathlaw_w1's baseline compares two halves of the limit's paths
 BASELINE_SPLITS = 4  # the random half/half splits that baseline averages
+INITIAL_LAW_BINS = 64  # arcs or atoms of initial_law_w1's binned W_1
 
 
 class ConvergenceError(ValueError):
@@ -417,15 +418,15 @@ def _probability(points, masses: np.ndarray) -> DiscreteMeasure:
                            masses[keep] / masses.sum())
 
 
-def initial_law_w1(family: SpaceFamily, bins: int = 64) -> dict:
+def initial_law_w1(family: SpaceFamily) -> dict:
     """W_1 between each mapped probability reference and the limit's: on a
-    circle or a finite limit, binned W_1 on ``bins`` arcs or on the atoms;
-    on the line, the quantile formula."""
+    circle or a finite limit, binned W_1 on ``INITIAL_LAW_BINS`` arcs or on
+    the atoms; on the line, the quantile formula."""
     limit = family.limit
     limit_ref = weighted_measure(limit)
     lim_measure = _probability(limit_ref.points, limit_ref.masses())
     if isinstance(limit, (Circle, FiniteMms)):
-        spec = [_bin_edges(limit, None, bins)]
+        spec = [_bin_edges(limit, None, INITIAL_LAW_BINS)]
         lim_binned = _weighted_rebin(lim_measure.atoms, lim_measure.weights, spec)
 
         def w1_to_limit(mu):

@@ -40,8 +40,9 @@ from .spaces import (
     weighted_measure,
 )
 
-STOCHASTIC_TOL = 1e-10
 DETAILED_BALANCE_TOL = 1e-9
+MIXING_TOL = 1e-9            # slack of mixing_bound_check's L^2 inequality
+ENTROPY_IDENTITY_TOL = 1e-6  # largest residual entropy_identity_check passes
 # threshold below which image sums beat eigen-sums (both < 50 terms to 1e-12)
 SERIES_CROSSOVER = 0.3
 # rows of the Mehler matrix built at a time, in one buffer reused for every
@@ -446,8 +447,7 @@ def _block(sk: SpectralKernel, functions) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions,
-                       tol: float = 1e-9) -> dict:
+def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions) -> dict:
     """Exponential L^2 mixing at rate given by the spectral gap.
 
     Checks ||P_t f - mean(f)||_2 <= e^{-gap t} ||f - mean(f)||_2 in L^2 of
@@ -469,7 +469,7 @@ def mixing_bound_check(space: PmmSpace, t_grid: Sequence[float], trial_functions
             rhs = np.exp(-lam * t) * base
             rows.append({"check": "mixing_l2", "f": fi, "t": float(t),
                          "max_violation": max(lhs - rhs, 0.0),
-                         "pass": bool(lhs <= rhs + tol)})
+                         "pass": bool(lhs <= rhs + MIXING_TOL)})
     return {"check": "mixing_bound", "gap": lam, "rows": rows,
             "pass": all(r["pass"] for r in rows)}
 
@@ -487,8 +487,7 @@ def relative_entropy(mu, ref) -> float:
     return float(np.sum(p[active] * np.log(p[active] / q[active])))
 
 
-def entropy_identity_check(space: PmmSpace, C: float, mu_density: np.ndarray,
-                           tol: float = 1e-6) -> dict:
+def entropy_identity_check(space: PmmSpace, C: float, mu_density: np.ndarray) -> dict:
     """Consistency of entropies against the raw and the weighted reference:
     Ent_m(mu) = Ent_mtilde(mu) - C int d^2(., base) dmu - log z
     (the correction vanishing into -log m(X) on finite-mass spaces)."""
@@ -511,7 +510,7 @@ def entropy_identity_check(space: PmmSpace, C: float, mu_density: np.ndarray,
     residual = ent_m - (ent_tilde - correction)
     return {"check": "entropy_identity", "ent_m": ent_m, "ent_tilde": ent_tilde,
             "correction": correction, "residual": residual,
-            "pass": bool(abs(residual) <= tol)}
+            "pass": bool(abs(residual) <= ENTROPY_IDENTITY_TOL)}
 
 
 def feller_check(space: PmmSpace, test_functions, t_grid: Sequence[float],

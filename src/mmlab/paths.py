@@ -1,10 +1,11 @@
 """Path samplers and path-law statistics.
 
 Two samplers: exact kernel-chain sampling on spaces with computable heat
-kernels, and Euler-Maruyama for dX = -grad V dt + sqrt(2) dW, optionally
-mirror-reflected into a convex domain (``euler_maruyama(..., domain=...)``).
-Ensembles are seeded with counter-based (Philox) streams, so identical seeds
-give bit-identical output.
+kernels, from the base point or a discrete law, and Euler-Maruyama for
+dX = -grad V dt + sqrt(2) dW, optionally mirror-reflected into a box, which
+with zero drift is exact in law unless a mirror image lands past the
+opposite face (``_confine``).  Ensembles are seeded with counter-based
+(Philox) streams, so identical seeds give bit-identical output.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .heat import circle_kernel_arc, get_kernel
 from .spaces import (
+    Box,
     Circle,
-    ConvexDomain,
     EuclideanLogConcave,
     FiniteMms,
     Interval,
@@ -26,7 +27,6 @@ from .spaces import (
     Potential,
     Torus,
     _evaluate,
-    weighted_measure,
 )
 from .transport import DiscreteMeasure
 
@@ -90,25 +90,17 @@ def grid_index(times: np.ndarray, t: float) -> int:
 
 def _initial_states(space: Optional[PmmSpace], initial, count: int,
                     rng: Generator, dim: int):
-    """Starting points: base point, the probability reference, or a supplied
-    discrete law."""
+    """Starting points: the base point (``"base"``), or draws from a
+    supplied discrete law."""
     if isinstance(initial, DiscreteMeasure):
         if initial.dim != dim:
             raise PathError("initial law dimension mismatch")
         idx = rng.choice(len(initial), size=count, p=initial.weights)
         return initial.atoms[idx]
-    if initial is None or initial == "base":
-        base = np.atleast_1d(np.asarray(space.base_point, dtype=float))
-        return np.tile(base[:dim], (count, 1))
-    if initial == "weighted":
-        ref = weighted_measure(space)
-        masses = ref.masses()
-        idx = rng.choice(len(masses), size=count, p=masses / masses.sum())
-        pts = np.asarray(ref.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return pts[idx]
-    raise PathError("unknown initial law %r" % (initial,))
+    if not (isinstance(initial, str) and initial == "base"):
+        raise PathError("unknown initial law %r" % (initial,))
+    base = np.atleast_1d(np.asarray(space.base_point, dtype=float))
+    return np.tile(base[:dim], (count, 1))
 
 
 def _bucket_count(n: int) -> int:
@@ -249,6 +241,7 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
     keeps the states at the ``record`` times, each on ``times`` (all of them
     when None).  It stops at the last record time: the draws come in order
     from one stream, so each kept state is the one the whole chain has.
+    ``initial`` is ``"base"`` or a ``DiscreteMeasure`` to draw the starts from.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 1 or abs(times[0]) > 1e-15:
@@ -270,22 +263,18 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
     return PathEnsemble(kept, out, space)
 
 
-def _confine(domain: ConvexDomain, x: np.ndarray) -> np.ndarray:
-    """Bring states back into the domain after an unconstrained step by
-    reflecting each point through its projection.  On a half-line, an
-    interval or a box the mirror is the fold that makes reflected Brownian
-    motion out of a free one, as long as no mirror image lands past the
-    opposite face; so with zero drift the walk is exact in law at every
-    grid time, up to the chance of such an overshoot, which needs a step
-    longer than the domain's width.  The second pass only projects an
-    overshoot, and on other convex domains the mirror is an approximation."""
-    p = np.asarray(domain.project(x), dtype=float)
-    if not p.flags.writeable or np.may_share_memory(p, x):
-        p = p.copy()  # a projection may hand back its input, as the whole space does
+def _confine(box: Box, x: np.ndarray) -> np.ndarray:
+    """Bring states back into the box after an unconstrained step by
+    reflecting each point through its projection, clip(x, lo, hi).  The
+    mirror is the fold that makes reflected Brownian motion out of a free
+    one, as long as no mirror image lands past the opposite face: so with
+    zero drift a step is exact in law, up to the chance of such an
+    overshoot, which needs a step longer than the box's width.  The second
+    pass only projects an overshoot."""
+    p = np.clip(x, box.lo, box.hi)
     p *= 2.0
     p -= x  # the mirror image 2p - x, in place
-    # a second pass handles overshoot past the opposite face
-    p2 = np.asarray(domain.project(p), dtype=float)
+    p2 = np.clip(p, box.lo, box.hi)
     if not (p != p2).any():
         return p
     return np.where(np.abs(p - p2) > 1e-12, p2, p)
@@ -293,11 +282,11 @@ def _confine(domain: ConvexDomain, x: np.ndarray) -> np.ndarray:
 
 def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
                    seed: int, noise: bool = True,
-                   domain: Optional[ConvexDomain] = None,
+                   domain: Optional[Box] = None,
                    record: Optional[Sequence[float]] = None) -> PathEnsemble:
     """X_{k+1} = X_k - grad V(X_k) dt + sqrt(2 dt) xi_k, optionally confined
-    to a convex domain after every step; ``potential.grad`` follows the
-    batch rule of ``spaces._evaluate``.
+    to a box of 1 or d coordinates after every step (``_confine``);
+    ``potential.grad`` follows the batch rule of ``spaces._evaluate``.
 
     Paths whose norm exceeds the divergence guard are frozen and flagged.
     The guard is screened exactly: while no path is flagged and every
@@ -324,10 +313,11 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
     rng = make_rng(seed)
     x = np.tile(x0, (count, 1))
     if domain is not None:
-        if not domain.contains(x0):
+        if len(domain.lo) not in (1, d):
+            raise PathError("domain has %d coordinates, x0 has %d" % (len(domain.lo), d))
+        if not (np.all(x0 >= domain.lo - 1e-12) and np.all(x0 <= domain.hi + 1e-12)):
             raise PathError("x0 outside the domain")
-        # a copy: the step loop writes into the arrays it holds
-        x = np.array(domain.project(x), dtype=float, ndmin=2)
+        x = np.clip(x, domain.lo, domain.hi)
     out = np.empty((count, len(times), d))
     if slot[0] >= 0:
         out[:, slot[0]] = x

@@ -67,21 +67,23 @@ def quadratic_potential(a: float) -> Potential:
 
 
 @dataclass(frozen=True)
-class ConvexDomain:
-    """A closed convex set given by membership and projection."""
+class Box:
+    """The closed box lo <= x <= hi, coordinate by coordinate, with float
+    bound vectors of one length (a bound may be infinite).  A box of one
+    coordinate bounds every coordinate of a point by the same interval."""
 
-    contains: Callable
-    project: Callable
+    lo: np.ndarray
+    hi: np.ndarray
 
 
-
-def box_domain(lo, hi) -> ConvexDomain:
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    return ConvexDomain(
-        contains=lambda x: bool(np.all(np.atleast_1d(x) >= lo - 1e-12) and np.all(np.atleast_1d(x) <= hi + 1e-12)),
-        project=lambda x: np.clip(np.atleast_1d(np.asarray(x, dtype=float)), lo, hi),
-    )
+def box_domain(lo, hi) -> Box:
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise SpaceError("box bounds must be two vectors of one length")
+    if np.isnan(lo).any() or np.isnan(hi).any() or np.any(lo > hi):
+        raise SpaceError("box bounds must be numbers with lo <= hi")
+    return Box(lo, hi)
 
 
 class PmmSpace:

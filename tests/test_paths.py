@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from mmlab import (
     Circle,
@@ -27,7 +29,7 @@ from mmlab import (
 import mmlab.paths as paths
 from mmlab.heat import circle_kernel_arc
 from mmlab.paths import PathError, _pair_distance, grid_index
-from mmlab.spaces import ConvexDomain, SpaceError, mesh_cone
+from mmlab.spaces import SpaceError, mesh_cone
 
 from _oracles import (
     euler_maruyama_loop,
@@ -88,6 +90,14 @@ def test_chain_bad_grid_rejected():
         sample_kernel_chain(space, "base", [0.5, 1.0], 10, seed=0)
     with pytest.raises(PathError):
         sample_kernel_chain(space, "base", [0.0, 0.5, 0.5], 10, seed=0)
+
+
+@pytest.mark.parametrize("law", ["weighted", None, "nonsense"])
+def test_chain_rejects_an_unknown_start_law(law):
+    # a chain starts at the base point or from a DiscreteMeasure
+    for space in (Circle(), Interval(0.0, 1.0), EuclideanLogConcave(1, quadratic_potential(1.0))):
+        with pytest.raises(PathError, match="^unknown initial law %s$" % re.escape(repr(law))):
+            sample_kernel_chain(space, law, [0.0, 0.5], 10, seed=0)
 
 
 EXAMPLE_FINITE = FiniteMms.load(Path(__file__).resolve().parent.parent
@@ -399,10 +409,9 @@ ORACLE_CASES = {
                        domain=box_domain(0.0, 0.05)),
     "box_2d": dict(potential=quadratic_potential(1.0), x0=(0.5, 0.25), dt=5e-3, T=0.5,
                    count=64, domain=box_domain((0.0, 0.0), (1.0, 0.5))),
-    # the whole line: its projection returns the very array it is given
+    # the whole line: every projection is the identity, and 2x - x is exact
     "identity_projection": dict(potential=quadratic_potential(1.0), x0=0.3, dt=1e-2, T=0.5,
-                                count=64, domain=ConvexDomain(contains=lambda x: True,
-                                                              project=lambda x: x)),
+                                count=64, domain=box_domain(-np.inf, np.inf)),
     # above the screen (5e5 in 1-D), below the guard: the full rule runs, no flag
     "above_screen": dict(potential=quadratic_potential(0.0), x0=6e5, dt=1e-2, T=0.5,
                          count=64),
@@ -421,9 +430,14 @@ ORACLE_CASES = {
 }
 
 
+def _clip_to(box):
+    """The projection onto a box, as the oracle's ``project``."""
+    return lambda x: np.clip(x, box.lo, box.hi)
+
+
 def _em_loop(seed, potential, domain=None, **kwargs):
     return euler_maruyama_loop(potential.grad, seed=seed,
-                               project=None if domain is None else domain.project, **kwargs)
+                               project=None if domain is None else _clip_to(domain), **kwargs)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -444,19 +458,46 @@ def test_em_is_bit_identical_to_the_step_loop(case):
 
 
 def test_narrow_box_case_overshoots_the_opposite_face():
-    box = ORACLE_CASES["narrow_box"]["domain"]
+    kwargs = dict(ORACLE_CASES["narrow_box"])
+    clip = _clip_to(kwargs.pop("domain"))
     seen = []
 
     def project(x):
         seen.append(np.array(x, dtype=float))
-        return box.project(x)
+        return clip(x)
 
-    kwargs = dict(ORACLE_CASES["narrow_box"], domain=ConvexDomain(box.contains, project))
-    euler_maruyama(seed=21, **kwargs)
+    # the sampler equals this loop bit for bit (test above)
+    euler_maruyama_loop(kwargs.pop("potential").grad, seed=21, project=project, **kwargs)
     # call 0 projects the start; each step then projects its step and the
     # mirror image of that step
     mirrored = np.concatenate(seen[2::2])
     assert np.any((mirrored < -1e-12) | (mirrored > 0.05 + 1e-12))
+
+
+@st.composite
+def _boxed_runs(draw):
+    """A short reflected run: x0 in 1 or 2 coordinates, a box of 1 or d
+    coordinates around it whose faces lie 0, 0.01 (narrower than most
+    steps), 0.3 or infinitely far from x0, a step and a step count."""
+    d = draw(st.sampled_from([1, 2]))
+    x0 = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    gaps = st.lists(st.sampled_from([0.0, 0.01, 0.3, np.inf]), min_size=d, max_size=d)
+    if draw(st.booleans()):  # one coordinate bounds all of x0
+        lo, hi = x0.min() - draw(gaps)[0], x0.max() + draw(gaps)[0]
+    else:
+        lo, hi = x0 - draw(gaps), x0 + draw(gaps)
+    dt = draw(st.sampled_from([1e-3, 0.05, 0.5]))
+    return dict(potential=quadratic_potential(draw(st.sampled_from([0.0, 1.0]))), x0=x0,
+                dt=dt, T=dt * draw(st.integers(1, 5)), count=8, domain=box_domain(lo, hi))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_boxed_runs(), st.integers(0, 2 ** 32 - 1))
+def test_em_in_drawn_boxes_is_bit_identical_to_the_step_loop(kwargs, seed):
+    ens = euler_maruyama(seed=seed, **kwargs)
+    states, flags = _em_loop(seed, **kwargs)
+    assert np.array_equal(ens.states, states)
+    assert np.array_equal(ens.flags, flags)
 
 
 def test_em_concurrent_ensembles_equal_their_serial_runs():
@@ -484,6 +525,10 @@ def test_em_concurrent_ensembles_equal_their_serial_runs():
 @pytest.mark.parametrize("name, value", [
     ("count", 0), ("count", -3), ("dt", float("nan")), ("dt", 0.0), ("T", float("inf")),
     ("T", 5e-3), ("x0", ()),
+    # a box of 2 coordinates for a point of 1, and of 3 for a point of 2
+    ("domain", box_domain((0.0, 0.0), (1.0, 0.5))),
+    ("domain", dict(domain=box_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), x0=(0.0, 0.0))),
+    ("x0", dict(domain=box_domain(1e-11, 1.0))),
 ])
 def test_em_rejects_bad_arguments_before_any_step(name, value):
     calls = []
@@ -495,7 +540,7 @@ def test_em_rejects_bad_arguments_before_any_step(name, value):
     kwargs = dict(potential=Potential(value=lambda x: 0.0, grad=grad), x0=0.0, dt=1e-2,
                   T=1.0, count=4, seed=0)
     with pytest.raises(PathError, match="^%s " % name):
-        euler_maruyama(**{**kwargs, name: value})
+        euler_maruyama(**{**kwargs, **(value if isinstance(value, dict) else {name: value})})
     assert calls == []
 
 

@@ -279,15 +279,13 @@ def test_quadrature_calls_the_potential_once():
         EuclideanLogConcave(1, scalar, n_nodes=64, grid_radius=4.0).quadrature()
 
 
-def test_box_domain_projection():
-    dom = box_domain([0.0, -1.0], [1.0, 1.0])
-    rng = np.random.default_rng(1)
-    probes = rng.normal(scale=3.0, size=(50, 2))
-    proj = dom.project(probes)
-    assert np.array_equal(dom.project(proj), proj)
-    assert np.all(proj[:, 0] >= 0) and np.all(proj[:, 0] <= 1)
-    inside = np.array([0.5, 0.0])
-    assert np.allclose(dom.project(inside), inside)
+@pytest.mark.parametrize("lo, hi", [
+    (np.nan, 1.0), (0.0, np.nan), (1.0, 0.0), ((0.0, 0.0), (1.0, -0.5)),
+    ((0.0, 0.0), (1.0,)), ([[0.0]], [[1.0]]),
+])
+def test_box_domain_rejects_bad_bounds(lo, hi):
+    with pytest.raises(SpaceError, match="^box bounds must be "):
+        box_domain(lo, hi)
 
 
 def test_mesh_cone_geometry():
