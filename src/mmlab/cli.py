@@ -38,6 +38,7 @@ from .heat import (
     feller_check,
     get_kernel,
     graph_generator,
+    interval_cdf_leb,
     mixing_bound_check,
     on_diagonal,
     set_generator,
@@ -219,7 +220,8 @@ KOLMOGOROV_BETA = 4.0                # the Kolmogorov moment's exponent,
 KOLMOGOROV_T = (0.25, 0.5)           # its start times
 KOLMOGOROV_H = (0.0125, 0.025, 0.05, 0.1)  # and its lags
 OU_FDD_SLACK = 0.5                   # the OU fdd budgets add OU_FDD_SLACK / n
-KS_LEVEL = 0.01                      # the reflected occupation test's level
+KS_LEVEL = 0.01                      # the level of the reflected KS tests, Bonferroni
+                                     # split over the exact-law rows
 # the torus chains step on multiples of min(MODULUS_ETA)/4, as the modulus
 # statistic needs, up to PATH_T, and keep only the times _torus_reads names
 TORUS_GRID = time_grid(min(MODULUS_ETA) / 4, PATH_T)
@@ -231,7 +233,10 @@ OU_DT = 1e-3                         # the OU runner's step when the config sets
 REFLECTED_T = 1.5                    # the reflected runner's horizon
 # the times its tables read: the limit at both, each member only at the first
 REFLECTED_READS = (1.0, REFLECTED_T)
-REFLECTED_DT = 5e-4                  # the reflected runner's step when no dt is set
+# the reflected runner's step when no dt is set: with zero drift the mirror
+# step is exact in law at the grid times, which the exact_law check tests
+REFLECTED_DT = 5e-3
+EXACT_W1_CELLS = 2 ** 14             # midpoint cells of the exact marginal W1 on [0, 1]
 OU_PARTS = 4                         # the OU runner's W2 spread is over this many parts
 
 
@@ -487,13 +492,14 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     limit_future = pool.submit(euler_maruyama, v0, x0, dt, T, cfg.mc_count,
                                _seed_for(cfg, 2), domain=box_domain(0.0, 1.0),
                                record=REFLECTED_READS)
-    usable = [n for n in cfg.n_grid if n >= 2]
+    # each member reflects into [0, length]; the exact law reads the same length
+    lengths = {n: 1.0 - 1.0 / n for n in cfg.n_grid if n >= 2}
     # a member is read only at t_mid, so it stops there; its draws come in
     # the same order, and its state at t_mid is the one a run to T would keep
     futures = {n: pool.submit(euler_maruyama, v0, x0, dt, t_mid, cfg.mc_count,
-                              _seed_for(cfg, 1, i), domain=box_domain(0.0, 1.0 - 1.0 / n),
+                              _seed_for(cfg, 1, i), domain=box_domain(0.0, length),
                               record=(t_mid,))
-               for i, n in enumerate(usable)}
+               for i, (n, length) in enumerate(lengths.items())}
     limit_ens = limit_future.result()
 
     # long-time occupation sample: disjoint path halves at two well-mixed
@@ -507,18 +513,40 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     tables["occupation_ks"] = [{"statistic": statistic, "pvalue": pvalue, "pass": ks_pass}]
     checks.append(_status("occupation_ks", ks_pass, pvalue=pvalue))
 
-    limit_marginal = DiscreteMeasure(limit_ens.state_at(t_mid)[:, 0])
+    # the exact law: a KS test of each ensemble's probability-integral
+    # transform through the Neumann CDF of its own box, at each time it is read
     ensembles = {n: fut.result() for n, fut in futures.items()}
+    reads = [("limit", limit_ens, t, 1.0) for t in REFLECTED_READS] + [
+        (n, ensembles[n], t_mid, length) for n, length in lengths.items()]
     rows = []
-    for n in usable:
+    for label, ens, t, length in reads:
+        statistic, pvalue = kstest_uniform(
+            interval_cdf_leb(t, x0, ens.state_at(t)[:, 0], 0.0, length))
+        rows.append({"label": label, "t": t, "length": length, "statistic": statistic,
+                     "pvalue": pvalue})
+    level = KS_LEVEL / len(rows)
+    for r in rows:
+        r["pass"] = bool(r["pvalue"] >= level)
+    tables["exact_law"] = rows
+    checks.append(_status("exact_law", all(r["pass"] for r in rows), level=level,
+                          min_pvalue=min(r["pvalue"] for r in rows)))
+
+    # the exact W1 = int |F_n - F| dx at t_mid, by the midpoint rule on [0, 1]
+    cells = (np.arange(EXACT_W1_CELLS) + 0.5) / EXACT_W1_CELLS
+    limit_cdf = interval_cdf_leb(t_mid, x0, cells, 0.0, 1.0)
+    limit_marginal = DiscreteMeasure(limit_ens.state_at(t_mid)[:, 0])
+    rows = []
+    for n, length in lengths.items():
         emp = DiscreteMeasure(ensembles[n].state_at(t_mid)[:, 0])
         w1 = wasserstein_1d(1, emp, limit_marginal)
-        rows.append({"label": n, "w1": w1, "closed_form": 0.5 / n})
+        member_cdf = interval_cdf_leb(t_mid, x0, np.minimum(cells, length), 0.0, length)
+        rows.append({"label": n, "w1": w1, "closed_form": 0.5 / n,
+                     "exact": float(np.mean(np.abs(member_cdf - limit_cdf)))})
     tables["marginal_w1"] = rows
-    if len(usable) < len(cfg.n_grid):
+    if len(lengths) < len(cfg.n_grid):
         checks.append({"name": "degenerate_members", "status": "skipped",
                        "reason": "n=1 gives an empty domain"})
-    checks.append(_trend_check("marginal_w1_trend", usable, [r["w1"] for r in rows]))
+    checks.append(_trend_check("marginal_w1_trend", list(lengths), [r["w1"] for r in rows]))
     checks.append(_divergence_check({"limit": limit_ens, **ensembles}))
     return checks, tables
 

@@ -96,6 +96,22 @@ def interval_kernel_leb(t: float, x, y, a: float, length: float) -> np.ndarray:
     return circle_kernel_arc(t, x - y, c) + circle_kernel_arc(t, x + y - 2 * a, c)
 
 
+def interval_cdf_leb(t: float, x0: float, x, a: float, length: float) -> np.ndarray:
+    """P(X_t <= x) for reflected Brownian motion on [a, a+length] started at
+    x0: the integral of ``interval_kernel_leb(t, x0, .)`` from a, as the sine
+    series u + (2/pi) sum_k k^-1 e^{-(k pi/L)^2 t} cos(k pi u0) sin(k pi u) in
+    u = (x-a)/L.  The series stops where e^{-(k pi/L)^2 t} falls below e^-42,
+    the rule of ``circle_kernel_arc``, so it is exact at small t too."""
+    if t <= 0:
+        raise HeatError("t must be positive")
+    L = float(length)
+    u = (np.asarray(x, dtype=float) - a) / L
+    k_max = int(np.ceil(L / np.pi * np.sqrt(42.0 / t))) + 1
+    ks = np.arange(1, k_max + 1)
+    coef = np.exp(-(np.pi * ks / L) ** 2 * t) * np.cos(np.pi * ks * (x0 - a) / L) / ks
+    return u + (2.0 / np.pi) * (np.sin(np.pi * np.multiply.outer(u, ks)) @ coef)
+
+
 class SpectralKernel:
     """Semigroup interface: quadrature grid plus kernel/apply queries.
 

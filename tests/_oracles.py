@@ -6,6 +6,7 @@ series sums for the periodic kernels.  Nothing imports from mmlab.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -117,6 +118,23 @@ def interval_kernel_series(t, x, y, a, length, terms=2000):
     cx = np.cos(np.pi * k * (x - a) / L)
     cy = np.cos(np.pi * k * (y - a) / L)
     return (1.0 + 2.0 * np.sum(np.exp(-lam * t) * cx * cy)) / L
+
+
+def interval_cdf_images(t, x0, x, a, length):
+    """P(X_t <= x) for reflected Brownian motion (variance 2t) on [a, a+L]
+    started at x0: the free Gaussian law summed over the images x0 + 2jL and
+    2a - x0 + 2jL of the reflection group, each image's mass in [a, x]."""
+    L, s = float(length), math.sqrt(2.0 * t)
+    reach = int(math.ceil(20.0 * s / (2.0 * L))) + 2
+
+    def phi(z):
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+    total = 0.0
+    for j in range(-reach, reach + 1):
+        for image in (x0 + 2 * j * L, 2 * a - x0 + 2 * j * L):
+            total += phi((x - image) / s) - phi((a - image) / s)
+    return total
 
 
 def ou_mean_var(a, x0, t):

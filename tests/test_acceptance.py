@@ -300,7 +300,7 @@ def test_criterion_6_ou_family(ou_results):
 
 
 def test_criterion_7_reflected_family(reflected_results):
-    # the bundled reflected_family config: n_grid [1, 2, 4, 8], dt 5e-4
+    # the bundled reflected_family config: n_grid [1, 2, 4, 8], dt 5e-3
     checks, tables, elapsed, cfg = reflected_results
     ks = tables["occupation_ks"][0]
     ok = ks["pvalue"] >= 0.01

@@ -415,6 +415,27 @@ def test_reflection_on_the_wrong_domain_fails_the_report(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("wrong", [False, True])
+def test_reflected_members_on_boxes_too_long_fail_exact_law(tmp_path, monkeypatch, wrong):
+    # members reflected into [0, 1.02 (1 - 1/n)] pass every check that reads
+    # only their samples; only their exact law sees the boxes
+    real = cli.box_domain
+    if wrong:
+        monkeypatch.setattr(cli, "box_domain",
+                            lambda lo, hi: real(lo, hi if hi == 1.0 else 1.02 * hi))
+    code, report = _run_report(tmp_path, scenario="reflected_family", n_grid=[1, 2, 4, 8],
+                               mc_count=10000, dt=5e-3)
+    assert code == (1 if wrong else 0)
+    assert report["pass"] is not wrong
+    assert _status_of(report, "exact_law") == ("fail" if wrong else "pass")
+    for name in ("occupation_ks", "marginal_w1_trend", "em_divergence"):
+        assert _status_of(report, name) == "pass"
+    rows = (tmp_path / "out" / "exact_law.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5
+    [check] = [c for c in report["checks"] if c["name"] == "exact_law"]
+    assert check["level"] == cli.KS_LEVEL / 5
+
+
+@pytest.mark.parametrize("wrong", [False, True])
 def test_ou_members_with_a_doubled_potential_fail_marginal_w2(tmp_path, monkeypatch, wrong):
     made = _spy_on_em(monkeypatch, swap=lambda pot: quadratic_potential(
         (2.0 if wrong else 1.0) * pot.quadratic_coeff))

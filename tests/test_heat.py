@@ -32,7 +32,8 @@ from mmlab import (
 import mmlab.heat as heat
 from mmlab.heat import HeatError
 
-from _oracles import circle_kernel_series, interval_kernel_series, ou_mean_var
+from _oracles import (circle_kernel_series, interval_cdf_images, interval_kernel_series,
+                      ou_mean_var)
 
 
 def random_finite(rng, n):
@@ -131,6 +132,45 @@ def test_interval_kernel_vs_series():
                 x, y = a + fx * length, a + fy * length
                 ref = interval_kernel_series(t, x, y, a, length, terms=4000)
                 assert abs(sk.kernel_value(t, x, y) - ref) <= 1e-9
+
+
+# (a, L, x0) of the Neumann CDF tests: the reflected runner's boxes, one off 0
+CDF_BOXES = [(0.0, 0.5, 0.25), (0.0, 1.0, 0.25), (2.5, 0.5, 2.9), (-1.0, 1.0, -0.9)]
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0, 1.5])
+@pytest.mark.parametrize("a, length, x0", CDF_BOXES)
+def test_interval_cdf_is_a_cdf_on_the_box(t, a, length, x0):
+    x = np.linspace(a, a + length, 2001)
+    cdf = heat.interval_cdf_leb(t, x0, x, a, length)
+    assert cdf[0] == 0.0 and abs(cdf[-1] - 1.0) <= 1e-15
+    assert np.all(np.diff(cdf) >= -1e-15)
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0, 1.5])
+@pytest.mark.parametrize("a, length, x0", CDF_BOXES)
+def test_interval_cdf_differentiates_to_the_kernel(t, a, length, x0):
+    h = 1e-5
+    x = a + length * np.linspace(0.01, 0.99, 99)
+    slope = (heat.interval_cdf_leb(t, x0, x + h, a, length)
+             - heat.interval_cdf_leb(t, x0, x - h, a, length)) / (2 * h)
+    density = heat.interval_kernel_leb(t, x0, x, a, length)
+    assert np.max(np.abs(slope - density)) <= 1e-8 * max(1.0, np.max(density))
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0, 1.5])
+@pytest.mark.parametrize("a, length, x0", CDF_BOXES)
+def test_interval_cdf_matches_the_image_sum(t, a, length, x0):
+    # at t = 0.01 the series needs its e^-42 cut: a fixed short series is off
+    x = a + length * np.linspace(0.0, 1.0, 41)
+    got = heat.interval_cdf_leb(t, x0, x, a, length)
+    ref = [interval_cdf_images(t, x0, xi, a, length) for xi in x]
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def test_interval_cdf_rejects_nonpositive_t():
+    with pytest.raises(HeatError):
+        heat.interval_cdf_leb(0.0, 0.25, 0.5, 0.0, 1.0)
 
 
 def test_torus_product_structure():
