@@ -44,7 +44,7 @@ from .heat import (
     set_generator,
     spectral_gap,
 )
-from .kolmogorov import kstest_uniform, ndtri
+from .kolmogorov import chi2_sf, kstest_uniform, ndtri
 from .paths import (
     PathError,
     euler_maruyama,
@@ -220,8 +220,8 @@ KOLMOGOROV_BETA = 4.0                # the Kolmogorov moment's exponent,
 KOLMOGOROV_T = (0.25, 0.5)           # its start times
 KOLMOGOROV_H = (0.0125, 0.025, 0.05, 0.1)  # and its lags
 OU_FDD_SLACK = 0.5                   # the OU fdd budgets add OU_FDD_SLACK / n
-KS_LEVEL = 0.01                      # the level of the reflected KS tests, Bonferroni
-                                     # split over the exact-law rows
+KS_LEVEL = 0.01                      # the level of the exact-law tests, Bonferroni
+                                     # split over a run's exact-law rows
 # the torus chains step on multiples of min(MODULUS_ETA)/4, as the modulus
 # statistic needs, up to PATH_T, and keep only the times _torus_reads names
 TORUS_GRID = time_grid(min(MODULUS_ETA) / 4, PATH_T)
@@ -229,7 +229,9 @@ TORUS_GRID.flags.writeable = False
 TORUS_NODES = 256                    # grid nodes of the torus limit, the most path-law bins
 CONE_PATHS = 4000                    # the cone runner samples at most this many paths
 OU_T = 1.0                           # the OU runner's horizon, the one time it reads
-OU_DT = 1e-3                         # the OU runner's step when the config sets no dt
+# the OU runner's step when the config sets no dt: Euler-Maruyama from 0 is
+# an exact Gaussian recursion, whose law the exact_law check tests
+OU_DT = 1e-2
 REFLECTED_T = 1.5                    # the reflected runner's horizon
 # the times its tables read: the limit at both, each member only at the first
 REFLECTED_READS = (1.0, REFLECTED_T)
@@ -261,12 +263,17 @@ def _divergence_check(ensembles: dict) -> dict:
 
 
 def _family_checks(cfg: ScenarioConfig, family: SpaceFamily, fns, pmg_slack=None,
-                   fdd_extra=None):
+                   fdd_extra=None, map: Callable = map):
     """The checks every family runner shares, in report order, and their
     tables: measure convergence when ``pmg_slack`` is set (each member's
     tolerance is the largest Lipschitz constant times its fiber bound, plus
     the slack), the point-start fdd gaps with ``fdd_extra`` added to the
-    budgets, the initial-law table, and entropy tightness."""
+    budgets, the initial-law table, and entropy tightness.
+
+    The fdd report evaluates the limit's and each member's functionals
+    through ``map``.  Only a runner that calls this on its own thread may
+    pass a pool's ``map``: called as a pool task, it would wait on tasks
+    queued behind itself, which never start on a one-thread pool."""
     checks, tables = [], {}
     if pmg_slack is not None:
         max_lip = max(f.lip for f in fns)
@@ -274,7 +281,7 @@ def _family_checks(cfg: ScenarioConfig, family: SpaceFamily, fns, pmg_slack=None
                                                 for _, _, cmap in family.members])
         tables["pmg"] = pmg["rows"]
         checks.append(_status("pmg", pmg["pass"]))
-    fdd = fdd_convergence_report(family, cfg.times, fns, extra_budgets=fdd_extra)
+    fdd = fdd_convergence_report(family, cfg.times, fns, extra_budgets=fdd_extra, map=map)
     tables["fdd"] = fdd["rows"]
     checks.append(_status("fdd_gaps", fdd["pass"],
                           max_ratio=_max_ratio(fdd["rows"], "gap", "budget")))
@@ -436,19 +443,34 @@ def _ou_errors(cfg: ScenarioConfig) -> list:
                      [("dt", OU_T)])
 
 
+def ou_em_sigma(a: float, dt: float, T: float) -> float:
+    """The standard deviation of Euler-Maruyama for V = a|x|^2/2 from 0 at
+    T = N dt: x <- r x + sqrt(2 dt) xi with r = 1 - a dt is Gaussian with
+    variance 2 dt (1 - r^(2N)) / (1 - r^2), and 2 dt N when r^2 = 1."""
+    steps = len(time_grid(dt, T)) - 1
+    r2 = (1.0 - a * dt) ** 2
+    if r2 == 1.0:
+        return math.sqrt(2.0 * dt * steps)
+    try:
+        return math.sqrt(2.0 * dt * (1.0 - r2 ** steps) / (1.0 - r2))
+    except OverflowError:  # a * dt > 2: the recursion diverges
+        return math.inf
+
+
 def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     dt = cfg.dt or OU_DT
     limit = EuclideanLogConcave(1, quadratic_potential(1.0))
     members = [(n, EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n)),
                 CollapseMap(limit, lambda x: x, 0.0)) for n in cfg.n_grid]
     family = SpaceFamily(members, limit)
-    # the Euler-Maruyama ensembles sample on the pool while the checks run here
+    # the Euler-Maruyama ensembles sample on the pool first; the checks run
+    # here, and the fdd report's nested functionals go to the pool after them
     futures = {n: pool.submit(euler_maruyama, space.potential, 0.0, dt, OU_T,
                               cfg.mc_count, _seed_for(cfg, 1, i), record=(OU_T,))
                for i, (n, space, _) in enumerate(members)}
     fns = list(line_functions().values())
     checks, tables = _family_checks(cfg, family, fns, fdd_extra={
-        n: OU_FDD_SLACK / n for n in cfg.n_grid})
+        n: OU_FDD_SLACK / n for n in cfg.n_grid}, map=pool.map)
     checks += _trend_checks("fdd_trend", fns, tables["fdd"], "gap", cfg.n_grid, strict=False)
     checks.append(_trend_check("initial_law_trend", cfg.n_grid,
                                [r["w1"] for r in tables["initial_law"]]))
@@ -457,15 +479,33 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     qs = (np.arange(4096) + 0.5) / 4096
     limit_ref = DiscreteMeasure(ndtri(qs) * sigma_inf)
     ensembles = {n: fut.result() for n, fut in futures.items()}
+    finals = {n: ensembles[n].states[:, -1, 0] for n in cfg.n_grid}
+    sigmas = {n: ou_em_sigma(1.0 + 1.0 / n, dt, OU_T) for n in cfg.n_grid}
+
+    # the exact law: sum (x / sigma_EM)^2 of each member's sample is
+    # chi-squared with one degree per path, tested on both sides
     rows = []
-    for n, space, _ in members:
-        final = ensembles[n].states[:, -1, 0]
-        w2 = wasserstein_1d(2, DiscreteMeasure(final), limit_ref)
-        a_n = 1.0 + 1.0 / n
-        closed = abs(np.sqrt((1.0 - np.exp(-2.0 * a_n)) / a_n) - sigma_inf)
+    for n in cfg.n_grid:
+        statistic = float(np.sum(np.square(finals[n] / sigmas[n])))
+        sf = chi2_sf(len(finals[n]), statistic)
+        rows.append({"label": n, "t": OU_T, "sigma": sigmas[n], "statistic": statistic,
+                     "pvalue": min(2.0 * min(sf, 1.0 - sf), 1.0)})  # NaN stays NaN
+    level = KS_LEVEL / len(rows)
+    for r in rows:
+        r["pass"] = bool(r["pvalue"] >= level)
+    tables["exact_law"] = rows
+    checks.append(_status("exact_law", all(r["pass"] for r in rows), level=level,
+                          min_pvalue=min(r["pvalue"] for r in rows)))
+
+    # W2 of each sample to the limit's law, against the W2 |sigma_EM - sigma|
+    # of the two Gaussians, within three spreads of W2 over the parts plus 0.01
+    rows = []
+    for n in cfg.n_grid:
+        w2 = wasserstein_1d(2, DiscreteMeasure(finals[n]), limit_ref)
+        closed = abs(sigmas[n] - sigma_inf)
         qvals = [wasserstein_1d(2, DiscreteMeasure(q), limit_ref)
-                 for q in np.array_split(final, OU_PARTS)]
-        gap, budget = abs(w2 - closed), 3 * float(np.std(qvals)) + 10 * dt + 0.01
+                 for q in np.array_split(finals[n], OU_PARTS)]
+        gap, budget = abs(w2 - closed), 3 * float(np.std(qvals)) + 0.01
         rows.append({"label": n, "w2": w2, "closed_form": closed, "gap": gap,
                      "budget": budget, "pass": bool(gap <= budget)})
     tables["marginal_w2"] = rows

@@ -183,13 +183,17 @@ def mcshane_extend(domain_points, values, H: float, metric) -> Callable:
 def fdd_convergence_report(family: SpaceFamily, times: Sequence[float],
                            functions: Sequence[LipschitzTestFunction],
                            mode: str = "point-start",
-                           extra_budgets: Optional[dict] = None) -> dict:
+                           extra_budgets: Optional[dict] = None,
+                           map: Callable = map) -> dict:
     """Per-member gaps |value_n - value_limit| of the nested fdd functional,
     with the test functions pulled back through the collapse maps and a
     fiber-bound error budget (sum of Lip_i x fiber, plus quadrature slack).
 
     ``extra_budgets`` maps member labels to additional declared tolerance,
     for families whose semigroups differ beyond the collapse geometry.
+    The limit's and each member's functionals are evaluated through ``map``,
+    which must give its results in order: a pool's ``map`` spreads them over
+    its threads and the rows are the same as with the builtin.
     """
     if mode not in ("point-start", "weighted-start"):
         raise ConvergenceError("mode must be point-start or weighted-start")
@@ -200,8 +204,8 @@ def fdd_convergence_report(family: SpaceFamily, times: Sequence[float],
         start = space.base_point if mode == "point-start" else None
         return _nested_functional(space, cmap, times, lists, start)
 
-    vals_limit = values_on(family.limit, None)
-    vals_members = [values_on(space, cmap) for _, space, cmap in family.members]
+    spaces = [(family.limit, None)] + [(space, cmap) for _, space, cmap in family.members]
+    vals_limit, *vals_members = map(lambda pair: values_on(*pair), spaces)
     rows = []
     for fi, f in enumerate(functions):
         val_limit = vals_limit[fi]
@@ -213,7 +217,7 @@ def fdd_convergence_report(family: SpaceFamily, times: Sequence[float],
                 budget += float(extra_budgets.get(label, 0.0))
             gap = abs(val_n - val_limit)
             rows.append({"label": label, "f": f.name, "k": k,
-                         "times": list(map(float, times)), "mode": mode,
+                         "times": [float(t) for t in times], "mode": mode,
                          "value": val_n, "value_limit": val_limit,
                          "gap": gap, "budget": budget,
                          "gap_plus_budget": gap + budget,

@@ -47,7 +47,7 @@ ENTROPY_IDENTITY_TOL = 1e-6  # largest residual entropy_identity_check passes
 SERIES_CROSSOVER = 0.3
 # rows of the Mehler matrix built at a time, in one buffer reused for every
 # slab of an apply, so no dense n x n matrix is held
-MEHLER_SLAB = 256
+MEHLER_SLAB = 128
 
 
 class HeatError(ValueError):

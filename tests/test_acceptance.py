@@ -287,7 +287,7 @@ def test_criterion_5_torus_scenario(torus_results):
 
 
 def test_criterion_6_ou_family(ou_results):
-    # the bundled ou_family config: n_grid [1, 2, 4, 8], dt 1e-3
+    # the bundled ou_family config: n_grid [1, 2, 4, 8], dt 1e-2
     checks, tables, elapsed, cfg = ou_results
     rows = tables["marginal_w2"]
     ok = all(r["gap"] <= r["budget"] for r in rows)

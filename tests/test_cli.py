@@ -11,6 +11,7 @@ import mmlab.paths as paths
 from mmlab import Circle, FiniteMms, quadratic_potential
 from mmlab.cli import ScenarioConfig, main, validate_dict
 from mmlab.convergence import BASELINE_PARTS
+from mmlab.paths import time_grid
 from mmlab.spaces import SpaceError
 
 
@@ -444,6 +445,40 @@ def test_ou_members_with_a_doubled_potential_fail_marginal_w2(tmp_path, monkeypa
     assert len(made) == 2
     assert code == (1 if wrong else 0)
     assert _status_of(report, "marginal_w2") == ("fail" if wrong else "pass")
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_ou_members_with_a_doubled_potential_fail_exact_law(tmp_path, monkeypatch, wrong):
+    # each member's chi-squared row sees half the variance of its exact law
+    made = _spy_on_em(monkeypatch, swap=lambda pot: quadratic_potential(
+        (2.0 if wrong else 1.0) * pot.quadratic_coeff))
+    code, report = _run_report(tmp_path, scenario="ou_family", n_grid=[2, 4],
+                               mc_count=2000, dt=cli.OU_DT)
+    assert len(made) == 2
+    assert code == (1 if wrong else 0)
+    assert _status_of(report, "exact_law") == ("fail" if wrong else "pass")
+    [check] = [c for c in report["checks"] if c["name"] == "exact_law"]
+    assert check["level"] == cli.KS_LEVEL / 2
+    assert (check["min_pvalue"] < 1e-12) is wrong
+    rows = (tmp_path / "out" / "exact_law.csv").read_text().splitlines()
+    assert rows[0] == "label,t,sigma,statistic,pvalue,pass" and len(rows) == 1 + 2
+
+
+@pytest.mark.parametrize("a, dt", [(1.5, 0.01), (2.0, 1e-3), (1.125, 0.05), (0.0, 0.01),
+                                   (30.0, 0.1)])
+def test_ou_em_sigma_is_the_spread_of_the_recursion(a, dt):
+    # Var x_{k+1} = r^2 Var x_k + 2 dt from x_0 = 0, step by step
+    var, r = 0.0, 1.0 - a * dt
+    for _ in range(len(time_grid(dt, cli.OU_T)) - 1):
+        var = r * r * var + 2.0 * dt
+    assert cli.ou_em_sigma(a, dt, cli.OU_T) == pytest.approx(np.sqrt(var), rel=1e-12)
+    if 0 < a * dt < 0.1:
+        continuous = np.sqrt((1.0 - np.exp(-2.0 * a * cli.OU_T)) / a)
+        assert abs(cli.ou_em_sigma(a, dt, cli.OU_T) / continuous - 1.0) < a * dt
+
+
+def test_ou_em_sigma_of_a_diverging_recursion_is_infinite():
+    assert cli.ou_em_sigma(1e5, 0.01, cli.OU_T) == np.inf
 
 
 def test_steep_ou_member_gives_finite_fdd_cells(tmp_path):

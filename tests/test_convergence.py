@@ -1,3 +1,4 @@
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,7 +34,7 @@ from mmlab import (
 )
 import mmlab.convergence as convergence
 import mmlab.heat as heat
-from mmlab.cli import _interval_chain, circle_functions, line_functions
+from mmlab.cli import _interval_chain, chain_functions, circle_functions, line_functions
 from mmlab.convergence import (
     ConvergenceError,
     _bin_edges,
@@ -399,6 +400,44 @@ def test_pathlaw_rows_through_a_pool_map_equal_the_builtin_map(kind):
     assert solved == [convergence.BASELINE_SPLITS + 3]
     assert pooled["pass"] == serial["pass"]
     assert len(pooled["rows"]) == len(serial["rows"]) == 3
+    for a, b in zip(pooled["rows"], serial["rows"]):
+        assert list(a.items()) == list(b.items())
+
+
+def _ou_family(ns):
+    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
+    return SpaceFamily([(n, EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n)),
+                         CollapseMap(limit, lambda x: x, 0.0)) for n in ns], limit)
+
+
+@pytest.mark.parametrize("kind", ["ou", "torus", "cone"])
+def test_fdd_rows_through_a_pool_map_equal_the_builtin_map(kind):
+    if kind == "ou":
+        fam, fns = _ou_family([1, 2, 4, 8]), list(line_functions().values())
+    elif kind == "torus":
+        fam, fns = torus_family([1, 2, 4], nodes=(64, 16)), list(circle_functions().values())
+    else:
+        fam = cone_family([1, 2, 4])
+        fns = list(chain_functions(fam.limit.coords[:, 0]).values())
+    extra = {n: 0.5 / n for n, _, _ in fam.members}
+    serial = fdd_convergence_report(fam, [0.25, 0.75], fns, extra_budgets=extra)
+    mapped, threads = [], set()
+    with ThreadPoolExecutor(2) as pool:
+        def pool_map(fn, items):
+            items = list(items)
+            mapped.append(len(items))
+
+            def on_pool(item):
+                threads.add(threading.current_thread() is threading.main_thread())
+                return fn(item)
+            return pool.map(on_pool, items)
+
+        pooled = fdd_convergence_report(fam, [0.25, 0.75], fns, extra_budgets=extra,
+                                        map=pool_map)
+    # the limit's functionals and each member's, in one map off this thread
+    assert mapped == [1 + len(fam.members)] and threads == {False}
+    assert pooled["pass"] == serial["pass"]
+    assert len(pooled["rows"]) == len(serial["rows"]) == len(fns) * len(fam.members)
     for a, b in zip(pooled["rows"], serial["rows"]):
         assert list(a.items()) == list(b.items())
 

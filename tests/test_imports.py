@@ -82,6 +82,18 @@ def test_run_imports_no_scipy_inside_run_scenario(tmp_path, kind):
         assert seen["heavy"] == []
 
 
+def test_bundled_ou_run_imports_no_scipy_inside_run_scenario(tmp_path):
+    # 10,000 paths per member: a KS row at this size with n D^2 >= 2.2 would
+    # reach smirnov; the OU exact law is a chi-squared test and needs no scipy
+    out = tmp_path / "ou"
+    seen = _python(RUN, json.dumps(["run", "scripts/ou_family.json", "--threads", "2",
+                                    "--out", str(out)]))
+    assert seen == {"inside": [], "ma_inside": [False], "heavy": []}
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] and not report["incomplete"]
+    assert (out / "exact_law.csv").exists()
+
+
 def test_validate_loads_no_heavy_scipy():
     configs = sorted(str(p) for p in (ROOT / "scripts").glob("*.json"))
     script = """

@@ -91,6 +91,25 @@ def test_ou_submits_its_sampling_before_the_fdd_report(monkeypatch):
     assert ("submit", "euler_maruyama") not in log[fdd:]
 
 
+def test_ou_evaluates_its_fdd_functionals_on_the_pool(monkeypatch):
+    on_main = []
+    real = convergence._nested_functional
+
+    def spy(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "_nested_functional", spy)
+    log = []
+    cfg = ScenarioConfig(scenario="ou_family", n_grid=[2, 4], mc_count=300, dt=5e-3)
+    with RecordingPool(log) as pool:
+        cli.run_ou(cfg, pool)
+    # the limit's and each member's, in one pool map after the sampling
+    assert on_main == [False] * 3
+    assert [entry for entry in log if entry[0] == "map"] == [("map", "<lambda>")]
+    assert log.index(("map", "<lambda>")) > log.index(("submit", "euler_maruyama"))
+
+
 def test_cone_builds_its_meshes_on_the_pool(monkeypatch):
     on_main = []
     real = cli.mesh_cone
@@ -151,12 +170,16 @@ SMALL = {
     "cone_interval": {"n_grid": [1, 2], "mc_count": 2000},
     "reflected_family": {"n_grid": [2, 4], "mc_count": 2000, "dt": 0.005},
 }
+CONFIGS = {kind: {"scenario": kind, "seed": 31, **cfg} for kind, cfg in SMALL.items()}
+# at full size the two threads share the sampling and the five fdd
+# functionals, each on the 4096-node Mehler grid
+CONFIGS["ou_family_bundled"] = json.loads((SRC.parent / "scripts" / "ou_family.json").read_text())
 
 
-@pytest.mark.parametrize("scenario", sorted(SMALL))
+@pytest.mark.parametrize("scenario", sorted(CONFIGS))
 def test_run_is_byte_identical_at_one_and_two_threads(tmp_path, scenario):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": scenario, "seed": 31, **SMALL[scenario]}))
+    cfg.write_text(json.dumps(CONFIGS[scenario]))
     codes = [main(["run", str(cfg), "--threads", threads, "--out", str(tmp_path / threads)])
              for threads in ("1", "2")]
     assert codes[0] == codes[1]
