@@ -658,8 +658,9 @@ class Scenario:
     a run loads only what it uses.  A module first imported inside the run
     holds up the pool threads that reach it while it loads, so ``imports``
     names the modules the runner always reaches, to be loaded in set-up: the
-    transport LP for the torus and the cone, and the cone mesh's graph
-    distances."""
+    cone mesh's graph distances.  The torus and cone path laws' binned W_1
+    is a grid flow solved with numpy alone, so no run loads the transport
+    LP's ``scipy.optimize``."""
 
     about: str
     run: Callable
@@ -671,10 +672,10 @@ class Scenario:
 SCENARIOS = {
     "torus_collapse": Scenario(
         "flat tori with shrinking second factor collapsing onto a circle",
-        run_torus, _torus_errors, BASELINE_PARTS, ("scipy.optimize",)),
+        run_torus, _torus_errors, BASELINE_PARTS),
     "cone_interval": Scenario(
         "triangulated narrowing cones collapsing onto a weighted interval",
-        run_cone, _cone_errors, BASELINE_PARTS, ("scipy.optimize", "scipy.sparse.csgraph")),
+        run_cone, _cone_errors, BASELINE_PARTS, ("scipy.sparse.csgraph",)),
     "ou_family": Scenario(
         "Ornstein-Uhlenbeck family V_n = (1+1/n)|x|^2/2 tightening to V = |x|^2/2",
         run_ou, _ou_errors, OU_PARTS),

@@ -264,9 +264,10 @@ def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
 
     The path rows are snapped onto one set of per-coordinate bins, taken
     from the limit and every member pooled (bin diameter reported in the
-    budget), each row with weight one, and W_1 is solved exactly on the
-    bins, as a min-cost flow on the bin grid where the limit's metric
-    allows, else as the dense transport LP (see ``_binned_w1``).  The
+    budget, which is 0 on a finite limit, whose bins are its atoms), each
+    row with weight one, and W_1 is solved exactly on the bins: as a
+    min-cost flow on the bin grid by a network simplex where the limit's
+    metric allows, else as the dense transport LP (see ``_binned_w1``).  The
     self-distance baseline and its spread are the mean and standard
     deviation of the binned W_1 between the two halves of
     ``BASELINE_SPLITS`` random half/half splits of the limit's paths.
@@ -304,7 +305,8 @@ def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
     split_vals = values[:BASELINE_SPLITS]
     baseline = float(np.mean(split_vals))
     se = float(np.std(split_vals)) + 1e-12
-    bin_budget = float(sum(spec[1] for spec in specs))
+    # a finite limit's bins are its atoms, so binning moves no mass there
+    bin_budget = 0.0 if isinstance(limit, FiniteMms) else float(sum(s[1] for s in specs))
     rows = []
     for (label, _, cmap), value in zip(members, values[BASELINE_SPLITS:]):
         fiber = 0.0 if cmap is None else cmap.fiber_diameter_bound
@@ -368,21 +370,17 @@ def _binned_w1(limit: PmmSpace, mu, nu, specs) -> float:
     """W_1 under the sum metric between binned laws ``(cells, weights)``.
 
     When on every coordinate the limit's metric between the occupied bins is
-    a path or cycle metric, W_1 is the min-cost flow on the bin grid, unless
-    that grid has more arcs than the dense plan has pairs; otherwise it is
-    the dense transport LP on the bin centers.
+    a path or cycle metric, W_1 is the min-cost flow on the bin grid, solved
+    by ``wasserstein_grid`` with numpy alone; otherwise it is the dense
+    transport LP on the bin centers (HiGHS, through ``wasserstein_exact``).
     """
     (a, wa), (b, wb) = mu, nu
     first = np.minimum(a.min(axis=0), b.min(axis=0))
     last = np.maximum(a.max(axis=0), b.max(axis=0))
     graphs = [_axis_graph(limit, spec, f, l) for spec, f, l in zip(specs, first, last)]
     if all(g is not None for g in graphs):
-        sizes = last - first + 1
-        n_arcs = sum(2 * len(edges) * np.prod(sizes) // s
-                     for (edges, _), s in zip(graphs, sizes))
-        if n_arcs <= len(wa) * len(wb):
-            return wasserstein_grid(a - first, wa, b - first, wb,
-                                    [g[0] for g in graphs], [g[1] for g in graphs])
+        return wasserstein_grid(a - first, wa, b - first, wb,
+                                [g[0] for g in graphs], [g[1] for g in graphs])
     mu_b, nu_b = _center_measure(mu, specs), _center_measure(nu, specs)
     value, _ = wasserstein_exact(
         1, mu_b, nu_b, dist_matrix=product_distance_matrix(limit, mu_b.atoms, nu_b.atoms))

@@ -1,12 +1,12 @@
 """Exact optimal transport between discrete measures.
 
-Small-scale, exactness-first: Wasserstein distances are computed by linear
-programming (HiGHS), 1-D instances additionally by the quantile formula, and
-dual lower bounds come from finite families of Lipschitz functions.  W_1
-between measures on a grid of cells, under a sum of 1-D path or cycle
-metrics, is the min-cost flow on the grid graph (a sparse LP with O(cells)
-arcs); any other ground metric goes to the dense transportation LP.  No
-entropic regularization anywhere.
+Small-scale, exactness-first: W_1 between measures on a grid of cells, under
+a sum of 1-D path or cycle metrics, is the min-cost flow on the grid graph
+(O(cells) edges), solved exactly by a network simplex in numpy and Python
+that certifies its own optimality; any other ground metric goes to the
+dense transportation LP (HiGHS, imported only there).  1-D instances also
+have the quantile formula, and dual lower bounds come from finite families
+of Lipschitz functions.  No entropic regularization anywhere.
 """
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 MARGINAL_TOL = 1e-9
+# wasserstein_grid's optimality certificate: dual feasibility on every edge
+# and the primal-dual gap, relative to the scale of the potentials
+CERTIFICATE_TOL = 1e-9
+# the network simplex's candidate list, and the fraction of the longest edge
+# below which a negative reduced cost is round-off
+PRICING_CANDIDATES = 50
+PRICING_TOL = 1e-11
 
 
 class TransportError(ValueError):
@@ -186,57 +193,233 @@ def wasserstein_grid(mu_cells, mu_weights, nu_cells, nu_weights,
     ``edge_costs[j][i]`` is the length of the edge from cell i to cell i+1,
     and on a cycle the last entry closes it from the last cell back to cell 0.
     Cells are integer rows of shape (n, k).  W_1 for the graph's shortest-path
-    metric, summed over the axes, is the min-cost flow that moves the supply
-    mu - nu along the grid edges (Beckmann's form), solved as a sparse LP with
-    one balance row per cell and two directed arcs per edge.
+    metric, summed over the axes, is the uncapacitated min-cost flow that
+    moves the supply mu - nu along the grid edges (Beckmann's form), solved
+    exactly by ``_network_simplex``.  The solution certifies itself, or
+    TransportError is raised: the flow meets every node balance within
+    MARGINAL_TOL, and within CERTIFICATE_TOL (relative to the potentials'
+    scale) the potentials change by at most the edge length along every edge
+    and the flow's cost equals the potentials' dual value.
     """
-    costs = [np.asarray(c, dtype=float) for c in edge_costs]
-    sizes = tuple(len(c) + (0 if cyc else 1) for c, cyc in zip(costs, periodic))
+    sizes, tails, heads, cost = _grid_edges(edge_costs, periodic)
+    if not np.all(np.isfinite(cost) & (cost >= 0)):
+        raise TransportError("edge lengths must be finite and nonnegative")
     n_cells = int(np.prod(sizes))
     mu_flat = np.ravel_multi_index(np.asarray(mu_cells).T, sizes)
     nu_flat = np.ravel_multi_index(np.asarray(nu_cells).T, sizes)
     supply = (np.bincount(mu_flat, weights=mu_weights, minlength=n_cells)
               - np.bincount(nu_flat, weights=nu_weights, minlength=n_cells))
-    grid = np.arange(n_cells).reshape(sizes)
-    tails, heads, arc_costs = [], [], []
-    for j, (c, cyc) in enumerate(zip(costs, periodic)):
-        take = [slice(None)] * len(sizes)
-        take[j] = slice(None) if cyc else slice(0, sizes[j] - 1)
-        take = tuple(take)
-        here = grid[take].ravel()
-        there = np.roll(grid, -1, axis=j)[take].ravel()
-        shape = [1] * len(sizes)
-        shape[j] = len(c)
-        cost = np.broadcast_to(c.reshape(shape), grid[take].shape).ravel()
-        tails += [here, there]
-        heads += [there, here]
-        arc_costs += [cost, cost]
-    tails, heads = np.concatenate(tails), np.concatenate(heads)
-    n_arcs = len(tails)
-    if n_arcs == 0:  # a single cell: nothing moves
-        flow, value = np.zeros(0), 0.0
-    else:
-        from scipy.optimize import linprog
-        from scipy.sparse import coo_matrix
-
-        arcs = np.arange(n_arcs)
-        incidence = coo_matrix(
-            (np.concatenate([np.ones(n_arcs), -np.ones(n_arcs)]),
-             (np.concatenate([tails, heads]), np.concatenate([arcs, arcs]))),
-            shape=(n_cells, n_arcs)).tocsr()
-        # HiGHS's default primal feasibility tolerance, 1e-7, lets a flow
-        # miss its node balance by more than MARGINAL_TOL
-        res = linprog(np.concatenate(arc_costs), A_eq=incidence, b_eq=supply,
-                      bounds=(0, None), method="highs",
-                      options={"primal_feasibility_tolerance": 1e-10})
-        if not res.success:
-            raise TransportError("grid flow LP failed: %s" % res.message)
-        flow, value = res.x, float(max(res.fun, 0.0))
+    if not np.all(np.isfinite(supply)):
+        raise TransportError("weights must be finite")
+    flow, pi, _ = _network_simplex(supply, tails, heads, cost)
     balance = np.bincount(tails, weights=flow, minlength=n_cells) \
         - np.bincount(heads, weights=flow, minlength=n_cells)
     if np.max(np.abs(balance - supply)) > MARGINAL_TOL:
         raise TransportError("grid flow violates node balance")
+    value = float(cost @ np.abs(flow))
+    tol = CERTIFICATE_TOL * (1.0 + float(np.max(np.abs(pi))))
+    if np.max(np.abs(pi[tails] - pi[heads]) - cost, initial=0.0) > tol:
+        raise TransportError("grid flow potentials are not dual feasible")
+    if abs(value - float(supply @ pi)) > tol * max(1.0, float(np.sum(np.abs(supply)))):
+        raise TransportError("grid flow cost and its dual value disagree")
     return value
+
+
+def _grid_edges(edge_costs: Sequence, periodic: Sequence[bool]):
+    """The grid of ``wasserstein_grid`` as a graph: its sizes, and the
+    tails, heads and lengths of its edges between cells numbered in C order.
+    The cycle through a single cell closes on that cell and is left out."""
+    costs = [np.asarray(c, dtype=float) for c in edge_costs]
+    sizes = tuple(len(c) + (0 if cyc else 1) for c, cyc in zip(costs, periodic))
+    grid = np.arange(int(np.prod(sizes))).reshape(sizes)
+    tails, heads, cost = [], [], []
+    for j, (c, cyc) in enumerate(zip(costs, periodic)):
+        take = [slice(None)] * len(sizes)
+        take[j] = slice(None) if cyc else slice(0, sizes[j] - 1)
+        take = tuple(take)
+        shape = [1] * len(sizes)
+        shape[j] = len(c)
+        tails.append(grid[take].ravel())
+        heads.append(np.roll(grid, -1, axis=j)[take].ravel())
+        cost.append(np.broadcast_to(c.reshape(shape), grid[take].shape).ravel())
+    tails, heads, cost = np.concatenate(tails), np.concatenate(heads), np.concatenate(cost)
+    keep = tails != heads
+    return sizes, tails[keep], heads[keep], cost[keep]
+
+
+class _SpanningTree:
+    """A strongly feasible spanning-tree basis of the uncapacitated min-cost
+    flow on a connected undirected graph, whose edges carry flow either way
+    at their cost per unit (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+    ch. 11).
+
+    The tree hangs from node 0.  Every other node v holds the tree edge to
+    its parent: ``pred[v]``, the edge; ``up[v]``, whether the basic arc
+    points to the parent; ``flow[v]`` >= 0, the flow on that arc; and
+    ``step[v]``, v's potential minus its parent's, which prices that arc at
+    reduced cost zero.  Every arc with zero flow points to the root, which
+    makes the tree strongly feasible.
+    """
+
+    def __init__(self, supply, tails, heads, cost):
+        n = len(supply)
+        self.tails, self.heads, self.cost = tails, heads, cost
+        # the far end and the edge of each edge end, grouped by node
+        ends = np.concatenate([tails, heads])
+        by_end = np.argsort(ends, kind="stable")
+        other = np.concatenate([heads, tails])[by_end].tolist()
+        edge = (by_end % max(len(tails), 1)).tolist()
+        start = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
+        parent, pred = [-1] * n, [-1] * n
+        seen, order = [True] + [False] * (n - 1), [0]
+        for v in order:  # breadth first: the list grows while it is read
+            for s in range(start[v], start[v + 1]):
+                w = other[s]
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w], pred[w] = v, edge[s]
+                    order.append(w)
+        if len(order) < n:
+            raise TransportError("the flow graph is not connected")
+        # a tree edge carries the net supply of the subtree below it, and
+        # a subtree with none sends zero flow towards the root
+        below = supply.tolist()
+        for v in reversed(order[1:]):
+            below[parent[v]] += below[v]
+        cost_list = cost.tolist()
+        up = [b >= 0.0 for b in below]
+        flow = [abs(b) for b in below]
+        flow[0] = 0.0
+        step, pi, depth = [0.0] * n, [0.0] * n, [0] * n
+        children = [[] for _ in range(n)]
+        for v in order[1:]:
+            p = parent[v]
+            step[v] = cost_list[pred[v]] if up[v] else -cost_list[pred[v]]
+            pi[v] = pi[p] + step[v]
+            depth[v] = depth[p] + 1
+            children[p].append(v)
+        self.parent, self.pred, self.up, self.flow, self.step = parent, pred, up, flow, step
+        self.pi, self.depth, self.children = pi, depth, children
+
+    def solve(self) -> int:
+        """Pivot to an optimal tree and return the number of pivots.
+
+        Pricing keeps a candidate list: one numpy pass over every edge finds
+        the ``PRICING_CANDIDATES`` arcs of most negative reduced cost, and
+        each is priced again from the current potentials before it enters.
+        The leaving arc is the last blocking arc met going round the cycle
+        from its apex, which keeps the tree strongly feasible, so the method
+        cannot cycle.
+        """
+        tails, heads, cost = self.tails, self.heads, self.cost
+        tail_list, head_list, cost_list = tails.tolist(), heads.tolist(), cost.tolist()
+        parent, pred, up, flow, step = self.parent, self.pred, self.up, self.flow, self.step
+        pi, depth, children = self.pi, self.depth, self.children
+        # a reduced cost within this of zero is round-off in the potentials
+        tol = PRICING_TOL * float(np.max(cost, initial=0.0))
+        inf = float("inf")
+        pivots = 0
+        while True:
+            p = np.array(pi)
+            gain = np.abs(p[tails] - p[heads]) - cost
+            cand = np.flatnonzero(gain > tol)
+            if len(cand) == 0:
+                return pivots
+            if len(cand) > PRICING_CANDIDATES:
+                cand = cand[np.argpartition(gain[cand], -PRICING_CANDIDATES)
+                            [-PRICING_CANDIDATES:]]
+            # a candidate that has fallen below the list's last place since
+            # the pass waits for the next pass
+            floor = float(np.min(gain[cand]))
+            for e in cand[np.argsort(-gain[cand], kind="stable")].tolist():
+                u, v, c = tail_list[e], head_list[e], cost_list[e]
+                d = pi[u] - pi[v]
+                if abs(d) - c < floor:
+                    continue
+                if d < 0.0:
+                    u, v = v, u  # the arc u -> v enters
+                pivots += 1
+                # Walk up from u and from v to their apex.  The cycle runs
+                # apex -> u -> v -> apex, and an arc against it blocks.  Of
+                # the blocking arcs of least flow the last one met from the
+                # apex leaves: on the way up from v the one nearest the apex,
+                # else on the way down to u the one nearest u.
+                a, b = u, v
+                delta_u = delta_v = inf
+                leave_u = leave_v = -1
+                while a != b:
+                    da, db = depth[a], depth[b]
+                    if da >= db:
+                        if up[a] and flow[a] < delta_u:
+                            delta_u, leave_u = flow[a], a
+                        a = parent[a]
+                    if db >= da:
+                        if not up[b] and flow[b] <= delta_v:
+                            delta_v, leave_v = flow[b], b
+                        b = parent[b]
+                # with no negative edge the cycle has a blocking arc, as
+                # its cost, the entering arc's reduced cost, is negative
+                from_v = leave_v >= 0 and delta_v <= delta_u
+                delta, leave = (delta_v, leave_v) if from_v else (delta_u, leave_u)
+                if delta > 0.0:
+                    w = u
+                    while w != a:
+                        flow[w] += -delta if up[w] else delta
+                        w = parent[w]
+                    w = v
+                    while w != a:
+                        flow[w] += delta if up[w] else -delta
+                        w = parent[w]
+                # cut the leaving arc and hang its side of the tree from the
+                # entering arc, reversing the tree path between the two
+                if from_v:
+                    x, new_parent, new_up, new_step = v, u, False, -c
+                else:
+                    x, new_parent, new_up, new_step = u, v, True, c
+                new_pred, new_flow, w = e, delta, x
+                while True:
+                    old_parent, old_pred, old_up, old_flow, old_step = \
+                        parent[w], pred[w], up[w], flow[w], step[w]
+                    children[old_parent].remove(w)
+                    children[new_parent].append(w)
+                    parent[w], pred[w], up[w], flow[w], step[w] = \
+                        new_parent, new_pred, new_up, new_flow, new_step
+                    if w == leave:
+                        break
+                    new_parent, new_pred, new_up, new_flow, new_step = \
+                        w, old_pred, not old_up, old_flow, -old_step
+                    w = old_parent
+                # only the potentials and depths of the moved side change
+                stack = [x]
+                while stack:
+                    w = stack.pop()
+                    q = parent[w]
+                    pi[w] = pi[q] + step[w]
+                    depth[w] = depth[q] + 1
+                    stack += children[w]
+
+    def edge_flows(self) -> np.ndarray:
+        """The flow on every edge, positive from its tail to its head."""
+        nodes = np.arange(1, len(self.pi))
+        pred = np.array(self.pred[1:], dtype=np.intp)
+        along = np.array(self.up[1:], dtype=bool) == (self.tails[pred] == nodes)
+        x = np.zeros(len(self.tails))
+        x[pred] = np.where(along, 1.0, -1.0) * np.array(self.flow[1:])
+        return x
+
+
+def _network_simplex(supply, tails, heads, cost):
+    """Min-cost flow meeting ``supply`` (out minus in, per node) on a
+    connected undirected graph with edges ``tails[i] -- heads[i]`` of
+    ``cost[i]`` >= 0 per unit either way.
+
+    Returns the flow on every edge (positive from tail to head), node
+    potentials with pi[tail] - pi[head] = cost on every edge that carries
+    flow from tail to head, and the number of pivots.
+    """
+    tree = _SpanningTree(supply, tails, heads, cost)
+    pivots = tree.solve()
+    return tree.edge_flows(), np.array(tree.pi), pivots
 
 
 def kr_dual_bound(mu: DiscreteMeasure, nu: DiscreteMeasure,

@@ -404,6 +404,19 @@ def test_pathlaw_rows_through_a_pool_map_equal_the_builtin_map(kind):
         assert list(a.items()) == list(b.items())
 
 
+def test_pathlaw_bin_budget_is_zero_on_a_finite_limit():
+    # the bins of a finite limit are its atoms, so binning moves no mass;
+    # on a circle each coordinate's bins are one arc wide
+    grid = np.array([0.0, 0.25, 0.75])
+    for fam, budget in ((cone_family([1, 2]), 0.0),
+                        (torus_family([1, 2], nodes=(64, 16)), 2 * (2 * np.pi / 8))):
+        ensembles = {n: sample_kernel_chain(space, "base", grid, 200, seed=i)
+                     for i, (n, space, _) in enumerate(fam.members)}
+        limit_ens = sample_kernel_chain(fam.limit, "base", grid, 200, seed=9)
+        out = pathlaw_w1(fam.members, ensembles, limit_ens, [0.25, 0.75], bins=8, seed=3)
+        assert [row["bin_budget"] for row in out["rows"]] == pytest.approx([budget] * 2)
+
+
 def _ou_family(ns):
     limit = EuclideanLogConcave(1, quadratic_potential(1.0))
     return SpaceFamily([(n, EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n)),
@@ -557,14 +570,25 @@ def test_binned_w1_disjoint_supports_on_circle_arc(monkeypatch):
     assert abs(_binned_w1(circle, mu, nu, specs) - dense) <= 1e-12
 
 
-def test_binned_w1_few_atoms_on_large_grid_take_dense_lp(monkeypatch):
-    # 4 x 3 pairs against 24 x 24 cells with 2304 arcs: the dense plan is smaller
+def test_binned_w1_few_atoms_on_large_grid_take_grid_flow(monkeypatch):
+    # 4 x 3 pairs against 24 x 24 cells: the dense plan is the smaller
+    # problem, but the grid flow needs no scipy and gives the same value
     circle = Circle(2 * np.pi)
     specs = [_bin_edges(circle, None, 24)] * 2
     mu = (np.array([[0, 0], [0, 23], [5, 9], [23, 23]]), np.full(4, 0.25))
     nu = (np.array([[1, 7], [12, 12], [20, 3]]), np.array([0.5, 0.25, 0.25]))
-    forbid(monkeypatch, "wasserstein_grid")
-    assert _binned_w1(circle, mu, nu, specs) == dense_binned_w1(circle, mu, nu, specs)
+    dense = dense_binned_w1(circle, mu, nu, specs)
+    solved = []
+    real = convergence.wasserstein_grid
+
+    def spy(*args):
+        solved.append(real(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(convergence, "wasserstein_grid", spy)
+    forbid(monkeypatch, "wasserstein_exact")
+    assert abs(_binned_w1(circle, mu, nu, specs) - dense) <= 1e-12
+    assert len(solved) == 1 and dense > 0
 
 
 def test_binned_w1_non_chain_finite_takes_dense_lp(monkeypatch):

@@ -48,6 +48,13 @@ print(json.dumps({"inside": inside, "ma_inside": ma_inside,
 """ % HEAVY
 
 
+CSGRAPH_ALONE = """
+import json, sys
+import scipy.sparse.csgraph
+print(json.dumps([m for m in %r if m in sys.modules]))
+""" % HEAVY
+
+
 def _python(script, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
@@ -80,6 +87,11 @@ def test_run_imports_no_scipy_inside_run_scenario(tmp_path, kind):
         assert seen["ma_inside"] == [False]
     if not cli.SCENARIOS[kind].imports:
         assert seen["heavy"] == []
+    # the path laws' grid flows need no scipy: the cone's heavy modules are
+    # those its mesh's csgraph loads
+    assert "scipy.optimize" not in seen["heavy"]
+    if kind == "cone_interval":
+        assert seen["heavy"] == _python(CSGRAPH_ALONE)
 
 
 def test_bundled_ou_run_imports_no_scipy_inside_run_scenario(tmp_path):
@@ -92,6 +104,18 @@ def test_bundled_ou_run_imports_no_scipy_inside_run_scenario(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] and not report["incomplete"]
     assert (out / "exact_law.csv").exists()
+
+
+def test_bundled_torus_run_loads_no_heavy_scipy(tmp_path):
+    # 10,000 paths per member: fourteen binned W1 solves on up to 24 x 24
+    # cells, all grid flows
+    out = tmp_path / "torus"
+    seen = _python(RUN, json.dumps(["run", "scripts/torus_collapse.json", "--threads", "2",
+                                    "--out", str(out)]))
+    assert seen["inside"] == [] and seen["heavy"] == []
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] and not report["incomplete"]
+    assert (out / "pathlaw.csv").exists()
 
 
 def test_validate_loads_no_heavy_scipy():

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -14,8 +16,11 @@ from mmlab import (
     wasserstein_exact,
     wasserstein_grid,
 )
+import mmlab.transport as transport
 from mmlab.transport import (
     TransportError,
+    _grid_edges,
+    _network_simplex,
     _sorted_union,
     displacement_interpolation_1d,
     unique_rows,
@@ -299,6 +304,137 @@ def test_grid_flow_disjoint_supports():
         flow = wasserstein_grid(a, wa, b, wb, costs, periodic)
         assert flow > 0
         assert abs(flow - dense_grid_w1(sizes, costs, periodic, a, wa, b, wb)) <= 1e-9
+
+
+def test_grid_flow_rejects_negative_or_non_finite_input():
+    cells = np.array([[0], [2]])
+    for costs in ([np.array([1.0, -0.5])], [np.array([1.0, np.nan])],
+                  [np.array([np.inf, 1.0])]):
+        with pytest.raises(TransportError, match="edge lengths"):
+            wasserstein_grid(cells, [0.5, 0.5], cells[::-1], [0.5, 0.5], costs, [False])
+    with pytest.raises(TransportError, match="weights"):
+        wasserstein_grid(cells, [np.nan, 0.5], cells, [0.5, 0.5], [np.ones(2)], [False])
+
+
+def test_grid_flow_single_cell():
+    for costs, periodic in (([np.zeros(0)], [False]), ([np.array([0.7])], [True]),
+                            ([np.array([0.7]), np.zeros(0)], [True, False])):
+        cell = np.zeros((1, len(costs)), dtype=int)
+        assert wasserstein_grid(cell, [1.0], cell, [1.0], costs, periodic) == 0.0
+        assert _grid_edges(costs, periodic)[1].size == 0
+
+
+def test_grid_flow_cycles_of_one_and_two_cells():
+    # a one-cell cycle is a self-loop, a two-cell cycle two parallel edges,
+    # of which the flow takes the shorter
+    two = [np.array([2.0, 0.5])]
+    assert wasserstein_grid([[0]], [1.0], [[1]], [1.0], two, [True]) == 0.5
+    assert wasserstein_grid([[1]], [1.0], [[0]], [1.0], two, [True]) == 0.5
+    rng = np.random.default_rng(3)
+    for sizes, periodic in (([1, 5], [True, False]), ([2, 4], [True, True]),
+                            ([2, 1, 3], [True, True, False]), ([4, 2], [False, True])):
+        costs = [rng.uniform(0.1, 2.0, size=s if cyc else s - 1)
+                 for s, cyc in zip(sizes, periodic)]
+        for _ in range(5):
+            a, wa = random_cells(rng, sizes, 6)
+            b, wb = random_cells(rng, sizes, 6)
+            flow = wasserstein_grid(a, wa, b, wb, costs, periodic)
+            assert abs(flow - dense_grid_w1(sizes, costs, periodic, a, wa, b, wb)) <= 1e-12
+
+
+def test_grid_flow_zero_supply_moves_nothing():
+    rng = np.random.default_rng(12)
+    for k in (1, 2, 3):
+        sizes, costs, periodic = random_grid(rng, k)
+        _, tails, heads, cost = _grid_edges(costs, periodic)
+        flow, pi, _ = _network_simplex(np.zeros(int(np.prod(sizes))), tails, heads, cost)
+        assert not flow.any()
+        assert np.all(np.abs(pi[tails] - pi[heads]) <= cost * (1 + 1e-12))
+        a, wa = random_cells(rng, sizes, 10)
+        assert wasserstein_grid(a, wa, a, wa, costs, periodic) == 0.0
+
+
+@pytest.mark.parametrize("sizes, periodic", [((24, 24), (True, True)),
+                                             ((24, 25), (False, False))])
+def test_grid_flow_integer_counts_end_within_two_pivots_per_cell(sizes, periodic):
+    # the bundled path-law grids with unit edges and integer supplies: every
+    # flow is an integer, and many pivots move none of it
+    n = int(np.prod(sizes))
+    _, tails, heads, cost = _grid_edges([np.ones(s if cyc else s - 1)
+                                         for s, cyc in zip(sizes, periodic)], periodic)
+    rng = np.random.default_rng(2024)
+    smooth = np.exp(np.cos(2 * np.pi * np.arange(n) / n) + rng.normal(0, 0.3, n))
+    smooth /= smooth.sum()
+    for count in (20, 2000, 10000):
+        # a rough law against the uniform one, and two samples of one law
+        for p, q in ((rng.dirichlet(np.ones(n)), np.full(n, 1.0 / n)), (smooth, smooth)):
+            supply = (rng.multinomial(count, p) - rng.multinomial(count, q)).astype(float)
+            flow, pi, pivots = _network_simplex(supply, tails, heads, cost)
+            assert pivots <= 2 * n
+            assert np.array_equal(flow, np.round(flow))
+            assert np.all(np.abs(pi[tails] - pi[heads]) <= cost * (1 + 1e-12))
+            assert cost @ np.abs(flow) == pytest.approx(supply @ pi, rel=1e-14, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.integers(1, 12), min_size=1, max_size=3))
+def test_grid_flow_matches_dense_lp_up_to_twelve_cells_an_axis(seed, sizes):
+    rng = np.random.default_rng(seed)
+    periodic = [bool(rng.integers(0, 2)) for _ in sizes]
+    costs = [rng.uniform(0.1, 2.0, size=s if cyc else s - 1) for s, cyc in zip(sizes, periodic)]
+    a, wa = random_cells(rng, sizes, int(rng.integers(1, 12)))
+    b, wb = random_cells(rng, sizes, int(rng.integers(1, 12)))
+    flow = wasserstein_grid(a, wa, b, wb, costs, periodic)
+    assert abs(flow - dense_grid_w1(sizes, costs, periodic, a, wa, b, wb)) <= 1e-12
+
+
+def test_grid_flow_is_the_same_on_a_pool_thread():
+    rng = np.random.default_rng(6)
+    costs, periodic = [np.full(24, 2 * np.pi / 24)] * 2, [True, True]
+    a, wa = random_cells(rng, [24, 24], 300)
+    b, wb = random_cells(rng, [24, 24], 300)
+    here = wasserstein_grid(a, wa, b, wb, costs, periodic)
+    with ThreadPoolExecutor(2) as pool:
+        there = list(pool.map(lambda _: wasserstein_grid(a, wa, b, wb, costs, periodic),
+                              range(2)))
+    assert there == [here, here]
+
+
+def _two_dimensional_pair():
+    rng = np.random.default_rng(9)
+    sizes, periodic = [6, 5], [True, False]
+    costs = [rng.uniform(0.1, 2.0, size=s if cyc else s - 1) for s, cyc in zip(sizes, periodic)]
+    a, wa = random_cells(rng, sizes, 8)
+    b, wb = random_cells(rng, sizes, 8)
+    return a, wa, b, wb, costs, periodic
+
+
+def test_grid_flow_certificate_rejects_a_solve_stopped_before_any_pivot(monkeypatch):
+    def no_pivots(supply, tails, heads, cost):
+        tree = transport._SpanningTree(supply, tails, heads, cost)
+        return tree.edge_flows(), np.array(tree.pi), 0
+
+    pair = _two_dimensional_pair()
+    assert wasserstein_grid(*pair) > 0
+    monkeypatch.setattr(transport, "_network_simplex", no_pivots)
+    # the starting tree's flow is feasible, so the node balance holds and
+    # the dual side of the certificate is what fails
+    with pytest.raises(TransportError, match="dual feasible"):
+        wasserstein_grid(*pair)
+
+
+def test_grid_flow_certificate_rejects_a_primal_dual_gap(monkeypatch):
+    real = transport._network_simplex
+
+    def flat_potentials(*args):
+        flow, pi, pivots = real(*args)
+        return flow, np.zeros_like(pi), pivots
+
+    pair = _two_dimensional_pair()
+    monkeypatch.setattr(transport, "_network_simplex", flat_potentials)
+    # zero potentials are feasible, but their dual value 0 is below the cost
+    with pytest.raises(TransportError, match="disagree"):
+        wasserstein_grid(*pair)
 
 
 def test_discrete_measure_merges_only_equal_atoms():
