@@ -170,6 +170,16 @@ def _max_ratio(rows, value: str, budget: str) -> float:
     return max(r[value] / r[budget] for r in rows)
 
 
+def _exact_law_check(rows: list) -> dict:
+    """Each exact-law row passes when its p-value reaches KS_LEVEL split over
+    the rows (Bonferroni); a NaN p-value fails.  Sets each row's ``pass``."""
+    level = KS_LEVEL / len(rows)
+    for r in rows:
+        r["pass"] = bool(r["pvalue"] >= level)
+    return _status("exact_law", all(r["pass"] for r in rows), level=level,
+                   min_pvalue=min(r["pvalue"] for r in rows))
+
+
 # --- test-function families -------------------------------------------------
 
 def circle_functions() -> dict:
@@ -233,6 +243,7 @@ OU_T = 1.0                           # the OU runner's horizon, the one time it 
 # an exact Gaussian recursion, whose law the exact_law check tests
 OU_DT = 1e-2
 REFLECTED_T = 1.5                    # the reflected runner's horizon
+REFLECTED_X0 = 0.25                  # and the start of its paths
 # the times its tables read: the limit at both, each member only at the first
 REFLECTED_READS = (1.0, REFLECTED_T)
 # the reflected runner's step when no dt is set: with zero drift the mirror
@@ -490,12 +501,8 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         sf = chi2_sf(len(finals[n]), statistic)
         rows.append({"label": n, "t": OU_T, "sigma": sigmas[n], "statistic": statistic,
                      "pvalue": min(2.0 * min(sf, 1.0 - sf), 1.0)})  # NaN stays NaN
-    level = KS_LEVEL / len(rows)
-    for r in rows:
-        r["pass"] = bool(r["pvalue"] >= level)
     tables["exact_law"] = rows
-    checks.append(_status("exact_law", all(r["pass"] for r in rows), level=level,
-                          min_pvalue=min(r["pvalue"] for r in rows)))
+    checks.append(_exact_law_check(rows))
 
     # W2 of each sample to the limit's law, against the W2 |sigma_EM - sigma|
     # of the two Gaussians, within three spreads of W2 over the parts plus 0.01
@@ -518,22 +525,26 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
 
 
 def _reflected_errors(cfg: ScenarioConfig) -> list:
-    return _off_grid(time_grid(cfg.dt or REFLECTED_DT, REFLECTED_T),
-                     "multiples of dt up to %g" % REFLECTED_T,
-                     [("dt", t) for t in REFLECTED_READS])
+    errors = _off_grid(time_grid(cfg.dt or REFLECTED_DT, REFLECTED_T),
+                       "multiples of dt up to %g" % REFLECTED_T,
+                       [("dt", t) for t in REFLECTED_READS])
+    # a member n > 1 reflects into [0, 1 - 1/n], which must hold the start
+    return errors + ["n_grid: the box [0, 1 - 1/n] of n=%s leaves out the start %g"
+                     % (n, REFLECTED_X0) for n in cfg.n_grid
+                     if n > 1 and 1.0 - 1.0 / n < REFLECTED_X0]
 
 
 def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     dt = cfg.dt or REFLECTED_DT
     t_mid, T = REFLECTED_READS
     v0 = quadratic_potential(0.0)
-    x0 = 0.25
+    x0 = REFLECTED_X0
     checks, tables = [], {}
     limit_future = pool.submit(euler_maruyama, v0, x0, dt, T, cfg.mc_count,
                                _seed_for(cfg, 2), domain=box_domain(0.0, 1.0),
                                record=REFLECTED_READS)
     # each member reflects into [0, length]; the exact law reads the same length
-    lengths = {n: 1.0 - 1.0 / n for n in cfg.n_grid if n >= 2}
+    lengths = {n: 1.0 - 1.0 / n for n in cfg.n_grid if n > 1}
     # a member is read only at t_mid, so it stops there; its draws come in
     # the same order, and its state at t_mid is the one a run to T would keep
     futures = {n: pool.submit(euler_maruyama, v0, x0, dt, t_mid, cfg.mc_count,
@@ -564,12 +575,8 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
             interval_cdf_leb(t, x0, ens.state_at(t)[:, 0], 0.0, length))
         rows.append({"label": label, "t": t, "length": length, "statistic": statistic,
                      "pvalue": pvalue})
-    level = KS_LEVEL / len(rows)
-    for r in rows:
-        r["pass"] = bool(r["pvalue"] >= level)
     tables["exact_law"] = rows
-    checks.append(_status("exact_law", all(r["pass"] for r in rows), level=level,
-                          min_pvalue=min(r["pvalue"] for r in rows)))
+    checks.append(_exact_law_check(rows))
 
     # the exact W1 = int |F_n - F| dx at t_mid, by the midpoint rule on [0, 1]
     cells = (np.arange(EXACT_W1_CELLS) + 0.5) / EXACT_W1_CELLS
@@ -583,9 +590,12 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         rows.append({"label": n, "w1": w1, "closed_form": 0.5 / n,
                      "exact": float(np.mean(np.abs(member_cdf - limit_cdf)))})
     tables["marginal_w1"] = rows
-    if len(lengths) < len(cfg.n_grid):
+    skipped = [n for n in cfg.n_grid if n not in lengths]
+    if skipped:
         checks.append({"name": "degenerate_members", "status": "skipped",
-                       "reason": "n=1 gives an empty domain"})
+                       "reason": "%s %s an empty domain" % (
+                           ", ".join("n=%s" % n for n in skipped),
+                           "gives" if len(skipped) == 1 else "give")})
     checks.append(_trend_check("marginal_w1_trend", list(lengths), [r["w1"] for r in rows]))
     checks.append(_divergence_check({"limit": limit_ens, **ensembles}))
     return checks, tables
@@ -658,9 +668,9 @@ class Scenario:
     a run loads only what it uses.  A module first imported inside the run
     holds up the pool threads that reach it while it loads, so ``imports``
     names the modules the runner always reaches, to be loaded in set-up: the
-    cone mesh's graph distances.  The torus and cone path laws' binned W_1
-    is a grid flow solved with numpy alone, so no run loads the transport
-    LP's ``scipy.optimize``."""
+    cone mesh's graph distances.  Every binned W_1 is a grid flow solved
+    with numpy alone, so no run loads the dense transport LP's
+    ``scipy.optimize``."""
 
     about: str
     run: Callable

@@ -29,7 +29,6 @@ from .transport import (
     DiscreteMeasure,
     unique_rows,
     wasserstein_1d,
-    wasserstein_exact,
     wasserstein_grid,
 )
 
@@ -230,7 +229,11 @@ def _bin_edges(limit: PmmSpace, pooled: Optional[np.ndarray], bins: int):
     """Bins of one coordinate: (lo, width, count, period); period is the
     circumference of a periodic coordinate and None otherwise.  Circle bins
     start half a grid node below 0, so for ``bins`` up to ``n_nodes`` every
-    grid node lies well inside a bin and each bin holds whole nodes."""
+    grid node lies well inside a bin and each bin holds whole nodes.
+
+    The limit's metric between bin centers is the path metric through the
+    bins in order, or on a circle the cycle metric; a finite limit whose
+    atoms do not form such a chain, in index order, raises ConvergenceError."""
     if isinstance(limit, Circle):
         c = limit.circumference
         return -c / (2 * limit.n_nodes), c / bins, bins, c
@@ -238,21 +241,14 @@ def _bin_edges(limit: PmmSpace, pooled: Optional[np.ndarray], bins: int):
         return limit.a, limit.length / bins, bins, None
     if isinstance(limit, FiniteMms):
         # states are atom indices: unit bins snap to the indices themselves
+        pos = np.concatenate([[0.0], np.cumsum(np.diagonal(limit.dist, 1))])
+        if not np.allclose(np.abs(pos[:, None] - pos[None, :]), limit.dist,
+                           rtol=1e-12, atol=0.0):
+            raise ConvergenceError("the finite limit's atoms must form a chain in index order")
         return -0.5, 1.0, limit.n, None
     lo = float(np.min(pooled)) - 1e-9
     hi = float(np.max(pooled)) + 1e-9
     return lo, (hi - lo) / bins, bins, None
-
-
-def product_distance_matrix(limit: PmmSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Sum-metric distances between product-space atoms (1-D blocks)."""
-    # flat pairs: a space may read a trailing axis as one point's coordinates,
-    # so (n, 1) against (1, m) need not broadcast to the n x m pairs
-    rows, cols = np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))
-    out = np.zeros(len(rows))
-    for j in range(A.shape[1]):
-        out += np.asarray(limit.distance(rows[:, j], cols[:, j]))
-    return out.reshape(len(A), len(B))
 
 
 def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
@@ -265,9 +261,8 @@ def pathlaw_w1(members: Sequence, ensembles: dict, ensemble_limit: PathEnsemble,
     The path rows are snapped onto one set of per-coordinate bins, taken
     from the limit and every member pooled (bin diameter reported in the
     budget, which is 0 on a finite limit, whose bins are its atoms), each
-    row with weight one, and W_1 is solved exactly on the bins: as a
-    min-cost flow on the bin grid by a network simplex where the limit's
-    metric allows, else as the dense transport LP (see ``_binned_w1``).  The
+    row with weight one, and W_1 is solved exactly on the bins as a min-cost
+    flow on the bin grid, by a network simplex (see ``_binned_w1``).  The
     self-distance baseline and its spread are the mean and standard
     deviation of the binned W_1 between the two halves of
     ``BASELINE_SPLITS`` random half/half splits of the limit's paths.
@@ -336,55 +331,35 @@ def _weighted_rebin(atoms: np.ndarray, weights: np.ndarray, specs):
     return uniq, w / w.sum()
 
 
-def _center_measure(binned, specs) -> DiscreteMeasure:
-    """A binned law ``(cells, weights)`` as atoms at its bin centers."""
-    cells, w = binned
-    centers = np.empty(cells.shape)
-    for j, (lo, width, _, _) in enumerate(specs):
-        centers[:, j] = lo + (cells[:, j] + 0.5) * width
-    return DiscreteMeasure(centers, w)
-
-
 def _axis_graph(limit: PmmSpace, spec, first: int, last: int):
-    """Edge lengths of the path (or cycle) through bins first..last of one
-    coordinate, or None when the limit's distance between those bin centers
-    is not that graph's shortest-path metric."""
+    """Edge lengths of the path through bins first..last of one coordinate,
+    closed into a cycle on a periodic coordinate, and whether it is closed.
+    Each edge is the limit's distance between neighbouring bin centers."""
     lo, width, _, period = spec
     centers = lo + (np.arange(first, last + 1) + 0.5) * width
-    d = product_distance_matrix(limit, centers[:, None], centers[:, None])
+    edges = limit.distance(centers[:-1], centers[1:])
     # closing a cycle through one or two bins adds no route
     cyclic = period is not None and len(centers) > 2
-    edges = np.diagonal(d, 1)
-    pos = np.concatenate([[0.0], np.cumsum(edges)])
-    graph = np.abs(pos[:, None] - pos[None, :])
     if cyclic:
         # the closing edge may jump over empty bins: their supply is zero
-        edges = np.append(edges, d[-1, 0])
-        graph = np.minimum(graph, pos[-1] + edges[-1] - graph)
-    if not np.allclose(graph, d, rtol=1e-12, atol=0.0):
-        return None
+        edges = np.append(edges, limit.distance(centers[-1], centers[0]))
     return edges, cyclic
 
 
 def _binned_w1(limit: PmmSpace, mu, nu, specs) -> float:
     """W_1 under the sum metric between binned laws ``(cells, weights)``.
 
-    When on every coordinate the limit's metric between the occupied bins is
-    a path or cycle metric, W_1 is the min-cost flow on the bin grid, solved
-    by ``wasserstein_grid`` with numpy alone; otherwise it is the dense
-    transport LP on the bin centers (HiGHS, through ``wasserstein_exact``).
+    On every coordinate the limit's metric between bins is a path metric,
+    or a cycle metric on a circle (``_bin_edges``), so W_1 is the min-cost
+    flow on the grid of bins from the first to the last occupied one on each
+    coordinate, solved by ``wasserstein_grid`` with numpy alone.
     """
     (a, wa), (b, wb) = mu, nu
     first = np.minimum(a.min(axis=0), b.min(axis=0))
     last = np.maximum(a.max(axis=0), b.max(axis=0))
-    graphs = [_axis_graph(limit, spec, f, l) for spec, f, l in zip(specs, first, last)]
-    if all(g is not None for g in graphs):
-        return wasserstein_grid(a - first, wa, b - first, wb,
-                                [g[0] for g in graphs], [g[1] for g in graphs])
-    mu_b, nu_b = _center_measure(mu, specs), _center_measure(nu, specs)
-    value, _ = wasserstein_exact(
-        1, mu_b, nu_b, dist_matrix=product_distance_matrix(limit, mu_b.atoms, nu_b.atoms))
-    return value
+    edges, cyclic = zip(*(_axis_graph(limit, spec, f, l)
+                          for spec, f, l in zip(specs, first, last)))
+    return wasserstein_grid(a - first, wa, b - first, wb, edges, cyclic)
 
 
 def entropy_tightness(family: SpaceFamily, eps: float) -> dict:

@@ -3,8 +3,10 @@
 Small-scale, exactness-first: W_1 between measures on a grid of cells, under
 a sum of 1-D path or cycle metrics, is the min-cost flow on the grid graph
 (O(cells) edges), solved exactly by a network simplex in numpy and Python
-that certifies its own optimality; any other ground metric goes to the
-dense transportation LP (HiGHS, imported only there).  1-D instances also
+that certifies its own optimality; the lab's binned W_1 is always such a
+flow.  W_p between measures under any finite ground metric is the dense
+transportation LP (HiGHS, imported only there), kept as a library function
+and as the oracle the grid flow is tested against.  1-D instances also
 have the quantile formula, and dual lower bounds come from finite families
 of Lipschitz functions.  No entropic regularization anywhere.
 """

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -70,6 +71,8 @@ FINITE_FILES = {"coincident.txt": "2 0\n0.5 0.5\n0 0\n0 0\n", "one_atom.txt": "1
     ('{"scenario": "ou_family", "out_dir": 5, %s}' % SMALL, "out_dir: "),
     ('{"scenario": "ou_family", "out_dir": "", %s}' % SMALL, "out_dir: "),
     ('{"scenario": "cone_interval", "n_grid": [0.5], "mc_count": 8}', "n_grid: "),
+    ('{"scenario": "reflected_family", "n_grid": [1.2], "mc_count": 8}',
+     "n_grid: the box [0, 1 - 1/n] of n=1.2 leaves out the start 0.25"),
     ('{"scenario": "ou_family", "seed": -1, %s}' % SMALL, "seed: "),
     ('{"scenario": []}', "scenario: "),
     ('[1, 2]', "config must be a JSON object"),
@@ -143,6 +146,28 @@ def test_reflected_runs_every_dt_that_validate_accepts(tmp_path, dt, accepted):
         return
     _, report = _run_report(tmp_path, **raw)
     assert report["incomplete"] is False
+
+
+def test_reflected_keeps_every_member_with_a_nonempty_box(tmp_path):
+    # n = 1.5 reflects into [0, 1/3], which holds the start 0.25; the box
+    # of n = 4/3 ends on it
+    raw = {"scenario": "reflected_family", "n_grid": [1.5, 2, 4], "mc_count": 200}
+    assert validate_dict(raw) == [] and validate_dict({**raw, "n_grid": [4 / 3]}) == []
+    _, report = _run_report(tmp_path, **raw)
+    assert report["incomplete"] is False
+    assert "degenerate_members" not in [c["name"] for c in report["checks"]]
+    for table in ("exact_law", "marginal_w1"):
+        with open(tmp_path / "out" / ("%s.csv" % table)) as fh:
+            labels = [row["label"] for row in csv.DictReader(fh)]
+        assert labels[-3:] == ["1.5", "2", "4"], table
+
+
+def test_reflected_names_each_member_it_skips(tmp_path):
+    _, report = _run_report(tmp_path, scenario="reflected_family", n_grid=[0.5, 1, 2],
+                            mc_count=40)
+    [check] = [c for c in report["checks"] if c["name"] == "degenerate_members"]
+    assert check == {"name": "degenerate_members", "status": "skipped",
+                     "reason": "n=0.5, n=1 give an empty domain"}
 
 
 def test_validate_rejects_ou_dt_off_the_read_time():

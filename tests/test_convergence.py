@@ -39,10 +39,8 @@ from mmlab.convergence import (
     ConvergenceError,
     _bin_edges,
     _binned_w1,
-    _center_measure,
     _nested_functional,
     _weighted_rebin,
-    product_distance_matrix,
 )
 from mmlab.paths import PathEnsemble, make_rng
 
@@ -487,16 +485,6 @@ def test_pathlaw_baseline_is_binned_on_the_shared_bins():
     assert baseline(limit_only) != pytest.approx(row["baseline"], rel=1e-3)
 
 
-def test_product_distance_matrix_sum_metric():
-    circle = Circle(2 * np.pi)
-    A = np.array([[0.0, 0.0], [1.0, 6.0]])
-    B = np.array([[0.5, 2 * np.pi - 0.5]])
-    d = product_distance_matrix(circle, A, B)
-    assert d.shape == (2, 1)
-    assert d[0, 0] == pytest.approx(0.5 + 0.5)
-    assert d[1, 0] == pytest.approx(0.5 + abs(2 * np.pi - 6.0 - 0.5) % (2 * np.pi))
-
-
 def uneven_chain(n=9, seed=0):
     pos = np.cumsum(np.random.default_rng(seed).uniform(0.05, 1.0, n))
     return FiniteMms(dist=np.abs(pos[:, None] - pos[None, :]), weights=np.ones(n), base_index=0)
@@ -528,17 +516,23 @@ def binned_pair(limit, k, bins, seed):
             _weighted_rebin(b, rng.dirichlet(np.ones(300)), specs), specs)
 
 
+def bin_centers(cells, specs):
+    """The centers of integer cells, one column per coordinate's bins."""
+    return np.stack([lo + (cells[:, j] + 0.5) * width
+                     for j, (lo, width, _, _) in enumerate(specs)], axis=1)
+
+
 def dense_binned_w1(limit, mu, nu, specs):
-    mu_b, nu_b = _center_measure(mu, specs), _center_measure(nu, specs)
-    value, _ = wasserstein_exact(
-        1, mu_b, nu_b, dist_matrix=product_distance_matrix(limit, mu_b.atoms, nu_b.atoms))
+    """The oracle: the dense transport LP between two binned laws' atoms at
+    their bin centers, under the sum over coordinates of the limit's metric."""
+    mu_b, nu_b = (DiscreteMeasure(bin_centers(cells, specs), w) for cells, w in (mu, nu))
+    # flat pairs: a space may read a trailing axis as one point's coordinates
+    rows = np.repeat(mu_b.atoms, len(nu_b.atoms), axis=0)
+    cols = np.tile(nu_b.atoms, (len(mu_b.atoms), 1))
+    d = sum(np.asarray(limit.distance(rows[:, j], cols[:, j])) for j in range(len(specs)))
+    value, _ = wasserstein_exact(1, mu_b, nu_b,
+                                 dist_matrix=d.reshape(len(mu_b.atoms), len(nu_b.atoms)))
     return value
-
-
-def forbid(monkeypatch, name):
-    def fail(*args, **kwargs):
-        raise AssertionError("%s must not be called" % name)
-    monkeypatch.setattr(convergence, name, fail)
 
 
 @pytest.mark.parametrize("limit,k,bins", [
@@ -546,17 +540,15 @@ def forbid(monkeypatch, name):
     (Interval(-1.0, 2.0), 1, 24), (Interval(0.0, 1.0), 2, 10),
     (uneven_chain(), 1, 0), (uneven_chain(), 2, 0),
 ])
-def test_binned_w1_flow_matches_dense(monkeypatch, limit, k, bins):
+def test_binned_w1_flow_matches_dense(limit, k, bins):
     for seed in range(3):
         mu, nu, specs = binned_pair(limit, k, bins, seed)
         dense = dense_binned_w1(limit, mu, nu, specs)
-        with monkeypatch.context() as m:
-            forbid(m, "wasserstein_exact")
-            assert abs(_binned_w1(limit, mu, nu, specs) - dense) <= 1e-9
-            assert abs(_binned_w1(limit, mu, mu, specs)) <= 1e-12
+        assert abs(_binned_w1(limit, mu, nu, specs) - dense) <= 1e-9
+        assert abs(_binned_w1(limit, mu, mu, specs)) <= 1e-12
 
 
-def test_binned_w1_disjoint_supports_on_circle_arc(monkeypatch):
+def test_binned_w1_disjoint_supports_on_circle_arc():
     # supports on two arcs with empty bins between and around them: the
     # cycle through the occupied range closes over bins 22 and 23
     circle = Circle(2 * np.pi)
@@ -565,7 +557,6 @@ def test_binned_w1_disjoint_supports_on_circle_arc(monkeypatch):
     mu = (np.arange(0, 8)[:, None], rng.dirichlet(np.ones(8)))
     nu = (np.arange(15, 22)[:, None], rng.dirichlet(np.ones(7)))
     dense = dense_binned_w1(circle, mu, nu, specs)
-    forbid(monkeypatch, "wasserstein_exact")
     assert dense > 0
     assert abs(_binned_w1(circle, mu, nu, specs) - dense) <= 1e-12
 
@@ -586,22 +577,20 @@ def test_binned_w1_few_atoms_on_large_grid_take_grid_flow(monkeypatch):
         return solved[-1]
 
     monkeypatch.setattr(convergence, "wasserstein_grid", spy)
-    forbid(monkeypatch, "wasserstein_exact")
     assert abs(_binned_w1(circle, mu, nu, specs) - dense) <= 1e-12
     assert len(solved) == 1 and dense > 0
 
 
-def test_binned_w1_non_chain_finite_takes_dense_lp(monkeypatch):
+def test_binned_w1_non_chain_finite_limit_raises():
+    # the atoms of this limit form no chain, so no grid flow gives its W_1:
+    # both binned reports raise rather than solve on the chain's edges
     limit = non_chain_finite()
-    forbid(monkeypatch, "wasserstein_grid")
-    for k in (1, 2):
-        mu, nu, specs = binned_pair(limit, k, 0, k)
-        # the atoms are the states, so the dense LP runs on them unchanged
-        a = DiscreteMeasure(mu[0].astype(float), mu[1])
-        b = DiscreteMeasure(nu[0].astype(float), nu[1])
-        d = sum(limit.dist[np.ix_(mu[0][:, j], nu[0][:, j])] for j in range(k))
-        ref, _ = wasserstein_exact(1, a, b, dist_matrix=d)
-        assert _binned_w1(limit, mu, nu, specs) == ref
+    with pytest.raises(ConvergenceError, match="chain"):
+        initial_law_w1(SpaceFamily([("self", limit, None)], limit))
+    states = np.random.default_rng(0).integers(0, limit.n, size=(40, 3, 1))
+    ens = PathEnsemble(np.array([0.0, 0.5, 1.0]), states, limit)
+    with pytest.raises(ConvergenceError, match="chain"):
+        pathlaw_w1([("self", limit, None)], {"self": ens}, ens, [0.5, 1.0])
 
 
 def _exact_ring_law(space, rings, eps, res):
@@ -615,7 +604,7 @@ def _exact_ring_law(space, rings, eps, res):
     return np.argwhere(law > 0), law[law > 0]
 
 
-def test_binned_w1_grid_flow_holds_node_balance_on_exact_cone_laws(monkeypatch):
+def test_binned_w1_grid_flow_holds_node_balance_on_exact_cone_laws():
     # at HiGHS's default primal feasibility tolerance (1e-7) the flow missed
     # its node balance by 1.1e-8 against a uniform-weight limit, and
     # wasserstein_grid raised
@@ -627,7 +616,6 @@ def test_binned_w1_grid_flow_holds_node_balance_on_exact_cone_laws(monkeypatch):
     states = np.arange(res + 1)
     uniform_law = _exact_ring_law(uniform, states, eps, res)
     true_law = _exact_ring_law(chain, states, eps, res)
-    forbid(monkeypatch, "wasserstein_exact")
     values = {}
     for n in (1, 2, 4, 8):
         cone = mesh_cone(n, res)
@@ -641,7 +629,7 @@ def test_binned_w1_grid_flow_holds_node_balance_on_exact_cone_laws(monkeypatch):
     assert all(0.3 < v < 0.36 for pair in values.values() for v in pair)
 
 
-def test_binned_w1_on_circle_bins_matches_cdf_formula(monkeypatch):
+def test_binned_w1_on_circle_bins_matches_cdf_formula():
     # on a circle W_1 = int |F - G - median(F - G)| (median weighted by arc
     # length), here for laws on the centers of the 64 arcs of the initial-law spec
     c = 3.0
@@ -659,7 +647,6 @@ def test_binned_w1_on_circle_bins_matches_cdf_formula(monkeypatch):
     order = np.argsort(h)
     median = h[order][np.searchsorted(np.cumsum(lengths[order]), 0.5 * c)]
     ref = float(np.sum(lengths * np.abs(h - median)))
-    forbid(monkeypatch, "wasserstein_exact")
     assert abs(_binned_w1(Circle(c), (a, wa), (b, wb), specs) - ref) <= 1e-9
 
 
@@ -677,7 +664,7 @@ def test_weighted_rebin_interval_endpoint():
     cells, w = _weighted_rebin(np.array([[0.0], [1.9], [2.0]]), np.full(3, 1 / 3), specs)
     assert cells.tolist() == [[0], [3]]
     assert w == pytest.approx([1 / 3, 2 / 3])
-    center = _center_measure((cells, w), specs).atoms[-1, 0]
+    center = bin_centers(cells, specs)[-1, 0]
     assert interval.a <= center <= interval.b
 
 
