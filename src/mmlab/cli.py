@@ -9,7 +9,6 @@ versions.  Reruns with the same config are byte-identical.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import math
 import os
@@ -661,22 +660,12 @@ def run_custom_finite(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
 @dataclass(frozen=True)
 class Scenario:
     """One scenario kind: what it runs, its runner, the config errors only it
-    can see, the fewest paths its runner can split, and the scipy modules
-    ``main`` imports before the run.
-
-    The lab imports each scipy module inside the function that calls it, so
-    a run loads only what it uses.  A module first imported inside the run
-    holds up the pool threads that reach it while it loads, so ``imports``
-    names the modules the runner always reaches, to be loaded in set-up: the
-    cone mesh's graph distances.  Every binned W_1 is a grid flow solved
-    with numpy alone, so no run loads the dense transport LP's
-    ``scipy.optimize``."""
+    can see, and the fewest paths its runner can split."""
 
     about: str
     run: Callable
     errors: Callable
     min_paths: int
-    imports: tuple = ()
 
 
 SCENARIOS = {
@@ -685,7 +674,7 @@ SCENARIOS = {
         run_torus, _torus_errors, BASELINE_PARTS),
     "cone_interval": Scenario(
         "triangulated narrowing cones collapsing onto a weighted interval",
-        run_cone, _cone_errors, BASELINE_PARTS, ("scipy.sparse.csgraph",)),
+        run_cone, _cone_errors, BASELINE_PARTS),
     "ou_family": Scenario(
         "Ornstein-Uhlenbeck family V_n = (1+1/n)|x|^2/2 tightening to V = |x|^2/2",
         run_ou, _ou_errors, OU_PARTS),
@@ -742,12 +731,7 @@ def write_csv(path: str, rows: list) -> None:
 
 
 def run_scenario(cfg: ScenarioConfig, threads: int = 1, out_dir: str = None) -> int:
-    """Run one scenario on ``threads`` pool workers and write its outputs.
-
-    ``main`` loads ``Scenario.imports`` first, so a direct caller pays those
-    scipy imports inside the run.  They stay in ``main``: ``perfbench/child.py``
-    times this call as ``run_s``, and ``tests/test_imports.py`` asserts that
-    no scipy module is first imported inside it."""
+    """Run one scenario on ``threads`` pool workers and write its outputs."""
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
@@ -826,10 +810,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print("ok")
         return 0
-    cfg = ScenarioConfig(**raw)
-    for module in SCENARIOS[cfg.scenario].imports:
-        importlib.import_module(module)
-    return run_scenario(cfg, threads=args.threads, out_dir=args.out)
+    return run_scenario(ScenarioConfig(**raw), threads=args.threads, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -489,7 +489,8 @@ def bishop_gromov_check(space: PmmSpace, N: float, K: float, D: float, radii) ->
 
 def mesh_cone(n: int, resolution: int) -> FiniteMms:
     """Triangulated point cloud on {y^2 + z^2 = x/n, 0 <= x <= 1} with
-    graph-geodesic distances; ``coords`` holds the nodes, apex first."""
+    graph-geodesic distances, invariant bit for bit under rotation by
+    2 pi / resolution; ``coords`` holds the nodes, apex first."""
     if n < 1:
         raise SpaceError("n must be >= 1")
     if resolution < CONE_MIN_RESOLUTION:
@@ -501,41 +502,48 @@ def mesh_cone(n: int, resolution: int) -> FiniteMms:
     phis = 2 * np.pi * np.arange(angular) / angular
 
     # node 0 is the apex; ring j node k is 1 + j*angular + k
-    coords = [np.array([0.0, 0.0, 0.0])]
-    for x, r in zip(xs, radii):
-        for p in phis:
-            coords.append(np.array([x, r * np.cos(p), r * np.sin(p)]))
-    coords = np.asarray(coords)
+    ring_xyz = np.stack([np.repeat(xs[:, None], angular, axis=1),
+                         radii[:, None] * np.cos(phis), radii[:, None] * np.sin(phis)],
+                        axis=-1)
+    coords = np.concatenate([np.zeros((1, 3)), ring_xyz.reshape(-1, 3)])
     n_nodes = len(coords)
 
-    rows, cols = [], []
+    # one edge group per row, one column per angle: apex spokes, ring
+    # edges, then the radial and diagonal edges to the next ring out
+    k = np.arange(angular)
+    ring = 1 + angular * np.arange(rings)[:, None]
+    node = ring + k
+    turn = ring + (k + 1) % angular
+    heads = np.concatenate([np.zeros((1, angular), dtype=int), node, node[:-1], node[:-1]])
+    tails = np.concatenate([node[:1], turn, node[1:], turn[1:]])
+    # every edge takes the length of its copy at angle 0, so the graph is
+    # exactly invariant under rotation by 2 pi / angular
+    lengths = np.linalg.norm(coords[heads[:, 0]] - coords[tails[:, 0]], axis=1)
+    lengths = np.repeat(lengths, angular)
 
-    def connect(i, j):
-        rows.append(i)
-        cols.append(j)
-
-    for k in range(angular):
-        connect(0, 1 + k)
-    for j in range(rings):
-        for k in range(angular):
-            a = 1 + j * angular + k
-            connect(a, 1 + j * angular + (k + 1) % angular)
-            if j + 1 < rings:
-                b = 1 + (j + 1) * angular + k
-                connect(a, b)
-                connect(a, 1 + (j + 1) * angular + (k + 1) % angular)
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    lengths = np.linalg.norm(coords[rows] - coords[cols], axis=1)
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components, shortest_path
-
-    graph = coo_matrix((lengths, (rows, cols)), shape=(n_nodes, n_nodes))
-    graph = graph.maximum(graph.T)
-    n_comp, _ = connected_components(graph, directed=False)
-    if n_comp != 1:
-        raise SpaceError("cone mesh graph is disconnected; increase resolution")
-    dist = shortest_path(graph, method="D", directed=False)
+    # Bellman-Ford from the apex and angle 0 of each ring: a sweep relaxes
+    # every directed edge, grouped by target, until no distance changes
+    src = np.concatenate([heads.ravel(), tails.ravel()])
+    dst = np.concatenate([tails.ravel(), heads.ravel()])
+    order = np.argsort(dst, kind="stable")
+    src, weight = src[order], np.concatenate([lengths, lengths])[order]
+    starts = np.searchsorted(dst[order], np.arange(n_nodes))
+    sources = np.concatenate([[0], ring[:, 0]])
+    reach = np.full((len(sources), n_nodes), np.inf)
+    reach[np.arange(len(sources)), sources] = 0.0
+    while True:
+        relaxed = np.minimum(reach, np.minimum.reduceat(reach[:, src] + weight, starts, axis=1))
+        if np.array_equal(relaxed, reach):
+            break
+        reach = relaxed
+    # node (j, k) sees the mesh as node (j, 0) does, turned back by k angles;
+    # a disconnected mesh leaves an inf, which FiniteMms rejects
+    turned = ring[None] + (k[None, None, :] - k[:, None, None]) % angular
+    columns = np.concatenate([np.zeros((angular, 1), dtype=int),
+                              turned.reshape(angular, -1)], axis=1)
+    row = np.concatenate([[0], np.repeat(np.arange(1, rings + 1), angular)])
+    angle = np.concatenate([[0], np.tile(k, rings)])
+    dist = reach[row[:, None], columns[angle]]
 
     # Hausdorff-proportional atom weights: meridian arclength times ring girth
     ds = np.empty(rings)

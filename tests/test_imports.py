@@ -1,6 +1,7 @@
 """Each run loads only the scipy it calls: the lab imports scipy modules where
-they are used, and ``main`` loads a scenario's ``Scenario.imports`` in
-set-up.  Every check here runs in a fresh interpreter."""
+they are used, and no run of any kind at seed 1234 loads a ``HEAVY`` module,
+through ``lab run`` or through a direct ``run_scenario``.  Every check here
+runs in a fresh interpreter."""
 
 import json
 import os
@@ -47,10 +48,14 @@ print(json.dumps({"inside": inside, "ma_inside": ma_inside,
                   "heavy": [m for m in %r if m in sys.modules]}))
 """ % HEAVY
 
-
-CSGRAPH_ALONE = """
+# runs the config argv[1] by a direct run_scenario into argv[2], outside
+# main, and prints the heavy modules loaded at the end
+DIRECT = """
 import json, sys
-import scipy.sparse.csgraph
+import mmlab.cli as cli
+with open(sys.argv[1]) as fh:
+    cfg = cli.ScenarioConfig(**json.load(fh))
+cli.run_scenario(cfg, threads=2, out_dir=sys.argv[2])
 print(json.dumps([m for m in %r if m in sys.modules]))
 """ % HEAVY
 
@@ -85,13 +90,14 @@ def test_run_imports_no_scipy_inside_run_scenario(tmp_path, kind):
     # these runs do not reach
     if kind in ("ou_family", "reflected_family", "custom_finite"):
         assert seen["ma_inside"] == [False]
-    if not cli.SCENARIOS[kind].imports:
-        assert seen["heavy"] == []
-    # the path laws' grid flows need no scipy: the cone's heavy modules are
-    # those its mesh's csgraph loads
-    assert "scipy.optimize" not in seen["heavy"]
-    if kind == "cone_interval":
-        assert seen["heavy"] == _python(CSGRAPH_ALONE)
+    # the path laws' grid flows and the cone mesh's Bellman-Ford need no scipy
+    assert seen["heavy"] == []
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_direct_run_scenario_loads_no_heavy_scipy(tmp_path, kind):
+    assert _python(DIRECT, _config(tmp_path, kind), str(tmp_path / "direct")) == []
+    assert (tmp_path / "direct" / "report.json").exists()
 
 
 def test_bundled_ou_run_imports_no_scipy_inside_run_scenario(tmp_path):
@@ -131,20 +137,12 @@ print(json.dumps({"codes": codes, "heavy": [m for m in %r if m in sys.modules]})
 
 
 def test_cone_run_without_the_preload_matches_lab_run(tmp_path):
-    # run_scenario called directly skips main's preload, so the two pool
-    # threads that build the cone meshes both import csgraph at once
+    # run_scenario called directly, outside main, on two pool threads that
+    # build the cone meshes at once, loads no heavy module and writes what
+    # lab run writes
     cfg = _config(tmp_path, "cone_interval")
     _python(RUN, json.dumps(["run", cfg, "--threads", "2", "--out", str(tmp_path / "main")]))
-    script = """
-import json, sys
-import mmlab.cli as cli
-first = "scipy.sparse.csgraph" not in sys.modules
-with open(sys.argv[1]) as fh:
-    cfg = cli.ScenarioConfig(**json.load(fh))
-cli.run_scenario(cfg, threads=2, out_dir=sys.argv[2])
-print(json.dumps(first))
-"""
-    assert _python(script, cfg, str(tmp_path / "direct")) is True
+    assert _python(DIRECT, cfg, str(tmp_path / "direct")) == []
     names = sorted(p.name for p in (tmp_path / "main").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "direct").iterdir())
     assert "report.json" in names and len(names) > 3

@@ -303,6 +303,47 @@ def test_mesh_cone_geometry():
     assert np.all(np.abs(x[:, None] - x[None, :]) <= space.dist + 1e-12)
 
 
+def _rotate(res):
+    """Node map of the cone mesh's rotation by 2 pi / res: the apex stays,
+    ring j node k goes to node k + 1 of the same ring."""
+    node = np.arange(1, 1 + res * res).reshape(res, res)
+    return np.concatenate([[0], np.roll(node, -1, axis=1).ravel()])
+
+
+def _mesh_dijkstra(space, res):
+    """The mesh's graph distances by scipy's Dijkstra, each edge as long as
+    the segment between its own two nodes."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    ring = lambda j, k: 1 + j * res + k % res
+    edges = [(0, ring(0, k)) for k in range(res)]
+    for j in range(res):
+        for k in range(res):
+            edges.append((ring(j, k), ring(j, k + 1)))
+            if j + 1 < res:
+                edges += [(ring(j, k), ring(j + 1, k)), (ring(j, k), ring(j + 1, k + 1))]
+    a, b = np.array(edges).T
+    lengths = np.linalg.norm(space.coords[a] - space.coords[b], axis=1)
+    graph = coo_matrix((lengths, (a, b)), shape=(space.n, space.n))
+    return shortest_path(graph, method="D", directed=False)
+
+
+@pytest.mark.parametrize("n", [1, 8, 4096])
+@pytest.mark.parametrize("res", [4, 6, 24])
+def test_mesh_cone_distances(n, res):
+    space = mesh_cone(n, res)
+    d = space.dist
+    np.testing.assert_allclose(d, _mesh_dijkstra(space, res), rtol=1e-13, atol=0.0)
+    rot = _rotate(res)
+    assert np.array_equal(d[np.ix_(rot, rot)], d)
+    assert np.max(np.abs(d - d.T)) <= 1e-14
+    # the apex reaches angle 0 of each ring along meridian 0, edge by edge
+    meridian = np.concatenate([[0], 1 + res * np.arange(res)])
+    steps = np.linalg.norm(np.diff(space.coords[meridian], axis=0), axis=1)
+    assert np.array_equal(d[0, meridian[1:]], np.cumsum(steps))
+
+
 def test_mesh_cone_rejects_tiny_resolution():
     with pytest.raises(SpaceError):
         mesh_cone(1, 3)
