@@ -110,8 +110,17 @@ class PmmSpace:
 
 
 def _fold(d: np.ndarray, circumference: float) -> np.ndarray:
-    """The circle distance of the differences d, written into d's buffer."""
-    np.mod(d, circumference, out=d)
+    """The circle distance of the differences d, written into d's buffer.
+
+    Differences of two wrapped states nearly always lie in (-c, c), where
+    fmod is exact: np.mod(d, c) is then d + c for d < 0, d for d > 0 and
+    +0.0 for -0.0, and adding the mask times c (exactly 0 or c) gives those
+    bits at about a tenth of np.mod's cost.  Any other input (NaN, +-inf,
+    |d| >= c, no entries) takes np.mod."""
+    if d.size and -circumference < d.min() and d.max() < circumference:
+        d += (d < 0) * circumference
+    else:
+        np.mod(d, circumference, out=d)
     np.abs(d, out=d)
     return np.minimum(d, circumference - d, out=d)
 

@@ -101,6 +101,20 @@ def gaussian_w2(sigma_a, sigma_b):
     return abs(float(sigma_a) - float(sigma_b))
 
 
+def circle_distance_reference(x, y, c):
+    """Circle distance by the plain formula: |(x - y) mod c|, folded at c/2."""
+    d = np.abs(np.mod(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), c))
+    return np.minimum(d, c - d)
+
+
+def torus_distance_reference(x, y, len1, len2):
+    """Flat torus distance of (..., 2) blocks from two circle distances."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    d1 = circle_distance_reference(x[..., 0], y[..., 0], len1)
+    d2 = circle_distance_reference(x[..., 1], y[..., 1], len2)
+    return np.sqrt(d1 * d1 + d2 * d2)
+
+
 def circle_kernel_series(t, dx, circumference, terms=2000):
     """Heat kernel on a circle by the raw eigenfunction series (generator =
     full Laplacian, so eigenvalues (2 pi k / c)^2)."""

@@ -473,15 +473,16 @@ def test_mehler_slabs_match_the_dense_matrix(n_nodes, a, base, mirrored):
                          ids=["600", "1000", "512", "4096", "512-free", "4096-base", "601"])
 def test_mehler_apply_is_bit_identical_at_every_slab_height(monkeypatch, n_nodes, a, base,
                                                           mirrored):
-    # 128 rows at a time, and the 256 an apply took before
+    # from half the default slab height to eight times it
     sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(a), base=base, n_nodes=n_nodes))
     assert sk._mirror is mirrored
     block = np.random.default_rng(7).standard_normal((n_nodes, 3))
     outs = []
-    for slab in (128, 256):
+    for slab in (16, 32, 64, 128, 256):
         monkeypatch.setattr(heat, "MEHLER_SLAB", slab)
         outs.append(sk.apply_values(0.5, block))
-    assert np.array_equal(outs[0].view(np.int64), outs[1].view(np.int64))
+    for out in outs[1:]:
+        assert np.array_equal(out.view(np.int64), outs[0].view(np.int64))
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])

@@ -32,11 +32,13 @@ from mmlab.paths import PathError, _pair_distance, grid_index
 from mmlab.spaces import SpaceError, mesh_cone
 
 from _oracles import (
+    circle_distance_reference,
     euler_maruyama_loop,
     folded_normal_cdf,
     kernel_chain_loop,
     modulus_statistic_loop,
     ou_mean_var,
+    torus_distance_reference,
 )
 
 
@@ -738,6 +740,40 @@ def test_kolmogorov_exponent():
     # E d^4 ~ (2h)^2 * 3 for small h: theta = 2 for Brownian motion
     assert 1.7 <= out["theta_hat"] <= 2.3
     assert all(r["moment"] >= 0 for r in out["rows"])
+
+
+@pytest.mark.parametrize("space", [Circle(2 * np.pi, n_nodes=256, normalized=True),
+                                   Torus(2 * np.pi, np.pi / 2, n_nodes=(256, 64), normalized=True)],
+                         ids=["circle", "torus"])
+def test_torus_run_statistics_equal_the_np_mod_formula(monkeypatch, space):
+    # the torus runner's statistics on its own grid, against the distances
+    # of the plain np.mod formula: the same bits, and no np.mod call
+    from mmlab import cli
+
+    ens = sample_kernel_chain(space, "base", cli.TORUS_GRID, 2000, seed=41)
+    if isinstance(space, Torus):
+        def dist(a, b):
+            return torus_distance_reference(a, b, space.len1, space.len2)
+    else:
+        def dist(a, b):
+            return circle_distance_reference(a[..., 0], b[..., 0], space.circumference)
+    T, etas, delta = cli.MODULUS_T, cli.MODULUS_ETA, cli.MODULUS_DELTA
+    want_modulus = [modulus_statistic_loop(ens.times, ens.states, T, eta, delta, dist)
+                    for eta in etas]
+    want_rows = []
+    for t in cli.KOLMOGOROV_T:
+        for h in cli.KOLMOGOROV_H:
+            d = np.minimum(dist(ens.state_at(t), ens.state_at(t + h)), 1.0)
+            vals = d ** cli.KOLMOGOROV_BETA
+            want_rows.append((float(np.mean(vals)), float(np.std(vals) / np.sqrt(len(vals)))))
+    assert len(set(want_modulus)) > 1 and min(want_modulus) > 0
+
+    real_mod, mod_calls = np.mod, []
+    monkeypatch.setattr(np, "mod", lambda *a, **k: mod_calls.append(1) or real_mod(*a, **k))
+    assert modulus_statistic(ens, T, etas, delta) == want_modulus
+    out = kolmogorov_moment(ens, cli.KOLMOGOROV_BETA, cli.KOLMOGOROV_T, cli.KOLMOGOROV_H)
+    assert [(r["moment"], r["se"]) for r in out["rows"]] == want_rows
+    assert mod_calls == []
 
 
 def test_initial_law_from_measure():

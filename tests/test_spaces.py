@@ -19,6 +19,8 @@ from mmlab import (
 )
 from mmlab.spaces import SpaceError, _evaluate
 
+from _oracles import circle_distance_reference, torus_distance_reference
+
 
 def random_finite(rng, n):
     """Metric space from a random point cloud (triangle inequality free)."""
@@ -111,11 +113,6 @@ def test_interval_rejects_bad_inputs(kwargs, message):
         Interval(**kwargs)
 
 
-def _circle_distance_reference(x, y, c):
-    d = np.abs(np.mod(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), c))
-    return np.minimum(d, c - d)
-
-
 @pytest.mark.parametrize("shapes", [((), ()), ((5,), ()), ((3, 4), (4,)), ((1, 4), (3, 1)),
                                     ((200, 7), (200, 7))], ids=str)
 def test_distances_in_place_equal_the_plain_formula(shapes):
@@ -123,15 +120,105 @@ def test_distances_in_place_equal_the_plain_formula(shapes):
     # numpy scalar, as before
     rng = np.random.default_rng(len(shapes[0]) + 10 * len(shapes[1]))
     x, y = rng.normal(size=shapes[0]) * 9, rng.normal(size=shapes[1]) * 9
-    got, want = Circle(2.5).distance(x, y), _circle_distance_reference(x, y, 2.5)
+    got, want = Circle(2.5).distance(x, y), circle_distance_reference(x, y, 2.5)
     assert type(got) is type(want) and np.array_equal(got, want)
     torus = Torus(2 * np.pi, 0.7)
     xt, yt = rng.normal(size=shapes[0] + (2,)) * 9, rng.normal(size=shapes[1] + (2,)) * 9
-    d1 = _circle_distance_reference(xt[..., 0], yt[..., 0], torus.len1)
-    d2 = _circle_distance_reference(xt[..., 1], yt[..., 1], torus.len2)
-    got, want = torus.distance(xt, yt), np.sqrt(d1 * d1 + d2 * d2)
+    got, want = torus.distance(xt, yt), torus_distance_reference(xt, yt, torus.len1, torus.len2)
     assert type(got) is type(want) and np.array_equal(got, want)
     assert Circle(2.5).distance(1, [3, 4]).tolist() == [0.5, 0.5]
+
+
+def _spy_on_mod(monkeypatch):
+    """The sizes of the arrays np.mod is called on, in call order."""
+    calls, real = [], np.mod
+
+    def spy(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "mod", spy)
+    return calls
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _edge_differences(c):
+    """Differences inside (-c, c) where the fold is easiest to get wrong."""
+    below = np.nextafter(c, 0.0)
+    return np.array([0.0, -0.0, -5e-324, 5e-324, -np.spacing(c) / 4, -1e-300, below, -below,
+                     0.5 * c, -0.5 * c, 0.25 * c, -0.75 * c])
+
+
+@pytest.mark.parametrize("c", [2.5, 2 * np.pi, 0.7, 1e-3, 1e6])
+def test_in_range_differences_fold_without_np_mod(monkeypatch, c):
+    d = _edge_differences(c)
+    # -5e-324 + c and -spacing/4 + c round to c; -1e-300 + c does at every c here
+    assert np.all(d[[2, 4, 5]] + c == c)
+    pairs = np.stack(np.broadcast_arrays(d[:, None], 0.3 * d[None, :]), axis=-1)
+    want = circle_distance_reference(d, 0.0, c)
+    want_torus = torus_distance_reference(pairs, np.zeros(2), c, 0.3 * c)
+    calls = _spy_on_mod(monkeypatch)
+    got = Circle(c).distance(d, 0.0)
+    assert calls == [] and _same_bits(got, want)
+    # +-0.0 give +0.0, not -0.0
+    assert got[:2].view(np.int64).tolist() == [0, 0]
+    # a 0-d difference gives a numpy scalar, through the same path
+    for v, w in zip(d, want):
+        got = Circle(c).distance(v, 0.0)
+        assert type(got) is np.float64 and _same_bits(got, w)
+    # the torus folds each coordinate on its own circumference
+    assert _same_bits(Torus(c, 0.3 * c).distance(pairs, np.zeros(2)), want_torus)
+    assert calls == []
+
+
+@pytest.mark.parametrize("extra", [np.nan, np.inf, -np.inf, 1.0, -1.0, 7.3, -2.0],
+                         ids=["nan", "inf", "-inf", "c", "-c", "past c", "past -c"])
+def test_differences_out_of_range_take_np_mod(monkeypatch, extra):
+    # one entry that is NaN, infinite or outside (-c, c) sends the whole
+    # array through np.mod; the in-range entries beside it come out the same
+    c = 2.5
+    d = np.append(_edge_differences(c), extra * c if np.isfinite(extra) else extra)
+    pairs = np.stack([d, d[::-1]], axis=-1)
+    with np.errstate(invalid="ignore"):  # np.mod(+-inf, c) is NaN, with a warning
+        want = circle_distance_reference(d, 0.0, c)
+        want_torus = torus_distance_reference(pairs, np.zeros(2), c, c)
+        calls = _spy_on_mod(monkeypatch)
+        assert _same_bits(Circle(c).distance(d, 0.0), want)
+        assert calls == [len(d)]
+        got = Circle(c).distance(d[-1], 0.0)
+        assert type(got) is np.float64 and _same_bits(got, want[-1])
+        assert calls == [len(d), 1]
+        assert _same_bits(Torus(c, c).distance(pairs, np.zeros(2)), want_torus)
+
+
+def test_empty_differences_take_np_mod(monkeypatch):
+    calls = _spy_on_mod(monkeypatch)
+    got = Circle(2.5).distance(np.empty(0), 0.0)
+    assert got.shape == (0,) and calls == [0]
+    assert Torus(2.5, 1.0).distance(np.empty((0, 2)), np.zeros(2)).shape == (0,)
+
+
+@st.composite
+def _circumference_and_differences(draw):
+    c = draw(st.floats(1e-6, 1e6))
+    edges = [0.0, -0.0, c, -c, np.nextafter(c, 0.0), -np.nextafter(c, 0.0), 2 * c, -2 * c]
+    values = st.one_of(st.floats(-2 * c, 2 * c, exclude_min=True, exclude_max=True),
+                       st.sampled_from(edges))
+    return c, np.array(draw(st.lists(values, max_size=40)), dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circumference_and_differences())
+def test_fold_equals_np_mod_on_draws_within_two_circumferences(case):
+    c, d = case
+    assert _same_bits(Circle(c).distance(d, 0.0), circle_distance_reference(d, 0.0, c))
+    pairs = np.stack([d, d[::-1]], axis=-1)
+    assert _same_bits(Torus(c, 2 * c).distance(pairs, np.zeros(2)),
+                      torus_distance_reference(pairs, np.zeros(2), c, 2 * c))
 
 
 @pytest.mark.parametrize("weight,distance", [("nan", "1"), ("1", "inf")])
