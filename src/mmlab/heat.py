@@ -9,7 +9,10 @@ Closed forms are used wherever they exist (wrapped Gaussians / eigen-sums on
 circle and torus; on an interval [a, a+L] the Neumann kernel is the circle
 kernel of circumference 2L folded by the reflection about a; Mehler formula
 for quadratic potentials); finite spaces get a graph generator with exact
-detailed balance and a symmetric eigendecomposition.  ``get_kernel`` builds
+detailed balance and a symmetric eigendecomposition: one dense ``eigh``, or
+on a space with ring symmetry (the cone meshes) one small block per angular
+frequency, whose transition rows are turned copies of the apex and angle-0
+rows.  ``get_kernel`` builds
 a space's kernel, the ``KERNELS`` class of its type, once and keeps it on the
 space itself, so the kernel and its per-t caches live exactly as long as the
 space does.
@@ -37,10 +40,16 @@ from .spaces import (
     PmmSpace,
     Torus,
     _evaluate,
+    ring_heads,
+    ring_rows,
     weighted_measure,
 )
 
 DETAILED_BALANCE_TOL = 1e-9
+# relative slack of a ring-symmetric space's generator under turning: the
+# graph generator's diagonal sums each row in its own order, so turned rows
+# agree only to rounding
+RING_TOL = 1e-9
 MIXING_TOL = 1e-9            # slack of mixing_bound_check's L^2 inequality
 ENTROPY_IDENTITY_TOL = 1e-6  # largest residual entropy_identity_check passes
 # threshold below which image sums beat eigen-sums (both < 50 terms to 1e-12)
@@ -335,7 +344,23 @@ class FiniteKernel(SpectralKernel):
     The default generator is an epsilon-neighborhood graph with Gaussian edge
     weights m_i m_j exp(-d^2/eps^2) (eps = 2x median nearest-neighbor
     distance, edges kept up to 3 eps), scaled by 2/eps^2 and divided by m_i so
-    detailed balance m_i L_ij = m_j L_ji holds exactly.
+    detailed balance m_i L_ij = m_j L_ji holds exactly.  P_t is
+    D^{-1/2} e^{tS} D^{1/2} for the symmetrised generator S = D^{1/2} L D^{-1/2}.
+
+    A space with ``turns`` = a > 0 (R rings of a atoms round an apex, as
+    ``mesh_cone`` makes) needs a generator that turning the rings maps onto
+    itself to a relative RING_TOL.  S then splits into Fourier blocks over
+    the angle, read from one rfft of its apex and angle-0 rows: block 0
+    couples the apex with each ring's mean, (R+1) x (R+1), and frequency
+    q = 1 .. a//2 is a Hermitian R x R block whose eigenvector x carries the
+    modes e^{-2 pi i q k / a} x_j (the forward FFT's sign) at angle k of
+    ring j: a cos and a sin mode of one eigenvalue, or for even a at
+    q = a/2 one alternating mode.  ``transition_matrix`` sums each block's
+    modes into an R x R matrix, takes the inverse rfft over q to the apex
+    and angle-0 rows of P_t and turns them into the other rows with
+    ``ring_rows``, so P_t is exactly ring-invariant.  No n x n
+    eigendecomposition or product is formed.  Every other space takes one
+    dense ``eigh`` of S.
     """
 
     def __init__(self, space: FiniteMms, generator: Optional[np.ndarray] = None):
@@ -350,7 +375,10 @@ class FiniteKernel(SpectralKernel):
         if np.max(np.abs(sym - sym.T)) > DETAILED_BALANCE_TOL * max(1.0, np.max(np.abs(sym))):
             raise HeatError("generator violates detailed balance w.r.t. the weights")
         self.generator = L
-        sqrt_m = np.sqrt(m)
+        self._sqrt_m = sqrt_m = np.sqrt(m)
+        if space.turns:
+            self._ring_spectrum(L)
+            return
         s_mat = (sqrt_m[:, None] / sqrt_m[None, :]) * L
         s_mat = 0.5 * (s_mat + s_mat.T)
         lam, q = np.linalg.eigh(s_mat)
@@ -358,9 +386,51 @@ class FiniteKernel(SpectralKernel):
         self._modes_left = q / sqrt_m[:, None]      # D^{-1/2} Q
         self._modes_right = (q * sqrt_m[:, None]).T  # Q^T D^{1/2}
 
+    def _ring_spectrum(self, L: np.ndarray) -> None:
+        """The eigenpairs of each Fourier block of S (see the class docstring)."""
+        a = self.space.turns
+        self._heads = heads = ring_heads(len(L), a)
+        drift = ring_rows(L[heads], a)
+        np.abs(np.subtract(drift, L, out=drift), out=drift)
+        if drift.max() > RING_TOL * max(1.0, np.max(np.abs(L))):
+            raise HeatError("generator is not invariant under turning the space's rings")
+        rings = len(heads) - 1
+        s = (self._sqrt_m[heads, None] / self._sqrt_m) * L[heads]
+        # block q of ring j against ring l; its Hermitian part symmetrises S
+        f = np.moveaxis(np.fft.rfft(s[1:, 1:].reshape(rings, rings, a)), -1, 0)
+        f = 0.5 * (f + np.conj(np.swapaxes(f, 1, 2)))
+        block0 = np.empty((rings + 1, rings + 1))
+        block0[0, 0] = s[0, 0]
+        block0[1:, 0] = block0[0, 1:] = np.sqrt(a) * 0.5 * (s[1:, 0] + s[0, 1::a])
+        block0[1:, 1:] = f[0].real
+        self._block0 = np.linalg.eigh(block0)
+        self._blocks = np.linalg.eigh(f[1:])
+        pairs = self._blocks[0][:(a - 1) // 2].ravel()
+        self._lam = np.concatenate([self._block0[0], pairs, pairs,
+                                    self._blocks[0][(a - 1) // 2:].ravel()])
+
     def transition_matrix(self, t: float) -> np.ndarray:
+        if self.space.turns:
+            return self._per_t(t, self._ring_transition)
         return self._per_t(t, lambda t: (self._modes_left * np.exp(t * self._lam))
                            @ self._modes_right)
+
+    def _ring_transition(self, t: float) -> np.ndarray:
+        """P_t from its apex and angle-0 rows (see the class docstring)."""
+        a = self.space.turns
+        lam0, y0 = self._block0
+        lam, x = self._blocks
+        g0 = (y0 * np.exp(t * lam0)) @ y0.T
+        g = (x * np.exp(t * lam)[:, None, :]) @ np.conj(np.swapaxes(x, 1, 2))
+        rings = len(g0) - 1
+        head = np.empty((rings + 1, len(self.points)))
+        head[0, 0] = g0[0, 0]
+        head[0, 1:] = np.repeat(g0[0, 1:] / np.sqrt(a), a)
+        head[1:, 0] = g0[1:, 0] / np.sqrt(a)
+        spectrum = np.concatenate([g0[None, 1:, 1:], g])
+        head[1:, 1:] = np.fft.irfft(np.moveaxis(spectrum, 0, -1), n=a).reshape(rings, -1)
+        head *= self._sqrt_m / self._sqrt_m[self._heads, None]
+        return ring_rows(head, a)
 
     def _density(self, t: float, x, y) -> np.ndarray:
         if t <= 0:

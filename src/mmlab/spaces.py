@@ -323,14 +323,52 @@ def _check_triangle(dist: np.ndarray, tol: float, rng_seed: int = 0) -> None:
         raise SpaceError("triangle inequality violated by %.2e" % worst)
 
 
+def ring_heads(n: int, turns: int) -> np.ndarray:
+    """The apex and the angle-0 atom of each ring of an n-atom space whose
+    atoms 1 .. n-1 form rings of ``turns`` consecutive atoms."""
+    return np.concatenate([[0], np.arange(1, n, turns)])
+
+
+def ring_rows(head: np.ndarray, turns: int) -> np.ndarray:
+    """The n x n matrix that turning every ring by one atom maps onto itself,
+    from its rows at ``ring_heads``: ``head`` is (R + 1) x n, apex first.
+
+    Row (j, k), ring j at angle k, is row (j, 0) turned forward by k atoms
+    within each ring, with row (j, 0)'s apex entry; the apex row repeats
+    its angle-0 entry over each ring.  Each ring block of a head row is written
+    twice, so the k-th turn of it is a window of that copy, and all turned
+    rows fill the result in one strided copy."""
+    n = head.shape[1]
+    rings = (n - 1) // turns
+    out = np.empty((n, n), dtype=head.dtype)
+    out[0, 0] = head[0, 0]
+    out[0, 1:] = np.repeat(head[0, 1::turns], turns)
+    out[1:, 0] = np.repeat(head[1:, 0], turns)
+    blocks = head[1:, 1:].reshape(rings, rings, turns)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([blocks, blocks], axis=-1), turns, axis=-1)
+    # out[(j, k), (l, m)] = blocks[j, l, (m - k) mod turns] = windows[j, l, turns - k, m]
+    out[1:, 1:].reshape(rings, turns, rings, turns)[...] = (
+        windows[:, :, turns:0:-1].transpose(0, 2, 1, 3))
+    return out
+
+
 @dataclass(frozen=True)
 class FiniteMms(PmmSpace):
-    """A finite metric measure space: distance matrix plus atom weights."""
+    """A finite metric measure space: distance matrix plus atom weights.
+
+    ``turns`` > 0 declares a ring symmetry: atoms 1 .. n-1 form rings of
+    ``turns`` consecutive atoms, and turning every ring by one atom maps the
+    distances and weights onto themselves bit for bit (checked here).  The
+    heat kernel then splits its generator into Fourier blocks over the
+    rings; ``mesh_cone`` sets it, and every other space leaves it 0.
+    """
 
     dist: np.ndarray
     weights: np.ndarray
     base_index: int = 0
     coords: Optional[np.ndarray] = None   # optional embedding, for plots/maps
+    turns: int = 0
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -354,6 +392,15 @@ class FiniteMms(PmmSpace):
             raise SpaceError("weights must be strictly positive")
         if not 0 <= self.base_index < n:
             raise SpaceError("base_index out of range")
+        if self.turns:
+            a = self.turns
+            if a < 0 or (n - 1) % a:
+                raise SpaceError("turns must be a positive divisor of n - 1")
+            heads = ring_heads(n, a)
+            if not (np.array_equal(ring_rows(d[heads], a), d)
+                    and np.all(w[1:].reshape(-1, a) == w[heads[1:], None])):
+                raise SpaceError("turning every ring by one atom changes the "
+                                 "distances or weights")
         _check_triangle(d, TRIANGLE_TOL)
 
     @property
@@ -499,7 +546,9 @@ def bishop_gromov_check(space: PmmSpace, N: float, K: float, D: float, radii) ->
 def mesh_cone(n: int, resolution: int) -> FiniteMms:
     """Triangulated point cloud on {y^2 + z^2 = x/n, 0 <= x <= 1} with
     graph-geodesic distances, invariant bit for bit under rotation by
-    2 pi / resolution; ``coords`` holds the nodes, apex first."""
+    2 pi / resolution, which it declares as ``turns=resolution``: ring j
+    at angle k is atom 1 + j*resolution + k.  ``coords`` holds the nodes,
+    apex first."""
     if n < 1:
         raise SpaceError("n must be >= 1")
     if resolution < CONE_MIN_RESOLUTION:
@@ -537,7 +586,7 @@ def mesh_cone(n: int, resolution: int) -> FiniteMms:
     order = np.argsort(dst, kind="stable")
     src, weight = src[order], np.concatenate([lengths, lengths])[order]
     starts = np.searchsorted(dst[order], np.arange(n_nodes))
-    sources = np.concatenate([[0], ring[:, 0]])
+    sources = ring_heads(n_nodes, angular)
     reach = np.full((len(sources), n_nodes), np.inf)
     reach[np.arange(len(sources)), sources] = 0.0
     while True:
@@ -547,12 +596,7 @@ def mesh_cone(n: int, resolution: int) -> FiniteMms:
         reach = relaxed
     # node (j, k) sees the mesh as node (j, 0) does, turned back by k angles;
     # a disconnected mesh leaves an inf, which FiniteMms rejects
-    turned = ring[None] + (k[None, None, :] - k[:, None, None]) % angular
-    columns = np.concatenate([np.zeros((angular, 1), dtype=int),
-                              turned.reshape(angular, -1)], axis=1)
-    row = np.concatenate([[0], np.repeat(np.arange(1, rings + 1), angular)])
-    angle = np.concatenate([[0], np.tile(k, rings)])
-    dist = reach[row[:, None], columns[angle]]
+    dist = ring_rows(reach, angular)
 
     # Hausdorff-proportional atom weights: meridian arclength times ring girth
     ds = np.empty(rings)
@@ -568,4 +612,4 @@ def mesh_cone(n: int, resolution: int) -> FiniteMms:
         w[1 + j * angular:1 + (j + 1) * angular] = ds[j] * 2 * np.pi * radii[j] / angular
     w /= w.sum()
 
-    return FiniteMms(dist=dist, weights=w, base_index=0, coords=coords)
+    return FiniteMms(dist=dist, weights=w, base_index=0, coords=coords, turns=angular)

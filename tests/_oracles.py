@@ -158,6 +158,17 @@ def ou_mean_var(a, x0, t):
     return x0 * np.exp(-a * t), (1.0 - np.exp(-2.0 * a * t)) / a
 
 
+def finite_transition_eigh(generator, weights, t):
+    """Eigenvalues (ascending) and transition matrix exp(t L) of a generator
+    in detailed balance with the weights, from one dense eigendecomposition
+    of the symmetrised matrix D^{1/2} L D^{-1/2}."""
+    L = np.asarray(generator, dtype=float)
+    sqrt_m = np.sqrt(np.asarray(weights, dtype=float))
+    s = (sqrt_m[:, None] / sqrt_m[None, :]) * L
+    lam, q = np.linalg.eigh(0.5 * (s + s.T))
+    return lam, ((q / sqrt_m[:, None]) * np.exp(t * lam)) @ (q * sqrt_m[:, None]).T
+
+
 def folded_normal_cdf(x, sigma):
     """CDF of |N(0, sigma^2)|."""
     from scipy.stats import norm

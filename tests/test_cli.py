@@ -301,6 +301,25 @@ def test_cone_kernel_caches_hold_one_matrix_per_step_length(monkeypatch):
         assert set(vars(space)["_kernel"]._cache) == steps
 
 
+def test_cone_run_takes_no_eigendecomposition_larger_than_a_ring_block(monkeypatch):
+    # a member's dense eigh would see its 1 + res^2 atoms; the ring blocks
+    # and the limit chain are at most res + 1 square
+    shapes = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    res = 6
+    cfg = ScenarioConfig(scenario="cone_interval", n_grid=[1, 2], mc_count=8, resolution=res)
+    with ThreadPoolExecutor(2) as pool:
+        cli.run_cone(cfg, pool)
+    assert shapes
+    assert all(max(s[-2:]) <= res + 1 for s in shapes), shapes
+
+
 @pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
 def test_torus_product_identity_fails_off_the_first_coordinate(monkeypatch, second):
     # collapsing the n = 4 torus onto its short coordinate pulls the circle

@@ -20,6 +20,7 @@ from mmlab import (
     feller_check,
     get_kernel,
     graph_generator,
+    mesh_cone,
     mixing_bound_check,
     on_diagonal,
     quadratic_potential,
@@ -32,8 +33,8 @@ from mmlab import (
 import mmlab.heat as heat
 from mmlab.heat import HeatError
 
-from _oracles import (circle_kernel_series, interval_cdf_images, interval_kernel_series,
-                      ou_mean_var)
+from _oracles import (circle_kernel_series, finite_transition_eigh, interval_cdf_images,
+                      interval_kernel_series, ou_mean_var)
 
 
 def random_finite(rng, n):
@@ -247,6 +248,51 @@ def test_two_state_generator_override():
     p = sk.transition_matrix(0.37)
     from scipy.linalg import expm
     assert np.max(np.abs(p - expm(0.37 * L))) <= 1e-10
+
+
+def _ring_turn(space):
+    """Atom map of turning every ring of a ring-symmetric space by one atom."""
+    node = np.arange(1, space.n).reshape(-1, space.turns)
+    return np.concatenate([[0], np.roll(node, -1, axis=1).ravel()])
+
+
+@pytest.mark.parametrize("n", [1, 8, 4096])
+@pytest.mark.parametrize("res", [5, 6, 24])
+def test_ring_kernel_matches_a_dense_eigh(n, res):
+    space = mesh_cone(n, res)
+    L = graph_generator(space, eps=2.5 / res)  # the cone run's generator
+    set_generator(space, L)
+    sk = get_kernel(space)
+    m = space.weights
+    turn = _ring_turn(space)
+    p = {}
+    for t in (0.05, 0.25, 0.5, 2.0):
+        lam, want = finite_transition_eigh(L, m, t)
+        p[t] = sk.transition_matrix(t)
+        assert np.max(np.abs(p[t] - want)) <= 1e-13
+        assert np.array_equal(p[t][np.ix_(turn, turn)], p[t])
+        assert np.max(np.abs(p[t].sum(axis=1) - 1.0)) <= 1e-13
+        flux = m[:, None] * p[t]
+        assert np.max(np.abs(flux - flux.T)) <= 1e-15
+    assert np.max(np.abs(np.sort(sk._lam) - lam)) <= 1e-12 * np.max(np.abs(lam))
+    assert np.max(np.abs(p[0.25] @ p[0.25] - p[0.5])) <= 1e-12
+
+
+def test_ring_kernel_rejects_a_generator_that_breaks_the_ring_symmetry():
+    space = mesh_cone(1, 6)
+    L = graph_generator(space, eps=2.5 / 6)
+    m = space.weights
+    # one more edge across ring 3: rows still sum to 0 and detailed balance
+    # holds, but no other pair of that ring gets it
+    i, j = 1 + 3 * 6, 1 + 3 * 6 + 3
+    edge = 1e-3 * np.max(np.abs(L)) * m[i]
+    for a, b in ((i, j), (j, i)):
+        L[a, b] += edge / m[a]
+        L[a, a] -= edge / m[a]
+    with pytest.raises(HeatError, match="turning"):
+        set_generator(space, L)
+    # without the declared symmetry the same generator is a valid one
+    set_generator(FiniteMms(dist=space.dist, weights=m), L)
 
 
 def test_kernel_is_kept_on_its_space_and_dies_with_it():

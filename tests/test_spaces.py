@@ -17,7 +17,7 @@ from mmlab import (
     theta_comparison,
     weighted_measure,
 )
-from mmlab.spaces import SpaceError, _evaluate
+from mmlab.spaces import SpaceError, _evaluate, ring_heads, ring_rows
 
 from _oracles import circle_distance_reference, torus_distance_reference
 
@@ -429,6 +429,46 @@ def test_mesh_cone_distances(n, res):
     meridian = np.concatenate([[0], 1 + res * np.arange(res)])
     steps = np.linalg.norm(np.diff(space.coords[meridian], axis=0), axis=1)
     assert np.array_equal(d[0, meridian[1:]], np.cumsum(steps))
+
+
+@pytest.mark.parametrize("res", [4, 5, 24])
+def test_ring_rows_turn_each_head_row(res):
+    rng = np.random.default_rng(res)
+    n = 1 + res * res
+    heads = ring_heads(n, res)
+    head = rng.random((res + 1, n))
+    full = ring_rows(head, res)
+    rot = _rotate(res)
+    assert np.array_equal(full[np.ix_(rot, rot)], full)
+    # the head rows come back, but the apex row's only from each ring's angle 0
+    assert np.array_equal(full[heads[1:]], head[1:])
+    assert np.array_equal(full[0, heads], head[0, heads])
+    # row (j, k) is row (j, 0) turned forward by k atoms within each ring
+    j, k = res // 2, res - 1
+    rings = head[1 + j, 1:].reshape(res, res)
+    assert np.array_equal(full[1 + j * res + k, 1:], np.roll(rings, k, axis=1).ravel())
+
+
+def test_mesh_cone_declares_its_rings():
+    space = mesh_cone(2, 6)
+    assert space.turns == 6
+    assert FiniteMms(dist=space.dist, weights=space.weights, turns=6).turns == 6
+    assert FiniteMms(dist=space.dist, weights=space.weights).turns == 0
+
+
+@pytest.mark.parametrize("change", ["distance", "weight", "divisor", "sign"])
+def test_finite_space_rejects_a_ring_symmetry_it_lacks(change):
+    space = mesh_cone(1, 6)
+    d, w, turns = space.dist.copy(), space.weights.copy(), 6
+    i, j = 1 + 3 * 6, 1 + 3 * 6 + 2  # two atoms of ring 3
+    if change == "distance":
+        d[i, j] = d[j, i] = np.nextafter(d[i, j], np.inf)
+    elif change == "weight":
+        w[i] = np.nextafter(w[i], 1.0)
+    else:
+        turns = 5 if change == "divisor" else -6
+    with pytest.raises(SpaceError, match="turn"):
+        FiniteMms(dist=d, weights=w, turns=turns)
 
 
 def test_mesh_cone_rejects_tiny_resolution():
