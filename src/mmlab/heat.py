@@ -9,13 +9,13 @@ Closed forms are used wherever they exist (wrapped Gaussians / eigen-sums on
 circle and torus; on an interval [a, a+L] the Neumann kernel is the circle
 kernel of circumference 2L folded by the reflection about a; Mehler formula
 for quadratic potentials); finite spaces get a graph generator with exact
-detailed balance and a symmetric eigendecomposition: one dense ``eigh``, or
-on a space with ring symmetry (the cone meshes) one small block per angular
-frequency, whose transition rows are turned copies of the apex and angle-0
-rows.  ``get_kernel`` builds
-a space's kernel, the ``KERNELS`` class of its type, once and keeps it on the
-space itself, so the kernel and its per-t caches live exactly as long as the
-space does.
+detailed balance and one symmetric eigendecomposition per angular frequency
+of their rings, whose transition rows are turned copies of the apex and
+angle-0 rows.  A space without symmetry has rings of one atom and a single
+block, the whole symmetrised generator.  ``get_kernel`` builds a space's
+kernel, the ``KERNELS`` class of its type, once and keeps it on the space
+itself, so the kernel and its per-t caches live exactly as long as the space
+does.
 
 ``apply_values`` takes the grid values of one function as an (n,) vector, or
 of m functions as the columns of an (n, m) block, and returns them as floats
@@ -46,10 +46,6 @@ from .spaces import (
 )
 
 DETAILED_BALANCE_TOL = 1e-9
-# relative slack of a ring-symmetric space's generator under turning: the
-# graph generator's diagonal sums each row in its own order, so turned rows
-# agree only to rounding
-RING_TOL = 1e-9
 MIXING_TOL = 1e-9            # slack of mixing_bound_check's L^2 inequality
 ENTROPY_IDENTITY_TOL = 1e-6  # largest residual entropy_identity_check passes
 # threshold below which image sums beat eigen-sums (both < 50 terms to 1e-12)
@@ -347,55 +343,45 @@ class FiniteKernel(SpectralKernel):
     detailed balance m_i L_ij = m_j L_ji holds exactly.  P_t is
     D^{-1/2} e^{tS} D^{1/2} for the symmetrised generator S = D^{1/2} L D^{-1/2}.
 
-    A space with ``turns`` = a > 0 (R rings of a atoms round an apex, as
-    ``mesh_cone`` makes) needs a generator that turning the rings maps onto
-    itself to a relative RING_TOL.  S then splits into Fourier blocks over
-    the angle, read from one rfft of its apex and angle-0 rows: block 0
-    couples the apex with each ring's mean, (R+1) x (R+1), and frequency
-    q = 1 .. a//2 is a Hermitian R x R block whose eigenvector x carries the
-    modes e^{-2 pi i q k / a} x_j (the forward FFT's sign) at angle k of
-    ring j: a cos and a sin mode of one eigenvalue, or for even a at
-    q = a/2 one alternating mode.  ``transition_matrix`` sums each block's
-    modes into an R x R matrix, takes the inverse rfft over q to the apex
-    and angle-0 rows of P_t and turns them into the other rows with
-    ``ring_rows``, so P_t is exactly ring-invariant.  No n x n
-    eigendecomposition or product is formed.  Every other space takes one
-    dense ``eigh`` of S.
+    The space's ``turns`` = a (R rings of a atoms round an apex) needs a
+    generator that turning the rings maps onto itself bit for bit, as it
+    maps the distances: ``ring_rows`` of its apex and angle-0 rows must give
+    it back.  S then splits into Fourier blocks over the angle, read from
+    one rfft of those rows: block 0 couples the apex with each ring's mean,
+    (R+1) x (R+1), and frequency q = 1 .. a//2 is a Hermitian R x R block
+    whose eigenvector x carries the modes e^{-2 pi i q k / a} x_j (the
+    forward FFT's sign) at angle k of ring j: a cos and a sin mode of one
+    eigenvalue, or for even a at q = a/2 one alternating mode.
+    ``transition_matrix`` sums each block's modes into an R x R matrix, takes
+    the inverse rfft over q to the apex and angle-0 rows of P_t and turns
+    them into the other rows with ``ring_rows``, so P_t is exactly
+    ring-invariant.  A space without symmetry (a = 1) has block 0 alone, S
+    itself, and takes one dense ``eigh``; a cone mesh forms no n x n
+    eigendecomposition or product.
     """
 
     def __init__(self, space: FiniteMms, generator: Optional[np.ndarray] = None):
         super().__init__(space)
         m = space.weights
+        a = space.turns
         if generator is None:
             generator = graph_generator(space)
         L = np.asarray(generator, dtype=float)
         if np.max(np.abs(L.sum(axis=1))) > 1e-9:
             raise HeatError("generator rows must sum to 0")
-        sym = m[:, None] * L
-        if np.max(np.abs(sym - sym.T)) > DETAILED_BALANCE_TOL * max(1.0, np.max(np.abs(sym))):
+        self._heads = heads = ring_heads(len(L), a)
+        if not np.array_equal(ring_rows(L[heads], a), L):
+            raise HeatError("generator is not invariant under turning the space's rings")
+        # every pair of atoms has a turned copy in a head row holding the same
+        # two rates, so detailed balance on the head rows is detailed balance
+        sym = m[heads, None] * L[heads]
+        if np.max(np.abs(sym - (m[:, None] * L[:, heads]).T)) > (
+                DETAILED_BALANCE_TOL * max(1.0, np.max(np.abs(sym)))):
             raise HeatError("generator violates detailed balance w.r.t. the weights")
         self.generator = L
         self._sqrt_m = sqrt_m = np.sqrt(m)
-        if space.turns:
-            self._ring_spectrum(L)
-            return
-        s_mat = (sqrt_m[:, None] / sqrt_m[None, :]) * L
-        s_mat = 0.5 * (s_mat + s_mat.T)
-        lam, q = np.linalg.eigh(s_mat)
-        self._lam = lam
-        self._modes_left = q / sqrt_m[:, None]      # D^{-1/2} Q
-        self._modes_right = (q * sqrt_m[:, None]).T  # Q^T D^{1/2}
-
-    def _ring_spectrum(self, L: np.ndarray) -> None:
-        """The eigenpairs of each Fourier block of S (see the class docstring)."""
-        a = self.space.turns
-        self._heads = heads = ring_heads(len(L), a)
-        drift = ring_rows(L[heads], a)
-        np.abs(np.subtract(drift, L, out=drift), out=drift)
-        if drift.max() > RING_TOL * max(1.0, np.max(np.abs(L))):
-            raise HeatError("generator is not invariant under turning the space's rings")
         rings = len(heads) - 1
-        s = (self._sqrt_m[heads, None] / self._sqrt_m) * L[heads]
+        s = (sqrt_m[heads, None] / sqrt_m) * L[heads]
         # block q of ring j against ring l; its Hermitian part symmetrises S
         f = np.moveaxis(np.fft.rfft(s[1:, 1:].reshape(rings, rings, a)), -1, 0)
         f = 0.5 * (f + np.conj(np.swapaxes(f, 1, 2)))
@@ -410,25 +396,23 @@ class FiniteKernel(SpectralKernel):
                                     self._blocks[0][(a - 1) // 2:].ravel()])
 
     def transition_matrix(self, t: float) -> np.ndarray:
-        if self.space.turns:
-            return self._per_t(t, self._ring_transition)
-        return self._per_t(t, lambda t: (self._modes_left * np.exp(t * self._lam))
-                           @ self._modes_right)
+        return self._per_t(t, self._ring_transition)
 
     def _ring_transition(self, t: float) -> np.ndarray:
         """P_t from its apex and angle-0 rows (see the class docstring)."""
         a = self.space.turns
+        n = len(self.points)
         lam0, y0 = self._block0
         lam, x = self._blocks
         g0 = (y0 * np.exp(t * lam0)) @ y0.T
         g = (x * np.exp(t * lam)[:, None, :]) @ np.conj(np.swapaxes(x, 1, 2))
         rings = len(g0) - 1
-        head = np.empty((rings + 1, len(self.points)))
+        head = np.empty((rings + 1, n))
         head[0, 0] = g0[0, 0]
         head[0, 1:] = np.repeat(g0[0, 1:] / np.sqrt(a), a)
         head[1:, 0] = g0[1:, 0] / np.sqrt(a)
         spectrum = np.concatenate([g0[None, 1:, 1:], g])
-        head[1:, 1:] = np.fft.irfft(np.moveaxis(spectrum, 0, -1), n=a).reshape(rings, -1)
+        head[1:, 1:] = np.fft.irfft(np.moveaxis(spectrum, 0, -1), n=a).reshape(rings, n - 1)
         head *= self._sqrt_m / self._sqrt_m[self._heads, None]
         return ring_rows(head, a)
 
@@ -450,6 +434,11 @@ class FiniteKernel(SpectralKernel):
 
 
 def graph_generator(space: FiniteMms, eps: Optional[float] = None) -> np.ndarray:
+    """The default generator of ``FiniteKernel`` (see its docstring).  Only
+    the rows of the apex and of each ring's angle-0 atom are computed; the
+    others are their turned copies (``ring_rows``), so the generator is
+    exactly as invariant under turning the rings as the distances are.  At
+    ``turns`` = 1 every row is a head row."""
     d = space.dist
     m = space.weights
     n = space.n
@@ -463,12 +452,15 @@ def graph_generator(space: FiniteMms, eps: Optional[float] = None) -> np.ndarray
         eps = 2.0 * float(nn[mid] if n % 2 else (nn[mid - 1] + nn[mid]) / 2)
     if eps <= 0:
         raise HeatError("degenerate distances: zero nearest-neighbor spacing")
-    w = np.outer(m, m) * np.exp(-np.square(d) / (eps * eps))
-    w[d > 3 * eps] = 0.0
-    np.fill_diagonal(w, 0.0)
-    L = (2.0 / (eps * eps)) * (w / m[:, None])
-    np.fill_diagonal(L, -L.sum(axis=1))
-    return L
+    heads = ring_heads(n, space.turns)
+    own = (np.arange(len(heads)), heads)   # each head row's diagonal entry
+    dh = d[heads]
+    w = np.outer(m[heads], m) * np.exp(-np.square(dh) / (eps * eps))
+    w[dh > 3 * eps] = 0.0
+    w[own] = 0.0
+    L = (2.0 / (eps * eps)) * (w / m[heads, None])
+    L[own] = -L.sum(axis=1)
+    return ring_rows(L, space.turns)
 
 
 def set_generator(space: FiniteMms, generator: np.ndarray) -> None:

@@ -357,18 +357,19 @@ def ring_rows(head: np.ndarray, turns: int) -> np.ndarray:
 class FiniteMms(PmmSpace):
     """A finite metric measure space: distance matrix plus atom weights.
 
-    ``turns`` > 0 declares a ring symmetry: atoms 1 .. n-1 form rings of
+    ``turns`` declares a ring symmetry: atoms 1 .. n-1 form rings of
     ``turns`` consecutive atoms, and turning every ring by one atom maps the
     distances and weights onto themselves bit for bit (checked here).  The
-    heat kernel then splits its generator into Fourier blocks over the
-    rings; ``mesh_cone`` sets it, and every other space leaves it 0.
+    heat kernel splits its generator into Fourier blocks over the rings.
+    ``mesh_cone`` sets it; every other space keeps the default 1, rings of
+    one atom, which no turn changes: no symmetry.
     """
 
     dist: np.ndarray
     weights: np.ndarray
     base_index: int = 0
     coords: Optional[np.ndarray] = None   # optional embedding, for plots/maps
-    turns: int = 0
+    turns: int = 1
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
@@ -392,15 +393,14 @@ class FiniteMms(PmmSpace):
             raise SpaceError("weights must be strictly positive")
         if not 0 <= self.base_index < n:
             raise SpaceError("base_index out of range")
-        if self.turns:
-            a = self.turns
-            if a < 0 or (n - 1) % a:
-                raise SpaceError("turns must be a positive divisor of n - 1")
-            heads = ring_heads(n, a)
-            if not (np.array_equal(ring_rows(d[heads], a), d)
-                    and np.all(w[1:].reshape(-1, a) == w[heads[1:], None])):
-                raise SpaceError("turning every ring by one atom changes the "
-                                 "distances or weights")
+        a = self.turns
+        if a < 1 or (n - 1) % a:
+            raise SpaceError("turns must be a positive divisor of n - 1")
+        heads = ring_heads(n, a)
+        if not (np.array_equal(ring_rows(d[heads], a), d)
+                and np.all(w[1:].reshape(-1, a) == w[heads[1:], None])):
+            raise SpaceError("turning every ring by one atom changes the "
+                             "distances or weights")
         _check_triangle(d, TRIANGLE_TOL)
 
     @property

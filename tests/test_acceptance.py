@@ -9,6 +9,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,15 @@ def test_golden_tables(scenario, request, tmp_path):
                         float(expected), rel=GOLDEN_RTOL, abs=0.0), (name, line)
                 else:
                     assert cell == expected, (name, line)
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_golden_manifest_names_every_config_field(scenario):
+    """A committed manifest records the config ``lab run`` ran: exactly the
+    ``ScenarioConfig`` fields, so a tree written before a field was added or
+    removed shows as stale."""
+    manifest = json.loads((REPO / "out" / scenario / "manifest.json").read_text())
+    assert sorted(manifest["config"]) == sorted(f.name for f in fields(ScenarioConfig))
 
 
 # each gated check's largest ratio, as (table, value column, budget column)

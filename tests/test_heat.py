@@ -5,6 +5,7 @@ import time
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +32,14 @@ from mmlab import (
     weighted_measure,
 )
 import mmlab.heat as heat
+from mmlab.cli import _interval_chain
 from mmlab.heat import HeatError
+from mmlab.spaces import ring_heads, ring_rows
 
-from _oracles import (circle_kernel_series, finite_transition_eigh, interval_cdf_images,
-                      interval_kernel_series, ou_mean_var)
+from _oracles import (circle_kernel_series, finite_transition_eigh, graph_generator_dense,
+                      interval_cdf_images, interval_kernel_series, ou_mean_var)
+
+EXAMPLE_FINITE = Path(__file__).resolve().parent.parent / "scripts" / "example_finite.txt"
 
 
 def random_finite(rng, n):
@@ -256,11 +261,32 @@ def _ring_turn(space):
     return np.concatenate([[0], np.roll(node, -1, axis=1).ravel()])
 
 
-@pytest.mark.parametrize("n", [1, 8, 4096])
-@pytest.mark.parametrize("res", [5, 6, 24])
-def test_ring_kernel_matches_a_dense_eigh(n, res):
-    space = mesh_cone(n, res)
-    L = graph_generator(space, eps=2.5 / res)  # the cone run's generator
+def _finite_case(case):
+    """A space and the eps of its generator: a cone run's member "res-n" or
+    limit chain "chain-res" with the run's eps 2.5/res, or with the default
+    eps the bundled example file or a path of k atoms, "atoms-k"."""
+    if case == "example":
+        return FiniteMms.load(EXAMPLE_FINITE), None
+    if case.startswith("atoms"):
+        pts = np.arange(int(case.split("-")[1]), dtype=float)
+        w = np.array([0.2, 0.5, 0.3])[:len(pts)]
+        return FiniteMms(dist=np.abs(pts[:, None] - pts), weights=w), None
+    if case.startswith("chain"):
+        res = int(case.split("-")[1])
+        return _interval_chain(res), 2.5 / res
+    res, n = (int(v) for v in case.split("-"))
+    return mesh_cone(n, res), 2.5 / res
+
+
+MESH_CASES = ["%d-%d" % (res, n) for res in (5, 6, 24) for n in (1, 8, 4096)]
+# spaces without ring symmetry: rings of one atom, block 0 alone
+CHAIN_CASES = ["example", "chain-6", "chain-24", "atoms-1", "atoms-2", "atoms-3"]
+
+
+@pytest.mark.parametrize("case", MESH_CASES + CHAIN_CASES)
+def test_ring_kernel_matches_a_dense_eigh(case):
+    space, eps = _finite_case(case)
+    L = graph_generator(space, eps=eps)
     set_generator(space, L)
     sk = get_kernel(space)
     m = space.weights
@@ -269,13 +295,33 @@ def test_ring_kernel_matches_a_dense_eigh(n, res):
     for t in (0.05, 0.25, 0.5, 2.0):
         lam, want = finite_transition_eigh(L, m, t)
         p[t] = sk.transition_matrix(t)
-        assert np.max(np.abs(p[t] - want)) <= 1e-13
+        # without symmetry block 0 is the oracle's matrix, bit for bit, and
+        # P_t differs from its product by a few ulps, from where D^{1/2}
+        # scales it (worst seen 8.3e-16, on chain-6)
+        assert np.max(np.abs(p[t] - want)) <= (2e-15 if space.turns == 1 else 1e-13)
         assert np.array_equal(p[t][np.ix_(turn, turn)], p[t])
         assert np.max(np.abs(p[t].sum(axis=1) - 1.0)) <= 1e-13
         flux = m[:, None] * p[t]
         assert np.max(np.abs(flux - flux.T)) <= 1e-15
     assert np.max(np.abs(np.sort(sk._lam) - lam)) <= 1e-12 * np.max(np.abs(lam))
+    if space.turns == 1:
+        assert np.array_equal(np.sort(sk._lam), lam)
     assert np.max(np.abs(p[0.25] @ p[0.25] - p[0.5])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", MESH_CASES + CHAIN_CASES)
+def test_graph_generator_is_the_dense_one_turned_from_its_head_rows(case):
+    space, eps = _finite_case(case)
+    L = graph_generator(space, eps=eps)
+    want = graph_generator_dense(space.dist, space.weights, eps)
+    heads = ring_heads(space.n, space.turns)
+    assert np.array_equal(L[heads], want[heads])
+    if space.turns == 1:
+        assert np.array_equal(L, want)
+    # turning the rings maps the generator onto itself exactly, as it maps
+    # the distances; the dense diagonal sums each turned row in its own order
+    turn = _ring_turn(space)
+    assert np.array_equal(L[np.ix_(turn, turn)], L)
 
 
 def test_ring_kernel_rejects_a_generator_that_breaks_the_ring_symmetry():
@@ -293,6 +339,34 @@ def test_ring_kernel_rejects_a_generator_that_breaks_the_ring_symmetry():
         set_generator(space, L)
     # without the declared symmetry the same generator is a valid one
     set_generator(FiniteMms(dist=space.dist, weights=m), L)
+
+
+@pytest.mark.parametrize("row", ["head", "turned"])
+def test_ring_kernel_rejects_a_generator_one_ulp_off_the_ring_symmetry(row):
+    space = mesh_cone(1, 6)
+    L = graph_generator(space, eps=2.5 / 6)
+    i = 1 + 3 * 6 + (0 if row == "head" else 4)   # ring 3, angle 0 or 4
+    j = i + 1                                      # its neighbour on the ring
+    L[i, j] = np.nextafter(L[i, j], np.inf)
+    with pytest.raises(HeatError, match="turning"):
+        set_generator(space, L)
+
+
+def test_ring_kernel_rejects_a_ring_invariant_generator_out_of_detailed_balance():
+    space = mesh_cone(1, 6)
+    L = graph_generator(space, eps=2.5 / 6)
+    heads = ring_heads(space.n, 6)
+    # one rate of ring 2's head row to an atom of ring 3, and so every turned
+    # copy of it, grows; the rates back are left as they are
+    head = L[heads]
+    h, j = 3, 1 + 3 * 6 + 1
+    assert head[h, j] > 0
+    head[h, heads[h]] -= 1e-3 * head[h, j]
+    head[h, j] *= 1.001
+    L = ring_rows(head, 6)
+    assert np.max(np.abs(L.sum(axis=1))) <= 1e-9
+    with pytest.raises(HeatError, match="detailed balance"):
+        set_generator(space, L)
 
 
 def test_kernel_is_kept_on_its_space_and_dies_with_it():

@@ -453,10 +453,11 @@ def test_mesh_cone_declares_its_rings():
     space = mesh_cone(2, 6)
     assert space.turns == 6
     assert FiniteMms(dist=space.dist, weights=space.weights, turns=6).turns == 6
-    assert FiniteMms(dist=space.dist, weights=space.weights).turns == 0
+    # the default: rings of one atom, which every space has
+    assert FiniteMms(dist=space.dist, weights=space.weights).turns == 1
 
 
-@pytest.mark.parametrize("change", ["distance", "weight", "divisor", "sign"])
+@pytest.mark.parametrize("change", ["distance", "weight", "divisor", "sign", "zero"])
 def test_finite_space_rejects_a_ring_symmetry_it_lacks(change):
     space = mesh_cone(1, 6)
     d, w, turns = space.dist.copy(), space.weights.copy(), 6
@@ -466,7 +467,7 @@ def test_finite_space_rejects_a_ring_symmetry_it_lacks(change):
     elif change == "weight":
         w[i] = np.nextafter(w[i], 1.0)
     else:
-        turns = 5 if change == "divisor" else -6
+        turns = {"divisor": 5, "sign": -6, "zero": 0}[change]
     with pytest.raises(SpaceError, match="turn"):
         FiniteMms(dist=d, weights=w, turns=turns)
 
