@@ -410,7 +410,7 @@ def _cone_errors(cfg: ScenarioConfig) -> list:
 
 
 def _cone_member(n: float, res: int, eps: float) -> FiniteMms:
-    """The n-th cone mesh with its graph generator and eigendecomposition."""
+    """The n-th cone mesh with its graph generator and ring kernel."""
     space = mesh_cone(n, res)
     set_generator(space, graph_generator(space, eps=eps))
     return space
@@ -419,7 +419,7 @@ def _cone_member(n: float, res: int, eps: float) -> FiniteMms:
 def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     res = cfg.resolution
     eps = 2.5 / res
-    # each member's mesh and eigh is one pool task
+    # each member's mesh and ring kernel is one pool task
     futures = [pool.submit(_cone_member, n, res, eps) for n in cfg.n_grid]
     limit = _interval_chain(res)
     set_generator(limit, graph_generator(limit, eps=eps))

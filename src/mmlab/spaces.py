@@ -337,7 +337,10 @@ def ring_rows(head: np.ndarray, turns: int) -> np.ndarray:
     within each ring, with row (j, 0)'s apex entry; the apex row repeats
     its angle-0 entry over each ring.  Each ring block of a head row is written
     twice, so the k-th turn of it is a window of that copy, and all turned
-    rows fill the result in one strided copy."""
+    rows fill the result in one strided copy.  At ``turns`` = 1 every row is
+    a head row, and ``head`` itself is returned."""
+    if turns == 1:
+        return head
     n = head.shape[1]
     rings = (n - 1) // turns
     out = np.empty((n, n), dtype=head.dtype)
@@ -383,7 +386,17 @@ class FiniteMms(PmmSpace):
             raise SpaceError("distances and weights must be finite")
         if np.any(np.abs(np.diag(d)) > 0):
             raise SpaceError("nonzero diagonal")
-        if np.max(np.abs(d - d.T)) > TRIANGLE_TOL:
+        a = self.turns
+        if a < 1 or (n - 1) % a:
+            raise SpaceError("turns must be a positive divisor of n - 1")
+        heads = ring_heads(n, a)
+        if not (np.array_equal(ring_rows(d[heads], a), d)
+                and np.all(w[1:].reshape(-1, a) == w[heads[1:], None])):
+            raise SpaceError("turning every ring by one atom changes the "
+                             "distances or weights")
+        # every pair of atoms has a turned copy in a head row holding the same
+        # two distances, so symmetry on the head rows is symmetry
+        if np.max(np.abs(d[heads] - d[:, heads].T)) > TRIANGLE_TOL:
             raise SpaceError("dist not symmetric")
         if np.any(d < 0):
             raise SpaceError("negative distances")
@@ -393,14 +406,6 @@ class FiniteMms(PmmSpace):
             raise SpaceError("weights must be strictly positive")
         if not 0 <= self.base_index < n:
             raise SpaceError("base_index out of range")
-        a = self.turns
-        if a < 1 or (n - 1) % a:
-            raise SpaceError("turns must be a positive divisor of n - 1")
-        heads = ring_heads(n, a)
-        if not (np.array_equal(ring_rows(d[heads], a), d)
-                and np.all(w[1:].reshape(-1, a) == w[heads[1:], None])):
-            raise SpaceError("turning every ring by one atom changes the "
-                             "distances or weights")
         _check_triangle(d, TRIANGLE_TOL)
 
     @property
@@ -577,10 +582,18 @@ def mesh_cone(n: int, resolution: int) -> FiniteMms:
     # every edge takes the length of its copy at angle 0, so the graph is
     # exactly invariant under rotation by 2 pi / angular
     lengths = np.linalg.norm(coords[heads[:, 0]] - coords[tails[:, 0]], axis=1)
+    spoke, ring_len, radial, diagonal = np.split(lengths, [1, 1 + rings, 2 * rings])
+    ring_len = ring_len[:, None]
     lengths = np.repeat(lengths, angular)
 
-    # Bellman-Ford from the apex and angle 0 of each ring: a sweep relaxes
-    # every directed edge, grouped by target, until no distance changes
+    # shortest paths from the apex and angle 0 of each ring.  A round relaxes
+    # the edges in the mesh's own order (along the rings both ways, the
+    # spokes, ring by ring outward, inward, back to the apex), twice; then a
+    # Bellman-Ford sweep relaxes every directed edge, grouped by target, and
+    # the loop stops only when that sweep changes nothing.  Every relaxation
+    # adds one edge's own length to a distance, so each value is the
+    # left-folded sum of some path, and at the sweep's fixpoint the least of
+    # them, whatever order the relaxations took
     src = np.concatenate([heads.ravel(), tails.ravel()])
     dst = np.concatenate([tails.ravel(), heads.ravel()])
     order = np.argsort(dst, kind="stable")
@@ -589,7 +602,24 @@ def mesh_cone(n: int, resolution: int) -> FiniteMms:
     sources = ring_heads(n_nodes, angular)
     reach = np.full((len(sources), n_nodes), np.inf)
     reach[np.arange(len(sources)), sources] = 0.0
+    back, ahead = np.roll(k, 1), np.roll(k, -1)   # angles k - 1 and k + 1
     while True:
+        # (source, ring, angle) view; the sweep below rebinds reach
+        apex, mesh = reach[:, 0], reach[:, 1:].reshape(len(sources), rings, angular)
+        for _ in range(2):
+            for _ in range(angular // 2):
+                np.minimum(mesh, mesh[:, :, back] + ring_len, out=mesh)
+                np.minimum(mesh, mesh[:, :, ahead] + ring_len, out=mesh)
+            np.minimum(mesh[:, 0], apex[:, None] + spoke, out=mesh[:, 0])
+            for j in range(1, rings):
+                inner = mesh[:, j - 1]
+                np.minimum(mesh[:, j], inner + radial[j - 1], out=mesh[:, j])
+                np.minimum(mesh[:, j], inner[:, back] + diagonal[j - 1], out=mesh[:, j])
+            for j in range(rings - 2, -1, -1):
+                outer = mesh[:, j + 1]
+                np.minimum(mesh[:, j], outer + radial[j], out=mesh[:, j])
+                np.minimum(mesh[:, j], outer[:, ahead] + diagonal[j], out=mesh[:, j])
+            np.minimum(apex, np.min(mesh[:, 0] + spoke, axis=1), out=apex)
         relaxed = np.minimum(reach, np.minimum.reduceat(reach[:, src] + weight, starts, axis=1))
         if np.array_equal(relaxed, reach):
             break

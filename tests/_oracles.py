@@ -189,6 +189,46 @@ def graph_generator_dense(dist, weights, eps=None):
     return L
 
 
+def mesh_cone_jacobi(coords, resolution):
+    """Graph distances of the cone mesh on ``coords`` (apex first, then ring
+    j at angle k as node 1 + j*resolution + k) by Jacobi Bellman-Ford: every
+    sweep relaxes every directed edge at once, until a sweep changes
+    nothing.  Each edge takes the length of its copy at angle 0.  Sweeps run
+    from the apex and the angle-0 node of each ring; every other row is its
+    ring's angle-0 row with each ring block rolled forward by its angle."""
+    a = resolution
+    coords = np.asarray(coords, dtype=float)
+    n = len(coords)
+    k = np.arange(a)
+    ring = 1 + a * np.arange(a)[:, None]
+    node = ring + k
+    turn = ring + (k + 1) % a
+    heads = np.concatenate([np.zeros((1, a), dtype=int), node, node[:-1], node[:-1]])
+    tails = np.concatenate([node[:1], turn, node[1:], turn[1:]])
+    lengths = np.repeat(np.linalg.norm(coords[heads[:, 0]] - coords[tails[:, 0]], axis=1), a)
+    src = np.concatenate([heads.ravel(), tails.ravel()])
+    dst = np.concatenate([tails.ravel(), heads.ravel()])
+    order = np.argsort(dst, kind="stable")
+    src, weight = src[order], np.concatenate([lengths, lengths])[order]
+    starts = np.searchsorted(dst[order], np.arange(n))
+    sources = np.concatenate([[0], node[:, 0]])
+    reach = np.full((len(sources), n), np.inf)
+    reach[np.arange(len(sources)), sources] = 0.0
+    while True:
+        relaxed = np.minimum(reach, np.minimum.reduceat(reach[:, src] + weight, starts, axis=1))
+        if np.array_equal(relaxed, reach):
+            break
+        reach = relaxed
+    dist = np.empty((n, n))
+    dist[0] = reach[0]
+    for j in range(a):
+        for turned in range(a):
+            row = dist[1 + j * a + turned]
+            row[0] = reach[1 + j, 0]
+            row[1:] = np.roll(reach[1 + j, 1:].reshape(a, a), turned, axis=1).ravel()
+    return dist
+
+
 def folded_normal_cdf(x, sigma):
     """CDF of |N(0, sigma^2)|."""
     from scipy.stats import norm

@@ -90,7 +90,8 @@ def test_run_imports_no_scipy_inside_run_scenario(tmp_path, kind):
     # these runs do not reach
     if kind in ("ou_family", "reflected_family", "custom_finite"):
         assert seen["ma_inside"] == [False]
-    # the path laws' grid flows and the cone mesh's Bellman-Ford need no scipy
+    # the path laws' grid flows and the cone mesh's ring-order relaxations and
+    # Bellman-Ford sweep need no scipy
     assert seen["heavy"] == []
 
 

@@ -19,7 +19,7 @@ from mmlab import (
 )
 from mmlab.spaces import SpaceError, _evaluate, ring_heads, ring_rows
 
-from _oracles import circle_distance_reference, torus_distance_reference
+from _oracles import circle_distance_reference, mesh_cone_jacobi, torus_distance_reference
 
 
 def random_finite(rng, n):
@@ -431,6 +431,15 @@ def test_mesh_cone_distances(n, res):
     assert np.array_equal(d[0, meridian[1:]], np.cumsum(steps))
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 4096, 262144])
+@pytest.mark.parametrize("res", [4, 5, 6, 24, 48])
+def test_mesh_cone_distances_are_the_jacobi_sweeps_bit_for_bit(n, res):
+    # the ring-ordered rounds may relax in any order; the bits are those of
+    # sweeping every edge at once until nothing changes
+    space = mesh_cone(n, res)
+    assert np.array_equal(space.dist, mesh_cone_jacobi(space.coords, res))
+
+
 @pytest.mark.parametrize("res", [4, 5, 24])
 def test_ring_rows_turn_each_head_row(res):
     rng = np.random.default_rng(res)
@@ -470,6 +479,24 @@ def test_finite_space_rejects_a_ring_symmetry_it_lacks(change):
         turns = {"divisor": 5, "sign": -6, "zero": 0}[change]
     with pytest.raises(SpaceError, match="turn"):
         FiniteMms(dist=d, weights=w, turns=turns)
+
+
+def test_ring_rows_at_one_turn_is_its_input():
+    head = np.random.default_rng(0).random((5, 5))
+    assert ring_rows(head, 1) is head
+
+
+def test_finite_space_checks_symmetry_on_its_head_rows():
+    # one head-row distance and all its turned copies moved, their transposes
+    # not: the space stays ring-invariant, so the symmetry check must see it
+    space = mesh_cone(1, 6)
+    d = space.dist.copy()
+    for k in range(6):
+        i, j = 1 + 1 * 6 + k, 1 + 3 * 6 + (2 + k) % 6   # ring 1 at k, ring 3 at k + 2
+        d[i, j] += 1e-6
+    assert np.array_equal(ring_rows(d[ring_heads(space.n, 6)], 6), d)
+    with pytest.raises(SpaceError, match="dist not symmetric"):
+        FiniteMms(dist=d, weights=space.weights, turns=6)
 
 
 def test_mesh_cone_rejects_tiny_resolution():
