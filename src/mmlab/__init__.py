@@ -21,7 +21,6 @@ from .spaces import (
     Interval,
     PmmSpace,
     Potential,
-    QuadratureDensity,
     Torus,
     bishop_gromov_check,
     box_domain,

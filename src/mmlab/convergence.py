@@ -32,7 +32,7 @@ from .transport import (
     wasserstein_grid,
 )
 
-QUAD_TOL = 1e-6
+QUAD_TOL = 1e-6  # declared round-off slack of every fdd budget; the torus fdd gaps are <= 1.1e-16
 BASELINE_PARTS = 2   # pathlaw_w1's baseline compares two halves of the limit's paths
 BASELINE_SPLITS = 4  # the random half/half splits that baseline averages
 INITIAL_LAW_BINS = 64  # arcs or atoms of initial_law_w1's binned W_1
@@ -87,14 +87,12 @@ def pmg_test(family: SpaceFamily, test_functions: Sequence[LipschitzTestFunction
              tolerances: Optional[Sequence[float]] = None) -> dict:
     """Convergence of pushed-forward reference measures against the test
     family, plus base-point convergence, member by member."""
-    limit_ref = weighted_measure(family.limit)
-    limit_masses = limit_ref.masses()
-    limit_vals = {fi: _evaluate(f, limit_ref.points) for fi, f in enumerate(test_functions)}
+    limit_pts, limit_masses = weighted_measure(family.limit)
+    limit_vals = {fi: _evaluate(f, limit_pts) for fi, f in enumerate(test_functions)}
     rows = []
     for mi, (label, space, cmap) in enumerate(family.members):
-        ref = weighted_measure(space)
-        masses = ref.masses()
-        mapped = _mapped_points(cmap, ref.points)
+        pts, masses = weighted_measure(space)
+        mapped = _mapped_points(cmap, pts)
         base = _mapped_points(cmap, np.asarray([space.base_point]))[0]
         base_gap = np.asarray(family.limit.distance(base, family.limit.base_point)).item()
         tol = None if tolerances is None else tolerances[mi]
@@ -137,7 +135,7 @@ def _nested_functional(space: PmmSpace, cmap: Optional[CollapseMap], times, func
         vals = fvals[i - 1] * sk.apply_values(times[i] - times[i - 1], vals)
     t1 = times[0]
     if start is None:
-        masses = weighted_measure(space).masses()
+        _, masses = weighted_measure(space)
         vals = sk.apply_values(t1, vals)
         return [float(np.sum(masses * v)) for v in vals.T]
     if t1 == 0:
@@ -370,7 +368,7 @@ def entropy_tightness(family: SpaceFamily, eps: float) -> dict:
 
     def one(label, space):
         sk = get_kernel(space)
-        masses = weighted_measure(space).masses()
+        _, masses = weighted_measure(space)
         # a steep potential's far nodes underflow to mass 0, as in
         # ``_probability``; the kernel's mass there is negligible too
         keep = masses > 0
@@ -387,35 +385,36 @@ def entropy_tightness(family: SpaceFamily, eps: float) -> dict:
             "sup": float(np.max(ents)), "pass": bool(finite)}
 
 
-def _probability(points, masses: np.ndarray) -> DiscreteMeasure:
-    """The normalized measure on the quadrature nodes of positive mass: a
-    steep potential's far nodes underflow to mass 0 and move no W_1."""
+def _probability(points, masses: np.ndarray):
+    """The quadrature nodes of positive mass, as one column, and their
+    normalized masses: a steep potential's far nodes underflow to mass 0 and
+    move no W_1."""
     keep = masses > 0
-    return DiscreteMeasure(np.asarray(points, dtype=float)[keep],
-                           masses[keep] / masses.sum())
+    return np.asarray(points, dtype=float)[keep].reshape(-1, 1), masses[keep] / masses.sum()
 
 
 def initial_law_w1(family: SpaceFamily) -> dict:
     """W_1 between each mapped probability reference and the limit's: on a
     circle or a finite limit, binned W_1 on ``INITIAL_LAW_BINS`` arcs or on
-    the atoms; on the line, the quantile formula."""
+    the atoms, with the nodes binned as they are; on the line, the quantile
+    formula between ``DiscreteMeasure``s."""
     limit = family.limit
-    limit_ref = weighted_measure(limit)
-    lim_measure = _probability(limit_ref.points, limit_ref.masses())
+    lim_law = _probability(*weighted_measure(limit))
     if isinstance(limit, (Circle, FiniteMms)):
         spec = [_bin_edges(limit, None, INITIAL_LAW_BINS)]
-        lim_binned = _weighted_rebin(lim_measure.atoms, lim_measure.weights, spec)
+        lim_binned = _weighted_rebin(*lim_law, spec)
 
-        def w1_to_limit(mu):
-            return _binned_w1(limit, _weighted_rebin(mu.atoms, mu.weights, spec), lim_binned,
-                              spec)
+        def w1_to_limit(pts, masses):
+            return _binned_w1(limit, _weighted_rebin(pts, masses, spec), lim_binned, spec)
     else:
-        def w1_to_limit(mu):
-            return wasserstein_1d(1, mu, lim_measure)
+        lim_measure = DiscreteMeasure(*lim_law)
+
+        def w1_to_limit(pts, masses):
+            return wasserstein_1d(1, DiscreteMeasure(pts, masses), lim_measure)
     rows = []
     for label, space, cmap in family.members:
-        ref = weighted_measure(space)
-        mu = _probability(_mapped_points(cmap, ref.points), ref.masses())
+        pts, masses = weighted_measure(space)
+        law = _probability(_mapped_points(cmap, pts), masses)
         fiber = 0.0 if cmap is None else cmap.fiber_diameter_bound
-        rows.append({"label": label, "w1": float(w1_to_limit(mu)), "fiber": fiber})
+        rows.append({"label": label, "w1": float(w1_to_limit(*law)), "fiber": fiber})
     return {"check": "initial_law_w1", "rows": rows}

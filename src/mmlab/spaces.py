@@ -465,37 +465,24 @@ class CollapseMap:
     fiber_diameter_bound: float
 
 
-@dataclass(frozen=True)
-class QuadratureDensity:
-    """A measure on a quadrature grid: d(mu) = density * d(reference)."""
-
-    points: np.ndarray
-    base_weights: np.ndarray
-    density: np.ndarray
-
-    def masses(self) -> np.ndarray:
-        return self.base_weights * self.density
-
-
-def weighted_measure(space: PmmSpace, C: float = 1.0) -> QuadratureDensity:
+def weighted_measure(space: PmmSpace, C: float = 1.0):
     """The probability reference on the space's quadrature grid (the atoms of
-    a finite space): m/m(X) on the finite-mass spaces, and on
-    ``EuclideanLogConcave`` the Gaussian-weighted normalization
-    (1/z) e^{-C d^2(., base)} m."""
+    a finite space), as ``(points, masses)``: m/m(X) on the finite-mass
+    spaces, and on ``EuclideanLogConcave`` the Gaussian-weighted
+    normalization (1/z) e^{-C d^2(., base)} m."""
     if C <= 0:
         raise SpaceError("C must be positive")
     pts, w = space.quadrature()
     if not isinstance(space, EuclideanLogConcave):
         # finite-mass branch: C is ignored
-        total = float(np.sum(w))
-        return QuadratureDensity(pts, w, np.full(len(w), 1.0 / total))
+        return pts, w * (1.0 / float(np.sum(w)))
     d2 = np.asarray(space.distance(pts, space.base_point[0] if space.dim == 1 else space.base_point)) ** 2
     weight = np.exp(-C * d2)
     tail = max(weight[0] * w[0], weight[-1] * w[-1])
     z = float(np.sum(w * weight))
     if z <= 0 or tail > 1e-10 * z:
         raise SpaceError("weight e^{-C d^2} not integrable on the grid; C too small")
-    return QuadratureDensity(pts, w, weight / z)
+    return pts, w * (weight / z)
 
 
 def theta_comparison(kappa: float, theta) -> np.ndarray:

@@ -3,13 +3,14 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmlab.cli as cli
 import mmlab.paths as paths
-from mmlab import Circle, FiniteMms, quadratic_potential
+from mmlab import Circle, FiniteMms, get_kernel, quadratic_potential
 from mmlab.cli import ScenarioConfig, main, validate_dict
 from mmlab.convergence import BASELINE_PARTS
 from mmlab.paths import time_grid
@@ -318,6 +319,56 @@ def test_cone_run_takes_no_eigendecomposition_larger_than_a_ring_block(monkeypat
         cli.run_cone(cfg, pool)
     assert shapes
     assert all(max(s[-2:]) <= res + 1 for s in shapes), shapes
+
+
+class _MembersBuilt(Exception):
+    pass
+
+
+def _bundled_cone_members(monkeypatch):
+    """The members of the bundled cone run with ``run_cone``'s collapse maps:
+    the run stops where it builds its family."""
+    raw = json.loads((Path(__file__).resolve().parent.parent / "scripts"
+                      / "cone_interval.json").read_text())
+    built = []
+
+    def stop(members, limit):
+        built.extend(members)
+        raise _MembersBuilt
+
+    monkeypatch.setattr(cli, "SpaceFamily", stop)
+    with ThreadPoolExecutor(2) as pool, pytest.raises(_MembersBuilt):
+        cli.run_cone(ScenarioConfig(**raw), pool)
+    return raw["resolution"], built
+
+
+def _lumping_spread(transition: np.ndarray, classes: np.ndarray) -> float:
+    """The largest difference between two rows of one class after the
+    columns of ``transition`` are summed over each class."""
+    lumped = transition @ np.eye(classes.max() + 1)[classes]
+    return max(float(np.ptp(lumped[classes == c], axis=0).max())
+               for c in np.unique(classes))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["rings", "split-ring"])
+def test_cone_members_lump_onto_the_rings_of_their_collapse_map(monkeypatch, split):
+    # every cone kernel is invariant under turning the rings, and the rings
+    # are the orbits of that turn, so summed over each ring's columns P_t
+    # gives one row from every atom of the ring: the chain read through the
+    # collapse map is a Markov chain (Kemeny and Snell, "Finite Markov
+    # Chains", ch. 6).  Splitting a ring in two lumps nothing.
+    res, members = _bundled_cone_members(monkeypatch)
+    assert [n for n, _, _ in members] == [1, 2, 4, 8]
+    for _, space, cmap in members:
+        atoms = np.arange(space.n)
+        rings = cmap.map(atoms).astype(int)
+        if split:
+            rings = np.where((rings == res // 2) & ((atoms - 1) % res < res // 2),
+                             res + 1, rings)
+        kernel = get_kernel(space)
+        for t in (0.25, 0.5):
+            spread = _lumping_spread(kernel.transition_matrix(t), rings)
+            assert (spread <= 1e-13) != split, spread
 
 
 @pytest.mark.parametrize("second", [False, True], ids=["first", "second"])

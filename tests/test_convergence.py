@@ -115,7 +115,7 @@ def test_fdd_report_weighted_start_is_invariant(kind):
     # m~ P_t = m~, so the outermost semigroup drops out of the weighted start
     space, f, sk, transition = _invariant_case(kind)
     family = SpaceFamily([("self", space, None)], space)
-    ref = weighted_measure(space).masses()
+    _, ref = weighted_measure(space)
     fv = f(sk.points)
     one = fdd_convergence_report(family, [0.3], [f], mode="weighted-start")["rows"][0]
     two = fdd_convergence_report(family, [0.3, 0.8], [f], mode="weighted-start")["rows"][0]
@@ -688,11 +688,20 @@ def test_entropy_tightness_finite_sup():
         entropy_tightness(fam, -1.0)
 
 
-def test_initial_law_w1_on_a_finite_limit_is_in_its_distance():
+def _line_family(a):
+    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
+    member = EuclideanLogConcave(1, quadratic_potential(a))
+    return SpaceFamily([(a, member, CollapseMap(limit, lambda x: x, 0.0))], limit)
+
+
+def _two_atom_family():
     limit = FiniteMms(dist=[[0.0, 0.1], [0.1, 0.0]], weights=[0.5, 0.5])
     member = FiniteMms(dist=[[0.0, 0.1], [0.1, 0.0]], weights=[0.25, 0.75])
-    fam = SpaceFamily([(1, member, CollapseMap(limit, lambda idx: idx, 0.0))], limit)
-    (row,) = initial_law_w1(fam)["rows"]
+    return SpaceFamily([(1, member, CollapseMap(limit, lambda idx: idx, 0.0))], limit)
+
+
+def test_initial_law_w1_on_a_finite_limit_is_in_its_distance():
+    (row,) = initial_law_w1(_two_atom_family())["rows"]
     # a quarter of the mass moves across the one edge, of length 0.1
     assert row["w1"] == pytest.approx(0.025, abs=1e-12)
 
@@ -707,10 +716,9 @@ def test_space_family_rejects_repeated_labels():
 def test_initial_law_w1_skips_quadrature_nodes_of_zero_mass(a):
     # a steep member's far nodes underflow to mass 0 (810 of 4096 at a = 21);
     # its tilted reference is N(0, 1/(a+2)) and the limit's N(0, 1/3)
-    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
-    member = EuclideanLogConcave(1, quadratic_potential(a))
-    assert np.any(weighted_measure(member).masses() == 0)
-    fam = SpaceFamily([(a, member, CollapseMap(limit, lambda x: x, 0.0))], limit)
+    fam = _line_family(a)
+    member = fam.members[0][1]
+    assert np.any(weighted_measure(member)[1] == 0)
     (row,) = initial_law_w1(fam)["rows"]
     expect = (1 / np.sqrt(3) - 1 / np.sqrt(a + 2)) * np.sqrt(2 / np.pi)
     assert row["w1"] == pytest.approx(expect, abs=1e-5)
@@ -721,10 +729,9 @@ def test_entropy_tightness_skips_nodes_of_zero_mass(a):
     # the kernel measure at eps is N(0, s2) with s2 = (1 - e^{-2 a eps}) / a,
     # and the tilted reference N(0, r2) with r2 = 1 / (a + 2); the far nodes
     # of zero reference mass hold kernel mass near 1e-301
-    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
-    member = EuclideanLogConcave(1, quadratic_potential(a))
-    assert np.any(weighted_measure(member).masses() == 0)
-    fam = SpaceFamily([(a, member, CollapseMap(limit, lambda x: x, 0.0))], limit)
+    fam = _line_family(a)
+    member = fam.members[0][1]
+    assert np.any(weighted_measure(member)[1] == 0)
     eps = 0.1
     out = entropy_tightness(fam, eps)
     s2, r2 = -np.expm1(-2 * a * eps) / a, 1 / (a + 2)
@@ -739,3 +746,22 @@ def test_initial_law_w1_small_for_uniform_family():
     for r in out["rows"]:
         # both sides push to the uniform circle measure; only binning error remains
         assert r["w1"] <= 2 * np.pi / 64 + 1e-9
+
+
+@pytest.mark.parametrize("kind, measures", [("circle", 0), ("finite", 0), ("line", 2)])
+def test_initial_law_w1_builds_measures_only_on_the_line(monkeypatch, kind, measures):
+    # binned limits bin the mapped nodes as they are; only the quantile
+    # formula on the line takes DiscreteMeasures (the limit's and the member's)
+    fam = {"circle": lambda: torus_family([1, 2, 4]), "finite": _two_atom_family,
+           "line": lambda: _line_family(21.0)}[kind]()
+    before = initial_law_w1(fam)
+    built = []
+    measure = convergence.DiscreteMeasure
+
+    def counted_measure(*args):
+        built.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(convergence, "DiscreteMeasure", counted_measure)
+    assert initial_law_w1(fam) == before
+    assert len(built) == measures

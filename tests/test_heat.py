@@ -472,6 +472,20 @@ def test_entropy_identity_sigma_finite(seed, C):
     assert abs(out["residual"]) <= 1e-6
 
 
+@pytest.mark.parametrize("a", [21.0, 101.0])
+def test_entropy_identity_skips_nodes_of_zero_mass(a):
+    # a steep potential's far nodes have m-mass 0 or subnormal, so the tilted
+    # masses there are 0; mu keeps positive density on them all the same
+    space = EuclideanLogConcave(1, quadratic_potential(a))
+    pts, w = space.quadrature()
+    assert np.any(w == 0)
+    rho = np.exp(-0.5 * (pts / 3.0) ** 2)
+    rho /= np.sum(w * rho)
+    out = entropy_identity_check(space, 1.0, rho)
+    assert out["pass"]
+    assert abs(out["residual"]) <= 1e-6
+
+
 def test_entropy_identity_finite_mass():
     space = Circle(2 * np.pi)
     pts, w = space.quadrature()

@@ -35,8 +35,8 @@ def random_finite(rng, n):
 def test_finite_construction_and_reference(seed, n):
     rng = np.random.default_rng(seed)
     space = random_finite(rng, n)
-    ref = weighted_measure(space)
-    assert abs(ref.masses().sum() - 1.0) <= 1e-9
+    _, masses = weighted_measure(space)
+    assert abs(masses.sum() - 1.0) <= 1e-9
     assert np.all(space.weights > 0)
     assert np.all(np.diag(space.dist) == 0)
 
@@ -248,18 +248,18 @@ def test_weighted_measure_normalizes(C, seed):
                   Torus(2 * np.pi, np.pi),
                   EuclideanLogConcave(1, quadratic_potential(1.0)),
                   random_finite(rng, 8)):
-        ref = weighted_measure(space, C)
-        assert abs(ref.masses().sum() - 1.0) <= 1e-9
+        _, masses = weighted_measure(space, C)
+        assert abs(masses.sum() - 1.0) <= 1e-9
 
 
 def test_weighted_measure_gaussian_normalizer():
     # e^{-V} with V = 3x^2/2 times e^{-x^2} integrates to sqrt(2 pi / (3/2 + 1)^-1)...
     space = EuclideanLogConcave(1, quadratic_potential(3.0))
-    ref = weighted_measure(space, 1.0)
-    pts = ref.points
+    pts, masses = weighted_measure(space, 1.0)
+    _, w = space.quadrature()
     # density against m should be proportional to e^{-x^2}
     mid = len(pts) // 2
-    ratio = ref.density / np.exp(-pts ** 2)
+    ratio = masses / w / np.exp(-pts ** 2)
     assert np.allclose(ratio[mid - 50:mid + 50], ratio[mid], rtol=1e-10)
 
 
