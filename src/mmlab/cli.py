@@ -474,8 +474,8 @@ def ou_em_sigma(a: float, dt: float, T: float) -> float:
 
 def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     dt = cfg.dt or OU_DT
-    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
-    members = [(n, EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n)),
+    limit = EuclideanLogConcave(quadratic_potential(1.0))
+    members = [(n, EuclideanLogConcave(quadratic_potential(1.0 + 1.0 / n)),
                 CollapseMap(limit, lambda x: x, 0.0)) for n in cfg.n_grid]
     family = SpaceFamily(members, limit)
     # the Euler-Maruyama ensembles sample on the pool first; the checks run

@@ -318,11 +318,9 @@ def _weighted_rebin(atoms: np.ndarray, weights: np.ndarray, specs):
     """
     cells = np.empty(atoms.shape, dtype=int)
     for j, (lo, width, count, period) in enumerate(specs):
-        x = atoms[:, j]
-        if period is not None:
-            x = np.mod(x, period)
-        idx = np.floor((x - lo) / width).astype(int)
-        # a closed coordinate's right end (x == b on an Interval) joins the last bin
+        idx = np.floor((atoms[:, j] - lo) / width).astype(int)
+        # a periodic coordinate wraps by its bin index; a closed coordinate's
+        # right end (x == b on an Interval) joins the last bin
         cells[:, j] = np.mod(idx, count) if period is not None else np.minimum(idx, count - 1)
     uniq, inverse = unique_rows(cells)
     w = np.bincount(inverse, weights=weights, minlength=len(uniq))

@@ -275,8 +275,6 @@ class GaussianKernel(SpectralKernel):
     """
 
     def __init__(self, space: EuclideanLogConcave):
-        if space.dim != 1:
-            raise HeatError("closed-form Gaussian semigroup is 1-D only")
         if space.potential.quadratic_coeff is None:
             raise HeatError("no computable kernel for non-quadratic potentials")
         super().__init__(space)
@@ -296,7 +294,7 @@ class GaussianKernel(SpectralKernel):
     def _density(self, t: float, x, y) -> np.ndarray:
         if t <= 0:
             raise HeatError("t must be positive")
-        mean, var = self._moments(t, float(np.atleast_1d(x)[0]))
+        mean, var = self._moments(t, x)
         with np.errstate(over="ignore", invalid="ignore"):
             row = _gauss(y - mean, var) * np.exp(0.5 * self.a * np.square(y))
         bad = ~np.isfinite(row)
@@ -584,7 +582,7 @@ def entropy_identity_check(space: PmmSpace, C: float, mu_density: np.ndarray) ->
     ratio = rho / g
     ent_tilde = float(np.sum(w * rho * np.where(rho > 0, np.log(np.maximum(ratio, 1e-300)), 0.0)))
     if isinstance(space, EuclideanLogConcave):
-        d2 = np.asarray(space.distance(pts, float(space.base_point[0]))) ** 2
+        d2 = space.distance(pts, space.base_point) ** 2
         z = float(np.sum(w * np.exp(-C * d2)))
         correction = C * float(np.sum(w * rho * d2)) + np.log(z)
     else:

@@ -364,11 +364,11 @@ def extract_fdd(ensemble: PathEnsemble, times: Sequence[float],
 
 def _points(space: Optional[PmmSpace], states: np.ndarray) -> np.ndarray:
     """Stored states of shape (..., d) as points of their space: atom indices
-    on a finite space, the coordinate on a circle or an interval, and the
-    states themselves on any other space (or none)."""
+    on a finite space, the coordinate on a circle, an interval or the line,
+    and the states themselves on any other space (or none)."""
     if isinstance(space, FiniteMms):
         return states[..., 0].astype(int)
-    if isinstance(space, (Circle, Interval)):
+    if isinstance(space, (Circle, Interval, EuclideanLogConcave)):
         return states[..., 0]
     return states
 

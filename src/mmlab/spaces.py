@@ -273,50 +273,46 @@ class Interval(PmmSpace):
 
 @dataclass(frozen=True)
 class EuclideanLogConcave(PmmSpace):
-    """(R^d, Euclidean, e^{-V} dx); quadrature supported in dimension 1."""
+    """(R, |x - y|, e^{-V} dx), on n_nodes midpoints of base +- grid_radius."""
 
-    dim: int
     potential: Potential
-    base: object = 0.0
+    base: float = 0.0
     grid_radius: float = 10.0
     n_nodes: int = 4096
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise SpaceError("dim must be positive")
+        if not np.isfinite(self.base):
+            raise SpaceError("base must be finite")
+        if not 0 < self.grid_radius < np.inf:
+            raise SpaceError("grid_radius must be positive and finite")
+        if not self.n_nodes >= 1:
+            raise SpaceError("n_nodes must be >= 1")
 
     @property
     def base_point(self):
-        return np.atleast_1d(np.asarray(self.base, dtype=float))
+        return float(self.base)
 
     def distance(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.dim == 1 and x.ndim <= 1 and y.ndim <= 1:
-            return np.abs(x - y)
-        return np.linalg.norm(np.atleast_2d(x) - np.atleast_2d(y), axis=-1)
+        return np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
     def total_mass(self) -> float:
         _, w = self.quadrature()
         return float(np.sum(w))
 
     def quadrature(self):
-        if self.dim != 1:
-            raise SpaceError("quadrature only available in dimension 1")
-        x0 = float(self.base_point[0])
         h = 2 * self.grid_radius / self.n_nodes
-        pts = x0 - self.grid_radius + (np.arange(self.n_nodes) + 0.5) * h
+        pts = self.base_point - self.grid_radius + (np.arange(self.n_nodes) + 0.5) * h
         return pts, np.exp(-_evaluate(self.potential.value, pts[:, None])) * h
 
 
-def _check_triangle(dist: np.ndarray, tol: float, rng_seed: int = 0) -> None:
+def _check_triangle(dist: np.ndarray, tol: float) -> None:
     n = len(dist)
     if n <= 60:
         worst = np.max(dist[:, None, :] - dist[:, :, None] - dist[None, :, :])
         if worst > tol:
             raise SpaceError("triangle inequality violated by %.2e" % worst)
         return
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     i, j, k = rng.integers(0, n, size=(3, 20000))
     worst = np.max(dist[i, j] - dist[i, k] - dist[k, j])
     if worst > tol:
@@ -476,7 +472,7 @@ def weighted_measure(space: PmmSpace, C: float = 1.0):
     if not isinstance(space, EuclideanLogConcave):
         # finite-mass branch: C is ignored
         return pts, w * (1.0 / float(np.sum(w)))
-    d2 = np.asarray(space.distance(pts, space.base_point[0] if space.dim == 1 else space.base_point)) ** 2
+    d2 = space.distance(pts, space.base_point) ** 2
     weight = np.exp(-C * d2)
     tail = max(weight[0] * w[0], weight[-1] * w[-1])
     z = float(np.sum(w * weight))

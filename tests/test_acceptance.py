@@ -340,7 +340,7 @@ def test_criterion_8_tightness(torus_results):
 def test_criterion_9_entropy_suite():
     t0 = time.monotonic()
     rng = np.random.default_rng(909)
-    space = EuclideanLogConcave(1, quadratic_potential(1.0))
+    space = EuclideanLogConcave(quadratic_potential(1.0))
     pts, w = space.quadrature()
     ok = True
     for _ in range(20):

@@ -222,8 +222,8 @@ def test_pmg_torus_family():
 def test_pmg_log_concave_limit():
     # the OU pair a = 2 against a = 1: the limit's distance to a base point
     # comes back with shape (1,), and pmg_test must still read it as a number
-    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
-    space = EuclideanLogConcave(1, quadratic_potential(2.0))
+    limit = EuclideanLogConcave(quadratic_potential(1.0))
+    space = EuclideanLogConcave(quadratic_potential(2.0))
     fam = SpaceFamily([(2, space, CollapseMap(limit, lambda x: x, 0.0))], limit)
     out = pmg_test(fam, list(line_functions().values()))
     assert [r["f"] for r in out["rows"]] == ["clamp", "tanh", "bump"]
@@ -268,10 +268,10 @@ def test_fdd_report_applies_each_semigroup_once_per_step(monkeypatch):
         return real(self, t, values)
 
     monkeypatch.setattr(heat.GaussianKernel, "apply_values", counted)
-    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
+    limit = EuclideanLogConcave(quadratic_potential(1.0))
     members = []
     for n in (1, 2, 4, 8):
-        space = EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n))
+        space = EuclideanLogConcave(quadratic_potential(1.0 + 1.0 / n))
         members.append((n, space, CollapseMap(limit, lambda x: x, 0.0)))
     fns = list(line_functions().values())
     out = fdd_convergence_report(SpaceFamily(members, limit), [0.25, 0.75], fns)
@@ -416,8 +416,8 @@ def test_pathlaw_bin_budget_is_zero_on_a_finite_limit():
 
 
 def _ou_family(ns):
-    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
-    return SpaceFamily([(n, EuclideanLogConcave(1, quadratic_potential(1.0 + 1.0 / n)),
+    limit = EuclideanLogConcave(quadratic_potential(1.0))
+    return SpaceFamily([(n, EuclideanLogConcave(quadratic_potential(1.0 + 1.0 / n)),
                          CollapseMap(limit, lambda x: x, 0.0)) for n in ns], limit)
 
 
@@ -456,7 +456,7 @@ def test_fdd_rows_through_a_pool_map_equal_the_builtin_map(kind):
 def test_pathlaw_baseline_is_binned_on_the_shared_bins():
     # on the line the bins span the pooled states, so a member that reaches
     # past the limit's range widens the bins of the baseline too
-    line = EuclideanLogConcave(1, quadratic_potential(0.0))
+    line = EuclideanLogConcave(quadratic_potential(0.0))
     grid = np.array([0.0, 0.25, 0.75])
     times = [0.25, 0.75]
     limit_ens = sample_kernel_chain(line, "base", grid, 400, seed=1)
@@ -668,6 +668,21 @@ def test_weighted_rebin_interval_endpoint():
     assert interval.a <= center <= interval.b
 
 
+def test_weighted_rebin_wraps_whole_periods_by_the_bin_index():
+    # atoms at bin centres, then moved by whole periods either way: a
+    # periodic coordinate wraps by its integer bin index alone
+    limit = Circle(2 * np.pi, n_nodes=256)
+    specs = [_bin_edges(limit, None, 16)]
+    lo, width, count, period = specs[0]
+    atoms = lo + (np.arange(count) + 0.5)[:, None] * width
+    weights = np.random.default_rng(0).dirichlet(np.ones(count))
+    cells, w = _weighted_rebin(atoms, weights, specs)
+    assert cells[:, 0].tolist() == list(range(count))
+    for k in (-3, -1, 1, 2):
+        shifted = _weighted_rebin(atoms + k * period, weights, specs)
+        assert np.array_equal(shifted[0], cells) and np.array_equal(shifted[1], w)
+
+
 def test_circle_bins_keep_every_grid_node_off_their_edges():
     # the bins start half a node below 0: up to one bin per node, each grid
     # node lies inside a bin, whatever the rounding of a state near it
@@ -689,8 +704,8 @@ def test_entropy_tightness_finite_sup():
 
 
 def _line_family(a):
-    limit = EuclideanLogConcave(1, quadratic_potential(1.0))
-    member = EuclideanLogConcave(1, quadratic_potential(a))
+    limit = EuclideanLogConcave(quadratic_potential(1.0))
+    member = EuclideanLogConcave(quadratic_potential(a))
     return SpaceFamily([(a, member, CollapseMap(limit, lambda x: x, 0.0))], limit)
 
 

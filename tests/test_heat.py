@@ -191,7 +191,7 @@ def test_torus_product_structure():
 
 def test_gaussian_kernel_moments():
     a = 1.5
-    space = EuclideanLogConcave(1, quadratic_potential(a))
+    space = EuclideanLogConcave(quadratic_potential(a))
     sk = get_kernel(space)
     for t in (0.1, 0.5, 1.0):
         x0 = 0.7
@@ -210,7 +210,7 @@ def test_gaussian_kernel_moments():
 def test_steep_gaussian_row_is_finite_and_conservative(a):
     # exp(a y^2 / 2) overflows on the far nodes, where the Gaussian factor
     # is 0 or subnormal, so the plain product is inf or nan there
-    sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(a)))
+    sk = get_kernel(EuclideanLogConcave(quadratic_potential(a)))
     for t in (0.25, 0.75):
         for x in (0.0, 0.5):
             mean, var = sk._moments(t, x)
@@ -224,7 +224,7 @@ def test_steep_gaussian_row_is_finite_and_conservative(a):
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_gaussian_row_is_the_direct_product(a):
-    sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(a)))
+    sk = get_kernel(EuclideanLogConcave(quadratic_potential(a)))
     for t in (0.25, 0.75):
         for x in (0.0, 0.7):
             mean, var = sk._moments(t, x)
@@ -237,7 +237,7 @@ def test_spectral_gaps_closed_form():
     assert abs(spectral_gap(Interval(0.0, 1.0)) - np.pi ** 2) <= 1e-9
     assert abs(spectral_gap(Torus(2 * np.pi, np.pi)) - 1.0) <= 1e-9
     a = 2.0
-    assert abs(spectral_gap(EuclideanLogConcave(1, quadratic_potential(a))) - a) <= 1e-9
+    assert abs(spectral_gap(EuclideanLogConcave(quadratic_potential(a))) - a) <= 1e-9
 
 
 def test_two_state_generator_override():
@@ -461,7 +461,7 @@ def test_relative_entropy_basics():
 @given(st.integers(0, 10 ** 6), st.floats(0.3, 2.0))
 def test_entropy_identity_sigma_finite(seed, C):
     rng = np.random.default_rng(seed)
-    space = EuclideanLogConcave(1, quadratic_potential(1.0))
+    space = EuclideanLogConcave(quadratic_potential(1.0))
     pts, w = space.quadrature()
     center = rng.uniform(-1.0, 1.0)
     width = rng.uniform(0.3, 1.0)
@@ -476,7 +476,7 @@ def test_entropy_identity_sigma_finite(seed, C):
 def test_entropy_identity_skips_nodes_of_zero_mass(a):
     # a steep potential's far nodes have m-mass 0 or subnormal, so the tilted
     # masses there are 0; mu keeps positive density on them all the same
-    space = EuclideanLogConcave(1, quadratic_potential(a))
+    space = EuclideanLogConcave(quadratic_potential(a))
     pts, w = space.quadrature()
     assert np.any(w == 0)
     rho = np.exp(-0.5 * (pts / 3.0) ** 2)
@@ -550,7 +550,7 @@ def test_semigroup_apply_matches_kernel_row():
 
 BLOCK_SPACES = [Circle(2 * np.pi, n_nodes=256), Torus(2 * np.pi, np.pi / 2, n_nodes=(64, 32)),
                 Interval(0.0, 1.0, n_nodes=200),
-                EuclideanLogConcave(1, quadratic_potential(1.5), n_nodes=600)]
+                EuclideanLogConcave(quadratic_potential(1.5), n_nodes=600)]
 
 
 @pytest.mark.parametrize("space", BLOCK_SPACES + [None],
@@ -592,7 +592,7 @@ MEHLER_GRIDS = [(600, 1.5, 0.0, False), (1000, 1.5, 0.0, False), (512, 1.5, 0.0,
 @pytest.mark.parametrize("n_nodes, a, base, mirrored", MEHLER_GRIDS,
                          ids=["600", "1000", "512", "4096", "512-free", "4096-base", "601"])
 def test_mehler_slabs_match_the_dense_matrix(n_nodes, a, base, mirrored):
-    sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(a), base=base, n_nodes=n_nodes))
+    sk = get_kernel(EuclideanLogConcave(quadratic_potential(a), base=base, n_nodes=n_nodes))
     assert sk._mirror is mirrored
     t = 0.5
     mean, var = sk._moments(t, sk.points)
@@ -608,7 +608,7 @@ def test_mehler_slabs_match_the_dense_matrix(n_nodes, a, base, mirrored):
 def test_mehler_apply_is_bit_identical_at_every_slab_height(monkeypatch, n_nodes, a, base,
                                                           mirrored):
     # from half the default slab height to eight times it
-    sk = get_kernel(EuclideanLogConcave(1, quadratic_potential(a), base=base, n_nodes=n_nodes))
+    sk = get_kernel(EuclideanLogConcave(quadratic_potential(a), base=base, n_nodes=n_nodes))
     assert sk._mirror is mirrored
     block = np.random.default_rng(7).standard_normal((n_nodes, 3))
     outs = []

@@ -97,7 +97,7 @@ def test_chain_bad_grid_rejected():
 @pytest.mark.parametrize("law", ["weighted", None, "nonsense"])
 def test_chain_rejects_an_unknown_start_law(law):
     # a chain starts at the base point or from a DiscreteMeasure
-    for space in (Circle(), Interval(0.0, 1.0), EuclideanLogConcave(1, quadratic_potential(1.0))):
+    for space in (Circle(), Interval(0.0, 1.0), EuclideanLogConcave(quadratic_potential(1.0))):
         with pytest.raises(PathError, match="^unknown initial law %s$" % re.escape(repr(law))):
             sample_kernel_chain(space, law, [0.0, 0.5], 10, seed=0)
 
@@ -167,8 +167,8 @@ RECORD_STARTS = {
     **{case: CHAIN_STARTS[case] for case in
        ("circle-7", "circle-law", "torus-off", "torus-law", "finite", "finite-law",
         "interval-outside", "interval-law")},
-    "line": (EuclideanLogConcave(1, quadratic_potential(1.5), base=0.7), "base"),
-    "line-law": (EuclideanLogConcave(1, quadratic_potential(1.5)),
+    "line": (EuclideanLogConcave(quadratic_potential(1.5), base=0.7), "base"),
+    "line-law": (EuclideanLogConcave(quadratic_potential(1.5)),
                  DiscreteMeasure([[-1.0], [0.3], [2.0]], [0.5, 0.3, 0.2])),
 }
 RECORD_TIMES = [0.0, 0.01, 0.03, 0.04, 0.1, 0.2, 0.35]
@@ -277,7 +277,7 @@ def test_em_ou_moments_and_weak_order():
 @pytest.mark.parametrize("a", [0.0, 1.5])
 def test_chain_on_a_line_has_the_ou_moments(a):
     # the exact OU (a > 0) and free (a = 0) transitions of the kernel chain
-    space = EuclideanLogConcave(1, quadratic_potential(a), base=0.7)
+    space = EuclideanLogConcave(quadratic_potential(a), base=0.7)
     ens = sample_kernel_chain(space, "base", [0.0, 0.2, 0.5], 40000, seed=4)
     for k, t in ((1, 0.2), (2, 0.5)):
         m_ref, v_ref = ou_mean_var(a, 0.7, t)
@@ -687,7 +687,7 @@ def test_modulus_multi_eta_equals_per_eta_loop(space):
 
 
 @pytest.mark.parametrize("space", [Circle(2 * np.pi), Torus(2 * np.pi, np.pi, n_nodes=(64, 32)),
-                                   _ring(16), EuclideanLogConcave(1, quadratic_potential(1.0))],
+                                   _ring(16), EuclideanLogConcave(quadratic_potential(1.0))],
                          ids=["circle", "torus", "finite", "line"])
 def test_modulus_measures_only_the_paths_still_under_delta(monkeypatch, space):
     times = np.arange(0, 0.5 + 1e-12, 0.0125)
@@ -709,7 +709,7 @@ def test_modulus_measures_only_the_paths_still_under_delta(monkeypatch, space):
 def test_modulus_on_a_line_matches_a_per_path_loop():
     # a kernel-chain ensemble on a 1-D log-concave line stores (count, n_t, 1)
     # states; each pair of times is one distance, not a norm over time
-    space = EuclideanLogConcave(1, quadratic_potential(1.0))
+    space = EuclideanLogConcave(quadratic_potential(1.0))
     times = np.arange(0, 0.5 + 1e-12, 0.0125)
     ens = sample_kernel_chain(space, "base", times, 300, seed=33)
     etas, delta = (0.05, 0.2), 0.5

@@ -113,6 +113,26 @@ def test_interval_rejects_bad_inputs(kwargs, message):
         Interval(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"base": np.nan}, "base"),
+    ({"base": np.inf}, "base"),
+    ({"base": -np.inf}, "base"),
+    ({"grid_radius": 0.0}, "grid_radius"),
+    ({"grid_radius": -1.0}, "grid_radius"),
+    ({"grid_radius": np.inf}, "grid_radius"),
+    ({"grid_radius": np.nan}, "grid_radius"),
+    ({"n_nodes": 0}, "n_nodes"),
+], ids=str)
+def test_line_rejects_bad_inputs(kwargs, message):
+    with pytest.raises(SpaceError, match=message):
+        EuclideanLogConcave(quadratic_potential(1.0), **kwargs)
+
+
+def test_line_base_point_is_a_float():
+    base = EuclideanLogConcave(quadratic_potential(1.0), base=1).base_point
+    assert type(base) is float and base == 1.0
+
+
 @pytest.mark.parametrize("shapes", [((), ()), ((5,), ()), ((3, 4), (4,)), ((1, 4), (3, 1)),
                                     ((200, 7), (200, 7))], ids=str)
 def test_distances_in_place_equal_the_plain_formula(shapes):
@@ -127,6 +147,11 @@ def test_distances_in_place_equal_the_plain_formula(shapes):
     got, want = torus.distance(xt, yt), torus_distance_reference(xt, yt, torus.len1, torus.len2)
     assert type(got) is type(want) and np.array_equal(got, want)
     assert Circle(2.5).distance(1, [3, 4]).tolist() == [0.5, 0.5]
+    # the 1-D spaces with no wrap: |x - y| in the broadcast shape
+    for space in (Interval(-3.0, 3.0), EuclideanLogConcave(quadratic_potential(1.0))):
+        got, want = space.distance(x, y), np.abs(x - y)
+        assert type(got) is type(want) and np.shape(got) == np.broadcast_shapes(*shapes)
+        assert np.array_equal(got, want)
 
 
 def _spy_on_mod(monkeypatch):
@@ -246,7 +271,7 @@ def test_weighted_measure_normalizes(C, seed):
     rng = np.random.default_rng(seed)
     for space in (Circle(2 * np.pi), Interval(0.0, 1.0),
                   Torus(2 * np.pi, np.pi),
-                  EuclideanLogConcave(1, quadratic_potential(1.0)),
+                  EuclideanLogConcave(quadratic_potential(1.0)),
                   random_finite(rng, 8)):
         _, masses = weighted_measure(space, C)
         assert abs(masses.sum() - 1.0) <= 1e-9
@@ -254,7 +279,7 @@ def test_weighted_measure_normalizes(C, seed):
 
 def test_weighted_measure_gaussian_normalizer():
     # e^{-V} with V = 3x^2/2 times e^{-x^2} integrates to sqrt(2 pi / (3/2 + 1)^-1)...
-    space = EuclideanLogConcave(1, quadratic_potential(3.0))
+    space = EuclideanLogConcave(quadratic_potential(3.0))
     pts, masses = weighted_measure(space, 1.0)
     _, w = space.quadrature()
     # density against m should be proportional to e^{-x^2}
@@ -264,7 +289,7 @@ def test_weighted_measure_gaussian_normalizer():
 
 
 def test_weighted_measure_small_C_rejected():
-    space = EuclideanLogConcave(1, quadratic_potential(0.0), grid_radius=6.0)
+    space = EuclideanLogConcave(quadratic_potential(0.0), grid_radius=6.0)
     with pytest.raises(SpaceError):
         weighted_measure(space, 1e-6)
 
@@ -353,7 +378,7 @@ def test_quadrature_calls_the_potential_once():
     calls = []
     pot = Potential(_counted(lambda x: 0.5 * a * np.sum(np.square(x), axis=-1), calls),
                     lambda x: a * x)
-    space = EuclideanLogConcave(1, pot, n_nodes=64, grid_radius=4.0)
+    space = EuclideanLogConcave(pot, n_nodes=64, grid_radius=4.0)
     pts, w = space.quadrature()
     assert calls == [(64, 1)]
     h = 8.0 / 64
@@ -363,7 +388,7 @@ def test_quadrature_calls_the_potential_once():
     # a value written for one point gives one number for all nodes
     scalar = Potential(lambda x: 0.5 * a * float(np.sum(np.square(x))), lambda x: a * x)
     with pytest.raises(SpaceError, match=r"shape \(\) for 64 points; expected \(64,\)"):
-        EuclideanLogConcave(1, scalar, n_nodes=64, grid_radius=4.0).quadrature()
+        EuclideanLogConcave(scalar, n_nodes=64, grid_radius=4.0).quadrature()
 
 
 @pytest.mark.parametrize("lo, hi", [
