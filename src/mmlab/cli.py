@@ -19,7 +19,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 from numpy.random import SeedSequence
 
 from .convergence import (
@@ -34,6 +33,7 @@ from .convergence import (
     pmg_test,
 )
 from .heat import (
+    HeatError,
     feller_check,
     get_kernel,
     graph_generator,
@@ -276,10 +276,9 @@ def _divergence_check(ensembles: dict) -> dict:
 def _family_checks(cfg: ScenarioConfig, family: SpaceFamily, fns, pmg_slack=None,
                    fdd_extra=None, map: Callable = map):
     """The checks every family runner shares, in report order, and their
-    tables: measure convergence when ``pmg_slack`` is set (each member's
-    tolerance is the largest Lipschitz constant times its fiber bound, plus
-    the slack), the point-start fdd gaps with ``fdd_extra`` added to the
-    budgets, the initial-law table, and entropy tightness.
+    tables: measure convergence when ``pmg_slack`` is set (``pmg_test``
+    with that slack), the point-start fdd gaps with ``fdd_extra`` added to
+    the budgets, the initial-law table, and entropy tightness.
 
     The fdd report evaluates the limit's and each member's functionals
     through ``map``.  Only a runner that calls this on its own thread may
@@ -287,9 +286,7 @@ def _family_checks(cfg: ScenarioConfig, family: SpaceFamily, fns, pmg_slack=None
     queued behind itself, which never start on a one-thread pool."""
     checks, tables = [], {}
     if pmg_slack is not None:
-        max_lip = max(f.lip for f in fns)
-        pmg = pmg_test(family, fns, tolerances=[max_lip * cmap.fiber_diameter_bound + pmg_slack
-                                                for _, _, cmap in family.members])
+        pmg = pmg_test(family, fns, pmg_slack)
         tables["pmg"] = pmg["rows"]
         checks.append(_status("pmg", pmg["pass"]))
     fdd = fdd_convergence_report(family, cfg.times, fns, extra_budgets=fdd_extra, map=map)
@@ -346,10 +343,10 @@ def _torus_reads(times) -> np.ndarray:
 
 
 def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
-    limit = Circle(2 * np.pi, n_nodes=TORUS_NODES, normalized=True)
+    limit = Circle(2 * np.pi, n_nodes=TORUS_NODES)
     family = SpaceFamily([
-        (n, Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(TORUS_NODES, 64), normalized=True),
-         CollapseMap(limit, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n))
+        (n, Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(TORUS_NODES, 64)),
+         CollapseMap(lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n))
         for n in cfg.n_grid], limit)
     fns = list(circle_functions().values())
     # declared round-off slack: the pushed torus references are the circle's (gaps <= 1.1e-16)
@@ -432,7 +429,7 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         idx = np.asarray(idx, dtype=int)
         return np.where(idx == 0, 0, (idx - 1) // res + 1).astype(float)
 
-    members = [(n, fut.result(), CollapseMap(limit, ring_map, np.pi * np.sqrt(1.0 / n)))
+    members = [(n, fut.result(), CollapseMap(ring_map, np.pi * np.sqrt(1.0 / n)))
                for n, fut in zip(cfg.n_grid, futures)]
     family = SpaceFamily(members, limit)
     fns = list(chain_functions(limit.coords[:, 0]).values())
@@ -476,7 +473,7 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     dt = cfg.dt or OU_DT
     limit = EuclideanLogConcave(quadratic_potential(1.0))
     members = [(n, EuclideanLogConcave(quadratic_potential(1.0 + 1.0 / n)),
-                CollapseMap(limit, lambda x: x, 0.0)) for n in cfg.n_grid]
+                CollapseMap(lambda x: x, 0.0)) for n in cfg.n_grid]
     family = SpaceFamily(members, limit)
     # the Euler-Maruyama ensembles sample on the pool first; the checks run
     # here, and the fdd report's nested functionals go to the pool after them
@@ -617,6 +614,10 @@ def _custom_finite_errors(cfg: ScenarioConfig) -> list:
         return ["finite_file: %s" % exc]
     if space.n < 2:
         return ["finite_file: %d atom; the run needs at least 2" % space.n]
+    try:  # lab run starts by building this kernel
+        get_kernel(space)
+    except HeatError as exc:
+        return ["finite_file: %s" % exc]
     return []
 
 
@@ -766,10 +767,12 @@ def run_scenario(cfg: ScenarioConfig, threads: int = 1, out_dir: str = None) -> 
         "package": "mmlab",
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "seed": cfg.seed,
         "config": _jsonable(cfg.__dict__),
     }
+    # the lab imports scipy only where it calls it: only a run that did names it
+    if "scipy" in sys.modules:
+        manifest["scipy"] = sys.modules["scipy"].__version__
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -138,7 +138,6 @@ class Circle(PmmSpace):
     circumference: float = 2 * np.pi
     base: float = 0.0
     n_nodes: int = 2048
-    normalized: bool = False
 
     def __post_init__(self):
         if not 0 < self.circumference < np.inf:
@@ -156,12 +155,12 @@ class Circle(PmmSpace):
         return circle_distance(x, y, self.circumference)
 
     def total_mass(self) -> float:
-        return 1.0 if self.normalized else self.circumference
+        return 1.0
 
     @property
     def measure_scale(self) -> float:
         # density of the reference measure w.r.t. arc length
-        return 1.0 / self.circumference if self.normalized else 1.0
+        return 1.0 / self.circumference
 
     def grid(self) -> np.ndarray:
         return np.arange(self.n_nodes) * (self.circumference / self.n_nodes)
@@ -180,7 +179,6 @@ class Torus(PmmSpace):
     len2: float = 2 * np.pi
     base: tuple = (0.0, 0.0)
     n_nodes: tuple = (256, 128)
-    normalized: bool = False
 
     def __post_init__(self):
         if not (0 < self.len1 < np.inf and 0 < self.len2 < np.inf):
@@ -196,8 +194,8 @@ class Torus(PmmSpace):
 
     def factors(self):
         return (
-            Circle(self.len1, self.base[0], self.n_nodes[0], normalized=False),
-            Circle(self.len2, self.base[1], self.n_nodes[1], normalized=False),
+            Circle(self.len1, self.base[0], self.n_nodes[0]),
+            Circle(self.len2, self.base[1], self.n_nodes[1]),
         )
 
     def distance(self, x, y):
@@ -211,11 +209,11 @@ class Torus(PmmSpace):
         return _scalar_if_0d(np.sqrt(d1, out=d1))
 
     def total_mass(self) -> float:
-        return 1.0 if self.normalized else self.len1 * self.len2
+        return 1.0
 
     @property
     def measure_scale(self) -> float:
-        return 1.0 / (self.len1 * self.len2) if self.normalized else 1.0
+        return 1.0 / (self.len1 * self.len2)
 
     def quadrature(self):
         c1, c2 = self.factors()
@@ -232,7 +230,6 @@ class Interval(PmmSpace):
     b: float = 1.0
     base: Optional[float] = None
     n_nodes: int = 1024
-    normalized: bool = False
 
     def __post_init__(self):
         if not -np.inf < self.a < self.b < np.inf:
@@ -254,11 +251,11 @@ class Interval(PmmSpace):
         return self.b - self.a
 
     def total_mass(self) -> float:
-        return 1.0 if self.normalized else self.length
+        return 1.0
 
     @property
     def measure_scale(self) -> float:
-        return 1.0 / self.length if self.normalized else 1.0
+        return 1.0 / self.length
 
     def grid(self) -> np.ndarray:
         # midpoint rule keeps the Neumann kernel quadrature clean at the ends
@@ -449,14 +446,13 @@ class FiniteMms(PmmSpace):
 
 @dataclass(frozen=True)
 class CollapseMap:
-    """1-Lipschitz map onto a limit space with an explicit fiber bound.
+    """1-Lipschitz map onto its family's limit, with an explicit fiber bound.
 
     Stands in for an isometric embedding into a common ambient space: any
     W_1 discrepancy measured after collapsing is off by at most
     ``fiber_diameter_bound`` from the embedded one.
     """
 
-    target: PmmSpace
     map: Callable
     fiber_diameter_bound: float
 

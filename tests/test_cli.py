@@ -380,11 +380,11 @@ def test_torus_product_identity_fails_off_the_first_coordinate(monkeypatch, seco
     def second_coordinate(x):
         return np.asarray(x, dtype=float)[..., 1]
 
-    def collapse(target, fmap, fiber):
+    def collapse(fmap, fiber):
         # the n = 4 member's fiber bound is pi/4, the n = 1 member's pi
         if second and fiber < np.pi / 2:
             fmap = second_coordinate
-        return real(target, fmap, fiber)
+        return real(fmap, fiber)
 
     monkeypatch.setattr(cli, "CollapseMap", collapse)
     cfg = ScenarioConfig(scenario="torus_collapse", n_grid=[1, 4], mc_count=8)
@@ -643,6 +643,24 @@ def test_validate_rejects_non_finite_finite_file(tmp_path, capsys, bad):
     write_config(cfg, finite_file=str(space_file))
     assert main(["validate", str(cfg)]) == 1
     assert "finite_file: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("decades", [6, 8, 12])
+def test_validate_rejects_a_finite_file_without_a_kernel(tmp_path, capsys, decades):
+    # weights spread over many decades: the default generator's row sums
+    # round past its tolerance, so lab run could build no kernel
+    rng = np.random.default_rng(0)
+    pos = np.sort(rng.random(50))
+    space_file = tmp_path / "space.txt"
+    FiniteMms(dist=np.abs(pos[:, None] - pos[None, :]),
+              weights=10 ** rng.uniform(0, decades, 50)).save(space_file)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, finite_file=str(space_file))
+    assert main(["validate", str(cfg)]) == 1
+    assert "error: finite_file: generator rows must sum to 0" in capsys.readouterr().out
+    write_config(cfg, finite_file=str(Path(__file__).resolve().parent.parent
+                                      / "scripts" / "example_finite.txt"))
+    assert main(["validate", str(cfg)]) == 0
 
 
 def test_runner_crash_writes_an_incomplete_report(tmp_path, capsys, monkeypatch):

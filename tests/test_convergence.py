@@ -46,11 +46,11 @@ from mmlab.paths import PathEnsemble, make_rng
 
 
 def torus_family(ns, nodes=(256, 64)):
-    limit = Circle(2 * np.pi, n_nodes=nodes[0], normalized=True)
+    limit = Circle(2 * np.pi, n_nodes=nodes[0])
     members = []
     for n in ns:
-        torus = Torus(2 * np.pi, 2 * np.pi / n, n_nodes=nodes, normalized=True)
-        cmap = CollapseMap(limit, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n)
+        torus = Torus(2 * np.pi, 2 * np.pi / n, n_nodes=nodes)
+        cmap = CollapseMap(lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n)
         members.append((n, torus, cmap))
     return SpaceFamily(members, limit)
 
@@ -89,7 +89,7 @@ def _invariant_case(kind):
     """A space whose probability reference m~ is invariant, a test function on
     it, and the transition matrix of its kernel at time t."""
     if kind == "circle":
-        space = Circle(2 * np.pi, n_nodes=256, normalized=True)
+        space = Circle(2 * np.pi, n_nodes=256)
         f = LipschitzTestFunction(lambda x: np.cos(x) ** 2 + 0.3 * np.sin(x), 1.3, 1.3,
                                   name="f")
         sk = get_kernel(space)
@@ -161,7 +161,7 @@ def test_mcshane_properties(seed):
 
 def test_mcshane_extension_takes_a_batch():
     # the lab calls a test function once on a whole grid of points
-    circle = Circle(2 * np.pi, n_nodes=64, normalized=True)
+    circle = Circle(2 * np.pi, n_nodes=64)
     ext = mcshane_extend([0.0, 1.0, 3.0], [0.0, 0.5, -0.4], 1.0, circle.distance)
     grid = get_kernel(circle).points
     one_by_one = np.asarray([ext(p) for p in grid])
@@ -171,8 +171,8 @@ def test_mcshane_extension_takes_a_batch():
     assert np.array_equal(semigroup_apply(circle, 0.1, ext),
                           semigroup_apply(circle, 0.1, one_by_one))
     family = torus_family([2, 4], nodes=(64, 8))
-    got = pmg_test(family, [LipschitzTestFunction(ext, 1.0, 0.5)])
-    want = pmg_test(family, [LipschitzTestFunction(np.vectorize(ext), 1.0, 0.5)])
+    got = pmg_test(family, [LipschitzTestFunction(ext, 1.0, 0.5)], 1e-6)
+    want = pmg_test(family, [LipschitzTestFunction(np.vectorize(ext), 1.0, 0.5)], 1e-6)
     assert [r["gap"] for r in got["rows"]] == [r["gap"] for r in want["rows"]]
     # points with two coordinates: one value per row
     torus = Torus(n_nodes=(8, 4))
@@ -191,12 +191,22 @@ def test_mcshane_rejects_non_lipschitz_input():
         mcshane_extend([], [], 1.0, metric)
 
 
-def test_space_family_rejects_mismatched_limit():
-    fam = torus_family([2])
-    other = Circle(4 * np.pi)
-    (label, torus, cmap) = fam.members[0]
-    with pytest.raises(ConvergenceError):
-        SpaceFamily([(label, torus, cmap)], other)
+@pytest.mark.parametrize("fiber", [np.inf, np.nan])
+def test_space_family_rejects_a_non_finite_fiber_bound(fiber):
+    (label, torus, cmap) = torus_family([2]).members[0]
+    with pytest.raises(ConvergenceError, match="fiber bound must be finite"):
+        SpaceFamily([(label, torus, CollapseMap(cmap.map, fiber))], Circle())
+
+
+def test_space_family_over_a_finite_limit_takes_maps_made_before_it():
+    # a collapse map names no target, so maps made before their finite limit
+    # (here two equal chains, neither the other) build the family
+    maps = [CollapseMap(lambda idx: idx, 0.0) for _ in range(2)]
+    members = [(n, _interval_chain(6), cmap) for n, cmap in zip((1, 2), maps)]
+    limit = _interval_chain(6)
+    family = SpaceFamily(members, limit)
+    assert [cmap for _, _, cmap in family.members] == maps
+    assert pmg_test(family, list(chain_functions(limit.coords[:, 0]).values()), 0.0)["pass"]
 
 
 def test_kr_inequality_for_integrals():
@@ -213,7 +223,7 @@ def test_kr_inequality_for_integrals():
 
 def test_pmg_torus_family():
     fam = torus_family([1, 2, 4])
-    out = pmg_test(fam, [COS, SIN2], tolerances=[np.pi / n + 1e-6 for n in (1, 2, 4)])
+    out = pmg_test(fam, [COS, SIN2], 1e-6)
     assert out["pass"]
     for r in out["rows"]:
         assert r["base_gap"] <= 1e-12
@@ -224,8 +234,8 @@ def test_pmg_log_concave_limit():
     # comes back with shape (1,), and pmg_test must still read it as a number
     limit = EuclideanLogConcave(quadratic_potential(1.0))
     space = EuclideanLogConcave(quadratic_potential(2.0))
-    fam = SpaceFamily([(2, space, CollapseMap(limit, lambda x: x, 0.0))], limit)
-    out = pmg_test(fam, list(line_functions().values()))
+    fam = SpaceFamily([(2, space, CollapseMap(lambda x: x, 0.0))], limit)
+    out = pmg_test(fam, list(line_functions().values()), convergence.QUAD_TOL)
     assert [r["f"] for r in out["rows"]] == ["clamp", "tanh", "bump"]
     assert all(type(r["base_gap"]) is float and r["base_gap"] == 0.0 for r in out["rows"])
     gaps = {r["f"]: r["gap"] for r in out["rows"]}
@@ -272,7 +282,7 @@ def test_fdd_report_applies_each_semigroup_once_per_step(monkeypatch):
     members = []
     for n in (1, 2, 4, 8):
         space = EuclideanLogConcave(quadratic_potential(1.0 + 1.0 / n))
-        members.append((n, space, CollapseMap(limit, lambda x: x, 0.0)))
+        members.append((n, space, CollapseMap(lambda x: x, 0.0)))
     fns = list(line_functions().values())
     out = fdd_convergence_report(SpaceFamily(members, limit), [0.25, 0.75], fns)
     assert calls == [(4096, 3)] * 5
@@ -288,7 +298,7 @@ def test_fdd_report_extra_budgets():
 
 
 def test_pathlaw_self_distance_within_baseline():
-    circle = Circle(2 * np.pi, n_nodes=256, normalized=True)
+    circle = Circle(2 * np.pi, n_nodes=256)
     grid = np.linspace(0.0, 1.0, 81)
     a = sample_kernel_chain(circle, "base", grid, 4000, seed=30)
     b = sample_kernel_chain(circle, "base", grid, 4000, seed=31)
@@ -373,7 +383,7 @@ def cone_family(ns, res=6):
     for n in ns:
         space = mesh_cone(n, res)
         set_generator(space, graph_generator(space, eps=eps))
-        members.append((n, space, CollapseMap(limit, ring_map, np.pi * np.sqrt(1.0 / n))))
+        members.append((n, space, CollapseMap(ring_map, np.pi * np.sqrt(1.0 / n))))
     return SpaceFamily(members, limit)
 
 
@@ -418,7 +428,7 @@ def test_pathlaw_bin_budget_is_zero_on_a_finite_limit():
 def _ou_family(ns):
     limit = EuclideanLogConcave(quadratic_potential(1.0))
     return SpaceFamily([(n, EuclideanLogConcave(quadratic_potential(1.0 + 1.0 / n)),
-                         CollapseMap(limit, lambda x: x, 0.0)) for n in ns], limit)
+                         CollapseMap(lambda x: x, 0.0)) for n in ns], limit)
 
 
 @pytest.mark.parametrize("kind", ["ou", "torus", "cone"])
@@ -706,13 +716,13 @@ def test_entropy_tightness_finite_sup():
 def _line_family(a):
     limit = EuclideanLogConcave(quadratic_potential(1.0))
     member = EuclideanLogConcave(quadratic_potential(a))
-    return SpaceFamily([(a, member, CollapseMap(limit, lambda x: x, 0.0))], limit)
+    return SpaceFamily([(a, member, CollapseMap(lambda x: x, 0.0))], limit)
 
 
 def _two_atom_family():
     limit = FiniteMms(dist=[[0.0, 0.1], [0.1, 0.0]], weights=[0.5, 0.5])
     member = FiniteMms(dist=[[0.0, 0.1], [0.1, 0.0]], weights=[0.25, 0.75])
-    return SpaceFamily([(1, member, CollapseMap(limit, lambda idx: idx, 0.0))], limit)
+    return SpaceFamily([(1, member, CollapseMap(lambda idx: idx, 0.0))], limit)
 
 
 def test_initial_law_w1_on_a_finite_limit_is_in_its_distance():

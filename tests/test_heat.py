@@ -117,11 +117,13 @@ def test_on_diagonal_monotone():
 
 
 def test_circle_kernel_vs_series():
+    # the kernel is a density w.r.t. the probability measure; times
+    # measure_scale it is the arc-length density the series sums
     space = Circle(2 * np.pi)
     for t in (0.01, 0.1, 0.2999, 0.3001, 1.0):
         for dx in (0.0, 0.5, np.pi):
             ref = circle_kernel_series(t, dx, 2 * np.pi)
-            got = get_kernel(space).kernel_value(t, 0.0, dx)
+            got = get_kernel(space).kernel_value(t, 0.0, dx) * space.measure_scale
             assert abs(got - ref) <= 1e-10
 
 
@@ -130,14 +132,15 @@ def test_interval_kernel_vs_series():
     # sides of the image/eigen-sum switch at SERIES_CROSSOVER (L/pi)^2
     for a, b in ((0.0, 1.0), (-3.0, 3.0), (2.5, 3.2)):
         length = b - a
-        sk = get_kernel(Interval(a, b))
+        space = Interval(a, b)
+        sk = get_kernel(space)
         switch = heat.SERIES_CROSSOVER * (length / np.pi) ** 2
         for t in switch * np.array([0.1, 0.5, 0.99, 1.01, 2.0, 16.0]):
             for fx, fy in ((0.2, 0.7), (0.0, 0.0), (0.5, 0.5), (0.0, 0.3), (1.0, 1.0),
                            (0.5, 1.0)):
                 x, y = a + fx * length, a + fy * length
                 ref = interval_kernel_series(t, x, y, a, length, terms=4000)
-                assert abs(sk.kernel_value(t, x, y) - ref) <= 1e-9
+                assert abs(sk.kernel_value(t, x, y) * space.measure_scale - ref) <= 1e-9
 
 
 # (a, L, x0) of the Neumann CDF tests: the reflected runner's boxes, one off 0
@@ -186,7 +189,7 @@ def test_torus_product_structure():
     y = np.array([1.0, 1.5])
     ref = circle_kernel_series(t, y[0] - x[0], 2 * np.pi) * \
         circle_kernel_series(t, y[1] - x[1], np.pi)
-    assert abs(get_kernel(torus).kernel_value(t, x, y) - ref) <= 1e-10
+    assert abs(get_kernel(torus).kernel_value(t, x, y) * torus.measure_scale - ref) <= 1e-10
 
 
 def test_gaussian_kernel_moments():
@@ -621,7 +624,7 @@ def test_mehler_apply_is_bit_identical_at_every_slab_height(monkeypatch, n_nodes
 
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_torus_row_is_its_density_on_the_grid(n):
-    sk = get_kernel(Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64), normalized=True))
+    sk = get_kernel(Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64)))
     # t on both sides of the image/eigen-sum switch of the first factor
     for t in (0.5 * heat.SERIES_CROSSOVER, 2.5 * heat.SERIES_CROSSOVER):
         for x in (np.zeros(2), np.array([1.3, 0.1]), sk.points[777]):

@@ -137,6 +137,26 @@ print(json.dumps({"codes": codes, "heavy": [m for m in %r if m in sys.modules]})
     assert len(configs) == 5 and seen == {"codes": [0] * 5, "heavy": []}
 
 
+@pytest.mark.parametrize("preload", [False, True], ids=["bare", "after_import_scipy"])
+def test_manifest_names_scipy_only_when_the_run_loaded_it(tmp_path, preload):
+    # importing the lab loads no scipy, so a run that never calls it records
+    # no scipy version; one that has scipy loaded records the version it ran
+    script = """
+import json, sys
+%s
+import mmlab.cli as cli
+loaded = "scipy" in sys.modules
+cli.main(["run", sys.argv[1]])
+print(json.dumps(loaded))
+""" % ("import scipy" if preload else "")
+    assert _python(script, _config(tmp_path, "custom_finite")) is preload
+    manifest = json.loads((tmp_path / "custom_finite" / "manifest.json").read_text())
+    assert ("scipy" in manifest) is preload
+    if preload:
+        import scipy
+        assert manifest["scipy"] == scipy.__version__
+
+
 def test_cone_run_without_the_preload_matches_lab_run(tmp_path):
     # run_scenario called directly, outside main, on two pool threads that
     # build the cone meshes at once, loads no heavy module and writes what

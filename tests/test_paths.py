@@ -115,7 +115,7 @@ CHAIN_STARTS = {
     "circle-c": (Circle(base=2 * np.pi), "base"),
     "circle-law": (Circle(), DiscreteMeasure([[0.5], [3.0], [-2.0], [2 * np.pi]],
                                              [0.4, 0.3, 0.2, 0.1])),
-    "torus": (Torus(2 * np.pi, 2 * np.pi / 4, n_nodes=(256, 64), normalized=True), "base"),
+    "torus": (Torus(2 * np.pi, 2 * np.pi / 4, n_nodes=(256, 64)), "base"),
     "torus-off": (Torus(2 * np.pi, 2 * np.pi / 4, base=(-1.0, 7.0), n_nodes=(256, 64)), "base"),
     "torus-c": (Torus(2 * np.pi, 2 * np.pi / 4, base=(2 * np.pi, np.pi / 2),
                       n_nodes=(256, 64)), "base"),
@@ -590,7 +590,7 @@ def test_extract_fdd_point_mass_and_functoriality():
 
     from mmlab import CollapseMap
     circle = Circle(2 * np.pi)
-    cmap = CollapseMap(circle, lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / 4)
+    cmap = CollapseMap(lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / 4)
     mapped = extract_fdd(ens, [0.2, 0.4], cmap)
     raw = extract_fdd(ens, [0.2, 0.4])
 
@@ -742,8 +742,8 @@ def test_kolmogorov_exponent():
     assert all(r["moment"] >= 0 for r in out["rows"])
 
 
-@pytest.mark.parametrize("space", [Circle(2 * np.pi, n_nodes=256, normalized=True),
-                                   Torus(2 * np.pi, np.pi / 2, n_nodes=(256, 64), normalized=True)],
+@pytest.mark.parametrize("space", [Circle(2 * np.pi, n_nodes=256),
+                                   Torus(2 * np.pi, np.pi / 2, n_nodes=(256, 64))],
                          ids=["circle", "torus"])
 def test_torus_run_statistics_equal_the_np_mod_formula(monkeypatch, space):
     # the torus runner's statistics on its own grid, against the distances

@@ -310,8 +310,8 @@ def test_torus_collapse_lipschitz(n, seed):
 def test_torus_pushforward_exact():
     # the first-factor marginal of the product measure is the circle measure
     n = 4
-    torus = Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64), normalized=True)
-    circle = Circle(2 * np.pi, n_nodes=256, normalized=True)
+    torus = Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64))
+    circle = Circle(2 * np.pi, n_nodes=256)
     pts, w = torus.quadrature()
     mapped = pts[:, 0]
     cpts, cw = circle.quadrature()
@@ -319,6 +319,16 @@ def test_torus_pushforward_exact():
     idx = np.searchsorted(cpts, mapped - 1e-9)
     np.add.at(marg, idx, w)
     assert np.max(np.abs(marg - cw)) <= 1e-12
+
+
+@pytest.mark.parametrize("space", [Circle(3.0), Torus(2 * np.pi, 1.0, n_nodes=(32, 16)),
+                                   Interval(2.5, 3.2)], ids=["circle", "torus", "interval"])
+def test_compact_models_carry_probability_measures(space):
+    _, w = space.quadrature()
+    assert space.total_mass() == 1.0
+    assert abs(w.sum() - 1.0) <= 1e-12
+    # the kernel is a density w.r.t. that measure, so its row integrates to 1
+    assert abs(np.sum(w * get_kernel(space).kernel_row(0.2, space.base_point)) - 1.0) <= 1e-9
 
 
 def test_potential_gradient_check():
