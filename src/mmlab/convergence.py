@@ -77,7 +77,7 @@ class SpaceFamily:
 def _mapped_points(cmap: Optional[CollapseMap], pts: np.ndarray) -> np.ndarray:
     if cmap is None:
         return pts
-    return np.asarray(cmap.map(pts), dtype=float)
+    return _evaluate(cmap.map, pts)
 
 
 def pmg_test(family: SpaceFamily, test_functions: Sequence[LipschitzTestFunction],

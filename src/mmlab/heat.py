@@ -14,8 +14,9 @@ of their rings, whose transition rows are turned copies of the apex and
 angle-0 rows.  A space without symmetry has rings of one atom and a single
 block, the whole symmetrised generator.  ``get_kernel`` builds a space's
 kernel, the ``KERNELS`` class of its type, once and keeps it on the space
-itself, so the kernel and its per-t caches live exactly as long as the space
-does.
+itself, so the kernel lives exactly as long as the space does.  A kernel
+holds only its eigendata, set in ``__init__`` and never written after, and
+builds each P_t afresh when asked, so pool threads share it without a lock.
 
 ``apply_values`` takes the grid values of one function as an (n,) vector, or
 of m functions as the columns of an (n, m) block, and returns them as floats
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -130,8 +131,6 @@ class SpectralKernel:
     def __init__(self, space: PmmSpace):
         self.space = space
         self.points, self.weights = space.quadrature()
-        self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def _density(self, t: float, x, y) -> np.ndarray:
         """p(t, x, y) at each point of the array y."""
@@ -168,17 +167,6 @@ class SpectralKernel:
             raise HeatError("function vector length mismatch")
         return vals
 
-    def _per_t(self, t: float, build: Callable) -> np.ndarray:
-        """build(t), memoized per t; safe to share across threads."""
-        key = float(t)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is None:
-            hit = build(t)
-            with self._lock:
-                self._cache[key] = hit
-        return hit
-
 
 class CircleKernel(SpectralKernel):
     def __init__(self, space: Circle):
@@ -190,8 +178,7 @@ class CircleKernel(SpectralKernel):
         return arc / self.space.measure_scale
 
     def _multiplier(self, t: float) -> np.ndarray:
-        return self._per_t(t, lambda t: np.fft.rfft(
-            circle_kernel_arc(t, self.points, self.space.circumference)) * self._h)
+        return np.fft.rfft(circle_kernel_arc(t, self.points, self.space.circumference)) * self._h
 
     def _apply(self, t: float, values: np.ndarray) -> np.ndarray:
         # transform along the grid axis, last after transposing a block
@@ -252,9 +239,8 @@ class IntervalKernel(SpectralKernel):
         return leb / self.space.measure_scale
 
     def transition_matrix(self, t: float) -> np.ndarray:
-        return self._per_t(t, lambda t: interval_kernel_leb(
-            t, self.points[:, None], self.points[None, :],
-            self.space.a, self.space.length) * self._h)
+        return interval_kernel_leb(t, self.points[:, None], self.points[None, :],
+                                   self.space.a, self.space.length) * self._h
 
     def gap(self) -> float:
         return (np.pi / self.space.length) ** 2
@@ -376,7 +362,6 @@ class FiniteKernel(SpectralKernel):
         if np.max(np.abs(sym - (m[:, None] * L[:, heads]).T)) > (
                 DETAILED_BALANCE_TOL * max(1.0, np.max(np.abs(sym)))):
             raise HeatError("generator violates detailed balance w.r.t. the weights")
-        self.generator = L
         self._sqrt_m = sqrt_m = np.sqrt(m)
         rings = len(heads) - 1
         s = (sqrt_m[heads, None] / sqrt_m) * L[heads]
@@ -394,9 +379,6 @@ class FiniteKernel(SpectralKernel):
                                     self._blocks[0][(a - 1) // 2:].ravel()])
 
     def transition_matrix(self, t: float) -> np.ndarray:
-        return self._per_t(t, self._ring_transition)
-
-    def _ring_transition(self, t: float) -> np.ndarray:
         """P_t from its apex and angle-0 rows (see the class docstring)."""
         a = self.space.turns
         n = len(self.points)

@@ -350,14 +350,15 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
 def extract_fdd(ensemble: PathEnsemble, times: Sequence[float],
                 collapse=None) -> np.ndarray:
     """The path states at the given times, optionally pushed through a
-    collapse map: one row per path, the per-time blocks concatenated, so the
-    rows with uniform weights are the empirical joint law."""
+    collapse map, which gives one coordinate per point under the batch rule
+    of ``spaces._evaluate``: one row per path, the per-time blocks
+    concatenated, so the rows with uniform weights are the empirical joint
+    law."""
     blocks = []
     for t in times:
         s = ensemble.state_at(t)
         if collapse is not None:
-            mapped = np.asarray(collapse.map(_points(ensemble.space, s)), dtype=float)
-            s = mapped[:, None] if mapped.ndim == 1 else mapped
+            s = _evaluate(collapse.map, _points(ensemble.space, s))[:, None]
         blocks.append(s)
     return np.concatenate(blocks, axis=1)
 

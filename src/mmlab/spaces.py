@@ -44,7 +44,7 @@ def _evaluate(f: Callable, pts: np.ndarray, item_shape: tuple = ()) -> np.ndarra
 
 @dataclass(frozen=True)
 class Potential:
-    """A potential V with its gradient and a declared convexity modulus.
+    """A potential V with its gradient.
 
     ``value`` and ``grad`` follow the batch rule of ``_evaluate``.
     ``quadratic_coeff`` marks V(x) = a|x|^2/2 exactly; this unlocks the
@@ -53,7 +53,6 @@ class Potential:
 
     value: Callable
     grad: Callable
-    convexity_modulus: float = 0.0
     quadratic_coeff: Optional[float] = None
 
 
@@ -61,7 +60,6 @@ def quadratic_potential(a: float) -> Potential:
     return Potential(
         value=lambda x, a=a: 0.5 * a * np.sum(np.square(x), axis=-1),
         grad=lambda x, a=a: a * np.atleast_1d(np.asarray(x, dtype=float)),
-        convexity_modulus=a,
         quadratic_coeff=a,
     )
 

@@ -317,7 +317,8 @@ def kernel_chain_loop(times, start, count, seed, circles=None, chain=None):
     grid[searchsorted(cdf, u, "left")] and wraps with np.mod.  On an interval
     or a finite space, ``chain`` is (points, transition(dt)); a start goes to
     the argmin node of |points - x|, stored as that node, and a step moves to the first index
-    whose row CDF exceeds u.  The uniforms come from the same Philox stream
+    whose row CDF exceeds u; ``transition`` is called once per step length.
+    The uniforms come from the same Philox stream
     as the sampler's, one draw of ``count`` per factor and step.  Returns the
     states, shape (count, n_times, d)."""
     from numpy.random import Generator, Philox, SeedSequence
@@ -348,8 +349,11 @@ def kernel_chain_loop(times, start, count, seed, circles=None, chain=None):
     points, transition = chain
     state = np.argmin(np.abs(points[None, :] - x[:, :1]), axis=1)
     out[:, 0, 0] = points[state]
+    cdfs = {}  # each step length's row CDFs, built once
     for k, dt in enumerate(np.diff(times)):
-        rows = row_cdf(transition(dt))[state]
+        if dt not in cdfs:
+            cdfs[dt] = row_cdf(transition(dt))
+        rows = cdfs[dt][state]
         state = np.argmax(rows > rng.random(count)[:, None], axis=1)
         out[:, k + 1, 0] = points[state]
     return out

@@ -17,6 +17,7 @@ from mmlab import (
     SpaceFamily,
     Torus,
     entropy_tightness,
+    extract_fdd,
     fdd_convergence_report,
     get_kernel,
     graph_generator,
@@ -43,6 +44,7 @@ from mmlab.convergence import (
     _weighted_rebin,
 )
 from mmlab.paths import PathEnsemble, make_rng
+from mmlab.spaces import SpaceError
 
 
 def torus_family(ns, nodes=(256, 64)):
@@ -227,6 +229,21 @@ def test_pmg_torus_family():
     assert out["pass"]
     for r in out["rows"]:
         assert r["base_gap"] <= 1e-12
+
+
+def test_a_collapse_map_written_for_one_point_raises_space_error():
+    # x[0] is the batch's first point, not each point's first coordinate
+    one_point = CollapseMap(lambda x: x[0], 1.0)
+    fam = torus_family([4])
+    label, torus, _ = fam.members[0]
+    fam = SpaceFamily([(label, torus, one_point)], fam.limit)
+    ens = sample_kernel_chain(torus, "base", np.linspace(0.0, 0.5, 3), 500, seed=1)
+    with pytest.raises(SpaceError, match=r"shape \(2,\) for 500 points"):
+        extract_fdd(ens, [0.25, 0.5], one_point)
+    with pytest.raises(SpaceError):
+        pmg_test(fam, [COS, SIN2], 1e-6)
+    with pytest.raises(SpaceError):
+        initial_law_w1(fam)
 
 
 def test_pmg_log_concave_limit():

@@ -412,6 +412,16 @@ def test_concurrent_first_calls_build_one_kernel(monkeypatch):
     assert get_kernel(space) is kernels[0]
 
 
+@pytest.mark.parametrize("load", [lambda: FiniteMms.load(EXAMPLE_FINITE),
+                                  lambda: Interval(0.0, 1.5, n_nodes=40)],
+                         ids=["example_finite", "interval"])
+def test_transition_matrix_is_a_fresh_array_per_call(load):
+    sk = get_kernel(load())
+    p = sk.transition_matrix(0.3)
+    p[...] = 0.0
+    assert np.array_equal(sk.transition_matrix(0.3), get_kernel(load()).transition_matrix(0.3))
+
+
 def test_disconnected_space_zero_gap():
     # two tight clusters far beyond the neighborhood-graph cutoff
     pts = np.concatenate([np.linspace(0, 0.2, 3), 100.0 + np.linspace(0, 0.2, 3)])

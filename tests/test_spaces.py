@@ -340,7 +340,6 @@ def test_potential_gradient_check():
     steps = h * np.eye(3)
     fd = (v.value(xs[:, None, :] + steps) - v.value(xs[:, None, :] - steps)) / (2 * h)
     assert np.max(np.abs(v.grad(xs) - fd)) <= 1e-5 * max(1.0, np.max(np.abs(v.grad(xs))))
-    assert v.convexity_modulus == 2.5
 
 
 def _counted(f, calls):
