@@ -20,12 +20,10 @@ from .spaces import (
     FiniteMms,
     Interval,
     PmmSpace,
-    Potential,
     Torus,
     bishop_gromov_check,
     box_domain,
     mesh_cone,
-    quadratic_potential,
     theta_comparison,
     weighted_measure,
 )

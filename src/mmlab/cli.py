@@ -63,7 +63,7 @@ from .spaces import (
     Torus,
     box_domain,
     mesh_cone,
-    quadratic_potential,
+    weighted_measure,
 )
 from .transport import DiscreteMeasure, wasserstein_1d
 
@@ -451,8 +451,14 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
 
 
 def _ou_errors(cfg: ScenarioConfig) -> list:
-    return _off_grid(time_grid(cfg.dt or OU_DT, OU_T), "multiples of dt up to %g" % OU_T,
-                     [("dt", OU_T)])
+    errors = _off_grid(time_grid(cfg.dt or OU_DT, OU_T), "multiples of dt up to %g" % OU_T,
+                       [("dt", OU_T)])
+    for n in cfg.n_grid:
+        try:  # lab run weighs each member's grid
+            weighted_measure(EuclideanLogConcave(1.0 + 1.0 / n))
+        except SpaceError as exc:
+            errors.append("n_grid: n=%s: %s" % (n, exc))
+    return errors
 
 
 def ou_em_sigma(a: float, dt: float, T: float) -> float:
@@ -471,13 +477,13 @@ def ou_em_sigma(a: float, dt: float, T: float) -> float:
 
 def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     dt = cfg.dt or OU_DT
-    limit = EuclideanLogConcave(quadratic_potential(1.0))
-    members = [(n, EuclideanLogConcave(quadratic_potential(1.0 + 1.0 / n)),
+    limit = EuclideanLogConcave(1.0)
+    members = [(n, EuclideanLogConcave(1.0 + 1.0 / n),
                 CollapseMap(lambda x: x, 0.0)) for n in cfg.n_grid]
     family = SpaceFamily(members, limit)
     # the Euler-Maruyama ensembles sample on the pool first; the checks run
     # here, and the fdd report's nested functionals go to the pool after them
-    futures = {n: pool.submit(euler_maruyama, space.potential, 0.0, dt, OU_T,
+    futures = {n: pool.submit(euler_maruyama, space.a, 0.0, dt, OU_T,
                               cfg.mc_count, _seed_for(cfg, 1, i), record=(OU_T,))
                for i, (n, space, _) in enumerate(members)}
     fns = list(line_functions().values())
@@ -539,17 +545,16 @@ def _reflected_errors(cfg: ScenarioConfig) -> list:
 def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     dt = cfg.dt or REFLECTED_DT
     t_mid, T = REFLECTED_READS
-    v0 = quadratic_potential(0.0)
     x0 = REFLECTED_X0
     checks, tables = [], {}
-    limit_future = pool.submit(euler_maruyama, v0, x0, dt, T, cfg.mc_count,
+    limit_future = pool.submit(euler_maruyama, 0.0, x0, dt, T, cfg.mc_count,
                                _seed_for(cfg, 2), domain=box_domain(0.0, 1.0),
                                record=REFLECTED_READS)
     # each member reflects into [0, length]; the exact law reads the same length
     lengths = {n: 1.0 - 1.0 / n for n in cfg.n_grid if n > 1}
     # a member is read only at t_mid, so it stops there; its draws come in
     # the same order, and its state at t_mid is the one a run to T would keep
-    futures = {n: pool.submit(euler_maruyama, v0, x0, dt, t_mid, cfg.mc_count,
+    futures = {n: pool.submit(euler_maruyama, 0.0, x0, dt, t_mid, cfg.mc_count,
                               _seed_for(cfg, 1, i), domain=box_domain(0.0, length),
                               record=(t_mid,))
                for i, (n, length) in enumerate(lengths.items())}

@@ -8,7 +8,7 @@ eigenvalues are k^2 and the spectral gap is 1.
 Closed forms are used wherever they exist (wrapped Gaussians / eigen-sums on
 circle and torus; on an interval [a, a+L] the Neumann kernel is the circle
 kernel of circumference 2L folded by the reflection about a; Mehler formula
-for quadratic potentials); finite spaces get a graph generator with exact
+for the line's V = a x^2/2); finite spaces get a graph generator with exact
 detailed balance and one symmetric eigendecomposition per angular frequency
 of their rings, whose transition rows are turned copies of the apex and
 angle-0 rows.  A space without symmetry has rings of one atom and a single
@@ -239,16 +239,24 @@ class IntervalKernel(SpectralKernel):
         return leb / self.space.measure_scale
 
     def transition_matrix(self, t: float) -> np.ndarray:
-        return interval_kernel_leb(t, self.points[:, None], self.points[None, :],
-                                   self.space.a, self.space.length) * self._h
+        """``interval_kernel_leb`` at every pair of nodes, times h, read off
+        one kernel row: on the midpoint grid x_i - x_j = (i - j) h and
+        x_i + x_j - 2a = (i + j + 1) h, so the circle kernel is evaluated
+        once at m h for m = -(n - 1) .. 2n - 1 and gathered."""
+        n = len(self.points)
+        row = circle_kernel_arc(t, np.arange(-(n - 1), 2 * n) * self._h,
+                                2.0 * self.space.length)
+        i = np.arange(n)
+        return (row[i[:, None] - i + (n - 1)] + row[i[:, None] + i + n]) * self._h
 
     def gap(self) -> float:
         return (np.pi / self.space.length) ** 2
 
 
 class GaussianKernel(SpectralKernel):
-    """Exact semigroup for V(x) = a|x|^2/2 on the line (Mehler / OU), with
-    a = 0 degenerating to free Brownian motion.
+    """Exact semigroup for V(x) = a x^2/2 on the line (Mehler / OU), with
+    a = 0 degenerating to free Brownian motion; a < 0 takes the same
+    Mehler moments, an unstable OU process.
 
     ``apply_values`` builds the Mehler matrix MEHLER_SLAB rows at a time in
     one reused buffer; on the bundled 4096-node grid a slab is 1 MiB, so it
@@ -261,16 +269,14 @@ class GaussianKernel(SpectralKernel):
     """
 
     def __init__(self, space: EuclideanLogConcave):
-        if space.potential.quadratic_coeff is None:
-            raise HeatError("no computable kernel for non-quadratic potentials")
         super().__init__(space)
-        self.a = float(space.potential.quadratic_coeff)
+        self.a = space.a
         self._h = 2 * space.grid_radius / space.n_nodes
         self._mirror = len(self.points) % 2 == 0 and bool(
             np.array_equal(self.points, -self.points[::-1]))
 
     def _moments(self, t: float, x):
-        if self.a > 0:
+        if self.a != 0:
             decay = np.exp(-self.a * t)
             var = (1.0 - decay * decay) / self.a
         else:

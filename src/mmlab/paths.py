@@ -2,9 +2,9 @@
 
 Two samplers: exact kernel-chain sampling on spaces with computable heat
 kernels, from the base point or a discrete law, and Euler-Maruyama for
-dX = -grad V dt + sqrt(2) dW, optionally mirror-reflected into a box, which
-with zero drift is exact in law unless a mirror image lands past the
-opposite face (``_confine``).  Ensembles are seeded with counter-based
+dX = -aX dt + sqrt(2) dW on the line, optionally mirror-reflected into a
+box, which with zero drift is exact in law unless a mirror image lands past
+the opposite face (``_confine``).  Ensembles are seeded with counter-based
 (Philox) streams, so identical seeds give bit-identical output.
 """
 
@@ -24,7 +24,6 @@ from .spaces import (
     FiniteMms,
     Interval,
     PmmSpace,
-    Potential,
     Torus,
     _evaluate,
 )
@@ -218,7 +217,7 @@ def _chain_states(space: PmmSpace, initial, count: int, rng: Generator, dts: np.
             yield grid[state][:, None]
 
     elif isinstance(space, EuclideanLogConcave):
-        sk = get_kernel(space)  # validates the quadratic form
+        sk = get_kernel(space)
         x = _initial_states(space, initial, count, rng, 1)[:, 0]
         yield x[:, None]
         for dt in dts:
@@ -280,19 +279,18 @@ def _confine(box: Box, x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(p - p2) > 1e-12, p2, p)
 
 
-def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
+def euler_maruyama(a: float, x0, dt: float, T: float, count: int,
                    seed: int, noise: bool = True,
                    domain: Optional[Box] = None,
                    record: Optional[Sequence[float]] = None) -> PathEnsemble:
-    """X_{k+1} = X_k - grad V(X_k) dt + sqrt(2 dt) xi_k, optionally confined
-    to a box of 1 or d coordinates after every step (``_confine``);
-    ``potential.grad`` follows the batch rule of ``spaces._evaluate``.
+    """X_{k+1} = X_k - a X_k dt + sqrt(2 dt) xi_k on the line, the scheme for
+    dX = -aX dt + sqrt(2) dW (V = a x^2/2), optionally confined to a box
+    after every step (``_confine``).
 
-    Paths whose norm exceeds the divergence guard are frozen and flagged.
-    The guard is screened exactly: while no path is flagged and every
-    coordinate lies within DIVERGENCE_GUARD/(2 sqrt d), no norm can pass the
-    guard, so the per-path norms are taken only when the screen fails (a NaN
-    state fails it and, as before, is never flagged).
+    Paths past the divergence guard, |x| > DIVERGENCE_GUARD, are frozen and
+    flagged.  While no path is flagged, one max of |x| over the paths decides
+    whether any can flag, so the flags are formed only when it passes the
+    guard (a NaN state fails that test and is never flagged).
     ``noise=False`` is the deterministic gradient-flow test hook.  The
     ensemble keeps the states at the ``record`` times, each a multiple of dt
     up to T (the whole grid when None); every step is simulated either way.
@@ -306,29 +304,26 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
     grid = time_grid(dt, T)
     steps = len(grid) - 1
     times, slot = _record_slots(grid, record)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = len(x0)
-    if d < 1:
-        raise PathError("x0 must have at least one coordinate")
+    if np.ndim(x0) != 0:
+        raise PathError("x0 must be a number")
+    x0 = float(x0)
+    if domain is not None and not domain.lo - 1e-12 <= x0 <= domain.hi + 1e-12:
+        raise PathError("x0 outside the domain")
     rng = make_rng(seed)
-    x = np.tile(x0, (count, 1))
+    x = np.full(count, x0)
     if domain is not None:
-        if len(domain.lo) not in (1, d):
-            raise PathError("domain has %d coordinates, x0 has %d" % (len(domain.lo), d))
-        if not (np.all(x0 >= domain.lo - 1e-12) and np.all(x0 <= domain.hi + 1e-12)):
-            raise PathError("x0 outside the domain")
         x = np.clip(x, domain.lo, domain.hi)
-    out = np.empty((count, len(times), d))
+    out = np.empty((count, len(times), 1))
     if slot[0] >= 0:
-        out[:, slot[0]] = x
+        out[:, slot[0], 0] = x
     flags = np.zeros(count, dtype=bool)
     frozen = False  # whether any path is flagged
-    screen = DIVERGENCE_GUARD / (2.0 * np.sqrt(d))
     scale = np.sqrt(2.0 * dt)
     # the step is formed in xn; z holds the normals, then |xn| for the screen
-    xn, z = np.empty((count, d)), np.empty((count, d))
+    xn, z = np.empty(count), np.empty(count)
     for k in range(steps):
-        np.multiply(_evaluate(potential.grad, x, (d,)), -dt, out=xn)
+        np.multiply(x, a, out=xn)
+        xn *= -dt
         if noise:
             rng.standard_normal(out=z)
             z *= scale
@@ -336,14 +331,16 @@ def euler_maruyama(potential: Potential, x0, dt: float, T: float, count: int,
         xn += x
         if domain is not None:
             xn = _confine(domain, xn)
-        if frozen or not np.abs(xn, out=z).max() <= screen:
-            flags |= np.linalg.norm(xn, axis=1) > DIVERGENCE_GUARD
+        if frozen or not np.abs(xn, out=z).max() <= DIVERGENCE_GUARD:
+            # once a path is frozen the screen is skipped and z may still
+            # hold the normals, so |xn| is taken afresh
+            flags |= np.abs(xn) > DIVERGENCE_GUARD
             frozen = bool(flags.any())
-            x = np.where(flags[:, None], x, xn)
+            x = np.where(flags, x, xn)
         else:
             x, xn = xn, x  # the old state's array takes the next step
         if slot[k + 1] >= 0:
-            out[:, slot[k + 1]] = x
+            out[:, slot[k + 1], 0] = x
     return PathEnsemble(times, out, flags=flags)
 
 

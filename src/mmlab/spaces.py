@@ -22,64 +22,35 @@ class SpaceError(ValueError):
     pass
 
 
-def _evaluate(f: Callable, pts: np.ndarray, item_shape: tuple = ()) -> np.ndarray:
-    """Values of ``f`` at the points ``pts``, each of shape ``item_shape``.
+def _evaluate(f: Callable, pts: np.ndarray) -> np.ndarray:
+    """Values of ``f`` at the points ``pts``, one number per point.
 
     The rule for every function the lab evaluates on many points (test
-    functions, collapse maps, potentials and their gradients): it takes an
-    array of points, with the points along the leading axes, and returns one
-    value per point.  ``f`` is called once, on the whole array; a result of
-    any shape other than ``(len(pts),) + item_shape`` raises ``SpaceError``.
-    A function written for a single point only, such as ``A @ x`` for a
-    gradient, is outside the rule; where its batch result happens to have the
-    right shape (``d`` points in dimension ``d``) no check can tell.
+    functions and collapse maps): it takes an array of points, with the
+    points along the leading axes, and returns one value per point.  ``f``
+    is called once, on the whole array; a result of any shape other than
+    ``(len(pts),)`` raises ``SpaceError``.
     """
     vals = np.asarray(f(pts), dtype=float)
-    want = (len(pts),) + item_shape
-    if vals.shape != want:
-        raise SpaceError("function returned shape %s for %d points; expected %s"
-                         % (vals.shape, len(pts), want))
+    if vals.shape != (len(pts),):
+        raise SpaceError("function returned shape %s for %d points; expected (%d,)"
+                         % (vals.shape, len(pts), len(pts)))
     return vals
 
 
 @dataclass(frozen=True)
-class Potential:
-    """A potential V with its gradient.
-
-    ``value`` and ``grad`` follow the batch rule of ``_evaluate``.
-    ``quadratic_coeff`` marks V(x) = a|x|^2/2 exactly; this unlocks the
-    closed-form Gaussian semigroup in the heat module.
-    """
-
-    value: Callable
-    grad: Callable
-    quadratic_coeff: Optional[float] = None
-
-
-def quadratic_potential(a: float) -> Potential:
-    return Potential(
-        value=lambda x, a=a: 0.5 * a * np.sum(np.square(x), axis=-1),
-        grad=lambda x, a=a: a * np.atleast_1d(np.asarray(x, dtype=float)),
-        quadratic_coeff=a,
-    )
-
-
-@dataclass(frozen=True)
 class Box:
-    """The closed box lo <= x <= hi, coordinate by coordinate, with float
-    bound vectors of one length (a bound may be infinite).  A box of one
-    coordinate bounds every coordinate of a point by the same interval."""
+    """The closed interval lo <= x <= hi of the line (a bound may be infinite)."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: float
+    hi: float
 
 
 def box_domain(lo, hi) -> Box:
-    lo = np.array(lo, dtype=float, ndmin=1)
-    hi = np.array(hi, dtype=float, ndmin=1)
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise SpaceError("box bounds must be two vectors of one length")
-    if np.isnan(lo).any() or np.isnan(hi).any() or np.any(lo > hi):
+    if not (np.ndim(lo) == 0 and np.ndim(hi) == 0):
+        raise SpaceError("box bounds must be two numbers")
+    lo, hi = float(lo), float(hi)
+    if not lo <= hi:  # NaN fails too
         raise SpaceError("box bounds must be numbers with lo <= hi")
     return Box(lo, hi)
 
@@ -268,14 +239,16 @@ class Interval(PmmSpace):
 
 @dataclass(frozen=True)
 class EuclideanLogConcave(PmmSpace):
-    """(R, |x - y|, e^{-V} dx), on n_nodes midpoints of base +- grid_radius."""
+    """(R, |x - y|, e^{-a x^2/2} dx), on n_nodes midpoints of base +- grid_radius."""
 
-    potential: Potential
+    a: float
     base: float = 0.0
     grid_radius: float = 10.0
     n_nodes: int = 4096
 
     def __post_init__(self):
+        if not np.isfinite(self.a):
+            raise SpaceError("a must be finite")
         if not np.isfinite(self.base):
             raise SpaceError("base must be finite")
         if not 0 < self.grid_radius < np.inf:
@@ -297,7 +270,7 @@ class EuclideanLogConcave(PmmSpace):
     def quadrature(self):
         h = 2 * self.grid_radius / self.n_nodes
         pts = self.base_point - self.grid_radius + (np.arange(self.n_nodes) + 0.5) * h
-        return pts, np.exp(-_evaluate(self.potential.value, pts[:, None])) * h
+        return pts, np.exp(-(0.5 * self.a * np.square(pts))) * h
 
 
 def _check_triangle(dist: np.ndarray, tol: float) -> None:
@@ -470,7 +443,9 @@ def weighted_measure(space: PmmSpace, C: float = 1.0):
     weight = np.exp(-C * d2)
     tail = max(weight[0] * w[0], weight[-1] * w[-1])
     z = float(np.sum(w * weight))
-    if z <= 0 or tail > 1e-10 * z:
+    if not z > 0:
+        raise SpaceError("weight e^{-C d^2} m has no mass on the grid")
+    if tail > 1e-10 * z:
         raise SpaceError("weight e^{-C d^2} not integrable on the grid; C too small")
     return pts, w * (weight / z)
 

@@ -29,7 +29,6 @@ from mmlab import (
     mcshane_extend,
     mixing_bound_check,
     on_diagonal,
-    quadratic_potential,
     spectral_gap,
     wasserstein_1d,
     wasserstein_exact,
@@ -340,7 +339,7 @@ def test_criterion_8_tightness(torus_results):
 def test_criterion_9_entropy_suite():
     t0 = time.monotonic()
     rng = np.random.default_rng(909)
-    space = EuclideanLogConcave(quadratic_potential(1.0))
+    space = EuclideanLogConcave(1.0)
     pts, w = space.quadrature()
     ok = True
     for _ in range(20):

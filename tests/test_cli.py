@@ -10,7 +10,7 @@ import pytest
 
 import mmlab.cli as cli
 import mmlab.paths as paths
-from mmlab import Circle, FiniteMms, get_kernel, quadratic_potential
+from mmlab import Circle, FiniteMms, get_kernel
 from mmlab.cli import ScenarioConfig, main, validate_dict
 from mmlab.convergence import BASELINE_PARTS
 from mmlab.paths import time_grid
@@ -177,6 +177,17 @@ def test_validate_rejects_ou_dt_off_the_read_time():
         errors = validate_dict({"scenario": "ou_family", "dt": dt})
         assert len(errors) == 1 and errors[0].startswith("dt: time 1 not on the grid")
     assert validate_dict({"scenario": "ou_family", "dt": 0.25}) == []
+
+
+def test_validate_rejects_ou_members_with_no_mass_on_their_grid(tmp_path):
+    # at n = 3e-9 every quadrature weight of a = 1 + 1/n underflows to 0, so
+    # the run could form no reference law for that member; at 5e-9 it can
+    raw = {"scenario": "ou_family", "n_grid": [3e-9, 1], "mc_count": 4}
+    assert validate_dict(raw) == ["n_grid: n=3e-09: weight e^{-C d^2} m has no mass on the grid"]
+    raw["n_grid"] = [5e-9, 1]
+    assert validate_dict(raw) == []
+    _, report = _run_report(tmp_path, **raw)
+    assert report["incomplete"] is False
 
 
 def test_torus_constant_read_times_lie_on_the_path_grid():
@@ -426,12 +437,12 @@ def test_validate_reports_an_unreadable_finite_file(tmp_path, capsys):
 
 def _spy_on_em(monkeypatch, swap=None):
     """Record every (seed, T, ensemble) the runners get from euler_maruyama,
-    optionally run with the potential ``swap`` makes of the runner's."""
+    optionally run with the drift coefficient ``swap`` makes of the runner's."""
     made = []
     real = cli.euler_maruyama
 
-    def spy(pot, x0, dt, T, count, seed, **kwargs):
-        ens = real(swap(pot) if swap else pot, x0, dt, T, count, seed, **kwargs)
+    def spy(a, x0, dt, T, count, seed, **kwargs):
+        ens = real(swap(a) if swap else a, x0, dt, T, count, seed, **kwargs)
         made.append((seed, T, ens))
         return ens
 
@@ -469,7 +480,7 @@ def test_em_runners_keep_only_their_read_times(monkeypatch, scenario, expected):
 def test_em_divergence_fails_the_report(tmp_path, monkeypatch, capsys):
     # V = -50|x|^2/2 multiplies the state by 3.5 per step of 0.05, so every
     # OU path passes the divergence guard before t = 1
-    _spy_on_em(monkeypatch, swap=lambda pot: quadratic_potential(-50.0))
+    _spy_on_em(monkeypatch, swap=lambda a: -50.0)
     cfg = tmp_path / "ou.json"
     out_dir = tmp_path / "out"
     cfg.write_text(json.dumps({"scenario": "ou_family", "n_grid": [2, 4], "mc_count": 300,
@@ -534,8 +545,7 @@ def test_reflected_members_on_boxes_too_long_fail_exact_law(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("wrong", [False, True])
 def test_ou_members_with_a_doubled_potential_fail_marginal_w2(tmp_path, monkeypatch, wrong):
-    made = _spy_on_em(monkeypatch, swap=lambda pot: quadratic_potential(
-        (2.0 if wrong else 1.0) * pot.quadratic_coeff))
+    made = _spy_on_em(monkeypatch, swap=lambda a: (2.0 if wrong else 1.0) * a)
     code, report = _run_report(tmp_path, scenario="ou_family", n_grid=[2, 4],
                                mc_count=2000, dt=0.01)
     assert len(made) == 2
@@ -546,8 +556,7 @@ def test_ou_members_with_a_doubled_potential_fail_marginal_w2(tmp_path, monkeypa
 @pytest.mark.parametrize("wrong", [False, True])
 def test_ou_members_with_a_doubled_potential_fail_exact_law(tmp_path, monkeypatch, wrong):
     # each member's chi-squared row sees half the variance of its exact law
-    made = _spy_on_em(monkeypatch, swap=lambda pot: quadratic_potential(
-        (2.0 if wrong else 1.0) * pot.quadratic_coeff))
+    made = _spy_on_em(monkeypatch, swap=lambda a: (2.0 if wrong else 1.0) * a)
     code, report = _run_report(tmp_path, scenario="ou_family", n_grid=[2, 4],
                                mc_count=2000, dt=cli.OU_DT)
     assert len(made) == 2

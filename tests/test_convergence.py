@@ -26,7 +26,6 @@ from mmlab import (
     mesh_cone,
     pathlaw_w1,
     pmg_test,
-    quadratic_potential,
     sample_kernel_chain,
     semigroup_apply,
     set_generator,
@@ -249,8 +248,8 @@ def test_a_collapse_map_written_for_one_point_raises_space_error():
 def test_pmg_log_concave_limit():
     # the OU pair a = 2 against a = 1: the limit's distance to a base point
     # comes back with shape (1,), and pmg_test must still read it as a number
-    limit = EuclideanLogConcave(quadratic_potential(1.0))
-    space = EuclideanLogConcave(quadratic_potential(2.0))
+    limit = EuclideanLogConcave(1.0)
+    space = EuclideanLogConcave(2.0)
     fam = SpaceFamily([(2, space, CollapseMap(lambda x: x, 0.0))], limit)
     out = pmg_test(fam, list(line_functions().values()), convergence.QUAD_TOL)
     assert [r["f"] for r in out["rows"]] == ["clamp", "tanh", "bump"]
@@ -295,10 +294,10 @@ def test_fdd_report_applies_each_semigroup_once_per_step(monkeypatch):
         return real(self, t, values)
 
     monkeypatch.setattr(heat.GaussianKernel, "apply_values", counted)
-    limit = EuclideanLogConcave(quadratic_potential(1.0))
+    limit = EuclideanLogConcave(1.0)
     members = []
     for n in (1, 2, 4, 8):
-        space = EuclideanLogConcave(quadratic_potential(1.0 + 1.0 / n))
+        space = EuclideanLogConcave(1.0 + 1.0 / n)
         members.append((n, space, CollapseMap(lambda x: x, 0.0)))
     fns = list(line_functions().values())
     out = fdd_convergence_report(SpaceFamily(members, limit), [0.25, 0.75], fns)
@@ -443,8 +442,8 @@ def test_pathlaw_bin_budget_is_zero_on_a_finite_limit():
 
 
 def _ou_family(ns):
-    limit = EuclideanLogConcave(quadratic_potential(1.0))
-    return SpaceFamily([(n, EuclideanLogConcave(quadratic_potential(1.0 + 1.0 / n)),
+    limit = EuclideanLogConcave(1.0)
+    return SpaceFamily([(n, EuclideanLogConcave(1.0 + 1.0 / n),
                          CollapseMap(lambda x: x, 0.0)) for n in ns], limit)
 
 
@@ -483,7 +482,7 @@ def test_fdd_rows_through_a_pool_map_equal_the_builtin_map(kind):
 def test_pathlaw_baseline_is_binned_on_the_shared_bins():
     # on the line the bins span the pooled states, so a member that reaches
     # past the limit's range widens the bins of the baseline too
-    line = EuclideanLogConcave(quadratic_potential(0.0))
+    line = EuclideanLogConcave(0.0)
     grid = np.array([0.0, 0.25, 0.75])
     times = [0.25, 0.75]
     limit_ens = sample_kernel_chain(line, "base", grid, 400, seed=1)
@@ -731,8 +730,8 @@ def test_entropy_tightness_finite_sup():
 
 
 def _line_family(a):
-    limit = EuclideanLogConcave(quadratic_potential(1.0))
-    member = EuclideanLogConcave(quadratic_potential(a))
+    limit = EuclideanLogConcave(1.0)
+    member = EuclideanLogConcave(a)
     return SpaceFamily([(a, member, CollapseMap(lambda x: x, 0.0))], limit)
 
 

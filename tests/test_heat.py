@@ -24,7 +24,6 @@ from mmlab import (
     mesh_cone,
     mixing_bound_check,
     on_diagonal,
-    quadratic_potential,
     relative_entropy,
     semigroup_apply,
     set_generator,
@@ -194,7 +193,7 @@ def test_torus_product_structure():
 
 def test_gaussian_kernel_moments():
     a = 1.5
-    space = EuclideanLogConcave(quadratic_potential(a))
+    space = EuclideanLogConcave(a)
     sk = get_kernel(space)
     for t in (0.1, 0.5, 1.0):
         x0 = 0.7
@@ -209,11 +208,44 @@ def test_gaussian_kernel_moments():
         assert abs(var - v_ref) <= 1e-7
 
 
+@pytest.mark.parametrize("a", [-1.0, 0.0, 1.5])
+def test_gaussian_kernel_is_symmetric(a):
+    # a kernel symmetric w.r.t. m = e^{-a x^2/2} dx; at a < 0 the Mehler
+    # moments of an unstable OU process, not those of free motion
+    sk = get_kernel(EuclideanLogConcave(a))
+    for x, y in ((0.3, 1.1), (-0.8, 0.5), (0.0, 2.0)):
+        p = sk.kernel_value(0.4, x, y)
+        assert abs(p - sk.kernel_value(0.4, y, x)) <= 1e-14 * p
+    if a < 0:
+        assert abs(sk.kernel_value(0.4, 0.3, 1.1) - 0.16541) <= 1e-5
+        with pytest.raises(HeatError, match="no spectral gap"):
+            sk.gap()
+
+
+@pytest.mark.parametrize("space", [Interval(), Interval(-1.0, 2.0, n_nodes=300)],
+                         ids=["dyadic", "300_nodes"])
+def test_interval_transition_matrix_is_the_kernel_at_every_pair_of_nodes(space):
+    # read off one kernel row at multiples of h.  On a grid whose nodes and
+    # step are dyadic the node differences are those multiples exactly, and
+    # the matrix equals the pairwise kernel bit for bit; elsewhere the two
+    # differ by the rounding of x_i - x_j, times the kernel's slope
+    sk = get_kernel(space)
+    x = sk.points
+    for t in (0.001, 0.01, 0.3, 2.0):
+        want = heat.interval_kernel_leb(t, x[:, None], x[None, :], space.a, space.length)
+        want *= space.length / space.n_nodes
+        got = sk.transition_matrix(t)
+        if space == Interval():
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+
 @pytest.mark.parametrize("a", [21.0, 101.0])
 def test_steep_gaussian_row_is_finite_and_conservative(a):
     # exp(a y^2 / 2) overflows on the far nodes, where the Gaussian factor
     # is 0 or subnormal, so the plain product is inf or nan there
-    sk = get_kernel(EuclideanLogConcave(quadratic_potential(a)))
+    sk = get_kernel(EuclideanLogConcave(a))
     for t in (0.25, 0.75):
         for x in (0.0, 0.5):
             mean, var = sk._moments(t, x)
@@ -227,7 +259,7 @@ def test_steep_gaussian_row_is_finite_and_conservative(a):
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_gaussian_row_is_the_direct_product(a):
-    sk = get_kernel(EuclideanLogConcave(quadratic_potential(a)))
+    sk = get_kernel(EuclideanLogConcave(a))
     for t in (0.25, 0.75):
         for x in (0.0, 0.7):
             mean, var = sk._moments(t, x)
@@ -240,7 +272,7 @@ def test_spectral_gaps_closed_form():
     assert abs(spectral_gap(Interval(0.0, 1.0)) - np.pi ** 2) <= 1e-9
     assert abs(spectral_gap(Torus(2 * np.pi, np.pi)) - 1.0) <= 1e-9
     a = 2.0
-    assert abs(spectral_gap(EuclideanLogConcave(quadratic_potential(a))) - a) <= 1e-9
+    assert abs(spectral_gap(EuclideanLogConcave(a)) - a) <= 1e-9
 
 
 def test_two_state_generator_override():
@@ -474,7 +506,7 @@ def test_relative_entropy_basics():
 @given(st.integers(0, 10 ** 6), st.floats(0.3, 2.0))
 def test_entropy_identity_sigma_finite(seed, C):
     rng = np.random.default_rng(seed)
-    space = EuclideanLogConcave(quadratic_potential(1.0))
+    space = EuclideanLogConcave(1.0)
     pts, w = space.quadrature()
     center = rng.uniform(-1.0, 1.0)
     width = rng.uniform(0.3, 1.0)
@@ -489,7 +521,7 @@ def test_entropy_identity_sigma_finite(seed, C):
 def test_entropy_identity_skips_nodes_of_zero_mass(a):
     # a steep potential's far nodes have m-mass 0 or subnormal, so the tilted
     # masses there are 0; mu keeps positive density on them all the same
-    space = EuclideanLogConcave(quadratic_potential(a))
+    space = EuclideanLogConcave(a)
     pts, w = space.quadrature()
     assert np.any(w == 0)
     rho = np.exp(-0.5 * (pts / 3.0) ** 2)
@@ -563,7 +595,7 @@ def test_semigroup_apply_matches_kernel_row():
 
 BLOCK_SPACES = [Circle(2 * np.pi, n_nodes=256), Torus(2 * np.pi, np.pi / 2, n_nodes=(64, 32)),
                 Interval(0.0, 1.0, n_nodes=200),
-                EuclideanLogConcave(quadratic_potential(1.5), n_nodes=600)]
+                EuclideanLogConcave(1.5, n_nodes=600)]
 
 
 @pytest.mark.parametrize("space", BLOCK_SPACES + [None],
@@ -605,7 +637,7 @@ MEHLER_GRIDS = [(600, 1.5, 0.0, False), (1000, 1.5, 0.0, False), (512, 1.5, 0.0,
 @pytest.mark.parametrize("n_nodes, a, base, mirrored", MEHLER_GRIDS,
                          ids=["600", "1000", "512", "4096", "512-free", "4096-base", "601"])
 def test_mehler_slabs_match_the_dense_matrix(n_nodes, a, base, mirrored):
-    sk = get_kernel(EuclideanLogConcave(quadratic_potential(a), base=base, n_nodes=n_nodes))
+    sk = get_kernel(EuclideanLogConcave(a, base=base, n_nodes=n_nodes))
     assert sk._mirror is mirrored
     t = 0.5
     mean, var = sk._moments(t, sk.points)
@@ -621,7 +653,7 @@ def test_mehler_slabs_match_the_dense_matrix(n_nodes, a, base, mirrored):
 def test_mehler_apply_is_bit_identical_at_every_slab_height(monkeypatch, n_nodes, a, base,
                                                           mirrored):
     # from half the default slab height to eight times it
-    sk = get_kernel(EuclideanLogConcave(quadratic_potential(a), base=base, n_nodes=n_nodes))
+    sk = get_kernel(EuclideanLogConcave(a, base=base, n_nodes=n_nodes))
     assert sk._mirror is mirrored
     block = np.random.default_rng(7).standard_normal((n_nodes, 3))
     outs = []

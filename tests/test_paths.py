@@ -15,7 +15,6 @@ from mmlab import (
     FiniteMms,
     Interval,
     PathEnsemble,
-    Potential,
     Torus,
     box_domain,
     euler_maruyama,
@@ -23,13 +22,12 @@ from mmlab import (
     get_kernel,
     kolmogorov_moment,
     modulus_statistic,
-    quadratic_potential,
     sample_kernel_chain,
 )
 import mmlab.paths as paths
 from mmlab.heat import circle_kernel_arc
 from mmlab.paths import PathError, _pair_distance, grid_index
-from mmlab.spaces import SpaceError, mesh_cone
+from mmlab.spaces import mesh_cone
 
 from _oracles import (
     circle_distance_reference,
@@ -97,7 +95,7 @@ def test_chain_bad_grid_rejected():
 @pytest.mark.parametrize("law", ["weighted", None, "nonsense"])
 def test_chain_rejects_an_unknown_start_law(law):
     # a chain starts at the base point or from a DiscreteMeasure
-    for space in (Circle(), Interval(0.0, 1.0), EuclideanLogConcave(quadratic_potential(1.0))):
+    for space in (Circle(), Interval(0.0, 1.0), EuclideanLogConcave(1.0)):
         with pytest.raises(PathError, match="^unknown initial law %s$" % re.escape(repr(law))):
             sample_kernel_chain(space, law, [0.0, 0.5], 10, seed=0)
 
@@ -167,8 +165,8 @@ RECORD_STARTS = {
     **{case: CHAIN_STARTS[case] for case in
        ("circle-7", "circle-law", "torus-off", "torus-law", "finite", "finite-law",
         "interval-outside", "interval-law")},
-    "line": (EuclideanLogConcave(quadratic_potential(1.5), base=0.7), "base"),
-    "line-law": (EuclideanLogConcave(quadratic_potential(1.5)),
+    "line": (EuclideanLogConcave(1.5, base=0.7), "base"),
+    "line-law": (EuclideanLogConcave(1.5),
                  DiscreteMeasure([[-1.0], [0.3], [2.0]], [0.5, 0.3, 0.2])),
 }
 RECORD_TIMES = [0.0, 0.01, 0.03, 0.04, 0.1, 0.2, 0.35]
@@ -263,21 +261,21 @@ def test_chain_step_at_cdf_entries_equals_the_row_argmax():
 
 def test_em_ou_moments_and_weak_order():
     a, x0, T = 1.0, 1.0, 1.0
-    v = quadratic_potential(a)
     m_ref, _ = ou_mean_var(a, x0, T)
     errs = []
     for dt in (2e-2, 1e-2, 5e-3):
-        ens = euler_maruyama(v, x0, dt, T, 40000, seed=3)
+        ens = euler_maruyama(a, x0, dt, T, 40000, seed=3)
         errs.append(abs(float(np.mean(ens.states[:, -1, 0])) - m_ref))
     # first-order weak error: halving dt roughly halves the bias
     assert errs[2] < errs[0]
     assert errs[0] <= 0.05
 
 
-@pytest.mark.parametrize("a", [0.0, 1.5])
+@pytest.mark.parametrize("a", [0.0, 1.5, -1.0])
 def test_chain_on_a_line_has_the_ou_moments(a):
-    # the exact OU (a > 0) and free (a = 0) transitions of the kernel chain
-    space = EuclideanLogConcave(quadratic_potential(a), base=0.7)
+    # the exact OU (a > 0), free (a = 0) and unstable OU (a < 0) transitions
+    # of the kernel chain
+    space = EuclideanLogConcave(a, base=0.7)
     ens = sample_kernel_chain(space, "base", [0.0, 0.2, 0.5], 40000, seed=4)
     for k, t in ((1, 0.2), (2, 0.5)):
         m_ref, v_ref = ou_mean_var(a, 0.7, t)
@@ -288,27 +286,25 @@ def test_chain_on_a_line_has_the_ou_moments(a):
 
 def test_em_zero_noise_gradient_flow():
     a, x0, T = 2.0, 1.0, 1.0
-    ens = euler_maruyama(quadratic_potential(a), x0, 1e-4, T, 1, seed=0, noise=False)
+    ens = euler_maruyama(a, x0, 1e-4, T, 1, seed=0, noise=False)
     assert abs(ens.states[0, -1, 0] - x0 * np.exp(-a * T)) <= 1e-3
 
 
 def test_em_divergence_guard_flags():
     # unstable drift dX = 5X dt with a large step blows up and gets frozen
-    ens = euler_maruyama(quadratic_potential(-5.0), 1.0, 0.5, 20.0, 8, seed=1)
+    ens = euler_maruyama(-5.0, 1.0, 0.5, 20.0, 8, seed=1)
     assert np.all(ens.flags)
     assert np.all(np.isfinite(ens.states))
 
 
 EM_CASES = {
     # (keyword arguments, recorded times)
-    "free": (dict(potential=quadratic_potential(1.0), x0=0.3, dt=1e-2, T=1.0, count=64),
-             (0.0, 0.37, 1.0)),
-    "reflected": (dict(potential=quadratic_potential(0.0), x0=0.25, dt=5e-3, T=1.5, count=64,
+    "free": (dict(a=1.0, x0=0.3, dt=1e-2, T=1.0, count=64), (0.0, 0.37, 1.0)),
+    "reflected": (dict(a=0.0, x0=0.25, dt=5e-3, T=1.5, count=64,
                        domain=box_domain(0.0, 1.0)),
                   (1.0, 1.5)),
     # dX = 5X dt with a large step: every path is frozen by t = 10
-    "flagged": (dict(potential=quadratic_potential(-5.0), x0=1.0, dt=0.5, T=20.0, count=8),
-                (0.5, 10.0, 20.0)),
+    "flagged": (dict(a=-5.0, x0=1.0, dt=0.5, T=20.0, count=8), (0.5, 10.0, 20.0)),
 }
 
 
@@ -345,90 +341,31 @@ def test_em_stopped_early_equals_the_full_run_at_its_horizon(case, t):
 
 
 def test_em_record_off_grid_rejected():
-    v = quadratic_potential(1.0)
     for record in [(0.5, 0.505), (1.2,), (0.5, 0.2), ()]:
         with pytest.raises(PathError):
-            euler_maruyama(v, 0.0, 1e-2, 1.0, 4, seed=0, record=record)
-
-
-def _linear_potential(A):
-    """V(x) = x.Ax/2 in batch form: points along the leading axes."""
-    A = np.asarray(A)
-    return Potential(value=lambda x: 0.5 * np.sum(x * (x @ A.T), axis=-1),
-                     grad=lambda x: x @ A.T)
-
-
-@pytest.mark.parametrize("count", [2, 3])
-@pytest.mark.parametrize("A, x0, x1", [
-    ([[1.0, 0.5], [0.0, 2.0]], (1.0, 1.0), (0.85, 0.8)),
-    # x0 is an eigenvector whose eigenvalue is A's first row sum, so the
-    # first row of a per-point A @ X would be right and only the last wrong
-    ([[2.0, 0.0], [0.0, 3.0]], (1.0, 0.0), (0.8, 0.0)),
-    # the rows of a per-point A @ X would be .8, .7, .8 with count 3: only a
-    # middle row shows the mix-up
-    ([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]], (1.0, 0.0, 0.0),
-     (0.8, 0.0, 0.0)),
-])
-def test_em_batch_gradient_when_count_equals_dim(count, A, x0, x1):
-    """Each path gets its own gradient A x_i from the batch form X @ A.T,
-    also when the path count equals the dimension.  A gradient written for
-    one point (A @ x) is outside the batch rule; with count == d its batch
-    result has the right shape, and no check can catch it."""
-    ens = euler_maruyama(_linear_potential(A), x0, 0.1, 0.1, count, seed=0, noise=False)
-    assert np.allclose(ens.states[:, 1], [x1] * count, rtol=0, atol=1e-15)
-
-
-def test_em_calls_the_gradient_once_per_step():
-    calls = []
-
-    def grad(x):
-        calls.append(x.shape)
-        return x @ np.diag([1.0, 2.0]).T
-
-    v = Potential(value=lambda x: 0.0, grad=grad)
-    euler_maruyama(v, (1.0, 1.0), 0.1, 0.5, 7, seed=0)
-    assert calls == [(7, 2)] * 5
-
-
-def test_em_rejects_a_gradient_of_the_wrong_shape():
-    # a gradient written for one point reads the first two paths of a batch
-    # as its two coordinates: two items for three paths
-    v = Potential(value=lambda x: 0.0, grad=lambda x: np.array([x[0], 2.0 * x[1]]))
-    with pytest.raises(SpaceError, match=r"shape \(2, 2\) for 3 points; expected \(3, 2\)"):
-        euler_maruyama(v, (1.0, 1.0), 0.1, 0.1, 3, seed=0, noise=False)
-
-
-def _nan_rows_gradient(x):
-    """grad of |x|^2/2, except NaN on every third path."""
-    return np.where(np.arange(len(x))[:, None] % 3 == 0, np.nan, x)
+            euler_maruyama(1.0, 0.0, 1e-2, 1.0, 4, seed=0, record=record)
 
 
 ORACLE_CASES = {
     **{case: kwargs for case, (kwargs, _) in EM_CASES.items()},
     # steps of sd 0.14 in a box of width 0.05: mirror images land past the
     # opposite face, so the second projection pass runs
-    "narrow_box": dict(potential=quadratic_potential(0.0), x0=0.02, dt=1e-2, T=0.5, count=64,
+    "narrow_box": dict(a=0.0, x0=0.02, dt=1e-2, T=0.5, count=64,
                        domain=box_domain(0.0, 0.05)),
-    "box_2d": dict(potential=quadratic_potential(1.0), x0=(0.5, 0.25), dt=5e-3, T=0.5,
-                   count=64, domain=box_domain((0.0, 0.0), (1.0, 0.5))),
     # the whole line: every projection is the identity, and 2x - x is exact
-    "identity_projection": dict(potential=quadratic_potential(1.0), x0=0.3, dt=1e-2, T=0.5,
-                                count=64, domain=box_domain(-np.inf, np.inf)),
-    # above the screen (5e5 in 1-D), below the guard: the full rule runs, no flag
-    "above_screen": dict(potential=quadratic_potential(0.0), x0=6e5, dt=1e-2, T=0.5,
-                         count=64),
+    "identity_projection": dict(a=1.0, x0=0.3, dt=1e-2, T=0.5, count=64,
+                                domain=box_domain(-np.inf, np.inf)),
+    # far out but under the guard: the screen passes at every step, no flag
+    "above_screen": dict(a=0.0, x0=6e5, dt=1e-2, T=0.5, count=64),
     # steps of sd 1 from just under the guard: some paths flag, others do not
-    "partly_flagged": dict(potential=quadratic_potential(0.0), x0=1e6 - 0.5, dt=0.5, T=5.0,
-                           count=64),
+    "partly_flagged": dict(a=0.0, x0=1e6 - 0.5, dt=0.5, T=5.0, count=64),
     # a * dt = 1 cancels the state, so each step is pure noise of sd 4e5: now
     # and then one path passes the guard, and at later steps every path, the
-    # frozen one's next step too, can lie under the screen again
-    "frozen_under_screen": dict(potential=quadratic_potential(1.25e-11), x0=0.0, dt=8e10,
-                                T=3.2e12, count=4),
-    "nan_rows": dict(potential=Potential(value=lambda x: 0.0, grad=_nan_rows_gradient),
-                     x0=0.3, dt=1e-2, T=0.5, count=64),
-    "no_noise": dict(potential=quadratic_potential(2.0), x0=1.0, dt=1e-2, T=1.0, count=4,
-                     noise=False),
+    # frozen one's next step too, can lie under it again
+    "frozen_under_screen": dict(a=1.25e-11, x0=0.0, dt=8e10, T=3.2e12, count=4),
+    # a NaN start: every state is NaN, and NaN never passes the guard
+    "nan_rows": dict(a=1.0, x0=np.nan, dt=1e-2, T=0.5, count=64),
+    "no_noise": dict(a=2.0, x0=1.0, dt=1e-2, T=1.0, count=4, noise=False),
 }
 
 
@@ -437,8 +374,8 @@ def _clip_to(box):
     return lambda x: np.clip(x, box.lo, box.hi)
 
 
-def _em_loop(seed, potential, domain=None, **kwargs):
-    return euler_maruyama_loop(potential.grad, seed=seed,
+def _em_loop(seed, domain=None, **kwargs):
+    return euler_maruyama_loop(seed=seed,
                                project=None if domain is None else _clip_to(domain), **kwargs)
 
 
@@ -454,7 +391,7 @@ def test_em_is_bit_identical_to_the_step_loop(case):
     elif case in ("partly_flagged", "frozen_under_screen"):
         assert 0 < np.sum(flags) < len(flags)
     elif case == "nan_rows":
-        assert np.all(np.isnan(states[::3, 1:])) and np.all(np.isfinite(states[1::3]))
+        assert np.all(np.isnan(states)) and not np.any(flags)
     else:
         assert not np.any(flags)
 
@@ -469,7 +406,7 @@ def test_narrow_box_case_overshoots_the_opposite_face():
         return clip(x)
 
     # the sampler equals this loop bit for bit (test above)
-    euler_maruyama_loop(kwargs.pop("potential").grad, seed=21, project=project, **kwargs)
+    euler_maruyama_loop(seed=21, project=project, **kwargs)
     # call 0 projects the start; each step then projects its step and the
     # mirror image of that step
     mirrored = np.concatenate(seen[2::2])
@@ -478,19 +415,15 @@ def test_narrow_box_case_overshoots_the_opposite_face():
 
 @st.composite
 def _boxed_runs(draw):
-    """A short reflected run: x0 in 1 or 2 coordinates, a box of 1 or d
-    coordinates around it whose faces lie 0, 0.01 (narrower than most
-    steps), 0.3 or infinitely far from x0, a step and a step count."""
-    d = draw(st.sampled_from([1, 2]))
-    x0 = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
-    gaps = st.lists(st.sampled_from([0.0, 0.01, 0.3, np.inf]), min_size=d, max_size=d)
-    if draw(st.booleans()):  # one coordinate bounds all of x0
-        lo, hi = x0.min() - draw(gaps)[0], x0.max() + draw(gaps)[0]
-    else:
-        lo, hi = x0 - draw(gaps), x0 + draw(gaps)
+    """A short reflected run: x0, a box around it whose faces lie 0, 0.01
+    (narrower than most steps), 0.3 or infinitely far from x0, a step and a
+    step count."""
+    x0 = draw(st.floats(-2.0, 2.0))
+    gaps = st.sampled_from([0.0, 0.01, 0.3, np.inf])
     dt = draw(st.sampled_from([1e-3, 0.05, 0.5]))
-    return dict(potential=quadratic_potential(draw(st.sampled_from([0.0, 1.0]))), x0=x0,
-                dt=dt, T=dt * draw(st.integers(1, 5)), count=8, domain=box_domain(lo, hi))
+    return dict(a=draw(st.sampled_from([0.0, 1.0])), x0=x0, dt=dt,
+                T=dt * draw(st.integers(1, 5)), count=8,
+                domain=box_domain(x0 - draw(gaps), x0 + draw(gaps)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -506,10 +439,9 @@ def test_em_concurrent_ensembles_equal_their_serial_runs():
     """Two ensembles stepped at once on two threads, with the interpreter
     switching threads as often as it can, match their serial runs bit for
     bit: each call draws its normals into a buffer of its own."""
-    runs = [dict(potential=quadratic_potential(0.0), x0=0.25, dt=5e-3, T=1.0, count=2000,
-                 seed=3, domain=box_domain(0.0, 0.75)),
-            dict(potential=quadratic_potential(1.0), x0=0.0, dt=5e-3, T=1.0, count=2000,
-                 seed=4)]
+    runs = [dict(a=0.0, x0=0.25, dt=5e-3, T=1.0, count=2000, seed=3,
+                 domain=box_domain(0.0, 0.75)),
+            dict(a=1.0, x0=0.0, dt=5e-3, T=1.0, count=2000, seed=4)]
     serial = [euler_maruyama(**kwargs) for kwargs in runs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -527,35 +459,30 @@ def test_em_concurrent_ensembles_equal_their_serial_runs():
 @pytest.mark.parametrize("name, value", [
     ("count", 0), ("count", -3), ("dt", float("nan")), ("dt", 0.0), ("T", float("inf")),
     ("T", 5e-3), ("x0", ()),
-    # a box of 2 coordinates for a point of 1, and of 3 for a point of 2
-    ("domain", box_domain((0.0, 0.0), (1.0, 0.5))),
-    ("domain", dict(domain=box_domain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), x0=(0.0, 0.0))),
+    # the line's points are numbers: no tuple, no one-coordinate array
+    ("x0", (1.0, 1.0)), ("x0", np.array([0.5])),
     ("x0", dict(domain=box_domain(1e-11, 1.0))),
 ])
-def test_em_rejects_bad_arguments_before_any_step(name, value):
-    calls = []
-
-    def grad(x):
-        calls.append(x.shape)
-        return x
-
-    kwargs = dict(potential=Potential(value=lambda x: 0.0, grad=grad), x0=0.0, dt=1e-2,
-                  T=1.0, count=4, seed=0)
+def test_em_rejects_bad_arguments_before_any_step(monkeypatch, name, value):
+    # the stream is made after every check, so a rejected call draws nothing
+    made = []
+    monkeypatch.setattr(paths, "make_rng", lambda seed: made.append(seed))
+    kwargs = dict(a=1.0, x0=0.0, dt=1e-2, T=1.0, count=4, seed=0)
     with pytest.raises(PathError, match="^%s " % name):
         euler_maruyama(**{**kwargs, **(value if isinstance(value, dict) else {name: value})})
-    assert calls == []
+    assert made == []
 
 
 def test_reflected_paths_stay_inside():
     dom = box_domain(0.0, 1.0)
-    ens = euler_maruyama(quadratic_potential(0.0), 0.5, 1e-3, 1.0, 200, seed=4, domain=dom)
+    ens = euler_maruyama(0.0, 0.5, 1e-3, 1.0, 200, seed=4, domain=dom)
     assert np.all(ens.states >= -1e-12)
     assert np.all(ens.states <= 1.0 + 1e-12)
 
 
 def test_reflected_folded_normal_ks():
     dom = box_domain(0.0, np.inf)
-    ens = euler_maruyama(quadratic_potential(0.0), 0.0, 1e-3, 0.5, 10000, seed=6,
+    ens = euler_maruyama(0.0, 0.0, 1e-3, 0.5, 10000, seed=6,
                          domain=dom)
     final = ens.states[:, -1, 0]
     ks = scipy.stats.kstest(final, lambda x: folded_normal_cdf(x, np.sqrt(2 * 0.5)))
@@ -565,15 +492,14 @@ def test_reflected_folded_normal_ks():
 def test_reflected_interior_matches_free():
     # away from the boundary the confined sampler reproduces free EM exactly
     dom = box_domain(-100.0, 100.0)
-    v = quadratic_potential(1.0)
-    free = euler_maruyama(v, 0.0, 1e-3, 0.2, 50, seed=8)
-    confined = euler_maruyama(v, 0.0, 1e-3, 0.2, 50, seed=8, domain=dom)
+    free = euler_maruyama(1.0, 0.0, 1e-3, 0.2, 50, seed=8)
+    confined = euler_maruyama(1.0, 0.0, 1e-3, 0.2, 50, seed=8, domain=dom)
     assert np.allclose(free.states, confined.states, atol=1e-12)
 
 
 def test_reflected_occupation_chi2():
     dom = box_domain(0.0, 1.0)
-    ens = euler_maruyama(quadratic_potential(0.0), 0.25, 5e-4, 1.5, 4000, seed=11,
+    ens = euler_maruyama(0.0, 0.25, 5e-4, 1.5, 4000, seed=11,
                          domain=dom)
     final = ens.states[:, -1, 0]
     hist, _ = np.histogram(final, bins=10, range=(0.0, 1.0))
@@ -687,7 +613,7 @@ def test_modulus_multi_eta_equals_per_eta_loop(space):
 
 
 @pytest.mark.parametrize("space", [Circle(2 * np.pi), Torus(2 * np.pi, np.pi, n_nodes=(64, 32)),
-                                   _ring(16), EuclideanLogConcave(quadratic_potential(1.0))],
+                                   _ring(16), EuclideanLogConcave(1.0)],
                          ids=["circle", "torus", "finite", "line"])
 def test_modulus_measures_only_the_paths_still_under_delta(monkeypatch, space):
     times = np.arange(0, 0.5 + 1e-12, 0.0125)
@@ -709,7 +635,7 @@ def test_modulus_measures_only_the_paths_still_under_delta(monkeypatch, space):
 def test_modulus_on_a_line_matches_a_per_path_loop():
     # a kernel-chain ensemble on a 1-D log-concave line stores (count, n_t, 1)
     # states; each pair of times is one distance, not a norm over time
-    space = EuclideanLogConcave(quadratic_potential(1.0))
+    space = EuclideanLogConcave(1.0)
     times = np.arange(0, 0.5 + 1e-12, 0.0125)
     ens = sample_kernel_chain(space, "base", times, 300, seed=33)
     etas, delta = (0.05, 0.2), 0.5
