@@ -72,18 +72,16 @@ from .transport import DiscreteMeasure, wasserstein_1d
 class ScenarioConfig:
     scenario: str
     n_grid: list[float] = field(default_factory=lambda: [1, 2, 4, 8, 16])
-    times: list[float] = field(default_factory=lambda: [0.25, 0.75])
     mc_count: int = 10000
     dt: float = None
     seed: int = 1234
     out_dir: str = "out"
     resolution: int = 24
-    bins: int = 24
     finite_file: str = None
 
 
 ZERO_ALLOWED = ("seed",)                     # number fields that may also be 0
-INCREASING = ("n_grid", "times")             # lists that must strictly increase
+INCREASING = ("n_grid",)                     # lists that must strictly increase
 # what a value of each declared field type must be
 MUST_BE = {"int": "a {} integer", "float": "a finite {} number", "str": "a nonempty string",
            "list[float]": "a nonempty list of finite {} numbers"}
@@ -221,7 +219,8 @@ def chain_functions(positions: np.ndarray) -> dict:
 # the parameters of the tightness and fdd statistics, which the convergence
 # argument fixes; each runner evaluates its whole test-function registry
 ENTROPY_EPS = 0.1                    # the kernel time of entropy tightness
-PATH_T = 1.0                         # the torus path grid's end, which bounds the times
+TIMES = (0.25, 0.75)                 # the fdd and path-law times
+PATH_T = 1.0                         # the torus path grid's end
 MODULUS_ETA = (0.4, 0.2, 0.1, 0.05)  # the modulus statistic's window lengths,
 MODULUS_DELTA = 0.5                  # its distance threshold
 MODULUS_T = 0.3                      # and its horizon
@@ -233,11 +232,16 @@ OU_FDD_SLACK = 0.5                   # the OU fdd budgets add OU_FDD_SLACK / n
 KS_LEVEL = 0.01                      # the level of the exact-law tests, Bonferroni
                                      # split over a run's exact-law rows
 # the torus chains step on multiples of min(MODULUS_ETA)/4, as the modulus
-# statistic needs, up to PATH_T, and keep only the times _torus_reads names
+# statistic needs, up to PATH_T, and keep only the TORUS_READS times: the
+# modulus window up to MODULUS_T, TIMES, and each Kolmogorov pair t, t + h.
+# The members and the limit keep the same times, as the path law needs.
 TORUS_GRID = time_grid(min(MODULUS_ETA) / 4, PATH_T)
 TORUS_GRID.flags.writeable = False
+TORUS_READS = TORUS_GRID[sorted({grid_index(TORUS_GRID, t) for t in (
+    *TORUS_GRID[TORUS_GRID <= MODULUS_T + 1e-12], *TIMES,
+    *(t + h for t in KOLMOGOROV_T for h in (0.0, *KOLMOGOROV_H)))})]
+TORUS_READS.flags.writeable = False
 TORUS_NODES = 256                    # grid nodes of the torus limit, the most path-law bins
-CONE_PATHS = 4000                    # the cone runner samples at most this many paths
 OU_T = 1.0                           # the OU runner's horizon, the one time it reads
 # the OU runner's step when the config sets no dt: Euler-Maruyama from 0 is
 # an exact Gaussian recursion, whose law the exact_law check tests
@@ -289,7 +293,7 @@ def _family_checks(cfg: ScenarioConfig, family: SpaceFamily, fns, pmg_slack=None
         pmg = pmg_test(family, fns, pmg_slack)
         tables["pmg"] = pmg["rows"]
         checks.append(_status("pmg", pmg["pass"]))
-    fdd = fdd_convergence_report(family, cfg.times, fns, extra_budgets=fdd_extra, map=map)
+    fdd = fdd_convergence_report(family, TIMES, fns, extra_budgets=fdd_extra, map=map)
     tables["fdd"] = fdd["rows"]
     checks.append(_status("fdd_gaps", fdd["pass"],
                           max_ratio=_max_ratio(fdd["rows"], "gap", "budget")))
@@ -317,29 +321,10 @@ def _pathlaw_check(cfg: ScenarioConfig, family: SpaceFamily, ensembles: dict, li
     """The path-law W1 check of the kernel-chain ensembles; adds its table.
     ``pathlaw_w1`` solves its binned W1 pairs through ``map`` (a pool's
     ``map`` spreads them over its threads), which gives them back in order."""
-    pl = pathlaw_w1(family.members, ensembles, limit_ens, cfg.times, bins=cfg.bins,
-                    seed=_seed_for(cfg, 3), map=map)
+    pl = pathlaw_w1(family.members, ensembles, limit_ens, TIMES, seed=_seed_for(cfg, 3),
+                    map=map)
     tables["pathlaw"] = pl["rows"]
     return _status("pathlaw_w1", pl["pass"], max_ratio=_max_ratio(pl["rows"], "w1", "bound"))
-
-
-def _torus_errors(cfg: ScenarioConfig) -> list:
-    """Fdd times off the path grid, and more path-law bins than grid nodes."""
-    errors = []
-    if cfg.bins > TORUS_NODES:
-        errors.append("bins: at most %d, the torus limit's grid nodes, so that each bin "
-                      "holds whole nodes" % TORUS_NODES)
-    return errors + _off_grid(TORUS_GRID, "multiples of %g up to %g" % (TORUS_GRID[1], PATH_T),
-                              [("times", t) for t in cfg.times])
-
-
-def _torus_reads(times) -> np.ndarray:
-    """The TORUS_GRID times the torus runner reads: the modulus window up to
-    MODULUS_T, the path-law ``times``, and each Kolmogorov pair t, t + h.
-    The members and the limit keep the same times, as the path law needs."""
-    reads = [*TORUS_GRID[TORUS_GRID <= MODULUS_T + 1e-12], *times,
-             *(t + h for t in KOLMOGOROV_T for h in (0.0, *KOLMOGOROV_H))]
-    return TORUS_GRID[sorted({grid_index(TORUS_GRID, t) for t in reads})]
 
 
 def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
@@ -362,7 +347,7 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         r["w1"] <= r["fiber"] + 0.05 for r in tables["initial_law"])))
 
     ensembles, limit_ens = _sample_chains(cfg, pool, family, TORUS_GRID, cfg.mc_count,
-                                          _torus_reads(cfg.times))
+                                          TORUS_READS)
     # the modulus statistics run on the pool while the path-law W1 runs here
     labelled = [("limit", limit_ens)] + [(n, ensembles[n]) for n in cfg.n_grid]
     mod_futures = [pool.submit(modulus_statistic, ens, MODULUS_T, MODULUS_ETA, MODULUS_DELTA)
@@ -433,8 +418,8 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
                for n, fut in zip(cfg.n_grid, futures)]
     family = SpaceFamily(members, limit)
     fns = list(chain_functions(limit.coords[:, 0]).values())
-    grid = np.concatenate([[0.0], np.asarray(cfg.times, dtype=float)])
-    ensembles, limit_ens = _sample_chains(cfg, pool, family, grid, min(cfg.mc_count, CONE_PATHS))
+    ensembles, limit_ens = _sample_chains(cfg, pool, family, np.array([0.0, *TIMES]),
+                                          cfg.mc_count)
     # the shared checks are one pool task, and the path law's W1 solves
     # spread over the pool beside it; only this thread waits on the pool
     # declared: the 0.05 is set by hand, beside bundled fiber tolerances of 1.1 and up
@@ -634,16 +619,15 @@ def run_custom_finite(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     m = space.weights
     ts = [0.1, 0.5, 1.0, 2.0]
     checks, tables = [], {}
-    rows = []
+    rows, mats = [], {}
     for t in ts:
-        p = sk.transition_matrix(t)
+        p = mats[t] = sk.transition_matrix(t)
         cons = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
         sym = m[:, None] * p
         det = float(np.max(np.abs(sym - sym.T)))
         rows.append({"t": t, "conservativeness": cons, "detailed_balance": det,
                      "pass": bool(cons <= 1e-9 and det <= 1e-9)})
-    ck = float(np.max(np.abs(sk.transition_matrix(0.1) @ sk.transition_matrix(0.5)
-                             - sk.transition_matrix(0.6))))
+    ck = float(np.max(np.abs(mats[0.1] @ mats[0.5] - sk.transition_matrix(0.6))))
     rows.append({"t": 0.6, "conservativeness": ck, "detailed_balance": 0.0,
                  "pass": bool(ck <= 1e-12)})
     tables["kernel_checks"] = rows
@@ -685,7 +669,7 @@ class Scenario:
 SCENARIOS = {
     "torus_collapse": Scenario(
         "flat tori with shrinking second factor collapsing onto a circle",
-        run_torus, _torus_errors, BASELINE_PARTS),
+        run_torus, lambda cfg: [], BASELINE_PARTS),
     "cone_interval": Scenario(
         "triangulated narrowing cones collapsing onto a weighted interval",
         run_cone, _cone_errors, BASELINE_PARTS),

@@ -280,8 +280,7 @@ def _confine(box: Box, x: np.ndarray) -> np.ndarray:
 
 
 def euler_maruyama(a: float, x0, dt: float, T: float, count: int,
-                   seed: int, noise: bool = True,
-                   domain: Optional[Box] = None,
+                   seed: int, domain: Optional[Box] = None,
                    record: Optional[Sequence[float]] = None) -> PathEnsemble:
     """X_{k+1} = X_k - a X_k dt + sqrt(2 dt) xi_k on the line, the scheme for
     dX = -aX dt + sqrt(2) dW (V = a x^2/2), optionally confined to a box
@@ -290,8 +289,7 @@ def euler_maruyama(a: float, x0, dt: float, T: float, count: int,
     Paths past the divergence guard, |x| > DIVERGENCE_GUARD, are frozen and
     flagged.  While no path is flagged, one max of |x| over the paths decides
     whether any can flag, so the flags are formed only when it passes the
-    guard (a NaN state fails that test and is never flagged).
-    ``noise=False`` is the deterministic gradient-flow test hook.  The
+    guard (a NaN state fails that test and is never flagged).  The
     ensemble keeps the states at the ``record`` times, each a multiple of dt
     up to T (the whole grid when None); every step is simulated either way.
     """
@@ -324,10 +322,9 @@ def euler_maruyama(a: float, x0, dt: float, T: float, count: int,
     for k in range(steps):
         np.multiply(x, a, out=xn)
         xn *= -dt
-        if noise:
-            rng.standard_normal(out=z)
-            z *= scale
-            xn += z
+        rng.standard_normal(out=z)
+        z *= scale
+        xn += z
         xn += x
         if domain is not None:
             xn = _confine(domain, xn)

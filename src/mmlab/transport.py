@@ -44,7 +44,9 @@ def _as_atoms(atoms) -> np.ndarray:
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Weighted atoms in a shared metric context; weights sum to 1.  Equal
-    atoms merge into one, which carries their summed weight."""
+    atoms merge into one, which carries their summed weight, so the atoms are
+    distinct and in lexicographic order (``unique_rows``): a 1-D measure's
+    atoms strictly increase."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -163,11 +165,8 @@ def _quantile_refinement(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """
     if mu.dim != 1 or nu.dim != 1:
         raise TransportError("1-D atoms required")
-    xs, xw = mu.atoms[:, 0], mu.weights
+    xs, xw = mu.atoms[:, 0], mu.weights  # sorted, as every measure's atoms are
     ys, yw = nu.atoms[:, 0], nu.weights
-    ox, oy = np.argsort(xs), np.argsort(ys)
-    xs, xw = xs[ox], xw[ox]
-    ys, yw = ys[oy], yw[oy]
     cx, cy = np.cumsum(xw), np.cumsum(yw)
     cuts = _sorted_union(cx[:-1], cy[:-1])
     edges = np.concatenate([[0.0], cuts, [1.0]])
@@ -460,9 +459,7 @@ def entropy_1d(mu: DiscreteMeasure, reference_logdensity: Callable = None) -> fl
     """
     if mu.dim != 1:
         raise TransportError("1-D atoms required")
-    order = np.argsort(mu.atoms[:, 0])
-    x = mu.atoms[order, 0]
-    w = mu.weights[order]
+    x, w = mu.atoms[:, 0], mu.weights
     if len(x) < 5:
         raise TransportError("too few atoms for the quantile entropy estimator")
     u = np.cumsum(w) - 0.5 * w
@@ -480,8 +477,7 @@ def entropy_1d(mu: DiscreteMeasure, reference_logdensity: Callable = None) -> fl
 
 def _entropy_with_margin(mu: DiscreteMeasure, logdensity) -> tuple[float, float]:
     full = entropy_1d(mu, logdensity)
-    order = np.argsort(mu.atoms[:, 0])
-    x, w = mu.atoms[order, 0], mu.weights[order]
+    x, w = mu.atoms[:, 0], mu.weights
     thin = DiscreteMeasure(x[::2], w[::2] / w[::2].sum())
     coarse = entropy_1d(thin, logdensity)
     return full, 2.0 * abs(full - coarse)

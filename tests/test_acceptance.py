@@ -144,10 +144,14 @@ def test_golden_tables(scenario, request, tmp_path):
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
 def test_golden_manifest_names_every_config_field(scenario):
     """A committed manifest records the config ``lab run`` ran: exactly the
-    ``ScenarioConfig`` fields, so a tree written before a field was added or
-    removed shows as stale."""
+    ``ScenarioConfig`` fields, with the values of the bundled config and the
+    defaults it leaves out, so a tree written before a field was added or
+    removed, or before the bundled config changed, shows as stale."""
     manifest = json.loads((REPO / "out" / scenario / "manifest.json").read_text())
     assert sorted(manifest["config"]) == sorted(f.name for f in fields(ScenarioConfig))
+    raw = json.loads((REPO / "scripts" / ("%s.json" % scenario)).read_text())
+    assert manifest["config"] == _jsonable(ScenarioConfig(**raw).__dict__)
+    assert manifest["seed"] == raw["seed"]
 
 
 # each gated check's largest ratio, as (table, value column, budget column)

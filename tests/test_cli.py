@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -40,11 +41,11 @@ def test_list_scenarios(capsys):
 
 
 def test_validate_reports_field_paths(capsys):
-    errors = validate_dict({"scenario": "nope", "mc_count": -3, "times": [0.5, "x"]})
+    errors = validate_dict({"scenario": "nope", "mc_count": -3, "n_grid": [0.5, "x"]})
     joined = "\n".join(errors)
     assert "scenario" in joined
     assert "mc_count" in joined
-    assert "times" in joined
+    assert "n_grid" in joined
 
 
 def test_validate_command(tmp_path, capsys):
@@ -68,7 +69,7 @@ FINITE_FILES = {"coincident.txt": "2 0\n0.5 0.5\n0 0\n0 0\n", "one_atom.txt": "1
     ('{"scenario": "ou_family", "dt": NaN}', "dt: "),
     ('{"scenario": "ou_family", "mc_count": null}', "mc_count: "),
     ('{"scenario": "ou_family", "n_grid": null, "mc_count": 8}', "n_grid: "),
-    ('{"scenario": "ou_family", "times": null, %s}' % SMALL, "times: "),
+    ('{"scenario": "ou_family", "resolution": null, %s}' % SMALL, "resolution: "),
     ('{"scenario": "ou_family", "out_dir": 5, %s}' % SMALL, "out_dir: "),
     ('{"scenario": "ou_family", "out_dir": "", %s}' % SMALL, "out_dir: "),
     ('{"scenario": "cone_interval", "n_grid": [0.5], "mc_count": 8}', "n_grid: "),
@@ -114,17 +115,6 @@ def test_validate_rejects_grids_that_do_not_increase():
     for name in cli.INCREASING:
         errors = validate_dict({"scenario": "ou_family", name: [0.5, 0.5]})
         assert errors == ["%s: must be strictly increasing" % name]
-
-
-def test_validate_rejects_torus_times_off_the_path_grid(tmp_path, capsys):
-    # the torus paths are stored every min(MODULUS_ETA)/4 = 0.0125
-    cfg = tmp_path / "torus.json"
-    cfg.write_text(json.dumps({"scenario": "torus_collapse", "times": [0.25, 0.7501]}))
-    assert main(["validate", str(cfg)]) == 1
-    assert "times: time 0.7501 not on the grid" in capsys.readouterr().out
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert not (tmp_path / "out").exists()
-    assert validate_dict({"scenario": "torus_collapse"}) == []
 
 
 def test_validate_rejects_reflected_dt_off_the_read_times():
@@ -193,27 +183,32 @@ def test_validate_rejects_ou_members_with_no_mass_on_their_grid(tmp_path):
 def test_torus_constant_read_times_lie_on_the_path_grid():
     # no config sets these times, so no validation rule checks them
     reads = [t + h for t in cli.KOLMOGOROV_T for h in cli.KOLMOGOROV_H] + [cli.MODULUS_T]
-    for t in reads:
+    for t in [*reads, *cli.TIMES]:
         assert cli.grid_index(cli.TORUS_GRID, t) > 0, t
 
 
+def test_torus_path_law_bins_hold_whole_limit_nodes():
+    # more bins than the 256 limit nodes would put a node on a bin edge
+    bins = inspect.signature(cli.pathlaw_w1).parameters["bins"].default
+    assert bins <= cli.TORUS_NODES
+
+
 def test_torus_reads_follow_from_the_read_constants():
-    reads = cli._torus_reads([0.25, 0.75])
+    reads = cli.TORUS_READS
+    assert not reads.flags.writeable
     window = cli.TORUS_GRID[:cli.grid_index(cli.TORUS_GRID, cli.MODULUS_T) + 1]
     pairs = [t + h for t in cli.KOLMOGOROV_T for h in (0.0,) + cli.KOLMOGOROV_H]
     want = sorted({cli.grid_index(cli.TORUS_GRID, t)
-                   for t in [*window, 0.25, 0.75, *pairs]})
+                   for t in [*window, *cli.TIMES, *pairs]})
     assert np.array_equal(reads, cli.TORUS_GRID[want])
-    # on the bundled times: 32 of the 81 grid times, and nothing past 0.75,
-    # so each chain takes 60 of its 80 steps
+    # 32 of the 81 grid times, and nothing past TIMES[-1] = 0.75, so each
+    # chain takes 60 of its 80 steps
     assert (len(reads), len(cli.TORUS_GRID)) == (32, 81)
     assert cli.grid_index(cli.TORUS_GRID, reads[-1]) == 60
-    later = cli._torus_reads([0.25, 0.9])
-    assert np.array_equal(later, np.append(reads[:-1], cli.TORUS_GRID[72]))
 
 
 # a torus run small enough to repeat once per recorded time
-TINY_TORUS = ScenarioConfig(scenario="torus_collapse", n_grid=[1, 2], mc_count=400, bins=4)
+TINY_TORUS = ScenarioConfig(scenario="torus_collapse", n_grid=[1, 2], mc_count=400)
 
 
 def _torus_outputs(tmp_path, monkeypatch, name, reads):
@@ -225,7 +220,7 @@ def _torus_outputs(tmp_path, monkeypatch, name, reads):
         made.append(paths.sample_kernel_chain(*args))
         return made[-1]
 
-    monkeypatch.setattr(cli, "_torus_reads", lambda times: reads)
+    monkeypatch.setattr(cli, "TORUS_READS", reads)
     monkeypatch.setattr(cli, "sample_kernel_chain", spy)
     out = tmp_path / name
     cli.run_scenario(TINY_TORUS, out_dir=str(out))
@@ -233,7 +228,7 @@ def _torus_outputs(tmp_path, monkeypatch, name, reads):
 
 
 def test_torus_recorded_chains_write_the_full_grid_tables(tmp_path, monkeypatch, capsys):
-    reads = cli._torus_reads(TINY_TORUS.times)
+    reads = cli.TORUS_READS
     recorded, made = _torus_outputs(tmp_path, monkeypatch, "recorded", reads)
     full, made_full = _torus_outputs(tmp_path, monkeypatch, "full", cli.TORUS_GRID)
     assert recorded == full
@@ -248,7 +243,7 @@ def test_torus_recorded_chains_write_the_full_grid_tables(tmp_path, monkeypatch,
 def test_every_time_the_torus_chains_keep_is_read(tmp_path, monkeypatch, capsys):
     # dropping a kept time must make the run fail or change a table; with
     # t = 0 dropped, the modulus scan would otherwise start at 0.0125
-    reads = cli._torus_reads(TINY_TORUS.times)
+    reads = cli.TORUS_READS
     ref, _ = _torus_outputs(tmp_path, monkeypatch, "all", reads)
     for i, t in enumerate(reads):
         got, _ = _torus_outputs(tmp_path, monkeypatch, "drop%d" % i, np.delete(reads, i))
@@ -256,20 +251,13 @@ def test_every_time_the_torus_chains_keep_is_read(tmp_path, monkeypatch, capsys)
     capsys.readouterr()
 
 
-def test_validate_rejects_more_torus_bins_than_limit_nodes():
-    # 512 bins would put a node of the 256-node limit grid on a bin edge
-    for bins in (257, 512):
-        errors = validate_dict({"scenario": "torus_collapse", "bins": bins})
-        assert len(errors) == 1 and errors[0].startswith("bins: at most 256")
-    assert validate_dict({"scenario": "torus_collapse", "bins": cli.TORUS_NODES}) == []
-
-
-# the ten statistic parameters that were config fields, now constants in cli,
-# each with a value the field accepted; a config that sets one is refused
+# the twelve statistic parameters that were config fields, now constants in
+# cli, each with a value the field accepted; a config that sets one is refused
 REMOVED_KEYS = {"eps_entropy": 0.1, "path_T": 1.0, "modulus_eta": [0.4, 0.2, 0.1, 0.05],
                 "modulus_delta": 0.5, "modulus_T": 0.3, "kolmogorov_beta": 4.0,
                 "kolmogorov_h": [0.0125, 0.025, 0.05, 0.1], "fdd_budget_scale": 0.5,
-                "ks_level": 0.01, "test_functions": ["cos"]}
+                "ks_level": 0.01, "test_functions": ["cos"], "times": [0.25, 0.75],
+                "bins": 24}
 
 
 @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
@@ -312,6 +300,21 @@ def test_cone_kernels_hold_no_atom_by_atom_matrix(monkeypatch):
         sk = vars(space)["_kernel"]
         held = sum(v.size for v in vars(sk).values() if isinstance(v, np.ndarray))
         assert held < space.n ** 2
+
+
+def test_cone_run_samples_the_configured_paths(monkeypatch):
+    # every ensemble holds all mc_count paths, here more than the bundled 4,000
+    counts = []
+
+    def spy(space, start, grid, count, *args):
+        counts.append(count)
+        return paths.sample_kernel_chain(space, start, grid, count, *args)
+
+    monkeypatch.setattr(cli, "sample_kernel_chain", spy)
+    cfg = ScenarioConfig(scenario="cone_interval", n_grid=[1, 2], mc_count=4500, resolution=6)
+    with ThreadPoolExecutor(2) as pool:
+        cli.run_cone(cfg, pool)
+    assert counts == [4500] * 3  # two members and the limit
 
 
 def test_cone_run_takes_no_eigendecomposition_larger_than_a_ring_block(monkeypatch):
@@ -730,7 +733,9 @@ def test_config_defaults_documented():
     cfg = ScenarioConfig(scenario="torus_collapse")
     assert cfg.n_grid == [1, 2, 4, 8, 16]
     assert cfg.mc_count == 10000
-    assert cfg.times == [0.25, 0.75]
+    assert cfg.resolution == 24
+    assert [f.name for f in fields(ScenarioConfig)] == [
+        "scenario", "n_grid", "mc_count", "dt", "seed", "out_dir", "resolution", "finite_file"]
 
 
 @pytest.mark.parametrize("kind", ["circle", "line", "chain"])

@@ -284,12 +284,6 @@ def test_chain_on_a_line_has_the_ou_moments(a):
         assert abs(np.var(x) / v_ref - 1.0) <= 4 * np.sqrt(2.0 / len(x))
 
 
-def test_em_zero_noise_gradient_flow():
-    a, x0, T = 2.0, 1.0, 1.0
-    ens = euler_maruyama(a, x0, 1e-4, T, 1, seed=0, noise=False)
-    assert abs(ens.states[0, -1, 0] - x0 * np.exp(-a * T)) <= 1e-3
-
-
 def test_em_divergence_guard_flags():
     # unstable drift dX = 5X dt with a large step blows up and gets frozen
     ens = euler_maruyama(-5.0, 1.0, 0.5, 20.0, 8, seed=1)
@@ -365,7 +359,6 @@ ORACLE_CASES = {
     "frozen_under_screen": dict(a=1.25e-11, x0=0.0, dt=8e10, T=3.2e12, count=4),
     # a NaN start: every state is NaN, and NaN never passes the guard
     "nan_rows": dict(a=1.0, x0=np.nan, dt=1e-2, T=0.5, count=64),
-    "no_noise": dict(a=2.0, x0=1.0, dt=1e-2, T=1.0, count=4, noise=False),
 }
 
 

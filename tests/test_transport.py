@@ -442,3 +442,20 @@ def test_discrete_measure_merges_only_equal_atoms():
     mu = DiscreteMeasure([[0.0, 1.0], [5e-13, 1.0], [0.0, 1.0]], [0.25, 0.25, 0.5])
     assert mu.atoms.tolist() == [[0.0, 1.0], [5e-13, 1.0]]
     assert mu.weights.tolist() == [0.75, 0.25]
+
+
+def test_discrete_measure_atoms_are_sorted_and_distinct():
+    # the quantile and entropy routines read a measure's atoms as they are
+    rng = np.random.default_rng(8)
+    values = rng.integers(0, 40, 200) * 0.125 - 2.0  # about 40 values, most repeated
+    shuffled = DiscreteMeasure(values)
+    x = shuffled.atoms[:, 0]
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, np.unique(values))
+    pairs = rng.integers(0, 3, (50, 2)).astype(float)  # rows in lexicographic order
+    assert np.array_equal(DiscreteMeasure(pairs).atoms, np.unique(pairs, axis=0))
+    order = np.sort(values)
+    other = DiscreteMeasure(rng.normal(size=150))
+    for p in (1, 2):
+        assert wasserstein_1d(p, shuffled, other) == wasserstein_1d(p, DiscreteMeasure(order),
+                                                                    other)
