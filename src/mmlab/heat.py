@@ -22,7 +22,11 @@ builds each P_t afresh when asked, so pool threads share it without a lock.
 of m functions as the columns of an (n, m) block, and returns them as floats
 at t = 0.  Column j of a block's result is bit-identical to the (n,) call on
 column j: the matrix kernels do one matrix-vector product per column, and the
-circle and torus transform each column alone.
+circle and torus transform each column alone.  It also takes an optional row
+range ``rows = (lo, hi)`` of the result a caller will read; only the Mehler
+kernel reads it, builds only the slabs that cover those rows and leaves
+every other row at 0, each row it computes bit-identical to the full apply.
+Every other kernel ignores it and computes the whole result.
 """
 
 from __future__ import annotations
@@ -143,14 +147,17 @@ class SpectralKernel:
     def kernel_value(self, t: float, x, y) -> float:
         return self._density(t, x, y).item()
 
-    def apply_values(self, t: float, values: np.ndarray) -> np.ndarray:
+    def apply_values(self, t: float, values: np.ndarray,
+                     rows: Optional[tuple] = None) -> np.ndarray:
         """P_t f for f given by its values on the grid: an (n,) vector, or an
         (n, m) block of m functions whose column j of the result is
-        bit-identical to the (n,) call on column j.  P_0 is the identity."""
+        bit-identical to the (n,) call on column j.  P_0 is the identity.
+        ``rows = (lo, hi)`` names the rows the caller reads; a kernel may
+        leave rows outside it at 0 (only the Mehler kernel does)."""
         values = np.asarray(values, dtype=float)
-        return values if t == 0 else self._apply(t, values)
+        return values if t == 0 else self._apply(t, values, rows)
 
-    def _apply(self, t: float, values: np.ndarray) -> np.ndarray:
+    def _apply(self, t: float, values: np.ndarray, rows: Optional[tuple]) -> np.ndarray:
         """apply_values at t > 0 on a float array."""
         return _per_column(self.transition_matrix(t), values)
 
@@ -180,7 +187,7 @@ class CircleKernel(SpectralKernel):
     def _multiplier(self, t: float) -> np.ndarray:
         return np.fft.rfft(circle_kernel_arc(t, self.points, self.space.circumference)) * self._h
 
-    def _apply(self, t: float, values: np.ndarray) -> np.ndarray:
+    def _apply(self, t: float, values: np.ndarray, rows: Optional[tuple]) -> np.ndarray:
         # transform along the grid axis, last after transposing a block
         f_hat = np.fft.rfft(values.T)
         return np.fft.irfft(f_hat * self._multiplier(t), n=self.space.n_nodes).T
@@ -212,7 +219,7 @@ class TorusKernel(SpectralKernel):
         a2 = circle_kernel_arc(t, self._f2.points - x[1], self.space.len2)
         return np.outer(a1, a2).ravel() / self.space.measure_scale
 
-    def _apply(self, t: float, values: np.ndarray) -> np.ndarray:
+    def _apply(self, t: float, values: np.ndarray, rows: Optional[tuple]) -> np.ndarray:
         n1, n2 = self._shape
         v = values.T
         lead = v.shape[:-1]
@@ -265,7 +272,10 @@ class GaussianKernel(SpectralKernel):
     about base 0 is one) the matrix satisfies K[n-1-i, n-1-j] == K[i, j] bit
     for bit: when n is even only the top half is built, and each lower slab
     is the top slab reversed along both axes and copied contiguous, so every
-    row's product sums in the same order as from the full matrix.
+    row's product sums in the same order as from the full matrix.  Given a
+    row range, it builds only the top slabs that cover it or whose mirrored
+    slabs do, takes the product of each of the two that meets the range,
+    and leaves the other rows at 0.
     """
 
     def __init__(self, space: EuclideanLogConcave):
@@ -296,25 +306,36 @@ class GaussianKernel(SpectralKernel):
             row = np.where(bad, np.exp(log_row) / np.sqrt(2.0 * np.pi * var), row)
         return row
 
-    def _apply(self, t: float, values: np.ndarray) -> np.ndarray:
+    def _fill_slab(self, slab: np.ndarray, mean: np.ndarray, var: float) -> np.ndarray:
+        """Rows of the Mehler matrix h * _gauss(points - mean_i, var), one per
+        entry of ``mean``, written into ``slab`` in _gauss's order of
+        operations; dividing by -2 var is dividing the negated square by
+        2 var, as IEEE division is symmetric in sign."""
+        np.subtract(self.points, mean[:, None], out=slab)
+        np.square(slab, out=slab)
+        np.divide(slab, -2.0 * var, out=slab)
+        np.exp(slab, out=slab)
+        np.divide(slab, np.sqrt(2.0 * np.pi * var), out=slab)
+        np.multiply(slab, self._h, out=slab)
+        return slab
+
+    def _apply(self, t: float, values: np.ndarray, rows: Optional[tuple]) -> np.ndarray:
         mean, var = self._moments(t, self.points)
         n = len(mean)
+        first, last = (0, n) if rows is None else rows
         built = n // 2 if self._mirror else n
-        out = np.empty(values.shape)
+        out = np.zeros(values.shape)
         buf = np.empty((min(MEHLER_SLAB, built), n))
         for lo in range(0, built, MEHLER_SLAB):
             hi = min(lo + MEHLER_SLAB, built)
-            slab = buf[:hi - lo]
-            # _gauss(points - mean, var) * h in place, in its order of operations
-            np.subtract(self.points, mean[lo:hi, None], out=slab)
-            np.square(slab, out=slab)
-            np.negative(slab, out=slab)
-            np.divide(slab, 2.0 * var, out=slab)
-            np.exp(slab, out=slab)
-            np.divide(slab, np.sqrt(2.0 * np.pi * var), out=slab)
-            np.multiply(slab, self._h, out=slab)
-            out[lo:hi] = _per_column(slab, values)
-            if self._mirror:
+            top = lo < last and first < hi
+            mirrored = self._mirror and n - hi < last and first < n - lo
+            if not (top or mirrored):
+                continue
+            slab = self._fill_slab(buf[:hi - lo], mean[lo:hi], var)
+            if top:
+                out[lo:hi] = _per_column(slab, values)
+            if mirrored:
                 out[n - hi:n - lo] = _per_column(np.ascontiguousarray(slab[::-1, ::-1]), values)
         return out
 

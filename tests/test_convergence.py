@@ -1,3 +1,4 @@
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,6 +45,7 @@ from mmlab.convergence import (
 )
 from mmlab.paths import PathEnsemble, make_rng
 from mmlab.spaces import SpaceError
+from mmlab.transport import unique_rows
 
 
 def torus_family(ns, nodes=(256, 64)):
@@ -289,9 +291,9 @@ def test_fdd_report_applies_each_semigroup_once_per_step(monkeypatch):
     calls = []
     real = heat.GaussianKernel.apply_values
 
-    def counted(self, t, values):
+    def counted(self, t, values, rows=None):
         calls.append(np.shape(values))
-        return real(self, t, values)
+        return real(self, t, values, rows=rows)
 
     monkeypatch.setattr(heat.GaussianKernel, "apply_values", counted)
     limit = EuclideanLogConcave(1.0)
@@ -305,6 +307,57 @@ def test_fdd_report_applies_each_semigroup_once_per_step(monkeypatch):
     # rows stay function-major, member-minor
     assert [(r["f"], r["label"]) for r in out["rows"]] == [
         (f.name, n) for f in fns for n in (1, 2, 4, 8)]
+
+
+# the bundled OU limit and members, an off-centre start on the mirrored grid,
+# and the unmirrored grid about base 0.3
+OU_STARTS = [(EuclideanLogConcave(a), None) for a in (1.0, 2.0, 1.5, 1.25, 1.125)] + [
+    (EuclideanLogConcave(1.0), 2.5), (EuclideanLogConcave(1.5, base=0.3), None)]
+
+
+@pytest.mark.parametrize("space, start", OU_STARTS,
+                         ids=["limit", "n1", "n2", "n4", "n8", "off-centre", "base-0.3"])
+def test_nested_functional_row_range_keeps_every_bit(monkeypatch, space, start):
+    start = space.base_point if start is None else start
+    fns = list(line_functions().values())
+    lists = [[f, f] for f in fns]
+    nested = [[f, g, f] for f, g in zip(fns, fns[::-1])]
+    skipped = [_nested_functional(space, None, [0.25, 0.75], lists, start),
+               _nested_functional(space, None, [0.1, 0.25, 0.75], nested, start)]
+    # a cutoff of 0 keeps every row, so each apply is the full one
+    monkeypatch.setattr(convergence, "VISIBLE_WEIGHT", 0.0)
+    whole = [_nested_functional(space, None, [0.25, 0.75], lists, start),
+             _nested_functional(space, None, [0.1, 0.25, 0.75], nested, start)]
+    assert [[v.hex() for v in vals] for vals in skipped] == \
+        [[v.hex() for v in vals] for vals in whole]
+
+
+def test_ou_outermost_step_builds_only_the_rows_its_start_sees(monkeypatch):
+    built, asked = [], []
+    fill, apply = heat.GaussianKernel._fill_slab, heat.GaussianKernel.apply_values
+
+    def counted(self, slab, mean, var):
+        built.append(len(mean))
+        return fill(self, slab, mean, var)
+
+    def spied(self, t, values, rows=None):
+        asked.append(rows)
+        return apply(self, t, values, rows=rows)
+
+    monkeypatch.setattr(heat.GaussianKernel, "_fill_slab", counted)
+    monkeypatch.setattr(heat.GaussianKernel, "apply_values", spied)
+    limit = EuclideanLogConcave(1.0)
+    lists = [[f] * 2 for f in line_functions().values()]
+    _nested_functional(limit, None, [0.25, 0.75], lists, limit.base_point)
+    # the range is the span of rows whose start weight reaches the cutoff
+    sk = get_kernel(limit)
+    (lo, hi), = asked
+    weighted = sk.weights * sk.kernel_row(0.25, limit.base_point)
+    visible = weighted >= convergence.VISIBLE_WEIGHT * np.max(weighted)
+    assert visible[lo] and visible[hi - 1] and not visible[:lo].any() and not visible[hi:].any()
+    # 2,048 top rows on the mirrored 4,096-node grid; the start's law sees 1,312
+    assert sk._mirror and len(sk.points) == 4096
+    assert 0 < sum(built) <= 1344
 
 
 def test_fdd_report_extra_budgets():
@@ -707,6 +760,48 @@ def test_weighted_rebin_wraps_whole_periods_by_the_bin_index():
     for k in (-3, -1, 1, 2):
         shifted = _weighted_rebin(atoms + k * period, weights, specs)
         assert np.array_equal(shifted[0], cells) and np.array_equal(shifted[1], w)
+
+
+def _rebin_by_unique_rows(atoms, weights, specs):
+    """_weighted_rebin's cells merged by a lexicographic sort of the rows."""
+    cells = np.empty(atoms.shape, dtype=int)
+    for j, (lo, width, count, period) in enumerate(specs):
+        idx = np.floor((atoms[:, j] - lo) / width).astype(int)
+        cells[:, j] = np.mod(idx, count) if period is not None else np.minimum(idx, count - 1)
+    uniq, inverse = unique_rows(cells)
+    w = np.bincount(inverse, weights=weights, minlength=len(uniq))
+    return uniq, w / w.sum()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_weighted_rebin_matches_the_unique_rows_route(seed):
+    rng = np.random.default_rng(seed)
+    circle, interval = Circle(2 * np.pi, n_nodes=256), Interval(0.0, 2.0)
+    chain = _interval_chain(6)
+    n = 3000
+    columns = {
+        # whole periods either way: the circle wraps by its bin index
+        "circle": rng.uniform(-3.0, 3.0, n) * 2 * np.pi,
+        # a third of the rows at the right end, which joins the last bin
+        "interval": np.where(rng.random(n) < 0.3, 2.0, rng.uniform(0.0, 2.0, n)),
+        # atom indices of a finite limit, one unit bin each
+        "chain": rng.integers(0, chain.n, n).astype(float),
+        "line": rng.normal(size=n),
+    }
+    specs = {"circle": _bin_edges(circle, None, 24), "interval": _bin_edges(interval, None, 8),
+             "chain": _bin_edges(chain, None, 64),
+             "line": _bin_edges(EuclideanLogConcave(1.0), columns["line"], 24)}
+    weights = rng.dirichlet(np.ones(n)) * rng.uniform(0.5, 3.0)
+    cases = [["circle"], ["chain"], ["circle", "interval"], ["chain", "chain"],
+             ["line", "circle", "chain"]]
+    # all rows, and the first 150, which leave most cells of a grid empty
+    for names, count in itertools.product(cases, (n, 150)):
+        atoms = np.stack([columns[k][:count] for k in names], axis=1)
+        spec = [specs[k] for k in names]
+        cells, masses = _weighted_rebin(atoms, weights[:count], spec)
+        ref_cells, ref_masses = _rebin_by_unique_rows(atoms, weights[:count], spec)
+        assert cells.dtype == ref_cells.dtype and np.array_equal(cells, ref_cells), names
+        assert np.array_equal(masses.view(np.int64), ref_masses.view(np.int64)), names
 
 
 def test_circle_bins_keep_every_grid_node_off_their_edges():

@@ -664,6 +664,60 @@ def test_mehler_apply_is_bit_identical_at_every_slab_height(monkeypatch, n_nodes
         assert np.array_equal(out.view(np.int64), outs[0].view(np.int64))
 
 
+def _covering_rows(n, slab, mirrored, lo, hi):
+    """The rows of the slabs a row range asks for: top slabs of MEHLER_SLAB
+    rows and, on a mirrored grid, their mirror images, each kept when it
+    meets the range."""
+    built = n // 2 if mirrored else n
+    slabs = [(s, min(s + slab, built)) for s in range(0, built, slab)]
+    if mirrored:
+        slabs += [(n - b, n - a) for a, b in slabs]
+    mask = np.zeros(n, dtype=bool)
+    for a, b in slabs:
+        if a < hi and lo < b:
+            mask[a:b] = True
+    return mask
+
+
+@pytest.mark.parametrize("n_nodes, a, base, mirrored", MEHLER_GRIDS,
+                         ids=["600", "1000", "512", "4096", "512-free", "4096-base", "601"])
+def test_mehler_row_range_rows_are_the_full_apply_rows(monkeypatch, n_nodes, a, base,
+                                                       mirrored):
+    sk = get_kernel(EuclideanLogConcave(a, base=base, n_nodes=n_nodes))
+    assert sk._mirror is mirrored
+    n = n_nodes
+    block = np.random.default_rng(9).standard_normal((n, 3))
+    # off slab boundaries, across the middle unevenly, the last rows, empty, whole
+    ranges = [(3, 41), (n // 2 - 37, n // 2 + 100), (n - 70, n - 1), (5, 5), (0, n)]
+    for slab in (16, 32, 64, 128, 256):
+        monkeypatch.setattr(heat, "MEHLER_SLAB", slab)
+        full = sk.apply_values(0.5, block).view(np.int64)
+        for lo, hi in ranges:
+            out = sk.apply_values(0.5, block, rows=(lo, hi)).view(np.int64)
+            mask = _covering_rows(n, slab, mirrored, lo, hi)
+            assert np.all(mask[lo:hi])
+            assert np.array_equal(out[mask], full[mask]), (slab, lo, hi)
+            assert not np.any(out[~mask]), (slab, lo, hi)
+        assert np.array_equal(sk.apply_values(0.5, block, rows=(0, n)).view(np.int64), full)
+
+
+@pytest.mark.parametrize("space", BLOCK_SPACES[:3] + [None],
+                         ids=["circle", "torus", "interval", "finite"])
+def test_other_kernels_ignore_the_row_range(space):
+    if space is None:
+        space = random_finite(np.random.default_rng(10), 15)
+    sk = get_kernel(space)
+    n = len(sk.points)
+    block = np.random.default_rng(11).standard_normal((n, 3))
+    for t in (0.1, 1.0):
+        full = sk.apply_values(t, block).view(np.int64)
+        for rows in ((3, 7), (0, 0), (0, n)):
+            assert np.array_equal(sk.apply_values(t, block, rows=rows).view(np.int64), full)
+            column = block[:, 0].copy()
+            assert np.array_equal(sk.apply_values(t, column, rows=rows).view(np.int64),
+                                  sk.apply_values(t, column).view(np.int64))
+
+
 @pytest.mark.parametrize("n", [1, 4, 16])
 def test_torus_row_is_its_density_on_the_grid(n):
     sk = get_kernel(Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(256, 64)))
