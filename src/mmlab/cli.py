@@ -43,7 +43,7 @@ from .heat import (
     set_generator,
     spectral_gap,
 )
-from .kolmogorov import chi2_sf, kstest_uniform, ndtri
+from .kolmogorov import chi2_sf, kstest_uniform
 from .paths import (
     PathError,
     euler_maruyama,
@@ -255,6 +255,7 @@ REFLECTED_READS = (1.0, REFLECTED_T)
 REFLECTED_DT = 5e-3
 EXACT_W1_CELLS = 2 ** 14             # midpoint cells of the exact marginal W1 on [0, 1]
 OU_PARTS = 4                         # the OU runner's W2 spread is over this many parts
+OU_LIMIT_QUANTILES = 4096            # midpoint quantiles of the OU limit's law in its W2
 
 
 def _off_grid(grid: np.ndarray, rule: str, reads) -> list:
@@ -478,9 +479,11 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     checks.append(_trend_check("initial_law_trend", cfg.n_grid,
                                [r["w1"] for r in tables["initial_law"]]))
 
-    sigma_inf = np.sqrt(1.0 - np.exp(-2.0))
-    qs = (np.arange(4096) + 0.5) / 4096
-    limit_ref = DiscreteMeasure(ndtri(qs) * sigma_inf)
+    import statistics  # only this runner reads it: the others skip its decimal and fractions
+    sigma_inf = np.sqrt(1.0 - np.exp(-2.0 * OU_T))
+    inv_cdf = statistics.NormalDist().inv_cdf
+    limit_ref = DiscreteMeasure(sigma_inf * np.array(
+        [inv_cdf((k + 0.5) / OU_LIMIT_QUANTILES) for k in range(OU_LIMIT_QUANTILES)]))
     ensembles = {n: fut.result() for n, fut in futures.items()}
     finals = {n: ensembles[n].states[:, -1, 0] for n in cfg.n_grid}
     sigmas = {n: ou_em_sigma(1.0 + 1.0 / n, dt, OU_T) for n in cfg.n_grid}

@@ -2,20 +2,25 @@ import csv
 import inspect
 import json
 import os
+import statistics
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmlab.cli as cli
 import mmlab.paths as paths
 from mmlab import Circle, FiniteMms, get_kernel
-from mmlab.cli import ScenarioConfig, main, validate_dict
+from mmlab.cli import ScenarioConfig, main, run_scenario, validate_dict
 from mmlab.convergence import BASELINE_PARTS
 from mmlab.paths import time_grid
 from mmlab.spaces import SpaceError
+
+EXAMPLE_FINITE = str(Path(__file__).resolve().parent.parent / "scripts" / "example_finite.txt")
 
 
 def write_finite(path, n=12):
@@ -605,8 +610,9 @@ def test_steep_ou_member_gives_finite_fdd_cells(tmp_path):
 def test_ou_against_the_wrong_limit_variance_fails_marginal_w2(tmp_path, monkeypatch, wrong):
     # limit quantiles 1.1 times too wide: the n = 4 gap is about 0.096
     # against a budget of about 0.051
-    real = cli.ndtri
-    monkeypatch.setattr(cli, "ndtri", lambda q: (1.1 if wrong else 1.0) * real(q))
+    real = statistics.NormalDist.inv_cdf
+    monkeypatch.setattr(statistics.NormalDist, "inv_cdf",
+                        lambda self, p: (1.1 if wrong else 1.0) * real(self, p))
     code, report = _run_report(tmp_path, scenario="ou_family", n_grid=[2, 4],
                                mc_count=2000, dt=cli.OU_DT)
     assert code == (1 if wrong else 0)
@@ -671,9 +677,38 @@ def test_validate_rejects_a_finite_file_without_a_kernel(tmp_path, capsys, decad
     write_config(cfg, finite_file=str(space_file))
     assert main(["validate", str(cfg)]) == 1
     assert "error: finite_file: generator rows must sum to 0" in capsys.readouterr().out
-    write_config(cfg, finite_file=str(Path(__file__).resolve().parent.parent
-                                      / "scripts" / "example_finite.txt"))
+    write_config(cfg, finite_file=EXAMPLE_FINITE)
     assert main(["validate", str(cfg)]) == 0
+
+
+@st.composite
+def small_configs(draw, kind):
+    """A small config of one kind; some draws break the kind's own rules (dt
+    off its grid, an n its space refuses, too few paths to split)."""
+    raw = {"scenario": kind, "mc_count": draw(st.integers(1, 200)),
+           "n_grid": sorted(draw(st.sets(st.sampled_from([0.05, 0.5, 1, 1.2, 2, 3, 8]),
+                                         min_size=1, max_size=2))),
+           "resolution": draw(st.integers(4, 6)), "seed": draw(st.integers(0, 2 ** 32))}
+    if kind == "custom_finite":
+        raw["finite_file"] = EXAMPLE_FINITE
+    dt = draw(st.sampled_from([None, 0.3, 0.25, 0.1, 0.05]))
+    if dt is not None:
+        raw["dt"] = dt
+    return raw
+
+
+@pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_config_validate_accepts_runs_to_completion(kind, data):
+    # lab validate ok must mean a run that completes
+    raw = data.draw(small_configs(kind))
+    if validate_dict(raw):
+        return
+    with tempfile.TemporaryDirectory() as out_dir:
+        run_scenario(ScenarioConfig(**raw), threads=1, out_dir=out_dir)
+        report = json.loads((Path(out_dir) / "report.json").read_text())
+    assert report["incomplete"] is False
 
 
 def test_runner_crash_writes_an_incomplete_report(tmp_path, capsys, monkeypatch):
