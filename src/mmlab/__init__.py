@@ -13,7 +13,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .spaces import (
-    Box,
     Circle,
     CollapseMap,
     EuclideanLogConcave,
@@ -22,7 +21,6 @@ from .spaces import (
     PmmSpace,
     Torus,
     bishop_gromov_check,
-    box_domain,
     mesh_cone,
     theta_comparison,
     weighted_measure,

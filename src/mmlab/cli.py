@@ -59,9 +59,9 @@ from .spaces import (
     CollapseMap,
     EuclideanLogConcave,
     FiniteMms,
+    Interval,
     SpaceError,
     Torus,
-    box_domain,
     mesh_cone,
     weighted_measure,
 )
@@ -179,39 +179,36 @@ def _exact_law_check(rows: list) -> dict:
 
 # --- test-function families -------------------------------------------------
 
-def circle_functions() -> dict:
-    return {
-        "cos": LipschitzTestFunction(np.cos, 1.0, 1.0, name="cos"),
-        "sin": LipschitzTestFunction(np.sin, 1.0, 1.0, name="sin"),
-        "halfcos2": LipschitzTestFunction(lambda x: 0.5 * np.cos(2 * x), 1.0, 0.5,
-                                          name="halfcos2"),
-    }
+def circle_functions() -> list:
+    return [
+        LipschitzTestFunction(np.cos, 1.0, 1.0, name="cos"),
+        LipschitzTestFunction(np.sin, 1.0, 1.0, name="sin"),
+        LipschitzTestFunction(lambda x: 0.5 * np.cos(2 * x), 1.0, 0.5, name="halfcos2"),
+    ]
 
 
-def line_functions() -> dict:
-    return {
-        "clamp": LipschitzTestFunction(lambda x: np.clip(x, -1.0, 1.0), 1.0, 1.0,
-                                       name="clamp"),
-        "tanh": LipschitzTestFunction(np.tanh, 1.0, 1.0, name="tanh"),
-        "bump": LipschitzTestFunction(lambda x: np.maximum(0.0, 1.0 - np.abs(x)), 1.0, 1.0,
-                                      name="bump"),
-    }
+def line_functions() -> list:
+    return [
+        LipschitzTestFunction(lambda x: np.clip(x, -1.0, 1.0), 1.0, 1.0, name="clamp"),
+        LipschitzTestFunction(np.tanh, 1.0, 1.0, name="tanh"),
+        LipschitzTestFunction(lambda x: np.maximum(0.0, 1.0 - np.abs(x)), 1.0, 1.0,
+                              name="bump"),
+    ]
 
 
-def chain_functions(positions: np.ndarray) -> dict:
+def chain_functions(positions: np.ndarray) -> list:
     """Test functions on a finite 1-D chain, indexed by atom number."""
     pos = np.asarray(positions, dtype=float)
 
     def on_pos(g):
         return lambda idx: g(pos[np.asarray(idx, dtype=int)])
 
-    return {
-        "linear": LipschitzTestFunction(on_pos(lambda x: x), 1.0, 1.0, name="linear"),
-        "tent": LipschitzTestFunction(on_pos(lambda x: 0.5 - np.abs(x - 0.5)), 1.0, 0.5,
-                                      name="tent"),
-        "ramp": LipschitzTestFunction(on_pos(lambda x: np.clip(2 * x - 1, -0.5, 0.5) * 0.5),
-                                      1.0, 0.25, name="ramp"),
-    }
+    return [
+        LipschitzTestFunction(on_pos(lambda x: x), 1.0, 1.0, name="linear"),
+        LipschitzTestFunction(on_pos(lambda x: 0.5 - np.abs(x - 0.5)), 1.0, 0.5, name="tent"),
+        LipschitzTestFunction(on_pos(lambda x: np.clip(2 * x - 1, -0.5, 0.5) * 0.5),
+                              1.0, 0.25, name="ramp"),
+    ]
 
 
 # --- scenario runners -------------------------------------------------------
@@ -334,7 +331,7 @@ def run_torus(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
         (n, Torus(2 * np.pi, 2 * np.pi / n, n_nodes=(TORUS_NODES, 64)),
          CollapseMap(lambda x: np.asarray(x, dtype=float)[..., 0], np.pi / n))
         for n in cfg.n_grid], limit)
-    fns = list(circle_functions().values())
+    fns = circle_functions()
     # declared round-off slack: the pushed torus references are the circle's (gaps <= 1.1e-16)
     checks, tables = _family_checks(cfg, family, fns, pmg_slack=1e-6)
     # the circle functions factor through the first coordinate and the torus
@@ -418,7 +415,7 @@ def run_cone(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     members = [(n, fut.result(), CollapseMap(ring_map, np.pi * np.sqrt(1.0 / n)))
                for n, fut in zip(cfg.n_grid, futures)]
     family = SpaceFamily(members, limit)
-    fns = list(chain_functions(limit.coords[:, 0]).values())
+    fns = chain_functions(limit.coords[:, 0])
     ensembles, limit_ens = _sample_chains(cfg, pool, family, np.array([0.0, *TIMES]),
                                           cfg.mc_count)
     # the shared checks are one pool task, and the path law's W1 solves
@@ -469,10 +466,10 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     family = SpaceFamily(members, limit)
     # the Euler-Maruyama ensembles sample on the pool first; the checks run
     # here, and the fdd report's nested functionals go to the pool after them
-    futures = {n: pool.submit(euler_maruyama, space.a, 0.0, dt, OU_T,
-                              cfg.mc_count, _seed_for(cfg, 1, i), record=(OU_T,))
+    futures = {n: pool.submit(euler_maruyama, space, dt, OU_T, cfg.mc_count,
+                              _seed_for(cfg, 1, i), record=(OU_T,))
                for i, (n, space, _) in enumerate(members)}
-    fns = list(line_functions().values())
+    fns = line_functions()
     checks, tables = _family_checks(cfg, family, fns, fdd_extra={
         n: OU_FDD_SLACK / n for n in cfg.n_grid}, map=pool.map)
     checks += _trend_checks("fdd_trend", fns, tables["fdd"], "gap", cfg.n_grid, strict=False)
@@ -485,7 +482,7 @@ def run_ou(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     limit_ref = DiscreteMeasure(sigma_inf * np.array(
         [inv_cdf((k + 0.5) / OU_LIMIT_QUANTILES) for k in range(OU_LIMIT_QUANTILES)]))
     ensembles = {n: fut.result() for n, fut in futures.items()}
-    finals = {n: ensembles[n].states[:, -1, 0] for n in cfg.n_grid}
+    finals = {n: ensembles[n].states[:, -1] for n in cfg.n_grid}
     sigmas = {n: ou_em_sigma(1.0 + 1.0 / n, dt, OU_T) for n in cfg.n_grid}
 
     # the exact law: sum (x / sigma_EM)^2 of each member's sample is
@@ -535,16 +532,14 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     t_mid, T = REFLECTED_READS
     x0 = REFLECTED_X0
     checks, tables = [], {}
-    limit_future = pool.submit(euler_maruyama, 0.0, x0, dt, T, cfg.mc_count,
-                               _seed_for(cfg, 2), domain=box_domain(0.0, 1.0),
-                               record=REFLECTED_READS)
+    limit_future = pool.submit(euler_maruyama, Interval(0.0, 1.0, base=x0), dt, T,
+                               cfg.mc_count, _seed_for(cfg, 2), record=REFLECTED_READS)
     # each member reflects into [0, length]; the exact law reads the same length
     lengths = {n: 1.0 - 1.0 / n for n in cfg.n_grid if n > 1}
     # a member is read only at t_mid, so it stops there; its draws come in
     # the same order, and its state at t_mid is the one a run to T would keep
-    futures = {n: pool.submit(euler_maruyama, 0.0, x0, dt, t_mid, cfg.mc_count,
-                              _seed_for(cfg, 1, i), domain=box_domain(0.0, length),
-                              record=(t_mid,))
+    futures = {n: pool.submit(euler_maruyama, Interval(0.0, length, base=x0), dt, t_mid,
+                              cfg.mc_count, _seed_for(cfg, 1, i), record=(t_mid,))
                for i, (n, length) in enumerate(lengths.items())}
     limit_ens = limit_future.result()
 
@@ -552,8 +547,8 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     # times, so the pooled KS sample stays independent
     half = cfg.mc_count // 2
     occupation = np.concatenate([
-        limit_ens.state_at(t_mid)[:half, 0],
-        limit_ens.state_at(T)[half:, 0]])
+        limit_ens.state_at(t_mid)[:half],
+        limit_ens.state_at(T)[half:]])
     statistic, pvalue = kstest_uniform(occupation)
     ks_pass = bool(pvalue >= KS_LEVEL)
     tables["occupation_ks"] = [{"statistic": statistic, "pvalue": pvalue, "pass": ks_pass}]
@@ -567,7 +562,7 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     rows = []
     for label, ens, t, length in reads:
         statistic, pvalue = kstest_uniform(
-            interval_cdf_leb(t, x0, ens.state_at(t)[:, 0], 0.0, length))
+            interval_cdf_leb(t, x0, ens.state_at(t), 0.0, length))
         rows.append({"label": label, "t": t, "length": length, "statistic": statistic,
                      "pvalue": pvalue})
     tables["exact_law"] = rows
@@ -576,10 +571,10 @@ def run_reflected(cfg: ScenarioConfig, pool: ThreadPoolExecutor):
     # the exact W1 = int |F_n - F| dx at t_mid, by the midpoint rule on [0, 1]
     cells = (np.arange(EXACT_W1_CELLS) + 0.5) / EXACT_W1_CELLS
     limit_cdf = interval_cdf_leb(t_mid, x0, cells, 0.0, 1.0)
-    limit_marginal = DiscreteMeasure(limit_ens.state_at(t_mid)[:, 0])
+    limit_marginal = DiscreteMeasure(limit_ens.state_at(t_mid))
     rows = []
     for n, length in lengths.items():
-        emp = DiscreteMeasure(ensembles[n].state_at(t_mid)[:, 0])
+        emp = DiscreteMeasure(ensembles[n].state_at(t_mid))
         w1 = wasserstein_1d(1, emp, limit_marginal)
         member_cdf = interval_cdf_leb(t_mid, x0, np.minimum(cells, length), 0.0, length)
         rows.append({"label": n, "w1": w1, "closed_form": 0.5 / n,

@@ -1,11 +1,14 @@
 """Path samplers and path-law statistics.
 
-Two samplers: exact kernel-chain sampling on spaces with computable heat
-kernels, from the base point or a discrete law, and Euler-Maruyama for
-dX = -aX dt + sqrt(2) dW on the line, optionally mirror-reflected into a
-box, which with zero drift is exact in law unless a mirror image lands past
-the opposite face (``_confine``).  Ensembles are seeded with counter-based
-(Philox) streams, so identical seeds give bit-identical output.
+Two samplers, each of which takes a pointed space and returns an ensemble
+of that space's points: exact kernel-chain sampling on spaces with
+computable heat kernels, from the base point or a discrete law, and
+Euler-Maruyama from the base point, for dX = -aX dt + sqrt(2) dW on the
+line (``EuclideanLogConcave``) or reflected Brownian motion in an
+``Interval``, mirror-reflected after each step, which is exact in law
+unless a mirror image lands past the opposite end (``_confine``).
+Ensembles are seeded with counter-based (Philox) streams, so identical
+seeds give bit-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .heat import circle_kernel_arc, get_kernel
 from .spaces import (
-    Box,
     Circle,
     EuclideanLogConcave,
     FiniteMms,
@@ -43,24 +45,27 @@ def make_rng(seed: int, *key: int) -> Generator:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """A seeded Monte Carlo family of paths with a common time grid.
+    """A seeded Monte Carlo family of paths in ``space``, on a common time grid.
 
-    ``states`` has shape (count, n_times, d).  ``flags`` marks paths aborted
-    by the divergence guard (their tail states are frozen at the last value).
+    ``states[i, k]`` is path i's point at ``times[k]``, so ``states`` has
+    shape (count, n_times) + the shape of the space's base point; a finite
+    space's points are int atom indices.  ``flags`` marks paths aborted by
+    the divergence guard (their tail states are frozen at the last value).
     """
 
     times: np.ndarray
     states: np.ndarray
-    space: Optional[PmmSpace] = None
+    space: PmmSpace
     flags: np.ndarray = field(default=None)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
+        s = np.asarray(self.states)
         if t.ndim != 1 or np.any(np.diff(t) <= 0):
             raise PathError("times must be strictly increasing")
-        if s.ndim != 3 or s.shape[1] != len(t) or s.shape[0] < 1:
-            raise PathError("states must have shape (count, n_times, d)")
+        point = np.shape(self.space.base_point)
+        if s.shape[1:] != (len(t),) + point or len(s) < 1:
+            raise PathError("states must have shape (count, %d) + %s" % (len(t), point))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
         if self.flags is None:
@@ -71,12 +76,14 @@ class PathEnsemble:
         return self.states.shape[0]
 
     def state_at(self, t: float) -> np.ndarray:
-        return self.states[:, grid_index(self.times, t), :]
+        return self.states[:, grid_index(self.times, t)]
 
 
 def time_grid(dt: float, T: float) -> np.ndarray:
-    """The stored time grid of a sampler: the multiples of dt up to T."""
-    return np.arange(int(round(T / dt)) + 1) * dt
+    """The stored time grid of a sampler: the multiples of dt up to T.  A
+    quotient T / dt that falls short of a whole number by round-off only
+    (0.3 / 0.1 is 2.9999999999999996) still counts that step."""
+    return np.arange(int(np.floor(T / dt * (1.0 + 1e-12))) + 1) * dt
 
 
 def grid_index(times: np.ndarray, t: float) -> int:
@@ -87,19 +94,19 @@ def grid_index(times: np.ndarray, t: float) -> int:
     return int(hits[0])
 
 
-def _initial_states(space: Optional[PmmSpace], initial, count: int,
-                    rng: Generator, dim: int):
-    """Starting points: the base point (``"base"``), or draws from a
-    supplied discrete law."""
+def _initial_states(space: PmmSpace, initial, count: int, rng: Generator) -> np.ndarray:
+    """Starting points, shape (count,) + the point shape: the base point
+    (``"base"``), or draws from a supplied discrete law."""
+    point = np.shape(space.base_point)
+    dtype = int if isinstance(space, FiniteMms) else float
     if isinstance(initial, DiscreteMeasure):
-        if initial.dim != dim:
+        if initial.dim != np.size(space.base_point):
             raise PathError("initial law dimension mismatch")
         idx = rng.choice(len(initial), size=count, p=initial.weights)
-        return initial.atoms[idx]
+        return initial.atoms[idx].reshape((count,) + point).astype(dtype)
     if not (isinstance(initial, str) and initial == "base"):
         raise PathError("unknown initial law %r" % (initial,))
-    base = np.atleast_1d(np.asarray(space.base_point, dtype=float))
-    return np.tile(base[:dim], (count, 1))
+    return np.full((count,) + point, space.base_point, dtype=dtype)
 
 
 def _bucket_count(n: int) -> int:
@@ -176,18 +183,19 @@ def _record_slots(grid: np.ndarray, record) -> tuple:
 
 
 def _chain_states(space: PmmSpace, initial, count: int, rng: Generator, dts: np.ndarray):
-    """The states of a kernel chain, shape (count, d): the start, then one
-    per step of length dts[k], each step drawing in order from ``rng``."""
+    """The points of a kernel chain, shape (count,) + the point shape: the
+    start, then one per step of length dts[k], each step drawing in order
+    from ``rng``."""
     if isinstance(space, (Circle, Torus)):
         # independent increments on each circle factor
         circles = [space] if isinstance(space, Circle) else space.factors()
-        x = _initial_states(space, initial, count, rng, len(circles))
+        x = _initial_states(space, initial, count, rng)
         samplers = {float(dt): [
             _increment_sampler(circle_kernel_arc(dt, c.grid(), c.circumference),
                                c.grid(), c.circumference / c.n_nodes) for c in circles]
             for dt in np.unique(dts)}
         yield x
-        xs = x.T.copy()  # one contiguous row of states per factor
+        xs = x.reshape(count, -1).T.copy()  # one contiguous row of states per factor
         for k, dt in enumerate(dts):
             for y, draw, c in zip(xs, samplers[float(dt)], circles):
                 y += draw(rng, count)
@@ -199,31 +207,29 @@ def _chain_states(space: PmmSpace, initial, count: int, rng: Generator, dts: np.
                     # is what np.mod (an exact fmod) returns; the mask times c
                     # is exactly 0 or c, and costs a ninth of np.mod
                     y -= (y >= c.circumference) * c.circumference
-            yield xs.T
+            yield xs.T.reshape(x.shape)
 
     elif isinstance(space, (Interval, FiniteMms)):
-        # a Markov chain on the grid (atoms), one row CDF per step length
+        # a Markov chain on the grid nodes (atoms), one row CDF per step length
         sk = get_kernel(space)
-        grid = sk.points
-        x = _initial_states(space, initial, count, rng, 1)
-        if isinstance(space, FiniteMms):
-            state = x[:, 0].astype(int)
-        else:
-            state = np.argmin(np.abs(grid[None, :] - x[:, :1]), axis=1)
+        points = sk.points
+        state = _initial_states(space, initial, count, rng)
+        if isinstance(space, Interval):  # a start goes to its nearest node
+            state = np.argmin(np.abs(points[None, :] - state[:, None]), axis=1)
         cdfs = {float(dt): _row_cdf_matrix(sk.transition_matrix(dt)) for dt in np.unique(dts)}
-        yield grid[state][:, None]
+        yield points[state]
         for dt in dts:
             state = _chain_step(cdfs[float(dt)], state, rng.random(count))
-            yield grid[state][:, None]
+            yield points[state]
 
     elif isinstance(space, EuclideanLogConcave):
         sk = get_kernel(space)
-        x = _initial_states(space, initial, count, rng, 1)[:, 0]
-        yield x[:, None]
+        x = _initial_states(space, initial, count, rng)
+        yield x
         for dt in dts:
             mean, var = sk._moments(dt, x)
             x = mean + np.sqrt(var) * rng.standard_normal(count)
-            yield x[:, None]
+            yield x
 
     else:
         raise PathError("no kernel sampler for %s" % type(space).__name__)
@@ -234,7 +240,7 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
                         record: Optional[Sequence[float]] = None) -> PathEnsemble:
     """Markov-chain sampling with exact transition kernels p(dt, x, .).
 
-    States live on the space's quadrature grid (atoms for finite spaces);
+    States live on the space's quadrature grid (atom indices for finite spaces);
     grids are fine enough that the discretization is far below Monte Carlo
     noise at desk scale.  The chain steps along ``times``, and the ensemble
     keeps the states at the ``record`` times, each on ``times`` (all of them
@@ -255,36 +261,38 @@ def sample_kernel_chain(space: PmmSpace, initial, times: Sequence[float],
     states = _chain_states(space, initial, count, make_rng(seed), dts)
     out = None
     for k, x in enumerate(states):
-        if out is None:  # the start gives the state dimension
-            out = np.empty((count, len(kept), x.shape[1]))
+        if out is None:  # the start gives the point shape and type
+            out = np.empty((count, len(kept)) + x.shape[1:], dtype=x.dtype)
         if slot[k] >= 0:
             out[:, slot[k]] = x
     return PathEnsemble(kept, out, space)
 
 
-def _confine(box: Box, x: np.ndarray) -> np.ndarray:
-    """Bring states back into the box after an unconstrained step by
-    reflecting each point through its projection, clip(x, lo, hi).  The
+def _confine(interval: Interval, x: np.ndarray) -> np.ndarray:
+    """Bring states back into the interval after an unconstrained step by
+    reflecting each point through its projection, clip(x, a, b).  The
     mirror is the fold that makes reflected Brownian motion out of a free
-    one, as long as no mirror image lands past the opposite face: so with
-    zero drift a step is exact in law, up to the chance of such an
-    overshoot, which needs a step longer than the box's width.  The second
-    pass only projects an overshoot."""
-    p = np.clip(x, box.lo, box.hi)
+    one, as long as no mirror image lands past the opposite end: so a step
+    is exact in law, up to the chance of such an overshoot, which needs a
+    step longer than the interval.  The second pass only projects an
+    overshoot."""
+    p = np.clip(x, interval.a, interval.b)
     p *= 2.0
     p -= x  # the mirror image 2p - x, in place
-    p2 = np.clip(p, box.lo, box.hi)
+    p2 = np.clip(p, interval.a, interval.b)
     if not (p != p2).any():
         return p
     return np.where(np.abs(p - p2) > 1e-12, p2, p)
 
 
-def euler_maruyama(a: float, x0, dt: float, T: float, count: int,
-                   seed: int, domain: Optional[Box] = None,
+def euler_maruyama(space: PmmSpace, dt: float, T: float, count: int, seed: int,
                    record: Optional[Sequence[float]] = None) -> PathEnsemble:
-    """X_{k+1} = X_k - a X_k dt + sqrt(2 dt) xi_k on the line, the scheme for
-    dX = -aX dt + sqrt(2) dW (V = a x^2/2), optionally confined to a box
-    after every step (``_confine``).
+    """Euler-Maruyama paths from the space's base point.  On an
+    ``EuclideanLogConcave`` line, X_{k+1} = X_k - a X_k dt + sqrt(2 dt) xi_k
+    with the space's ``a``, the scheme for dX = -aX dt + sqrt(2) dW
+    (V = a x^2/2).  In an ``Interval`` the drift is 0 and each step is
+    mirrored back into [a, b] (``_confine``).  Any other space raises
+    ``PathError``.
 
     Paths past the divergence guard, |x| > DIVERGENCE_GUARD, are frozen and
     flagged.  While no path is flagged, one max of |x| over the paths decides
@@ -293,6 +301,13 @@ def euler_maruyama(a: float, x0, dt: float, T: float, count: int,
     ensemble keeps the states at the ``record`` times, each a multiple of dt
     up to T (the whole grid when None); every step is simulated either way.
     """
+    if isinstance(space, EuclideanLogConcave):
+        a = space.a
+    elif isinstance(space, Interval):
+        a = 0.0
+    else:
+        raise PathError("space must be an EuclideanLogConcave or an Interval, not %s"
+                        % type(space).__name__)
     if not count >= 1:
         raise PathError("count must be >= 1")
     if not 0 < dt < np.inf:
@@ -302,18 +317,11 @@ def euler_maruyama(a: float, x0, dt: float, T: float, count: int,
     grid = time_grid(dt, T)
     steps = len(grid) - 1
     times, slot = _record_slots(grid, record)
-    if np.ndim(x0) != 0:
-        raise PathError("x0 must be a number")
-    x0 = float(x0)
-    if domain is not None and not domain.lo - 1e-12 <= x0 <= domain.hi + 1e-12:
-        raise PathError("x0 outside the domain")
     rng = make_rng(seed)
-    x = np.full(count, x0)
-    if domain is not None:
-        x = np.clip(x, domain.lo, domain.hi)
-    out = np.empty((count, len(times), 1))
+    x = np.full(count, float(space.base_point))
+    out = np.empty((count, len(times)))
     if slot[0] >= 0:
-        out[:, slot[0], 0] = x
+        out[:, slot[0]] = x
     flags = np.zeros(count, dtype=bool)
     frozen = False  # whether any path is flagged
     scale = np.sqrt(2.0 * dt)
@@ -326,8 +334,8 @@ def euler_maruyama(a: float, x0, dt: float, T: float, count: int,
         z *= scale
         xn += z
         xn += x
-        if domain is not None:
-            xn = _confine(domain, xn)
+        if isinstance(space, Interval):
+            xn = _confine(space, xn)
         if frozen or not np.abs(xn, out=z).max() <= DIVERGENCE_GUARD:
             # once a path is frozen the screen is skipped and z may still
             # hold the normals, so |xn| is taken afresh
@@ -337,43 +345,29 @@ def euler_maruyama(a: float, x0, dt: float, T: float, count: int,
         else:
             x, xn = xn, x  # the old state's array takes the next step
         if slot[k + 1] >= 0:
-            out[:, slot[k + 1], 0] = x
-    return PathEnsemble(times, out, flags=flags)
+            out[:, slot[k + 1]] = x
+    return PathEnsemble(times, out, space, flags)
 
 
 def extract_fdd(ensemble: PathEnsemble, times: Sequence[float],
                 collapse=None) -> np.ndarray:
-    """The path states at the given times, optionally pushed through a
+    """The path points at the given times, optionally pushed through a
     collapse map, which gives one coordinate per point under the batch rule
-    of ``spaces._evaluate``: one row per path, the per-time blocks
-    concatenated, so the rows with uniform weights are the empirical joint
+    of ``spaces._evaluate``: one float row per path, each time's coordinates
+    side by side, so the rows with uniform weights are the empirical joint
     law."""
     blocks = []
     for t in times:
         s = ensemble.state_at(t)
         if collapse is not None:
-            s = _evaluate(collapse.map, _points(ensemble.space, s))[:, None]
-        blocks.append(s)
-    return np.concatenate(blocks, axis=1)
-
-
-def _points(space: Optional[PmmSpace], states: np.ndarray) -> np.ndarray:
-    """Stored states of shape (..., d) as points of their space: atom indices
-    on a finite space, the coordinate on a circle, an interval or the line,
-    and the states themselves on any other space (or none)."""
-    if isinstance(space, FiniteMms):
-        return states[..., 0].astype(int)
-    if isinstance(space, (Circle, Interval, EuclideanLogConcave)):
-        return states[..., 0]
-    return states
+            s = _evaluate(collapse.map, s)
+        blocks.append(s.reshape(len(s), -1))
+    return np.concatenate(blocks, axis=1, dtype=float)
 
 
 def _pair_distance(ensemble: PathEnsemble, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between state blocks of shape (..., d), one per leading index."""
-    space = ensemble.space
-    if space is None:
-        return np.linalg.norm(a - b, axis=-1)
-    return np.asarray(space.distance(_points(space, a), _points(space, b)))
+    """Distances between two blocks of points, one per leading index."""
+    return np.asarray(ensemble.space.distance(a, b))
 
 
 def modulus_statistic(ensemble: PathEnsemble, T: float, etas: Sequence[float],
@@ -426,9 +420,6 @@ def kolmogorov_moment(ensemble: PathEnsemble, beta: float,
     for t in t_grid:
         a = ensemble.state_at(t)
         for h in h_grid:
-            if h == 0:
-                rows.append({"t": float(t), "h": 0.0, "moment": 0.0, "se": 0.0})
-                continue
             b = ensemble.state_at(t + h)
             d = np.minimum(_pair_distance(ensemble, a, b), 1.0)
             vals = d ** beta

@@ -38,23 +38,6 @@ def _evaluate(f: Callable, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class Box:
-    """The closed interval lo <= x <= hi of the line (a bound may be infinite)."""
-
-    lo: float
-    hi: float
-
-
-def box_domain(lo, hi) -> Box:
-    if not (np.ndim(lo) == 0 and np.ndim(hi) == 0):
-        raise SpaceError("box bounds must be two numbers")
-    lo, hi = float(lo), float(hi)
-    if not lo <= hi:  # NaN fails too
-        raise SpaceError("box bounds must be numbers with lo <= hi")
-    return Box(lo, hi)
-
-
 class PmmSpace:
     """Base interface: distance, base point, reference measure, quadrature."""
 
@@ -111,8 +94,8 @@ class Circle(PmmSpace):
     def __post_init__(self):
         if not 0 < self.circumference < np.inf:
             raise SpaceError("circumference must be positive and finite")
-        if not np.isfinite(self.base):
-            raise SpaceError("base must be finite")
+        if np.ndim(self.base) != 0 or not np.isfinite(self.base):
+            raise SpaceError("base must be a finite number")
         if not self.n_nodes >= 1:
             raise SpaceError("n_nodes must be >= 1")
 
@@ -152,8 +135,8 @@ class Torus(PmmSpace):
     def __post_init__(self):
         if not (0 < self.len1 < np.inf and 0 < self.len2 < np.inf):
             raise SpaceError("circumferences must be positive and finite")
-        if not np.all(np.isfinite(self.base)):
-            raise SpaceError("base must be finite")
+        if np.shape(self.base) != (2,) or not np.all(np.isfinite(self.base)):
+            raise SpaceError("base must be two finite numbers")
         if not min(self.n_nodes) >= 1:
             raise SpaceError("n_nodes must be >= 1")
 
@@ -203,8 +186,10 @@ class Interval(PmmSpace):
     def __post_init__(self):
         if not -np.inf < self.a < self.b < np.inf:
             raise SpaceError("need finite a < b")
-        if self.base is not None and not np.isfinite(self.base):
-            raise SpaceError("base must be finite")
+        # the samplers start at the base point; a NaN fails too
+        if self.base is not None and not (
+                np.ndim(self.base) == 0 and self.a <= self.base <= self.b):
+            raise SpaceError("base must be a number in [a, b]")
         if not self.n_nodes >= 1:
             raise SpaceError("n_nodes must be >= 1")
 
@@ -249,8 +234,8 @@ class EuclideanLogConcave(PmmSpace):
     def __post_init__(self):
         if not np.isfinite(self.a):
             raise SpaceError("a must be finite")
-        if not np.isfinite(self.base):
-            raise SpaceError("base must be finite")
+        if np.ndim(self.base) != 0 or not np.isfinite(self.base):
+            raise SpaceError("base must be a finite number")
         if not 0 < self.grid_radius < np.inf:
             raise SpaceError("grid_radius must be positive and finite")
         if not self.n_nodes >= 1:

@@ -282,7 +282,7 @@ def test_criterion_4_mcshane():
 
 def test_criterion_5_torus_scenario(torus_results):
     checks, tables, elapsed, cfg = torus_results
-    lips = {f.name: f.lip for f in circle_functions().values()}
+    lips = {f.name: f.lip for f in circle_functions()}
     ok = True
     for f_name, lip in lips.items():
         rows = [r for r in tables["fdd"] if r["f"] == f_name]

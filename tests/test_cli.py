@@ -5,7 +5,7 @@ import os
 import statistics
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -445,12 +445,15 @@ def test_validate_reports_an_unreadable_finite_file(tmp_path, capsys):
 
 def _spy_on_em(monkeypatch, swap=None):
     """Record every (seed, T, ensemble) the runners get from euler_maruyama,
-    optionally run with the drift coefficient ``swap`` makes of the runner's."""
+    optionally run on the line whose drift coefficient ``swap`` makes of the
+    runner's space's."""
     made = []
     real = cli.euler_maruyama
 
-    def spy(a, x0, dt, T, count, seed, **kwargs):
-        ens = real(swap(a) if swap else a, x0, dt, T, count, seed, **kwargs)
+    def spy(space, dt, T, count, seed, **kwargs):
+        if swap:
+            space = replace(space, a=swap(space.a))
+        ens = real(space, dt, T, count, seed, **kwargs)
         made.append((seed, T, ens))
         return ens
 
@@ -479,7 +482,7 @@ def test_em_runners_keep_only_their_read_times(monkeypatch, scenario, expected):
         horizon, reads = expected[seeds[seed]]
         assert T == horizon
         assert ens.times.tolist() == list(reads)
-        assert ens.states.shape == (300, len(reads), 1)
+        assert ens.states.shape == (300, len(reads))
     labels = (["limit"] if scenario == "reflected_family" else []) + ["2", "4"]
     assert [c for c in checks if c["name"] == "em_divergence"] == [
         {"name": "em_divergence", "status": "pass", "flagged": dict.fromkeys(labels, 0)}]
@@ -519,10 +522,10 @@ def _status_of(report, name):
 @pytest.mark.parametrize("wrong", [False, True])
 def test_reflection_on_the_wrong_domain_fails_the_report(tmp_path, monkeypatch, wrong):
     # the limit's paths reflected into [0, 0.9] are not uniform on [0, 1]
-    real = cli.box_domain
+    real = cli.Interval
     if wrong:
-        monkeypatch.setattr(cli, "box_domain",
-                            lambda lo, hi: real(lo, 0.9 if hi == 1.0 else hi))
+        monkeypatch.setattr(cli, "Interval",
+                            lambda a, b, base: real(a, 0.9 if b == 1.0 else b, base=base))
     code, report = _run_report(tmp_path, scenario="reflected_family", n_grid=[2, 4],
                                mc_count=2000, dt=5e-3)
     assert code == (1 if wrong else 0)
@@ -534,10 +537,10 @@ def test_reflection_on_the_wrong_domain_fails_the_report(tmp_path, monkeypatch, 
 def test_reflected_members_on_boxes_too_long_fail_exact_law(tmp_path, monkeypatch, wrong):
     # members reflected into [0, 1.02 (1 - 1/n)] pass every check that reads
     # only their samples; only their exact law sees the boxes
-    real = cli.box_domain
+    real = cli.Interval
     if wrong:
-        monkeypatch.setattr(cli, "box_domain",
-                            lambda lo, hi: real(lo, hi if hi == 1.0 else 1.02 * hi))
+        monkeypatch.setattr(cli, "Interval",
+                            lambda a, b, base: real(a, b if b == 1.0 else 1.02 * b, base=base))
     code, report = _run_report(tmp_path, scenario="reflected_family", n_grid=[1, 2, 4, 8],
                                mc_count=10000, dt=5e-3)
     assert code == (1 if wrong else 0)
@@ -588,6 +591,11 @@ def test_ou_em_sigma_is_the_spread_of_the_recursion(a, dt):
     if 0 < a * dt < 0.1:
         continuous = np.sqrt((1.0 - np.exp(-2.0 * a * cli.OU_T)) / a)
         assert abs(cli.ou_em_sigma(a, dt, cli.OU_T) / continuous - 1.0) < a * dt
+
+
+def test_ou_em_sigma_counts_only_the_steps_up_to_T():
+    # dt = 0.6 takes one step before T = 1, whose spread is sqrt(2 dt)
+    assert cli.ou_em_sigma(1.0, 0.6, cli.OU_T) == pytest.approx(np.sqrt(1.2), rel=1e-15)
 
 
 def test_ou_em_sigma_of_a_diverging_recursion_is_infinite():
@@ -791,7 +799,7 @@ def test_bundled_test_functions_keep_their_declared_constants(kind):
         registry = cli.chain_functions(chain.coords[:, 0])
         probes = np.arange(chain.n)
         dist = chain.distance(probes[:, None], probes[None, :])
-    for f in registry.values():
+    for f in registry:
         vals = np.asarray(f(probes), dtype=float)
         assert np.max(np.abs(vals)) <= f.sup_bound + 1e-12, f.name
         assert np.all(np.abs(vals[:, None] - vals[None, :]) <= f.lip * dist + 1e-12), f.name

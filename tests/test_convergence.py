@@ -209,7 +209,7 @@ def test_space_family_over_a_finite_limit_takes_maps_made_before_it():
     limit = _interval_chain(6)
     family = SpaceFamily(members, limit)
     assert [cmap for _, _, cmap in family.members] == maps
-    assert pmg_test(family, list(chain_functions(limit.coords[:, 0]).values()), 0.0)["pass"]
+    assert pmg_test(family, chain_functions(limit.coords[:, 0]), 0.0)["pass"]
 
 
 def test_kr_inequality_for_integrals():
@@ -253,7 +253,7 @@ def test_pmg_log_concave_limit():
     limit = EuclideanLogConcave(1.0)
     space = EuclideanLogConcave(2.0)
     fam = SpaceFamily([(2, space, CollapseMap(lambda x: x, 0.0))], limit)
-    out = pmg_test(fam, list(line_functions().values()), convergence.QUAD_TOL)
+    out = pmg_test(fam, line_functions(), convergence.QUAD_TOL)
     assert [r["f"] for r in out["rows"]] == ["clamp", "tanh", "bump"]
     assert all(type(r["base_gap"]) is float and r["base_gap"] == 0.0 for r in out["rows"])
     gaps = {r["f"]: r["gap"] for r in out["rows"]}
@@ -281,7 +281,7 @@ def test_fdd_report_torus_values_equal_the_limit():
     # the circle functions factor through the collapsed coordinate, so each
     # torus's product-kernel value is the limit's up to rounding
     fam = torus_family([1, 2, 4, 8, 16])
-    out = fdd_convergence_report(fam, [0.25, 0.75], list(circle_functions().values()))
+    out = fdd_convergence_report(fam, [0.25, 0.75], circle_functions())
     assert len(out["rows"]) == 15
     for r in out["rows"]:
         assert abs(r["value"] - r["value_limit"]) <= 1e-12
@@ -301,7 +301,7 @@ def test_fdd_report_applies_each_semigroup_once_per_step(monkeypatch):
     for n in (1, 2, 4, 8):
         space = EuclideanLogConcave(1.0 + 1.0 / n)
         members.append((n, space, CollapseMap(lambda x: x, 0.0)))
-    fns = list(line_functions().values())
+    fns = line_functions()
     out = fdd_convergence_report(SpaceFamily(members, limit), [0.25, 0.75], fns)
     assert calls == [(4096, 3)] * 5
     # rows stay function-major, member-minor
@@ -319,7 +319,7 @@ OU_STARTS = [(EuclideanLogConcave(a), None) for a in (1.0, 2.0, 1.5, 1.25, 1.125
                          ids=["limit", "n1", "n2", "n4", "n8", "off-centre", "base-0.3"])
 def test_nested_functional_row_range_keeps_every_bit(monkeypatch, space, start):
     start = space.base_point if start is None else start
-    fns = list(line_functions().values())
+    fns = line_functions()
     lists = [[f, f] for f in fns]
     nested = [[f, g, f] for f, g in zip(fns, fns[::-1])]
     skipped = [_nested_functional(space, None, [0.25, 0.75], lists, start),
@@ -347,7 +347,7 @@ def test_ou_outermost_step_builds_only_the_rows_its_start_sees(monkeypatch):
     monkeypatch.setattr(heat.GaussianKernel, "_fill_slab", counted)
     monkeypatch.setattr(heat.GaussianKernel, "apply_values", spied)
     limit = EuclideanLogConcave(1.0)
-    lists = [[f] * 2 for f in line_functions().values()]
+    lists = [[f] * 2 for f in line_functions()]
     _nested_functional(limit, None, [0.25, 0.75], lists, limit.base_point)
     # the range is the span of rows whose start weight reaches the cutoff
     sk = get_kernel(limit)
@@ -503,12 +503,12 @@ def _ou_family(ns):
 @pytest.mark.parametrize("kind", ["ou", "torus", "cone"])
 def test_fdd_rows_through_a_pool_map_equal_the_builtin_map(kind):
     if kind == "ou":
-        fam, fns = _ou_family([1, 2, 4, 8]), list(line_functions().values())
+        fam, fns = _ou_family([1, 2, 4, 8]), line_functions()
     elif kind == "torus":
-        fam, fns = torus_family([1, 2, 4], nodes=(64, 16)), list(circle_functions().values())
+        fam, fns = torus_family([1, 2, 4], nodes=(64, 16)), circle_functions()
     else:
         fam = cone_family([1, 2, 4])
-        fns = list(chain_functions(fam.limit.coords[:, 0]).values())
+        fns = chain_functions(fam.limit.coords[:, 0])
     extra = {n: 0.5 / n for n, _, _ in fam.members}
     serial = fdd_convergence_report(fam, [0.25, 0.75], fns, extra_budgets=extra)
     mapped, threads = [], set()
@@ -542,8 +542,8 @@ def test_pathlaw_baseline_is_binned_on_the_shared_bins():
     own = sample_kernel_chain(line, "base", grid, 400, seed=2)
     wide = PathEnsemble(own.times, 3.0 * own.states, line)
     out = pathlaw_w1([("wide", line, None)], {"wide": wide}, limit_ens, times, bins=12, seed=5)
-    states = np.concatenate([limit_ens.state_at(t) for t in times], axis=1)
-    pooled = np.concatenate([states, np.concatenate([wide.state_at(t) for t in times], axis=1)])
+    states = np.stack([limit_ens.state_at(t) for t in times], axis=1)
+    pooled = np.concatenate([states, np.stack([wide.state_at(t) for t in times], axis=1)])
     assert pooled.max() > states.max() + 1.0
 
     def baseline(specs):
@@ -666,7 +666,7 @@ def test_binned_w1_non_chain_finite_limit_raises():
     limit = non_chain_finite()
     with pytest.raises(ConvergenceError, match="chain"):
         initial_law_w1(SpaceFamily([("self", limit, None)], limit))
-    states = np.random.default_rng(0).integers(0, limit.n, size=(40, 3, 1))
+    states = np.random.default_rng(0).integers(0, limit.n, size=(40, 3))
     ens = PathEnsemble(np.array([0.0, 0.5, 1.0]), states, limit)
     with pytest.raises(ConvergenceError, match="chain"):
         pathlaw_w1([("self", limit, None)], {"self": ens}, ens, [0.5, 1.0])

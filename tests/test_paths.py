@@ -16,7 +16,6 @@ from mmlab import (
     Interval,
     PathEnsemble,
     Torus,
-    box_domain,
     euler_maruyama,
     extract_fdd,
     get_kernel,
@@ -26,7 +25,7 @@ from mmlab import (
 )
 import mmlab.paths as paths
 from mmlab.heat import circle_kernel_arc
-from mmlab.paths import PathError, _pair_distance, grid_index
+from mmlab.paths import PathError, _pair_distance, grid_index, time_grid
 from mmlab.spaces import mesh_cone
 
 from _oracles import (
@@ -38,6 +37,10 @@ from _oracles import (
     ou_mean_var,
     torus_distance_reference,
 )
+
+
+EXAMPLE_FINITE = FiniteMms.load(Path(__file__).resolve().parent.parent
+                                / "scripts" / "example_finite.txt")
 
 
 def test_chain_determinism():
@@ -60,7 +63,7 @@ def test_chain_marginal_matches_semigroup(space):
         f = lambda x: np.cos(x)
     else:
         f = lambda x: np.cos(np.pi * x)
-    final = ens.states[:, -1, 0]
+    final = ens.states[:, -1]
     emp = float(np.mean(f(final)))
     se = float(np.std(f(final))) / np.sqrt(count)
     fvals = f(sk.points)
@@ -79,7 +82,7 @@ def test_chain_marginal_finite():
     ens = sample_kernel_chain(space, "base", times, 8000, seed=5)
     sk = get_kernel(space)
     p_ref = sk.transition_matrix(1.0)[0]
-    counts = np.bincount(ens.states[:, -1, 0].astype(int), minlength=16) / 8000
+    counts = np.bincount(ens.states[:, -1], minlength=16) / 8000
     se = np.sqrt(p_ref * (1 - p_ref) / 8000)
     assert np.all(np.abs(counts - p_ref) <= 4 * se + 1e-3)
 
@@ -92,6 +95,64 @@ def test_chain_bad_grid_rejected():
         sample_kernel_chain(space, "base", [0.0, 0.5, 0.5], 10, seed=0)
 
 
+def test_time_grid_holds_the_multiples_of_dt_up_to_T():
+    # T / dt = 5/3: the grid stops at the last multiple of dt under T, and so
+    # does a sampler run to T
+    assert time_grid(0.6, 1.0).tolist() == [0.0, 0.6]
+    assert euler_maruyama(EuclideanLogConcave(1.0), 0.6, 1.0, 4, seed=0).times.tolist() == [
+        0.0, 0.6]
+    # quotients a round-off short of a whole number keep their last step:
+    # 0.3 / 0.1 and 0.7 / 0.1, and the bundled torus, OU and reflected grids
+    for dt, T, steps in [(0.1, 0.3, 3), (0.1, 0.7, 7), (0.0125, 1.0, 80), (1e-2, 1.0, 100),
+                         (5e-3, 1.5, 300)]:
+        assert np.array_equal(time_grid(dt, T), np.arange(steps + 1) * dt), (dt, T)
+
+
+# one space of each kind the samplers take
+POINT_SPACES = {
+    "circle": Circle(n_nodes=256),
+    "torus": Torus(2 * np.pi, np.pi, n_nodes=(64, 32)),
+    "interval": Interval(0.0, 1.0, n_nodes=64),
+    "finite": EXAMPLE_FINITE,
+    "cone": mesh_cone(2, 6),
+    "line": EuclideanLogConcave(1.0, n_nodes=256),
+}
+
+
+@pytest.mark.parametrize("kind", POINT_SPACES)
+def test_samplers_return_the_points_of_their_space(kind):
+    # states[i, k] is a point of the space: the base point's shape, and an
+    # int atom index on a finite space
+    space = POINT_SPACES[kind]
+    point = np.shape(space.base_point)
+    finite = isinstance(space, FiniteMms)
+    times = [0.0, 0.1, 0.2]
+    runs = [sample_kernel_chain(space, "base", times, 50, seed=1),
+            sample_kernel_chain(space, DiscreteMeasure(np.reshape(space.base_point, (1, -1))),
+                                times, 50, seed=1)]
+    if isinstance(space, (Interval, EuclideanLogConcave)):
+        runs.append(euler_maruyama(space, 0.1, 0.2, 50, seed=1))
+    for ens in runs:
+        assert ens.space is space
+        assert ens.states.shape == (50, 3) + point
+        assert ens.state_at(0.1).shape == (50,) + point
+        assert np.issubdtype(ens.states.dtype, np.integer if finite else np.floating)
+        # every path starts at the base point, or at an interval's node nearest it
+        assert np.max(space.distance(ens.states[:, 0], space.base_point)) <= 0.5 / 64
+        fdd = extract_fdd(ens, [0.1, 0.2])
+        assert fdd.dtype == float and fdd.shape == (50, 2 * np.size(space.base_point))
+
+
+def test_path_ensemble_rejects_states_off_the_point_shape():
+    times = np.array([0.0, 0.5])
+    for space, shape in [(Circle(), (4, 2, 1)), (Circle(), (4, 3)), (Circle(), (0, 2)),
+                         (Torus(), (4, 2)), (Torus(), (4, 2, 3)), (EXAMPLE_FINITE, (4, 2, 1)),
+                         (EuclideanLogConcave(1.0), (4,))]:
+        with pytest.raises(PathError, match="^states must have shape"):
+            PathEnsemble(times, np.zeros(shape), space)
+    assert PathEnsemble(times, np.zeros((4, 2, 2)), Torus()).count == 4
+
+
 @pytest.mark.parametrize("law", ["weighted", None, "nonsense"])
 def test_chain_rejects_an_unknown_start_law(law):
     # a chain starts at the base point or from a DiscreteMeasure
@@ -100,12 +161,10 @@ def test_chain_rejects_an_unknown_start_law(law):
             sample_kernel_chain(space, law, [0.0, 0.5], 10, seed=0)
 
 
-EXAMPLE_FINITE = FiniteMms.load(Path(__file__).resolve().parent.parent
-                                / "scripts" / "example_finite.txt")
-
 # (space, initial law) pairs for the chain oracle: circles started on and
 # off [0, c), the bundled torus, a small cone member, the example finite
-# file and intervals with their base on a node tie and outside
+# file and intervals started at their base on a node tie, from a point
+# outside and from a law
 CHAIN_STARTS = {
     "circle-0": (Circle(), "base"),
     "circle-minus1": (Circle(base=-1.0), "base"),
@@ -123,7 +182,7 @@ CHAIN_STARTS = {
     "finite": (EXAMPLE_FINITE, "base"),
     "finite-law": (EXAMPLE_FINITE, DiscreteMeasure([[0.0], [2.0], [5.0]], [0.2, 0.5, 0.3])),
     "interval": (Interval(0.0, 1.0), "base"),
-    "interval-outside": (Interval(-1.0, 2.0, base=2.5, n_nodes=300), "base"),
+    "interval-outside": (Interval(-1.0, 2.0, n_nodes=300), DiscreteMeasure([[2.5]], [1.0])),
     "interval-law": (Interval(-1.0, 2.0, n_nodes=300),
                      DiscreteMeasure([[-1.5], [0.0], [0.7], [2.0]], [0.1, 0.2, 0.3, 0.4])),
 }
@@ -147,7 +206,7 @@ def test_chain_is_bit_identical_to_the_full_search_loop(case, grid):
     if isinstance(initial, DiscreteMeasure):
         start = (initial.atoms, initial.weights)
     else:
-        start = paths._initial_states(space, initial, count, None, ens.states.shape[2])
+        start = paths._initial_states(space, initial, count, None).reshape(count, -1)
     if isinstance(space, (Circle, Torus)):
         factors = [space] if isinstance(space, Circle) else space.factors()
         circles = lambda dt: [(circle_kernel_arc(dt, c.grid(), c.circumference), c.grid(),
@@ -157,7 +216,7 @@ def test_chain_is_bit_identical_to_the_full_search_loop(case, grid):
         sk = get_kernel(space)
         ref = kernel_chain_loop(times, start, count, seed,
                                 chain=(sk.points, sk.transition_matrix))
-    assert np.array_equal(ens.states, ref)
+    assert np.array_equal(ens.states, ref.reshape(ens.states.shape))
 
 
 # one start of each sampler branch, at a point and from a law
@@ -193,7 +252,7 @@ def test_chain_record_equals_full_grid_columns(monkeypatch, case, record):
     part = sample_kernel_chain(space, initial, RECORD_TIMES, 300, seed=8, record=record)
     cols = [grid_index(full.times, t) for t in record]
     assert np.array_equal(part.times, record)
-    assert part.states.shape == (300, len(record), full.states.shape[2])
+    assert part.states.shape == (300, len(record)) + full.states.shape[2:]
     assert np.array_equal(part.states, full.states[:, cols])
     # the chain stops at the last record time: its stream is where a chain
     # on the grid up to that time leaves it
@@ -264,8 +323,8 @@ def test_em_ou_moments_and_weak_order():
     m_ref, _ = ou_mean_var(a, x0, T)
     errs = []
     for dt in (2e-2, 1e-2, 5e-3):
-        ens = euler_maruyama(a, x0, dt, T, 40000, seed=3)
-        errs.append(abs(float(np.mean(ens.states[:, -1, 0])) - m_ref))
+        ens = euler_maruyama(EuclideanLogConcave(a, base=x0), dt, T, 40000, seed=3)
+        errs.append(abs(float(np.mean(ens.states[:, -1])) - m_ref))
     # first-order weak error: halving dt roughly halves the bias
     assert errs[2] < errs[0]
     assert errs[0] <= 0.05
@@ -279,26 +338,27 @@ def test_chain_on_a_line_has_the_ou_moments(a):
     ens = sample_kernel_chain(space, "base", [0.0, 0.2, 0.5], 40000, seed=4)
     for k, t in ((1, 0.2), (2, 0.5)):
         m_ref, v_ref = ou_mean_var(a, 0.7, t)
-        x = ens.states[:, k, 0]
+        x = ens.states[:, k]
         assert abs(np.mean(x) - m_ref) <= 4 * np.sqrt(v_ref / len(x))
         assert abs(np.var(x) / v_ref - 1.0) <= 4 * np.sqrt(2.0 / len(x))
 
 
 def test_em_divergence_guard_flags():
     # unstable drift dX = 5X dt with a large step blows up and gets frozen
-    ens = euler_maruyama(-5.0, 1.0, 0.5, 20.0, 8, seed=1)
+    ens = euler_maruyama(EuclideanLogConcave(-5.0, base=1.0), 0.5, 20.0, 8, seed=1)
     assert np.all(ens.flags)
     assert np.all(np.isfinite(ens.states))
 
 
 EM_CASES = {
     # (keyword arguments, recorded times)
-    "free": (dict(a=1.0, x0=0.3, dt=1e-2, T=1.0, count=64), (0.0, 0.37, 1.0)),
-    "reflected": (dict(a=0.0, x0=0.25, dt=5e-3, T=1.5, count=64,
-                       domain=box_domain(0.0, 1.0)),
+    "free": (dict(space=EuclideanLogConcave(1.0, base=0.3), dt=1e-2, T=1.0, count=64),
+             (0.0, 0.37, 1.0)),
+    "reflected": (dict(space=Interval(0.0, 1.0, base=0.25), dt=5e-3, T=1.5, count=64),
                   (1.0, 1.5)),
     # dX = 5X dt with a large step: every path is frozen by t = 10
-    "flagged": (dict(a=-5.0, x0=1.0, dt=0.5, T=20.0, count=8), (0.5, 10.0, 20.0)),
+    "flagged": (dict(space=EuclideanLogConcave(-5.0, base=1.0), dt=0.5, T=20.0, count=8),
+                (0.5, 10.0, 20.0)),
 }
 
 
@@ -309,7 +369,7 @@ def test_em_record_equals_full_grid_columns(case):
     part = euler_maruyama(seed=21, record=record, **kwargs)
     cols = [grid_index(full.times, t) for t in record]
     assert np.array_equal(part.times, record)
-    assert part.states.shape == (kwargs["count"], len(record), 1)
+    assert part.states.shape == (kwargs["count"], len(record))
     assert np.array_equal(part.states, full.states[:, cols])
     assert np.array_equal(part.flags, full.flags)
     if case == "flagged":
@@ -337,39 +397,44 @@ def test_em_stopped_early_equals_the_full_run_at_its_horizon(case, t):
 def test_em_record_off_grid_rejected():
     for record in [(0.5, 0.505), (1.2,), (0.5, 0.2), ()]:
         with pytest.raises(PathError):
-            euler_maruyama(1.0, 0.0, 1e-2, 1.0, 4, seed=0, record=record)
+            euler_maruyama(EuclideanLogConcave(1.0), 1e-2, 1.0, 4, seed=0, record=record)
 
 
 ORACLE_CASES = {
     **{case: kwargs for case, (kwargs, _) in EM_CASES.items()},
-    # steps of sd 0.14 in a box of width 0.05: mirror images land past the
-    # opposite face, so the second projection pass runs
-    "narrow_box": dict(a=0.0, x0=0.02, dt=1e-2, T=0.5, count=64,
-                       domain=box_domain(0.0, 0.05)),
-    # the whole line: every projection is the identity, and 2x - x is exact
-    "identity_projection": dict(a=1.0, x0=0.3, dt=1e-2, T=0.5, count=64,
-                                domain=box_domain(-np.inf, np.inf)),
+    # steps of sd 0.14 in an interval of length 0.05: mirror images land
+    # past the opposite end, so the second projection pass runs
+    "narrow_box": dict(space=Interval(0.0, 0.05, base=0.02), dt=1e-2, T=0.5, count=64),
+    # an interval the paths never come near the ends of: every projection is
+    # the identity, and 2x - x is exact
+    "identity_projection": dict(space=Interval(-100.0, 100.0, base=0.3), dt=1e-2, T=0.5,
+                                count=64),
     # far out but under the guard: the screen passes at every step, no flag
-    "above_screen": dict(a=0.0, x0=6e5, dt=1e-2, T=0.5, count=64),
+    "above_screen": dict(space=EuclideanLogConcave(0.0, base=6e5), dt=1e-2, T=0.5, count=64),
     # steps of sd 1 from just under the guard: some paths flag, others do not
-    "partly_flagged": dict(a=0.0, x0=1e6 - 0.5, dt=0.5, T=5.0, count=64),
+    "partly_flagged": dict(space=EuclideanLogConcave(0.0, base=1e6 - 0.5), dt=0.5, T=5.0,
+                           count=64),
     # a * dt = 1 cancels the state, so each step is pure noise of sd 4e5: now
     # and then one path passes the guard, and at later steps every path, the
     # frozen one's next step too, can lie under it again
-    "frozen_under_screen": dict(a=1.25e-11, x0=0.0, dt=8e10, T=3.2e12, count=4),
-    # a NaN start: every state is NaN, and NaN never passes the guard
-    "nan_rows": dict(a=1.0, x0=np.nan, dt=1e-2, T=0.5, count=64),
+    "frozen_under_screen": dict(space=EuclideanLogConcave(1.25e-11), dt=8e10, T=3.2e12,
+                                count=4),
 }
 
 
-def _clip_to(box):
-    """The projection onto a box, as the oracle's ``project``."""
-    return lambda x: np.clip(x, box.lo, box.hi)
+def _clip_to(interval):
+    """The projection onto an interval, as the oracle's ``project``."""
+    return lambda x: np.clip(x, interval.a, interval.b)
 
 
-def _em_loop(seed, domain=None, **kwargs):
-    return euler_maruyama_loop(seed=seed,
-                               project=None if domain is None else _clip_to(domain), **kwargs)
+def _em_loop(seed, space, **kwargs):
+    """The oracle run of a sampler call: from the base point, with the line's
+    drift, or with zero drift and the projection onto the interval."""
+    if isinstance(space, Interval):
+        a, project = 0.0, _clip_to(space)
+    else:
+        a, project = space.a, None
+    return euler_maruyama_loop(a, space.base_point, seed=seed, project=project, **kwargs)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -377,21 +442,20 @@ def test_em_is_bit_identical_to_the_step_loop(case):
     kwargs = ORACLE_CASES[case]
     ens = euler_maruyama(seed=21, **kwargs)
     states, flags = _em_loop(21, **kwargs)
-    assert np.array_equal(ens.states, states, equal_nan=True)
+    assert np.array_equal(ens.states, states[:, :, 0])
     assert np.array_equal(ens.flags, flags)
     if case == "flagged":
         assert np.all(flags)
     elif case in ("partly_flagged", "frozen_under_screen"):
         assert 0 < np.sum(flags) < len(flags)
-    elif case == "nan_rows":
-        assert np.all(np.isnan(states)) and not np.any(flags)
     else:
         assert not np.any(flags)
 
 
 def test_narrow_box_case_overshoots_the_opposite_face():
     kwargs = dict(ORACLE_CASES["narrow_box"])
-    clip = _clip_to(kwargs.pop("domain"))
+    space = kwargs.pop("space")
+    clip = _clip_to(space)
     seen = []
 
     def project(x):
@@ -399,7 +463,7 @@ def test_narrow_box_case_overshoots_the_opposite_face():
         return clip(x)
 
     # the sampler equals this loop bit for bit (test above)
-    euler_maruyama_loop(seed=21, project=project, **kwargs)
+    euler_maruyama_loop(0.0, space.base_point, seed=21, project=project, **kwargs)
     # call 0 projects the start; each step then projects its step and the
     # mirror image of that step
     mirrored = np.concatenate(seen[2::2])
@@ -408,15 +472,15 @@ def test_narrow_box_case_overshoots_the_opposite_face():
 
 @st.composite
 def _boxed_runs(draw):
-    """A short reflected run: x0, a box around it whose faces lie 0, 0.01
-    (narrower than most steps), 0.3 or infinitely far from x0, a step and a
-    step count."""
+    """A short reflected run: a start x0, an interval around it whose ends
+    lie 0, 0.01 (narrower than most steps), 0.3 or 50 from x0, not both 0,
+    a step and a step count."""
     x0 = draw(st.floats(-2.0, 2.0))
-    gaps = st.sampled_from([0.0, 0.01, 0.3, np.inf])
+    below = draw(st.sampled_from([0.0, 0.01, 0.3, 50.0]))
+    above = draw(st.sampled_from([0.01, 0.3, 50.0] if below == 0.0 else [0.0, 0.01, 0.3, 50.0]))
     dt = draw(st.sampled_from([1e-3, 0.05, 0.5]))
-    return dict(a=draw(st.sampled_from([0.0, 1.0])), x0=x0, dt=dt,
-                T=dt * draw(st.integers(1, 5)), count=8,
-                domain=box_domain(x0 - draw(gaps), x0 + draw(gaps)))
+    return dict(space=Interval(x0 - below, x0 + above, base=x0), dt=dt,
+                T=dt * draw(st.integers(1, 5)), count=8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -424,7 +488,7 @@ def _boxed_runs(draw):
 def test_em_in_drawn_boxes_is_bit_identical_to_the_step_loop(kwargs, seed):
     ens = euler_maruyama(seed=seed, **kwargs)
     states, flags = _em_loop(seed, **kwargs)
-    assert np.array_equal(ens.states, states)
+    assert np.array_equal(ens.states, states[:, :, 0])
     assert np.array_equal(ens.flags, flags)
 
 
@@ -432,9 +496,8 @@ def test_em_concurrent_ensembles_equal_their_serial_runs():
     """Two ensembles stepped at once on two threads, with the interpreter
     switching threads as often as it can, match their serial runs bit for
     bit: each call draws its normals into a buffer of its own."""
-    runs = [dict(a=0.0, x0=0.25, dt=5e-3, T=1.0, count=2000, seed=3,
-                 domain=box_domain(0.0, 0.75)),
-            dict(a=1.0, x0=0.0, dt=5e-3, T=1.0, count=2000, seed=4)]
+    runs = [dict(space=Interval(0.0, 0.75, base=0.25), dt=5e-3, T=1.0, count=2000, seed=3),
+            dict(space=EuclideanLogConcave(1.0), dt=5e-3, T=1.0, count=2000, seed=4)]
     serial = [euler_maruyama(**kwargs) for kwargs in runs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -451,50 +514,46 @@ def test_em_concurrent_ensembles_equal_their_serial_runs():
 
 @pytest.mark.parametrize("name, value", [
     ("count", 0), ("count", -3), ("dt", float("nan")), ("dt", 0.0), ("T", float("inf")),
-    ("T", 5e-3), ("x0", ()),
-    # the line's points are numbers: no tuple, no one-coordinate array
-    ("x0", (1.0, 1.0)), ("x0", np.array([0.5])),
-    ("x0", dict(domain=box_domain(1e-11, 1.0))),
+    ("T", 5e-3),
+    # the scheme has a drift on the line and a reflection in an interval only
+    ("space", Circle()), ("space", Torus()), ("space", EXAMPLE_FINITE),
 ])
 def test_em_rejects_bad_arguments_before_any_step(monkeypatch, name, value):
     # the stream is made after every check, so a rejected call draws nothing
     made = []
     monkeypatch.setattr(paths, "make_rng", lambda seed: made.append(seed))
-    kwargs = dict(a=1.0, x0=0.0, dt=1e-2, T=1.0, count=4, seed=0)
+    kwargs = dict(space=EuclideanLogConcave(1.0), dt=1e-2, T=1.0, count=4, seed=0)
     with pytest.raises(PathError, match="^%s " % name):
-        euler_maruyama(**{**kwargs, **(value if isinstance(value, dict) else {name: value})})
+        euler_maruyama(**{**kwargs, name: value})
     assert made == []
 
 
 def test_reflected_paths_stay_inside():
-    dom = box_domain(0.0, 1.0)
-    ens = euler_maruyama(0.0, 0.5, 1e-3, 1.0, 200, seed=4, domain=dom)
+    ens = euler_maruyama(Interval(0.0, 1.0, base=0.5), 1e-3, 1.0, 200, seed=4)
     assert np.all(ens.states >= -1e-12)
     assert np.all(ens.states <= 1.0 + 1e-12)
 
 
 def test_reflected_folded_normal_ks():
-    dom = box_domain(0.0, np.inf)
-    ens = euler_maruyama(0.0, 0.0, 1e-3, 0.5, 10000, seed=6,
-                         domain=dom)
-    final = ens.states[:, -1, 0]
+    # from the left end of an interval whose right end no path comes near,
+    # the reflected law is that of |B|
+    ens = euler_maruyama(Interval(0.0, 50.0, base=0.0), 1e-3, 0.5, 10000, seed=6)
+    final = ens.states[:, -1]
     ks = scipy.stats.kstest(final, lambda x: folded_normal_cdf(x, np.sqrt(2 * 0.5)))
     assert ks.pvalue >= 0.01
 
 
 def test_reflected_interior_matches_free():
-    # away from the boundary the confined sampler reproduces free EM exactly
-    dom = box_domain(-100.0, 100.0)
-    free = euler_maruyama(1.0, 0.0, 1e-3, 0.2, 50, seed=8)
-    confined = euler_maruyama(1.0, 0.0, 1e-3, 0.2, 50, seed=8, domain=dom)
+    # away from the ends the reflected sampler reproduces free EM (zero
+    # drift) exactly
+    free = euler_maruyama(EuclideanLogConcave(0.0), 1e-3, 0.2, 50, seed=8)
+    confined = euler_maruyama(Interval(-100.0, 100.0, base=0.0), 1e-3, 0.2, 50, seed=8)
     assert np.allclose(free.states, confined.states, atol=1e-12)
 
 
 def test_reflected_occupation_chi2():
-    dom = box_domain(0.0, 1.0)
-    ens = euler_maruyama(0.0, 0.25, 5e-4, 1.5, 4000, seed=11,
-                         domain=dom)
-    final = ens.states[:, -1, 0]
+    ens = euler_maruyama(Interval(0.0, 1.0, base=0.25), 5e-4, 1.5, 4000, seed=11)
+    final = ens.states[:, -1]
     hist, _ = np.histogram(final, bins=10, range=(0.0, 1.0))
     chi2 = scipy.stats.chisquare(hist)
     assert chi2.pvalue >= 0.01
@@ -541,7 +600,7 @@ def _count_measured_paths(monkeypatch):
 def test_modulus_trivial_cases(monkeypatch):
     measured = _count_measured_paths(monkeypatch)
     times = np.linspace(0.0, 1.0, 41)
-    const = PathEnsemble(times, np.zeros((50, 41, 1)), Circle(2 * np.pi),
+    const = PathEnsemble(times, np.zeros((50, 41)), Circle(2 * np.pi),
                          np.zeros(50, dtype=bool))
     assert modulus_statistic(const, 1.0, [0.1], 0.5) == [0.0]
     # no path ever passes delta: every lag within eta = 4 steps measures all
@@ -626,8 +685,8 @@ def test_modulus_measures_only_the_paths_still_under_delta(monkeypatch, space):
 
 
 def test_modulus_on_a_line_matches_a_per_path_loop():
-    # a kernel-chain ensemble on a 1-D log-concave line stores (count, n_t, 1)
-    # states; each pair of times is one distance, not a norm over time
+    # a kernel-chain ensemble on a 1-D log-concave line stores (count, n_t)
+    # points; each pair of times is one distance, not a norm over time
     space = EuclideanLogConcave(1.0)
     times = np.arange(0, 0.5 + 1e-12, 0.0125)
     ens = sample_kernel_chain(space, "base", times, 300, seed=33)
@@ -636,7 +695,7 @@ def test_modulus_on_a_line_matches_a_per_path_loop():
     for eta in etas:
         lags = int(round(eta / 0.0125))
         passed = 0
-        for path in ens.states[:, :, 0]:
+        for path in ens.states:
             passed += any(abs(path[j] - path[i]) > delta
                           for i in range(len(path)) for j in range(i + 1, min(i + lags + 1, len(path))))
         expected.append(passed / ens.count)
@@ -661,6 +720,19 @@ def test_kolmogorov_exponent():
     assert all(r["moment"] >= 0 for r in out["rows"])
 
 
+def test_kolmogorov_zero_lag_row_is_zero_and_leaves_the_fit():
+    times = np.arange(0, 0.75 + 1e-12, 0.0125)
+    ens = sample_kernel_chain(Circle(2 * np.pi, n_nodes=256), "base", times, 500, seed=17)
+    lags = [0.0125, 0.025, 0.05, 0.1]
+    plain = kolmogorov_moment(ens, 4.0, [0.25, 0.5], lags)
+    zero = kolmogorov_moment(ens, 4.0, [0.25, 0.5], [0.0] + lags)
+    assert [(r["h"], r["moment"], r["se"]) for r in zero["rows"] if r["h"] == 0] == [
+        (0.0, 0.0, 0.0)] * 2
+    assert [r for r in zero["rows"] if r["h"] > 0] == plain["rows"]
+    assert (zero["theta_hat"], zero["C"]) == (plain["theta_hat"], plain["C"])
+    assert np.isfinite(plain["theta_hat"])
+
+
 @pytest.mark.parametrize("space", [Circle(2 * np.pi, n_nodes=256),
                                    Torus(2 * np.pi, np.pi / 2, n_nodes=(256, 64))],
                          ids=["circle", "torus"])
@@ -675,7 +747,7 @@ def test_torus_run_statistics_equal_the_np_mod_formula(monkeypatch, space):
             return torus_distance_reference(a, b, space.len1, space.len2)
     else:
         def dist(a, b):
-            return circle_distance_reference(a[..., 0], b[..., 0], space.circumference)
+            return circle_distance_reference(a, b, space.circumference)
     T, etas, delta = cli.MODULUS_T, cli.MODULUS_ETA, cli.MODULUS_DELTA
     want_modulus = [modulus_statistic_loop(ens.times, ens.states, T, eta, delta, dist)
                     for eta in etas]
@@ -701,6 +773,6 @@ def test_initial_law_from_measure():
     mu = DiscreteMeasure([[0.0], [np.pi]], [0.5, 0.5])
     times = np.linspace(0.0, 0.1, 3)
     ens = sample_kernel_chain(space, mu, times, 4000, seed=18)
-    starts = ens.states[:, 0, 0]
+    starts = ens.states[:, 0]
     frac = np.mean(np.isclose(starts, np.pi))
     assert abs(frac - 0.5) <= 0.05

@@ -9,7 +9,6 @@ from mmlab import (
     Interval,
     Torus,
     bishop_gromov_check,
-    box_domain,
     get_kernel,
     mesh_cone,
     theta_comparison,
@@ -76,6 +75,8 @@ def test_non_finite_weight_or_distance_rejected(bad):
     ({"base": np.nan}, "base"),
     ({"base": np.inf}, "base"),
     ({"base": -np.inf}, "base"),
+    # the base point gives the shape of the points a sampler stores
+    ({"base": np.array([0.5])}, "^base must be a finite number$"),
     ({"n_nodes": 0}, "n_nodes"),
 ], ids=str)
 def test_circle_rejects_bad_inputs(kwargs, message):
@@ -89,6 +90,8 @@ def test_circle_rejects_bad_inputs(kwargs, message):
     ({"len2": 0.0}, "circumference"),
     ({"base": (np.nan, 0.0)}, "base"),
     ({"base": (0.0, np.inf)}, "base"),
+    ({"base": (0.0, 0.0, 1.0)}, "^base must be two finite numbers$"),
+    ({"base": 0.0}, "^base must be two finite numbers$"),
     ({"n_nodes": (0, 64)}, "n_nodes"),
     ({"n_nodes": (256, 0)}, "n_nodes"),
 ], ids=str)
@@ -102,8 +105,12 @@ def test_torus_rejects_bad_inputs(kwargs, message):
     ({"b": np.inf}, "finite a < b"),
     ({"a": -np.inf}, "finite a < b"),
     ({"a": 1.0}, "finite a < b"),
+    ({"b": np.nan}, "finite a < b"),
     ({"base": np.nan}, "base"),
     ({"base": np.inf}, "base"),
+    ({"base": -1e-12}, r"^base must be a number in \[a, b\]$"),
+    ({"base": 1.0 + 1e-12}, r"^base must be a number in \[a, b\]$"),
+    ({"base": (0.5,)}, r"^base must be a number in \[a, b\]$"),
     ({"n_nodes": 0}, "n_nodes"),
 ], ids=str)
 def test_interval_rejects_bad_inputs(kwargs, message):
@@ -111,10 +118,22 @@ def test_interval_rejects_bad_inputs(kwargs, message):
         Interval(**kwargs)
 
 
+def test_interval_base_may_lie_at_either_end():
+    # the reflected samplers start at the base point, which the closed
+    # interval holds at its ends too
+    for base in (-1.0, 2.0):
+        assert Interval(-1.0, 2.0, base=base).base_point == base
+    assert Interval(-1.0, 2.0).base_point == 0.5
+
+
 @pytest.mark.parametrize("kwargs,message", [
     ({"base": np.nan}, "base"),
     ({"base": np.inf}, "base"),
     ({"base": -np.inf}, "base"),
+    # a line's points are numbers: no tuple, no one-coordinate array
+    ({"base": ()}, "^base must be a finite number$"),
+    ({"base": (1.0, 1.0)}, "^base must be a finite number$"),
+    ({"base": np.array([0.5])}, "^base must be a finite number$"),
     ({"grid_radius": 0.0}, "grid_radius"),
     ({"grid_radius": -1.0}, "grid_radius"),
     ({"grid_radius": np.inf}, "grid_radius"),
@@ -383,15 +402,6 @@ def test_line_quadrature_weighs_each_node_by_its_gaussian():
     per_node = np.exp(-np.asarray([0.5 * a * float(np.sum(np.square([p]))) for p in pts])) * h
     assert np.array_equal(w, per_node)
     assert np.array_equal(pts, -4.0 + (np.arange(64) + 0.5) * h)
-
-
-@pytest.mark.parametrize("lo, hi", [
-    (np.nan, 1.0), (0.0, np.nan), (1.0, 0.0), ((0.0, 0.0), (1.0, -0.5)),
-    ((0.0, 0.0), (1.0,)), ([[0.0]], [[1.0]]), ((0.0,), (1.0,)),
-])
-def test_box_domain_rejects_bad_bounds(lo, hi):
-    with pytest.raises(SpaceError, match="^box bounds must be "):
-        box_domain(lo, hi)
 
 
 def test_mesh_cone_geometry():
